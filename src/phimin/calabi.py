@@ -309,7 +309,7 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
                            domain=(lo, hi),
                            increasing=not profile.increasing,
                            params={"dual_of": profile.kind,
-                                   **profile.params})
+                                   "source_params": dict(profile.params)})
     dual_theta.derivative = lambda w: np.exp(
         np.asarray(dual.phi(w), dtype=float))
     return dual, dual_theta

@@ -13,9 +13,9 @@ configurations produce byte-identical files.
 
 Exit protocol: 0 on success, 1 for validation errors (bad flags, malformed
 configs, inputs outside scope), 2 for numerical failures (divergence, residual
-above threshold, singular transforms).  Both failure paths leave a machine
-readable ``error.json`` next to the other outputs when the directory is
-writable.
+above threshold, singular transforms, arithmetic and linear-algebra errors).
+Both failure paths leave a machine readable ``error.json`` next to the other
+outputs when the directory is writable.
 """
 
 from __future__ import annotations
@@ -36,14 +36,15 @@ from .calabi import dual_profile, from_lorentz, make_theta, to_lorentz
 from .errors import NumericalError
 from .profiles import (ProfileError, WeightProfile, expression_callable,
                        make_builtin, make_custom)
-from .solvers import (BOWL_GRAPH, CATENARY_GRAPH, ProfileCurve,
-                      compute_lambda, count_self_intersections,
-                      first_integral_drift, fit_asymptotics, solve_bowl,
-                      solve_catenary, solve_catenoid)
-from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, SurfaceMesh,
-                       cylinder_patch, fe_residual, lfe_residual,
+from .solvers import (CATENARY_GRAPH, ProfileCurve, compute_lambda,
+                      count_self_intersections, first_integral_drift,
+                      fit_asymptotics, solve_bowl, solve_catenary,
+                      solve_catenoid)
+from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
+                       SurfaceMesh, cylinder_patch, fe_residual, lfe_residual,
                        mean_curvature_residual, revolve, rotational_patch,
-                       save_obj, save_ply, tilt_cylinder)
+                       save_obj, save_ply, tilt_cylinder, write_header,
+                       write_rows)
 from .weierstrass import (bjorling_from_json, gauss_pde_residual,
                           integrate_representation, load_gauss_field,
                           reconstruction_residuals, rotational_gauss_field,
@@ -54,7 +55,7 @@ _FORMATS = ("obj", "ply", "csv")
 
 def _fmt(x) -> str:
     """Canonical numeric text: 17 significant digits, lowercase scientific."""
-    return format(float(x), ".16e")
+    return FLOAT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +414,11 @@ def _artifact_comments(cfg: RunConfig, kind: str,
 
 
 def _write_csv(path: Path, comments: Sequence[str], header: str,
-               data: np.ndarray) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    for row in np.atleast_2d(np.asarray(data, dtype=float)):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+               data: np.ndarray, cell: str = FLOAT) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_header(fh, comments)
+        write_header(fh, [header], prefix="")
+        write_rows(fh, data, cell=cell)
 
 
 def _read_csv_any(path: Path) -> Tuple[Dict[str, str], str, np.ndarray]:
@@ -510,16 +510,12 @@ def _write_mesh(cfg: RunConfig, mesh: SurfaceMesh, stem: str,
     if fmt == "ply":
         save_ply(mesh, cfg.out_dir / f"{stem}.ply", comments=comments)
         return [f"{stem}.ply"]
-    data = np.hstack([mesh.vertices, mesh.normals])
     _write_csv(cfg.out_dir / f"{stem}.csv",
                comments + [f"signature = {mesh.signature}"],
-               "x,y,z,nx,ny,nz", data)
-    face_lines = [f"# {c}" for c in
-                  _artifact_comments(cfg, "mesh_faces", extra)]
-    face_lines.append("i,j,k")
-    face_lines += ["%d,%d,%d" % tuple(f) for f in mesh.faces]
-    (cfg.out_dir / f"{stem}_faces.csv").write_text(
-        "\n".join(face_lines) + "\n", encoding="utf-8")
+               "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))
+    _write_csv(cfg.out_dir / f"{stem}_faces.csv",
+               _artifact_comments(cfg, "mesh_faces", extra), "i,j,k",
+               mesh.faces, cell="%d")
     return [f"{stem}.csv", f"{stem}_faces.csv"]
 
 
@@ -1029,9 +1025,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "surface builders, the Lorentzian correspondence, and "
                     "the complex representation, with residual verification "
                     "for every artifact.",
-        epilog="The PHIMIN_THREADS environment variable caps worker threads "
-               "in the mesh verification routines.  Rendering, remote "
-               "execution, and result caching are out of scope.")
+        epilog="Rendering, remote execution, and result caching are out of "
+               "scope.")
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "profile": "solve a planar generating curve and export it as CSV",
@@ -1099,7 +1094,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sha = cfg.sha256()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[cfg.command](cfg)
-    except NumericalError as err:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as err:
+        # ArithmeticError covers overflow, zero division and floating point
+        # errors; LinAlgError must map here before its ValueError base does
         _emit_error(out_guess, command, sha, err, 2)
         return 2
     except (ValueError, OSError) as err:

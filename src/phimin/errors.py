@@ -3,7 +3,7 @@
 Validation problems (bad arguments, violated preconditions) raise ValueError
 subclasses; numerical failures (non-convergence, inconsistent cross-checks,
 fold-over) raise NumericalError.  The CLI maps the former to exit code 1 and
-the latter to exit code 2.
+the latter, with arithmetic and linear-algebra errors, to exit code 2.
 """
 
 

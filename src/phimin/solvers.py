@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import NumericalError
-from .profiles import DomainError, ProfileError, WeightProfile, curly_g
+from .profiles import ProfileError, WeightProfile, curly_g
 
 CATENARY_GRAPH = "catenary_graph"
 BOWL_GRAPH = "bowl_graph"
@@ -72,12 +72,6 @@ class ProfileCurve:
         x, z = self.x, self.z
         dzdx = np.diff(z) / np.diff(x)
         return 2.0 * np.diff(dzdx) / (x[2:] - x[:-2])
-
-    def to_csv(self, path) -> None:
-        header = "s,x,z,theta"
-        data = np.column_stack([self.s, self.x, self.z, self.theta])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
 
 
 @dataclass

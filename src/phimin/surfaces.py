@@ -13,28 +13,17 @@ curvatures), under which the defining identity reads
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import NumericalError
 from .profiles import WeightProfile
 from .solvers import CATENARY_GRAPH, ProfileCurve
 
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
-
-
-def thread_cap() -> int:
-    """Worker cap for the few parallelizable loops (PHIMIN_THREADS, >= 1)."""
-    try:
-        return max(1, int(os.environ.get("PHIMIN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -484,14 +473,8 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
         S = np.linalg.solve(I, II)
         return float(np.sqrt((S * S).sum()))
 
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as ex:
-            s_norm = np.fromiter(ex.map(fit, range(n_vert)), dtype=float,
-                                 count=n_vert)
-    else:
-        s_norm = np.fromiter((fit(i) for i in range(n_vert)), dtype=float,
-                             count=n_vert)
+    s_norm = np.fromiter((fit(i) for i in range(n_vert)), dtype=float,
+                         count=n_vert)
     dphi = np.asarray(profile.dphi(mesh.vertices[:, 2]), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_norm / np.abs(dphi)
@@ -532,39 +515,55 @@ def rotational_patch(curve: ProfileCurve, halfwidth: float,
 
 
 # ---------------------------------------------------------------------------
-# mesh export
+# artifact text: every numeric artifact (curve, patch, field and mesh CSV,
+# OBJ, PLY) is written by write_header and write_rows in one float format,
+# 17 significant digits in lowercase scientific notation
 # ---------------------------------------------------------------------------
 
+FLOAT = "%.16e"
+_CHUNK_ROWS = 8192
+
+
+def write_header(fh, lines: Sequence[str], prefix: str = "# ") -> None:
+    """One text line per entry, each behind ``prefix``."""
+    fh.write("".join(f"{prefix}{line}\n" for line in lines))
+
+
+def write_rows(fh, rows, sep: str = ",", prefix: str = "",
+               cell: str = FLOAT) -> None:
+    """One text line per row of ``rows``: ``prefix``, then the row's cells
+    joined by ``sep``, each cell formatted by ``cell`` (which may take
+    several consecutive values).  Blocks of rows are formatted with a
+    single ``%`` over a repeated row template and streamed to ``fh``."""
+    rows = np.atleast_2d(rows)
+    line = prefix + sep.join([cell] * (rows.shape[1] // cell.count("%")))
+    line += "\n"
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
-    """ASCII OBJ with v/vn/f records; deterministic %.17g formatting."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"# signature: {mesh.signature}")
-    for v in mesh.vertices:
-        lines.append("v %.17g %.17g %.17g" % tuple(v))
-    for n in mesh.normals:
-        lines.append("vn %.17g %.17g %.17g" % tuple(n))
-    for f in mesh.faces + 1:
-        lines.append("f %d//%d %d//%d %d//%d"
-                     % (f[0], f[0], f[1], f[1], f[2], f[2]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """ASCII OBJ with v/vn/f records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_header(fh, [*comments, f"signature: {mesh.signature}"])
+        write_rows(fh, mesh.vertices, sep=" ", prefix="v ")
+        write_rows(fh, mesh.normals, sep=" ", prefix="vn ")
+        write_rows(fh, np.repeat(mesh.faces + 1, 2, axis=1), sep=" ",
+                   prefix="f ", cell="%d//%d")
 
 
 def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
-    """ASCII PLY with per-vertex normals; deterministic formatting."""
-    head = ["ply", "format ascii 1.0"]
-    head += [f"comment {c}" for c in comments]
-    head.append(f"comment signature: {mesh.signature}")
-    head += [f"element vertex {mesh.n_vertices}",
-             "property float x", "property float y", "property float z",
-             "property float nx", "property float ny", "property float nz",
-             f"element face {len(mesh.faces)}",
-             "property list uchar int vertex_indices", "end_header"]
-    lines = head
-    for v, n in zip(mesh.vertices, mesh.normals):
-        lines.append("%.17g %.17g %.17g %.17g %.17g %.17g"
-                     % (v[0], v[1], v[2], n[0], n[1], n[2]))
-    for f in mesh.faces:
-        lines.append("3 %d %d %d" % (f[0], f[1], f[2]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """ASCII PLY with float64 vertex positions and normals."""
+    head = ["ply", "format ascii 1.0",
+            *(f"comment {c}" for c in comments),
+            f"comment signature: {mesh.signature}",
+            f"element vertex {mesh.n_vertices}",
+            *(f"property double {name}"
+              for name in ("x", "y", "z", "nx", "ny", "nz")),
+            f"element face {len(mesh.faces)}",
+            "property list uchar int vertex_indices", "end_header"]
+    with open(path, "w", encoding="utf-8") as fh:
+        write_header(fh, head, prefix="")
+        write_rows(fh, np.hstack([mesh.vertices, mesh.normals]), sep=" ")
+        write_rows(fh, mesh.faces, sep=" ", prefix="3 ", cell="%d")

@@ -47,8 +47,8 @@ from scipy.interpolate import CubicSpline
 from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
-from .surfaces import (EUCLIDEAN, SurfaceMesh, _grid_faces,
-                       mean_curvature_residual)
+from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
+                       mean_curvature_residual, write_header, write_rows)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
@@ -960,12 +960,11 @@ def save_gauss_field(fieldobj: GaussField, path,
     vv = np.tile(fieldobj.v, nu)
     flat = fieldobj.G.reshape(-1)
     data = np.column_stack([uu, vv, flat.real, flat.imag])
-    lines = [f"# {c}" for c in comments]
-    lines += [f"# k = {fieldobj.k_param:.16e}",
-              f"# shape = {nu} {nv}",
-              "u,v,re_g,im_g"]
-    np.savetxt(path, data, delimiter=",", header="\n".join(lines),
-               comments="", fmt="%.16e")
+    with open(path, "w", encoding="utf-8") as fh:
+        write_header(fh, [*comments, f"k = {FLOAT % float(fieldobj.k_param)}",
+                          f"shape = {nu} {nv}"])
+        write_header(fh, ["u,v,re_g,im_g"], prefix="")
+        write_rows(fh, data)
 
 
 def load_gauss_field(path) -> GaussField:

@@ -15,6 +15,7 @@ from phimin.calabi import (
     make_theta,
     to_lorentz,
 )
+from phimin.cli import profile_from_spec, profile_to_spec
 from phimin.errors import NumericalError
 from phimin.profiles import DomainError
 from phimin.solvers import solve_bowl
@@ -124,6 +125,18 @@ def test_dual_with_offset_primitive_shifts_argument():
     assert float(dual.phi(1.5)) == pytest.approx(-math.log(2.5), rel=1e-12)
     assert dual_theta(th(0.8)) == pytest.approx(0.8, rel=1e-12)
     assert dual_theta.inverse(0.8) == pytest.approx(th(0.8), rel=1e-12)
+
+
+def test_custom_dual_does_not_inherit_the_source_spec():
+    # the dual keeps the source's parameters nested, so it has no spec
+    # string of its own and artifacts label it "dual-of <source spec>"
+    source = profile_from_spec("custom dphi=z+1 domain=-1,3")
+    dual, _ = dual_profile(source, make_theta(source, 0.0))
+    assert dual.params["dual_of"] == "custom"
+    assert dual.params["source_params"] == source.params
+    assert "dphi" not in dual.params
+    with pytest.raises(ValueError):
+        profile_to_spec(dual)
 
 
 def test_dual_derivatives_follow_chain_rule():

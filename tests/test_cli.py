@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driver (in-process)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def read_csv(path):
         break
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return meta, colnames, data
+
+
+_SCIENTIFIC = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}")
+
+
+def assert_scientific(tokens):
+    """Every float token has 17 significant digits in lowercase
+    scientific notation."""
+    for tok in tokens:
+        assert _SCIENTIFIC.fullmatch(tok), tok
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +97,16 @@ def test_verify_rejects_corrupted_curve(reaper_run, tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    args = ["tilt", "--format", "csv", "--param", "n_samples=201",
-            "--param", "n_rulings=9"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    for fmt in ("csv", "obj", "ply"):
+        args = ["tilt", "--format", fmt, "--param", "n_samples=201",
+                "--param", "n_rulings=9"]
+        a, b = tmp_path / fmt / "a", tmp_path / fmt / "b"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -132,6 +144,29 @@ def test_bad_config_line_reported(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_arithmetic_error_exit_two(tmp_path):
+    # the bowl's launch series overflows Python floats for this slope
+    code = main(["bowl", "--out", str(tmp_path),
+                 "--param", "profile=linear slope=1e308"])
+    assert code == 2
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["error"]["type"] == "OverflowError"
+    assert doc["error"]["exit_code"] == 2
+
+
+def test_custom_weight_dual_header(tmp_path):
+    code = main(["calabi-to-l3", "--out", str(tmp_path), "--grid", "31x31",
+                 "--param", "profile=custom dphi=z+1 domain=-1,3",
+                 "--param", "patch=bowl", "--param", "z0=0",
+                 "--param", "s_max=1", "--param", "halfwidth=0.3"])
+    assert code == 0
+    meta, _, _ = read_csv(tmp_path / "lorentz.csv")
+    assert meta["profile"] == "dual-of custom dphi=z+1 domain=-1,3"
+    assert "theta_base" in meta
+    assert main(["verify", str(tmp_path / "lorentz.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
+
+
 def test_numerical_failure_exit_two(tmp_path):
     # k = 2 contradicts the linear weight behind the rotational field, so
     # the two integration routes disagree and the run must fail loudly
@@ -151,11 +186,20 @@ def test_mesh_formats(tmp_path):
     text = (obj_dir / "tilted.obj").read_text()
     assert text.startswith("# artifact = mesh")
     assert "config_sha256" in text and "\nv " in text
+    rows = [line.split() for line in text.splitlines()
+            if line.startswith(("v ", "vn "))]
+    assert len(rows) == 2 * 201 * 5
+    assert_scientific(tok for row in rows for tok in row[1:])
 
     ply_dir = tmp_path / "ply"
     assert main(base + ["--out", str(ply_dir), "--format", "ply"]) == 0
     text = (ply_dir / "tilted.ply").read_text()
     assert text.startswith("ply\n") and "comment config_sha256" in text
+    head, body = text.split("end_header\n")
+    assert "property double x" in head and "property float" not in head
+    vertex_rows = body.splitlines()[:201 * 5]
+    assert all(len(row.split()) == 6 for row in vertex_rows)
+    assert_scientific(tok for row in vertex_rows for tok in row.split())
 
     csv_dir = tmp_path / "csv"
     assert main(base + ["--out", str(csv_dir), "--format", "csv"]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phimin import make_builtin, make_custom
+from phimin.cli import RunConfig, _write_curve_csv
 from phimin.errors import NumericalError
 from phimin.solvers import (
     AsymptoteReport,
@@ -223,10 +224,14 @@ def test_fit_asymptotics_dichotomy():
 
 
 def test_profile_curve_csv_roundtrip(tmp_path, reaper):
+    # curves are written by the CLI's curve artifact writer
+    _write_curve_csv(RunConfig("profile", {}, tmp_path), reaper, "curve.csv")
     path = tmp_path / "curve.csv"
-    reaper.to_csv(path)
     text = path.read_text().splitlines()
-    assert text[0] == "s,x,z,theta"
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    n_head = next(i for i, line in enumerate(text) if not line.startswith("#"))
+    assert text[n_head] == "s,x,z,theta"
+    back = np.loadtxt(path, delimiter=",", skiprows=n_head + 1)
+    assert np.allclose(back[:, 0], reaper.s, atol=0, rtol=0)
     assert np.allclose(back[:, 1], reaper.x, atol=0, rtol=0)
     assert np.allclose(back[:, 2], reaper.z, atol=0, rtol=0)
+    assert np.allclose(back[:, 3], reaper.theta, atol=0, rtol=0)
