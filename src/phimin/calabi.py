@@ -23,11 +23,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .profiles import (DomainError, WeightProfile, make_builtin, make_custom,
-                       _antiderivative)
+                       _antiderivative, _invert_monotone)
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
                        lfe_residual, graph_mean_curvature,
                        graph_gauss_curvature, curvature_from_derivatives)
@@ -47,16 +46,14 @@ class ThetaPrimitive:
     """Strictly increasing map with derivative e^phi, plus its inverse.
 
     ``value`` is the primitive itself; ``inverse_value`` is a closed-form
-    inverse when one exists (otherwise inversion falls back to bracketing).
-    ``base_point`` records where the primitive was pinned to zero, or None
-    for the natural constant of a closed form.
+    inverse when one exists (otherwise the primitive is inverted
+    numerically).
     """
 
     value: Callable
     derivative: Callable
     domain: Tuple[float, float]
     inverse_value: Optional[Callable] = None
-    base_point: Optional[float] = None
     image_hint: Optional[Tuple[float, float]] = None
 
     def __call__(self, z):
@@ -69,105 +66,8 @@ class ThetaPrimitive:
         if self.inverse_value is not None:
             out = np.asarray(self.inverse_value(t), dtype=float)
             return out if out.shape else float(out)
-        flat = np.atleast_1d(t).ravel()
-        if self.derivative is not None and flat.size > 4:
-            out = self._invert_many(flat)
-        else:
-            out = np.array([self._invert_one(float(v)) for v in flat])
-        return out.reshape(t.shape) if t.shape else float(out[0])
-
-    def _invert_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized Newton inversion seeded from a monotone sample table;
-        the few points Newton leaves behind fall back to bracketing."""
-        lo, hi = self.domain
-        base = self.base_point if self.base_point is not None else 0.0
-        a = lo + 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else base - 1.0
-        b = hi - 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else base + 1.0
-        if a >= b:
-            b = a + 1.0
-        t_lo, t_hi = float(ts.min()), float(ts.max())
-        step = 1.0
-        for _ in range(120):
-            try:
-                if float(self.value(a)) <= t_lo:
-                    break
-            except DomainError:
-                raise NumericalError("value below the attainable range of "
-                                     "the height reparametrization")
-            if math.isfinite(lo):
-                raise NumericalError("value below the attainable range of "
-                                     "the height reparametrization")
-            a -= step
-            step *= 2.0
-        else:
-            raise NumericalError("value below the attainable range of the "
-                                 "height reparametrization")
-        step = 1.0
-        for _ in range(120):
-            try:
-                if float(self.value(b)) >= t_hi:
-                    break
-            except DomainError:
-                raise NumericalError("value above the attainable range of "
-                                     "the height reparametrization")
-            if math.isfinite(hi):
-                raise NumericalError("value above the attainable range of "
-                                     "the height reparametrization")
-            b += step
-            step *= 2.0
-        else:
-            raise NumericalError("value above the attainable range of the "
-                                 "height reparametrization")
-
-        zs = np.linspace(a, b, 513)
-        vs = np.asarray(self.value(zs), dtype=float)
-        z = np.interp(ts, vs, zs)
-        scale = max(1.0, float(np.max(np.abs(ts))))
-        for _ in range(60):
-            f = np.asarray(self.value(z), dtype=float) - ts
-            if float(np.max(np.abs(f))) <= 1e-12 * scale:
-                break
-            d = np.asarray(self.derivative(z), dtype=float)
-            z = np.clip(z - f / np.maximum(d, 1e-300), a, b)
-        else:
-            f = np.asarray(self.value(z), dtype=float) - ts
-            bad = np.abs(f) > 1e-12 * scale
-            z[bad] = [self._invert_one(float(v)) for v in ts[bad]]
-        return z
-
-    def _invert_one(self, t: float) -> float:
-        lo, hi = self.domain
-        a = lo + 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else -1.0
-        b = hi - 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 1.0
-        if a >= b:
-            a, b = lo + 1e-9, lo + 1.0
-        # open finite endpoints are approached only down to the same margin
-        # image() probes at, so every value inside a reported image inverts
-        floor_a = a if math.isfinite(lo) else None
-        floor_b = b if math.isfinite(hi) else None
-        f = lambda z: float(self.value(z)) - t
-        fa, fb = f(a), f(b)
-        grow = 1.0
-        while fa * fb > 0:
-            grow *= 2.0
-            if grow > 2 ** 100:
-                raise NumericalError("value not attained by the height "
-                                     "reparametrization")
-            if fa > 0:  # value increasing; need smaller a
-                if floor_a is not None and a <= floor_a:
-                    raise NumericalError("value below the attainable range "
-                                         "of the height reparametrization")
-                a = lo + (a - lo) / 2 if math.isfinite(lo) else a - grow
-                a = max(a, floor_a) if floor_a is not None else a
-                fa = f(a)
-            else:
-                if floor_b is not None and b >= floor_b:
-                    raise NumericalError("value above the attainable range "
-                                         "of the height reparametrization")
-                b = hi - (hi - b) / 2 if math.isfinite(hi) else b + grow
-                b = min(b, floor_b) if floor_b is not None else b
-                fb = f(b)
-        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+        return _invert_monotone(self.value, t, self.domain, self.derivative,
+                               error=NumericalError)
 
     def image(self, lo: float, hi: float) -> Tuple[float, float]:
         """Open interval the primitive maps (lo, hi) onto, by monotonicity.
@@ -198,7 +98,7 @@ class ThetaPrimitive:
 def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
     """Primitive of e^phi pinned to zero at ``base_point``.
 
-    Closed forms for the builtin kinds; cached quadrature otherwise.
+    Closed forms for the builtin kinds; the panel primitive otherwise.
     """
     profile.require_inside(base_point, "base point")
     nat = _natural_theta(profile, fallback_base=base_point)
@@ -210,7 +110,6 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
         inverse_value=(None if nat.inverse_value is None else
                        lambda t, _g=nat.inverse_value, _o=off: _g(
                            np.asarray(t, dtype=float) + _o)),
-        base_point=float(base_point),
     )
 
 
@@ -245,8 +144,7 @@ def _natural_theta(profile: WeightProfile, fallback_base: float
         )
     value = _antiderivative(deriv, fallback_base, profile.domain)
     return ThetaPrimitive(value=value, derivative=deriv,
-                          domain=profile.domain,
-                          base_point=float(fallback_base))
+                          domain=profile.domain)
 
 
 def _is_natural(profile: WeightProfile, theta: ThetaPrimitive) -> bool:

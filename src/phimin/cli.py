@@ -187,6 +187,10 @@ _DEFAULTS: Dict[str, Dict[str, str]] = {
     "verify": {"input": "", "tol": ""},
 }
 
+# Upper bounds on sizes, checked before anything is allocated.
+SIZE_LIMITS = {"n_samples": 20_000, "n_theta": 2_048, "n_rulings": 2_048}
+GRID_NODES = 1_000_000
+
 # Gallery presets: complete parameter sets for the stock examples.  Each
 # belongs to one subcommand; ``--preset`` refuses to cross-apply them.
 PRESETS: Dict[str, Tuple[str, Dict[str, str]]] = {
@@ -265,6 +269,9 @@ class RunConfig:
         if val < minimum:
             raise ValueError(f"config key {key!r} must be >= {minimum}, "
                              f"got {val}")
+        if val > SIZE_LIMITS.get(key, val):
+            raise ValueError(f"config key {key!r} must be <= "
+                             f"{SIZE_LIMITS[key]}, got {val}")
         return val
 
     def grid(self) -> Tuple[int, int]:
@@ -278,6 +285,9 @@ class RunConfig:
             raise ValueError(f"grid must hold integers, got {text!r}") from exc
         if n < 3 or m < 3:
             raise ValueError(f"grid needs at least 3 nodes per axis, "
+                             f"got {n}x{m}")
+        if n * m > GRID_NODES:
+            raise ValueError(f"grid may have at most {GRID_NODES} nodes, "
                              f"got {n}x{m}")
         return n, m
 
@@ -395,6 +405,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.float_("tol", positive=True)
     if "grid" in _DEFAULTS[command]:
         cfg.grid()
+    for key in sorted(SIZE_LIMITS.keys() & values.keys()):
+        cfg.int_(key)
     if "profile" in values:
         cfg.profile()
     return cfg

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+# unused here; kept so the benchmark tracer can count ODE calls under this name
+from scipy.integrate import solve_ivp  # noqa: F401
+
+from .errors import NumericalError
 
 
 class ProfileError(ValueError):
@@ -111,32 +113,9 @@ class WeightProfile:
         z = endpoint + eps if side == "right" else endpoint - eps
         return float(self.phi(z))
 
-    def inverse_phi(self, w: float) -> float:
+    def inverse_phi(self, w):
         """Solve phi(z) = w on the domain (phi strictly monotone)."""
-        lo, hi = self.domain
-        a, b = self._bracket(lambda z: float(self.phi(z)) - w, lo, hi)
-        return brentq(lambda z: float(self.phi(z)) - w, a, b, xtol=1e-13, rtol=1e-13)
-
-    def _bracket(self, f, lo, hi):
-        # expand from a finite seed until f changes sign; domain ends may be inf
-        seed_lo = lo + 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else -1.0
-        seed_hi = hi - 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 1.0
-        a, b = seed_lo, seed_hi
-        if a >= b:
-            a, b = seed_lo, seed_lo + 1.0
-        fa, fb = f(a), f(b)
-        grow = 0
-        while fa * fb > 0:
-            grow += 1
-            if grow > 200:
-                raise DomainError("value not attained by phi on its domain")
-            if abs(fa) < abs(fb):
-                a = lo + (a - lo) * 0.5 if math.isfinite(lo) else a - 2 ** grow
-                fa = f(a)
-            else:
-                b = hi - (hi - b) * 0.5 if math.isfinite(hi) else b + 2 ** grow
-                fb = f(b)
-        return a, b
+        return _invert_monotone(self.phi, w, self.domain, self.dphi)
 
     # -- validation --------------------------------------------------------
 
@@ -148,14 +127,14 @@ class WeightProfile:
         zs = np.linspace(a + pad, b - pad, n)
         try:
             d = np.asarray(self.dphi(zs), dtype=float)
-        except (DomainError, OverflowError, FloatingPointError):
+        except (DomainError, NumericalError, ArithmeticError):
             # quadrature-backed closures may only be evaluable on part of
             # the window; keep the points that work
             vals = []
             for z in zs:
                 try:
                     vals.append(float(self.dphi(z)))
-                except (DomainError, OverflowError, FloatingPointError):
+                except (DomainError, NumericalError, ArithmeticError):
                     continue
             d = np.asarray(vals, dtype=float)
             if d.size < 32:
@@ -312,74 +291,167 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
                          asymptote=asymptote, growth_alpha=growth_alpha)
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# nodes on [0, 1] of the rules on the two halves, then on the whole
+_PANEL_NODES = np.concatenate([0.25 * (_GL_X + 1.0), 0.25 * (_GL_X + 3.0),
+                               0.5 * (_GL_X + 1.0)])
+
+
+def _gauss(f, a, b) -> np.ndarray:
+    """16-point Gauss-Legendre rule for the integral of f from a to b,
+    elementwise over equal-shaped arrays of end points."""
+    a = np.asarray(a, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
+    return (half * f(a + half * (_GL_X + 1.0))) @ _GL_W
+
+
+def _reach(f, anchor: float, end: float):
+    """Panel edges and antiderivative values from the anchor toward ``end``.
+
+    A panel is kept when its rule agrees with the rule on its two halves,
+    to 1e-14 of the panel and of the value so far, plus the rounding of
+    the nodes; the next one is tried twice as wide, a rejected one half as
+    wide.
+    """
+    edges, values = [], []
+    sign = math.copysign(1.0, end - anchor)
+    far = min(abs(end - anchor), 1e12)
+    a, value, width = anchor, 0.0, 0.125
+    for _ in range(4096):  # bounds the work where panels never widen
+        width = min(width, far - abs(a - anchor))
+        if width <= 1e-12 * max(1.0, abs(a)):
+            break  # far reached, or dphi stops being finite here
+        b = end if width == abs(end - a) else a + sign * width
+        fx = f(a + (b - a) * _PANEL_NODES)
+        whole = 0.5 * (b - a) * (fx[32:] @ _GL_W)
+        left, right = 0.25 * (b - a) * (fx[:32].reshape(2, 16) @ _GL_W)
+        noise = 1e-15 * max(abs(a), abs(b)) * np.abs(np.diff(fx[:32])).sum()
+        if not (abs(whole - left - right) <= noise + 1e-14 * (
+                abs(left) + abs(right) + abs(value))
+                and math.isfinite(whole)):
+            width *= 0.5
+            continue
+        if not abs(value + whole) <= 1e250:
+            break
+        a, value, width = b, value + whole, 2.0 * width
+        edges.append(a)
+        values.append(value)
+    return edges, values
+
+
 def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
-    """Antiderivative of dphi with value 0 at the anchor, via cached dense ODE
-    solutions grown lazily in both directions."""
-    cache = {"lo": anchor, "hi": anchor, "sols": []}
+    """Antiderivative of dphi with value 0 at the anchor.
 
-    def extend(target: float) -> None:
-        if cache["lo"] <= target <= cache["hi"]:
-            return
-        # record only the span the solver actually covered: with a stiff or
-        # overflowing integrand it can stop early, and claiming the full
-        # requested interval would poison every later evaluation in it
-        if target > cache["hi"]:
-            a, b = cache["hi"], target + 0.25 * (target - anchor + 1.0)
-            b = min(b, dom[1] - 1e-12) if math.isfinite(dom[1]) else b
-        else:
-            a, b = cache["lo"], target - 0.25 * (anchor - target + 1.0)
-            b = max(b, dom[0] + 1e-12) if math.isfinite(dom[0]) else b
-        y0 = _eval(a)
-        if not math.isfinite(y0):
-            raise DomainError(f"antiderivative diverges before {target}")
-        # stop cleanly at a magnitude wall instead of letting the stepper
-        # grind its step size down against float overflow
-        wall = lambda t, y: 1e250 - abs(y[0])
-        wall.terminal = True
+    Built once on composite Gauss-Legendre panels running outward from the
+    anchor.  Each side stops at a finite domain end, where dphi stops being
+    finite, where the value passes 1e250, or 1e12 from the anchor; heights
+    beyond that reach raise DomainError.  A height is evaluated with one
+    rule from the edge of its panel nearer the anchor.
+    """
+    def f(z):
+        return np.broadcast_to(np.asarray(dphi(z), dtype=float), z.shape)
+
+    def finite_or_nan(z):
         try:
-            sol = solve_ivp(lambda t, y: [float(dphi(t))], (a, b), [y0],
-                            rtol=1e-12, atol=1e-12, dense_output=True,
-                            events=[wall])
-        except ValueError as err:
-            raise DomainError(
-                f"antiderivative not integrable toward {target}") from err
-        reached = float(sol.t[-1])
-        if not math.isfinite(reached) or not math.isfinite(float(sol.y[0, -1])):
-            raise DomainError(f"antiderivative diverges before {target}")
-        if target > cache["hi"]:
-            cache["sols"].append((a, reached, sol.sol))
-            cache["hi"] = reached
-        else:
-            cache["sols"].append((reached, a, sol.sol))
-            cache["lo"] = reached
+            with np.errstate(all="ignore"):
+                return f(z)
+        except (ArithmeticError, ValueError, NumericalError):
+            return np.full(z.shape, math.nan)
 
-    def _eval(z: float) -> float:
-        if z == anchor:
-            return 0.0
-        for a, b, s in cache["sols"]:
-            if a <= z <= b:
-                return float(s(z)[0])
-        raise DomainError(f"height {z} outside cached antiderivative range")
+    lo_edges, lo_values = _reach(finite_or_nan, anchor, min(dom[0], anchor))
+    hi_edges, hi_values = _reach(finite_or_nan, anchor, max(dom[1], anchor))
+    edges = np.array(lo_edges[::-1] + [anchor] + hi_edges)
+    values = np.array(lo_values[::-1] + [0.0] + hi_values)
 
     def phi(z):
         z = np.asarray(z, dtype=float)
-        flat = np.atleast_1d(z).ravel()
-        for t in (flat.min(), flat.max()):
-            extend(float(t))
-        out = np.empty(flat.shape)
-        done = flat == anchor
-        out[done] = 0.0
-        for a, b, s in cache["sols"]:
-            m = ~done & (flat >= a) & (flat <= b)
-            if m.any():
-                out[m] = s(flat[m])[0]
-                done |= m
-        if not done.all():
+        flat = z.ravel()
+        outside = ~((flat >= edges[0]) & (flat <= edges[-1]))
+        if outside.any():
             raise DomainError(
-                f"height {flat[~done][0]} outside cached antiderivative range")
+                f"height {flat[outside][0]} outside the reach "
+                f"[{edges[0]}, {edges[-1]}] of the antiderivative")
+        k = np.where(flat >= anchor,
+                     np.searchsorted(edges, flat, "right") - 1,
+                     np.searchsorted(edges, flat, "left"))
+        out = np.empty(flat.shape)
+        for s in range(0, flat.size, 4096):
+            part = slice(s, s + 4096)
+            out[part] = values[k[part]] + _gauss(f, edges[k[part]],
+                                                 flat[part])
         return out.reshape(z.shape) if z.shape else float(out[0])
 
     return phi
+
+
+def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
+                     df: Optional[Callable] = None, error=DomainError):
+    """Solve f(z) = t elementwise for f strictly monotone on the open domain.
+
+    One bracket serves the whole array: finite ends are held 1e-9
+    (relative) inside the domain, infinite ends are pushed out by doubling
+    steps.  A sample table narrows it to one cell per value; safeguarded
+    Newton steps follow when the derivative ``df`` is known, bisection
+    otherwise.  A value the bracket cannot reach raises ``error``.
+    """
+    t = np.asarray(t, dtype=float)
+    if not t.size:
+        return t
+    if not np.isfinite(t).all():
+        raise error("cannot invert a non-finite value")
+    lo, hi = domain
+    a = lo + 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else -1.0
+    b = hi - 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 1.0
+    if not math.isfinite(lo):
+        a = min(a, b - 1.0)
+    if not math.isfinite(hi):
+        b = max(b, a + 1.0)
+
+    def value(z):
+        try:
+            return np.asarray(f(z), dtype=float)
+        except DomainError as err:
+            raise error(f"value outside the attainable range ({err})") \
+                from err
+
+    sign = 1.0 if float(value(b)) >= float(value(a)) else -1.0
+    g = lambda z: sign * value(z)
+    flat = sign * t.ravel()
+    step = 1.0
+    for _ in range(110):
+        below = not float(g(a)) <= flat.min()
+        above = not float(g(b)) >= flat.max()
+        if not (below or above):
+            break
+        if below and math.isfinite(lo) or above and math.isfinite(hi):
+            break
+        a, b, step = a - step * below, b + step * above, 2.0 * step
+    if below or above:
+        raise error("value outside the attainable range")
+
+    zs = np.linspace(a, b, 129)
+    vs = g(zs)
+    cell = np.clip(np.searchsorted(vs, flat, "right") - 1, 0, 127)
+    za, zb = zs[cell], zs[cell + 1]
+    z = np.clip(np.interp(flat, vs, zs), za, zb)
+    idx = np.arange(flat.size)
+    for _ in range(200):
+        if not idx.size:
+            break
+        zi = z[idx]
+        r = g(zi) - flat[idx]
+        za[idx] = np.where(r < 0, zi, za[idx])
+        zb[idx] = np.where(r < 0, zb[idx], zi)
+        new = 0.5 * (za[idx] + zb[idx])
+        if df is not None:
+            with np.errstate(all="ignore"):
+                newton = zi - r / (sign * np.asarray(df(zi), dtype=float))
+            new = np.where((newton > za[idx]) & (newton < zb[idx]),
+                           newton, new)
+        z[idx] = np.where(r == 0, zi, new)
+        idx = idx[(r != 0) & (np.abs(new - zi)
+                              > 4e-16 * np.maximum(1.0, np.abs(zi)))]
+    return z.reshape(t.shape) if t.shape else float(z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +474,8 @@ def lambda_of_z(profile: WeightProfile, z) -> np.ndarray:
     if profile.kind == "log":
         a = profile.params["alpha"]
         return a * np.exp(-z / a)
-    flat = np.atleast_1d(z).ravel()
-    out = np.array([float(profile.dphi(profile.inverse_phi(w))) for w in flat])
-    return out.reshape(z.shape) if z.shape else float(out[0])
+    out = np.asarray(profile.dphi(profile.inverse_phi(z)), dtype=float)
+    return out if out.shape else float(out)
 
 
 def curly_g(profile: WeightProfile, u0: float, u) -> np.ndarray:
@@ -414,18 +485,10 @@ def curly_g(profile: WeightProfile, u0: float, u) -> np.ndarray:
     profiles whose dphi stays positive; see the asymptotics fitter.
     """
     profile.require_inside(u0)
-    u = np.asarray(u, dtype=float)
     profile.require_inside(u)
-    flat = np.atleast_1d(u).ravel()
-    out = np.empty_like(flat)
-    for i, ui in enumerate(flat):
-        if ui == u0:
-            out[i] = 0.0
-            continue
-        val, _err = quad(lambda s: 1.0 / float(profile.dphi(s)), u0, ui,
-                         limit=200, epsabs=1e-13, epsrel=1e-12)
-        out[i] = val
-    return out.reshape(u.shape) if u.shape else float(out[0])
+    return _antiderivative(
+        lambda s: 1.0 / np.asarray(profile.dphi(s), dtype=float), u0,
+        profile.domain)(u)
 
 
 # small expression evaluator used by the CLI for custom profiles -------------

@@ -197,15 +197,6 @@ def _catenary_quadrature_check(profile, u0, xs, uu, n_check: int = 9) -> float:
     q = phi(u) - phi(u0), taken along the monotone half-curve."""
     phi0 = float(profile.phi(u0))
     sgn = 1.0 if profile.increasing else -1.0
-
-    def integrand(xi):
-        q = float(profile.phi(xi)) - phi0
-        if q <= 0:
-            return math.inf
-        if q > 350:
-            return math.exp(-q)
-        return 1.0 / math.sqrt(math.expm1(2.0 * q))
-
     worst = 0.0
     idx = np.linspace(1, len(xs) - 1, n_check, dtype=int)
     for i in idx:
@@ -214,10 +205,20 @@ def _catenary_quadrature_check(profile, u0, xs, uu, n_check: int = 9) -> float:
             continue
         # substitute u = u0 +/- w^2 to absorb the endpoint singularity
         w_end = math.sqrt(abs(u_i - u0))
-        val, _ = quad(lambda w: 2.0 * w * integrand(u0 + sgn * w * w),
-                      0.0, w_end, limit=200, epsabs=1e-13, epsrel=1e-12)
+        val, _ = quad(lambda w: 2.0 * w * _inv_sqrt_expm1(
+            float(profile.phi(u0 + sgn * w * w)) - phi0),
+            0.0, w_end, limit=200, epsabs=1e-13, epsrel=1e-12)
         worst = max(worst, abs(val - float(xs[i])))
     return worst
+
+
+def _inv_sqrt_expm1(q: float) -> float:
+    """1/sqrt(e^{2q} - 1), evaluated stably for tiny and huge q."""
+    if q <= 0:
+        return math.inf
+    if q > 350:
+        return math.exp(-q)
+    return 1.0 / math.sqrt(math.expm1(2.0 * q))
 
 
 def first_integral_drift(curve: ProfileCurve, profile: WeightProfile) -> float:
@@ -249,9 +250,16 @@ def compute_lambda(profile: WeightProfile, u0: float,
     if not profile.increasing:
         raise ProfileError("half-width analysis needs a strictly increasing profile")
     profile.require_inside(u0, "initial height")
+    top = profile.domain[1]
+    phi0 = float(profile.phi(u0))
 
-    l1_finite = _tail_is_integrable(
-        profile, u0, lambda q: math.exp(-q) if q < 700 else 0.0)
+    def decay(u: float) -> float:
+        q = float(profile.phi(u)) - phi0
+        return math.exp(-q) if q < 700 else 0.0
+
+    # tail integrability of exp(-phi); on a finite interval it is bounded
+    l1_finite = math.isfinite(top) or _dyadic_tail(
+        decay, u0, top, 1, 1e-14, limit=100, epsabs=1e-14, epsrel=1e-10)[1]
 
     if profile.sup_phi < math.inf:
         # bounded weight: the curve never turns vertical
@@ -261,50 +269,15 @@ def compute_lambda(profile: WeightProfile, u0: float,
         return AsymptoteReport(math.inf, False,
                                {"u0": u0, "sup_phi": profile.sup_phi})
 
-    phi0 = float(profile.phi(u0))
-
-    def f_of_q(q: float) -> float:
-        # 1/sqrt(exp(2q)-1), evaluated stably for tiny and huge q
-        if q <= 0:
-            return math.inf
-        if q > 350:
-            return math.exp(-q)
-        return 1.0 / math.sqrt(math.expm1(2.0 * q))
-
     def integrand(u: float) -> float:
-        return f_of_q(float(profile.phi(u)) - phi0)
+        return _inv_sqrt_expm1(float(profile.phi(u)) - phi0)
 
     # lower endpoint: u = u0 + w^2 turns the 1/sqrt singularity analytic
     head, _ = quad(lambda w: 2.0 * w * integrand(u0 + w * w), 0.0, 1.0,
                    limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12)
-
-    total = head
-    finite_by_blocks = False
-    prev = None
-    ratios = []
-    lo_edge = u0 + 1.0
-    for k in range(64):
-        hi_edge = u0 + 2.0 ** (k + 1)
-        if hi_edge >= profile.domain[1]:
-            hi_edge = profile.domain[1] - 1e-12 * max(1.0, abs(profile.domain[1]))
-        block, _ = quad(integrand, lo_edge, hi_edge,
-                        limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12)
-        total += block
-        if block < tol * 1e-2:
-            finite_by_blocks = True
-            break
-        if prev is not None and prev > 0:
-            ratios.append(block / prev)
-            if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
-                break  # blocks not decaying: divergent tail
-        prev = block
-        lo_edge = hi_edge
-        if hi_edge >= profile.domain[1] - 1e-9 * max(1.0, abs(profile.domain[1])):
-            finite_by_blocks = True
-            break
-    if finite_by_blocks and ratios and ratios[-1] < 0.9:
-        # geometric tail bound from the last observed ratio
-        total += block * ratios[-1] / (1.0 - ratios[-1])
+    total, finite_by_blocks = _dyadic_tail(
+        integrand, u0, top, 1, tol * 1e-2, head=head,
+        limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12)
 
     if finite_by_blocks != l1_finite:
         raise NumericalError(
@@ -316,28 +289,43 @@ def compute_lambda(profile: WeightProfile, u0: float,
     return AsymptoteReport(float(total), True, {"u0": u0})
 
 
-def _tail_is_integrable(profile: WeightProfile, u0: float, weight) -> bool:
-    """Dyadic-block integrability of weight(phi(u)-phi(u0)) toward the top
-    of the domain.  Shared tail classifier for the two finiteness routes."""
-    lo, hi = profile.domain
-    if math.isfinite(hi):
-        return True  # finite interval: always integrable (weight bounded)
-    phi0 = float(profile.phi(u0))
-    prev = None
-    ratios = []
+def _dyadic_tail(f, origin: float, top: float, first: int, small: float,
+                 head: float = 0.0, **quad_kw) -> Tuple[float, bool]:
+    """Integral of f toward ``top`` in dyadic blocks, with a finiteness flag.
+
+    Block k ends at origin + 2^k, for 64 values of k from ``first`` up; the
+    first block starts at ``origin`` (``first`` = 0) or origin + 1
+    (``first`` = 1), and blocks stop just short of a finite ``top``.  The
+    tail is finite once a block falls below ``small`` or ``top`` is
+    reached, divergent once five successive block ratios exceed 0.95, and,
+    undecided after 64 blocks, finite exactly when the median of the last
+    five ratios is below 0.9.  A finite tail that did not reach ``top``
+    gets the geometric remainder of its last ratio when that is below 0.9.
+    ``head`` starts the sum.
+    """
+    total, prev, ratios = head, None, []
+    a = origin + (1.0 if first else 0.0)
     for k in range(64):
-        a, b = u0 + 2.0 ** k, u0 + 2.0 ** (k + 1)
-        block, _ = quad(lambda u: weight(float(profile.phi(u)) - phi0), a, b,
-                        limit=100, epsabs=1e-14, epsrel=1e-10)
-        if block < 1e-14:
-            return True
+        b = origin + 2.0 ** (first + k)
+        if b >= top:
+            b = top - 1e-12 * max(1.0, abs(top))
+        block, _ = quad(f, a, b, **quad_kw)
+        total += block
+        if block < small:
+            break
         if prev is not None and prev > 0:
             ratios.append(block / prev)
             if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
-                return False
-        prev = block
-    # undecided after 64 octaves: treat slow geometric decay as integrable
-    return bool(ratios) and np.median(ratios[-5:]) < 0.95
+                return total, False
+        prev, a = block, b
+        if b >= top - 1e-9 * max(1.0, abs(top)):
+            return total, True
+    else:
+        if not (ratios and np.median(ratios[-5:]) < 0.9):
+            return total, False
+    if ratios and ratios[-1] < 0.9:
+        total += block * ratios[-1] / (1.0 - ratios[-1])
+    return total, True
 
 
 # ---------------------------------------------------------------------------
@@ -715,31 +703,8 @@ def _classify_radius(curve: ProfileCurve, profile: WeightProfile
     omega^2 = x_end^2 + 2 * int_{z_end}^inf dz/dphi(z) when that tail
     converges; +inf otherwise (dyadic block test)."""
     x_end = float(curve.x[-1])
-    z_end = float(curve.z[-1])
-    prev = None
-    ratios = []
-    tail = 0.0
-    lo_edge = z_end
-    hi_dom = profile.domain[1]
-    for k in range(64):
-        hi_edge = z_end + 2.0 ** k
-        if math.isfinite(hi_dom):
-            hi_edge = min(hi_edge, hi_dom - 1e-12 * max(1.0, abs(hi_dom)))
-        block, _ = quad(lambda zz: 1.0 / float(profile.dphi(zz)),
-                        lo_edge, hi_edge, limit=100,
-                        epsabs=1e-14, epsrel=1e-10)
-        tail += block
-        if block < 1e-14:
-            return math.sqrt(x_end ** 2 + 2.0 * tail), True
-        if prev is not None and prev > 0:
-            ratios.append(block / prev)
-            if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
-                return math.inf, False
-        prev = block
-        lo_edge = hi_edge
-        if math.isfinite(hi_dom) and hi_edge >= hi_dom - 1e-9 * max(1.0, abs(hi_dom)):
-            return math.sqrt(x_end ** 2 + 2.0 * tail), True
-    if ratios and np.median(ratios[-5:]) < 0.9:
-        tail += block * ratios[-1] / (1.0 - ratios[-1])
-        return math.sqrt(x_end ** 2 + 2.0 * tail), True
-    return math.inf, False
+    tail, finite = _dyadic_tail(lambda zz: 1.0 / float(profile.dphi(zz)),
+                                float(curve.z[-1]), profile.domain[1], 0,
+                                1e-14, limit=100, epsabs=1e-14, epsrel=1e-10)
+    return (math.sqrt(x_end ** 2 + 2.0 * tail), True) if finite \
+        else (math.inf, False)

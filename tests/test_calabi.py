@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.special import erfi
 
 from phimin import make_builtin, make_custom
 from phimin.calabi import (
@@ -91,9 +92,33 @@ def test_theta_quadrature_matches_closed_form():
     assert p.kind != "linear"
     th = make_theta(p, 0.0)
     zs = np.linspace(-1.0, 2.0, 7)
-    assert np.allclose(th(zs), np.exp(zs) - 1.0, atol=1e-9)
+    assert np.allclose(th(zs), np.expm1(zs), rtol=0.0, atol=1e-13)
     # no closed-form inverse here, so this runs the bracketing fallback
     assert th.inverse(math.e - 1.0) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_theta_image_of_a_custom_weight_matches_erfi():
+    # phi = z^2/2 + z, so theta(z) = int_0^z exp(s^2/2 + s) ds
+    #   = e^{-1/2} sqrt(pi/2) (erfi((z+1)/sqrt 2) - erfi(1/sqrt 2))
+    def closed(z):
+        return math.exp(-0.5) * math.sqrt(math.pi / 2.0) * (
+            erfi((z + 1.0) / math.sqrt(2.0)) - erfi(1.0 / math.sqrt(2.0)))
+
+    th = make_theta(profile_from_spec("custom dphi=z+1 domain=-1,3"), 0.0)
+    lo, hi = th.image(-1.0, 3.0)
+    # image() probes open finite ends 1e-9 (relative) inside the domain
+    assert lo == pytest.approx(closed(-1.0 + 1e-9), rel=1e-14, abs=0.0)
+    assert hi == pytest.approx(closed(3.0 - 3e-9), rel=1e-14, abs=0.0)
+    zs = np.linspace(-0.9, 2.9, 9)
+    np.testing.assert_allclose(th(zs), [closed(z) for z in zs], rtol=1e-14)
+    np.testing.assert_allclose(th.inverse(th(zs)), zs, rtol=0.0, atol=1e-14)
+    with pytest.raises(NumericalError):
+        th.inverse(2.0 * hi)
+
+    unbounded = make_theta(
+        profile_from_spec("custom dphi=z+1 domain=-1,inf"), 0.0)
+    lo_inf, hi_inf = unbounded.image(-1.0, math.inf)
+    assert lo_inf == lo and hi_inf == math.inf
 
 
 @given(m=st.floats(min_value=0.2, max_value=3.0),

@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,20 @@ def test_validation_failures_exit_one(tmp_path):
     assert main(["profile", "--no-such-flag"]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1
+
+
+def test_sizes_above_their_limits_exit_one(tmp_path):
+    # rejected while the configuration is resolved, before any allocation
+    for args in (["profile", "--param", "n_samples=100000000000"],
+                 ["bowl", "--param", "n_theta=1000000000"],
+                 ["tilt", "--param", "n_rulings=1000000000"],
+                 ["calabi-to-l3", "--grid", "100000x100000"]):
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) == 1
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"]["exit_code"] == 1
+        assert "must be <=" in doc["error"]["message"] or \
+            "at most" in doc["error"]["message"]
 
 
 def test_bad_config_line_reported(tmp_path):
@@ -304,3 +321,15 @@ def test_profile_spec_round_trip():
         profile_from_spec("quintic a=1")
     with pytest.raises(ProfileError):
         profile_from_spec("custom domain=0,inf")
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's traced pass wraps phimin functions by name; a rename
+    # on this side would break it
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "from tracing import Tracer; Tracer().install()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -121,7 +121,18 @@ def test_custom_profile_recovers_phi_by_quadrature():
         anchor=0.0,
     )
     z = np.linspace(-0.9, 0.9, 7)
-    assert np.allclose(p.phi(z), np.sin(z), atol=1e-9)
+    assert np.allclose(p.phi(z), np.sin(z), rtol=0.0, atol=1e-13)
+
+
+def test_inverse_phi_vectorized_and_out_of_range():
+    # decreasing weight: phi = -2 log z on (0, inf)
+    p = make_builtin("log", -2.0)
+    z = np.array([0.25, 1.0, 7.5])
+    np.testing.assert_allclose(p.inverse_phi(p.phi(z)), z, rtol=1e-14)
+    bounded = make_custom(lambda z: np.cos(np.asarray(z, dtype=float)),
+                          domain=(-1.0, 1.0), anchor=0.0)
+    with pytest.raises(DomainError):
+        bounded.inverse_phi(2.0)
 
 
 def test_custom_profile_fd_second_derivative():
