@@ -401,8 +401,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"format must be one of {', '.join(_FORMATS)}, "
                          f"got {cfg.values['format']!r}")
     cfg.int_("seed", minimum=-(10 ** 18))
-    if cfg.values.get("tol", ""):
-        cfg.float_("tol", positive=True)
+    if cfg.values.get("tol", "") and \
+            not math.isfinite(cfg.float_("tol", positive=True)):
+        # an infinite tolerance stalls the ODE step control
+        raise ValueError("config key 'tol' must be finite")
     if "grid" in _DEFAULTS[command]:
         cfg.grid()
     for key in sorted(SIZE_LIMITS.keys() & values.keys()):
@@ -796,7 +798,10 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     try:
         profile_line = profile_to_spec(back_weight)
     except ValueError:
-        profile_line = "unserialized"
+        # the dual of a dual weight is the source weight the header names
+        source = meta["profile"]
+        profile_line = (source[len("dual-of "):]
+                        if source.startswith("dual-of ") else "unserialized")
     extra = []
     hint = back.meta.get("origin_hint")
     if hint is not None:
@@ -867,6 +872,7 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
 
     residual = np.nanmax(np.abs(gauss_pde_residual(field)))
     base = cfg.tuple_("base", 2)
+    base = None if base is None else complex(*base)
     anchor = cfg.tuple_("anchor", 3)
     mesh = integrate_representation(
         field, base=base, anchor=anchor,

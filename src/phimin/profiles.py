@@ -125,23 +125,13 @@ class WeightProfile:
         b = hi if math.isfinite(hi) else max(a + 1.0, 50.0)
         pad = (b - a) * 1e-6
         zs = np.linspace(a + pad, b - pad, n)
-        try:
-            d = np.asarray(self.dphi(zs), dtype=float)
-        except (DomainError, NumericalError, ArithmeticError):
-            # quadrature-backed closures may only be evaluable on part of
-            # the window; keep the points that work
-            vals = []
-            for z in zs:
-                try:
-                    vals.append(float(self.dphi(z)))
-                except (DomainError, NumericalError, ArithmeticError):
-                    continue
-            d = np.asarray(vals, dtype=float)
-            if d.size < 32:
-                raise ProfileError(
-                    "dphi could not be sampled across enough of the domain "
-                    "to check monotonicity")
-        d = d[~np.isnan(d)]
+        d = _defined_run(self.dphi, zs)
+        if d is not None:
+            d = d[~np.isnan(d)]
+        if d is None or d.size < 32:
+            raise ProfileError(
+                "dphi could not be sampled across enough of the domain "
+                "to check monotonicity")
         if self.increasing and not np.all(d > 0):
             raise ProfileError(
                 "profile flagged increasing but dphi <= 0 somewhere on the domain"
@@ -168,8 +158,8 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
     if kind == "linear":
         (m,) = params
         m = float(m)
-        if m == 0.0:
-            raise ProfileError("linear profile needs a nonzero slope")
+        if m == 0.0 or not math.isfinite(m):
+            raise ProfileError("linear profile needs a finite nonzero slope")
         inc = m > 0
         if increasing is not None and increasing != inc:
             raise ProfileError("linear slope sign contradicts the increasing flag")
@@ -187,8 +177,8 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
     if kind == "log":
         (a,) = params
         a = float(a)
-        if a == 0.0:
-            raise ProfileError("log profile needs a nonzero exponent")
+        if a == 0.0 or not math.isfinite(a):
+            raise ProfileError("log profile needs a finite nonzero exponent")
         inc = a > 0
         if increasing is not None and increasing != inc:
             raise ProfileError("log exponent sign contradicts the increasing flag")
@@ -208,6 +198,8 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
     if kind == "series":
         L, b = float(params[0]), float(params[1])
         coeffs = [float(c) for c in (params[2] if len(params) > 2 else [])]
+        if not all(map(math.isfinite, [L, b] + coeffs)):
+            raise ProfileError("series profile needs finite coefficients")
         if L < 0:
             raise ProfileError("series profile needs L >= 0")
         if L == 0.0 and b <= 0.0:
@@ -295,6 +287,42 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # nodes on [0, 1] of the rules on the two halves, then on the whole
 _PANEL_NODES = np.concatenate([0.25 * (_GL_X + 1.0), 0.25 * (_GL_X + 3.0),
                                0.5 * (_GL_X + 1.0)])
+
+
+def _defined_run(f: Callable, zs: np.ndarray) -> Optional[np.ndarray]:
+    """Values of ``f`` on the run of the sorted samples ``zs`` where it
+    evaluates, in a few vectorized calls; None when no run of 32 is found.
+
+    Quadrature-backed closures evaluate on one interval of heights (the
+    reach of their primitives and inversions), so the samples that work
+    form one run.  A probe finds a sample inside it (probes are 16 apart,
+    so any run of 32 is hit), and each end of the run is bisected.
+    """
+    def at(i, j):
+        try:
+            return np.asarray(f(zs[i:j]), dtype=float)
+        except (DomainError, NumericalError, ArithmeticError):
+            return None
+
+    def edge(good, bad, works):
+        while abs(good - bad) > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if works(mid) else (good, mid)
+        return good
+
+    n = len(zs)
+    whole = at(0, n)
+    if whole is not None:
+        return whole
+    probes = sorted(range(8, n, 16), key=lambda i: abs(i - n // 2))
+    k = next((i for i in probes if at(i, i + 1) is not None), None)
+    if k is None:
+        return None
+    left = lambda i: at(i, k + 1) is not None
+    right = lambda j: at(k, j + 1) is not None
+    first = 0 if left(0) else edge(k, 0, left)
+    last = n - 1 if right(n - 1) else edge(k, n - 1, right)
+    return at(first, last + 1)
 
 
 def _gauss(f, a, b) -> np.ndarray:

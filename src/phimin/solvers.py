@@ -501,7 +501,16 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
     exit_lo.terminal = True
     exit_lo.direction = -1
 
-    events_a = [hit_pi] + ([exit_lo] if math.isfinite(profile.domain[0]) else [])
+    # past pi/2 the backward inclination of an increasing weight can only
+    # fall; a neck too wide to bend (huge x0) falls flat and would run on
+    # down the whole span
+    def fell_flat(t, y):
+        return y[2]
+    fell_flat.terminal = True
+    fell_flat.direction = -1
+
+    events_a = [hit_pi, fell_flat] + (
+        [exit_lo] if math.isfinite(profile.domain[0]) else [])
     span = 10.0 * (x0 + abs(z0) + 10.0)
     sol_a = solve_ivp(back_rhs, (0.0, span), [x0, z0, math.pi / 2],
                       method="DOP853", rtol=tol, atol=tol, events=events_a,

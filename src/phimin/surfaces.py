@@ -63,13 +63,17 @@ class SurfaceMesh:
         return len(self.vertices)
 
     def boundary_mask(self) -> np.ndarray:
-        """True for vertices on an edge owned by a single face."""
-        edges = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                                self.faces[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[uniq[counts == 1].ravel()] = True
+        """True for vertices on an edge owned by a single face.
+
+        Each edge is counted under one int64 key ``i * n + j`` (i < j)."""
+        n = self.n_vertices
+        a, b = self.faces, np.roll(self.faces, -1, axis=1)
+        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                 return_counts=True)
+        lone = keys[counts == 1]
+        mask = np.zeros(n, dtype=bool)
+        mask[lone // n] = True
+        mask[lone % n] = True
         return mask
 
 
@@ -427,54 +431,84 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     return res
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values by one sort (plain ``np.unique`` on int64
+    takes a hash path that is an order of magnitude slower)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+def _ragged(ptr: np.ndarray, rows: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Flattened CSR segments ``ptr[r]:ptr[r + 1]`` of ``rows``: each
+    position, and the index into ``rows`` it came from."""
+    start, count = ptr[rows], ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(len(rows)), count)
+    pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start,
+                                             count)
+    return owner, pos
+
+
 def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-vertex (|S|, |S|/dphi(z)) with |S| the Frobenius norm of the
     shape operator, estimated by quadric fitting over two neighbor rings.
 
-    Boundary vertices get NaN.  This is a diagnostic; no bound is asserted.
+    Each fit is the minimum-norm least-squares solution with the cutoff of
+    ``np.linalg.lstsq`` (singular values at most eps * max(rows, 5) of the
+    largest are dropped), solved for 2048 vertices at a time over two-rings
+    padded with zero rows.  Boundary vertices, and vertices with
+    fewer than five two-ring neighbors, get NaN.  This is a diagnostic; no
+    bound is asserted.
     """
-    p = mesh.vertices
-    n_vert = mesh.n_vertices
-    # adjacency
-    nbr = [set() for _ in range(n_vert)]
-    for a, b, c in mesh.faces:
-        nbr[a].update((b, c))
-        nbr[b].update((a, c))
-        nbr[c].update((a, b))
-    boundary = mesh.boundary_mask()
-
-    def fit(i: int) -> float:
-        if boundary[i]:
-            return math.nan
-        ring = set(nbr[i])
-        for j in list(ring):
-            ring.update(nbr[j])
-        ring.discard(i)
-        js = np.fromiter(ring, dtype=np.int64)
-        if len(js) < 5:
-            return math.nan
-        nrm = mesh.normals[i]
-        t1 = np.cross(nrm, [1.0, 0.0, 0.0])
-        if np.linalg.norm(t1) < 1e-6:
-            t1 = np.cross(nrm, [0.0, 1.0, 0.0])
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(nrm, t1)
-        d = p[js] - p[i]
-        xi = d @ t1
-        eta = d @ t2
-        zeta = d @ nrm
-        A = np.column_stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi, eta])
-        coef, *_ = np.linalg.lstsq(A, zeta, rcond=None)
-        a, b, c, dd, ee = coef
+    p, nrm, n = mesh.vertices, mesh.normals, mesh.n_vertices
+    # one-ring as CSR: the neighbors of v are nbr[ptr[v]:ptr[v + 1]]
+    f0, f1 = mesh.faces.ravel(), np.roll(mesh.faces, -1, axis=1).ravel()
+    keys = _distinct(np.concatenate([f0 * n + f1, f1 * n + f0]))
+    nbr = keys % n
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n,
+                                                     minlength=n))])
+    s_norm = np.full(n, math.nan)
+    interior = np.flatnonzero(~mesh.boundary_mask())
+    for lo in range(0, len(interior), 2048):
+        vs = interior[lo:lo + 2048]
+        # two-ring: the one-ring and the one-rings of its members
+        own1, pos1 = _ragged(ptr, vs)
+        own2, pos2 = _ragged(ptr, nbr[pos1])
+        ring = _distinct(np.concatenate([own1, own1[own2]]) * n
+                         + np.concatenate([nbr[pos1], nbr[pos2]]))
+        own, js = np.divmod(ring, n)
+        keep = js != vs[own]
+        own, js = own[keep], js[keep]
+        count = np.bincount(own, minlength=len(vs))
+        col = np.arange(len(own)) - np.repeat(np.cumsum(count) - count, count)
+        # tangent frames, then offsets in frame coordinates (zero rows pad)
+        nv = nrm[vs]
+        t1 = np.cross(nv, [1.0, 0.0, 0.0])
+        flat = np.linalg.norm(t1, axis=1) < 1e-6
+        t1[flat] = np.cross(nv[flat], [0.0, 1.0, 0.0])
+        t1 /= np.linalg.norm(t1, axis=1)[:, None]
+        t2 = np.cross(nv, t1)
+        d = np.zeros((len(vs), max(count.max(), 5), 3))
+        d[own, col] = p[js] - p[vs[own]]
+        xi = np.einsum("bkc,bc->bk", d, t1)
+        eta = np.einsum("bkc,bc->bk", d, t2)
+        zeta = np.einsum("bkc,bc->bk", d, nv)
+        A = np.stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi, eta],
+                     axis=-1)
+        u, sv, vt = np.linalg.svd(A, full_matrices=False)
+        cut = np.finfo(float).eps * np.maximum(count, 5) * sv[:, 0]
+        w = np.divide(np.einsum("bki,bk->bi", u, zeta), sv,
+                      out=np.zeros_like(sv), where=sv > cut[:, None])
+        a, b, c, dd, ee = np.einsum("bji,bj->ib", vt, w)
         # first fundamental form of the fitted graph at the origin
-        I = np.array([[1 + dd * dd, dd * ee], [dd * ee, 1 + ee * ee]])
-        II = np.array([[a, b], [b, c]]) / math.sqrt(1 + dd * dd + ee * ee)
+        I = np.stack([1 + dd * dd, dd * ee, dd * ee, 1 + ee * ee],
+                     axis=-1).reshape(-1, 2, 2)
+        II = (np.stack([a, b, b, c], axis=-1)
+              / np.sqrt(1 + dd * dd + ee * ee)[:, None]).reshape(-1, 2, 2)
         S = np.linalg.solve(I, II)
-        return float(np.sqrt((S * S).sum()))
-
-    s_norm = np.fromiter((fit(i) for i in range(n_vert)), dtype=float,
-                         count=n_vert)
+        s_norm[vs] = np.where(count >= 5, np.sqrt((S * S).sum(axis=(1, 2))),
+                              math.nan)
     dphi = np.asarray(profile.dphi(mesh.vertices[:, 2]), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_norm / np.abs(dphi)

@@ -10,6 +10,7 @@ from scipy.special import erfi
 from phimin import make_builtin, make_custom
 from phimin.calabi import (
     PotentialPatch,
+    ThetaPrimitive,
     dual_profile,
     from_lorentz,
     integrate_potential,
@@ -341,6 +342,20 @@ def test_round_trip_custom_weight_uses_stored_primitive():
     src = RectBivariateSpline(patch.x, patch.y, patch.u)
     err = np.max(np.abs(back.u - src(back.x, back.y)))
     assert err < 1e-3
+
+
+def test_way_back_checks_the_weight_in_few_inversions(monkeypatch):
+    # the dual of the dual weight is checked for monotonicity on samples up
+    # to height 50, past the theta primitive's reach; the samples that
+    # evaluate are found by bisection, not one inversion per sample
+    patch = bowl_patch(convex_custom_weight(), 0.04, s_max=1.0)
+    dst, dual = to_lorentz(patch, convex_custom_weight())
+    calls = []
+    inverse = ThetaPrimitive.inverse
+    monkeypatch.setattr(ThetaPrimitive, "inverse",
+                        lambda self, t: calls.append(t) or inverse(self, t))
+    from_lorentz(dst, dual)
+    assert len(calls) <= 40
 
 
 def test_constant_patch_reports_large_residual():

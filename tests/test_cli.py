@@ -4,12 +4,22 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from phimin.cli import main, profile_from_spec, profile_to_spec
+from phimin.cli import (
+    _DEFAULTS,
+    GRID_NODES,
+    SIZE_LIMITS,
+    main,
+    profile_from_spec,
+    profile_to_spec,
+)
 from phimin.profiles import ProfileError
 
 
@@ -184,6 +194,22 @@ def test_custom_weight_dual_header(tmp_path):
                  "--out", str(tmp_path / "v")]) == 0
 
 
+def test_custom_weight_round_trip_verifies(tmp_path):
+    # the way back recovers the source weight, which has no spec of its
+    # own; roundtrip.csv is labelled with the spec in the dual-of header
+    assert main(["calabi-to-l3", "--out", str(tmp_path / "l3"),
+                 "--grid", "61x61",
+                 "--param", "profile=custom dphi=z+1 domain=-1,inf",
+                 "--param", "patch=bowl", "--param", "z0=0",
+                 "--param", "s_max=1", "--param", "halfwidth=0.3"]) == 0
+    assert main(["calabi-to-r3", str(tmp_path / "l3" / "lorentz.csv"),
+                 "--out", str(tmp_path / "r3")]) == 0
+    meta, _, _ = read_csv(tmp_path / "r3" / "roundtrip.csv")
+    assert meta["profile"] == "custom dphi=z+1 domain=-1,inf"
+    assert main(["verify", str(tmp_path / "r3" / "roundtrip.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
+
+
 def test_numerical_failure_exit_two(tmp_path):
     # k = 2 contradicts the linear weight behind the rotational field, so
     # the two integration routes disagree and the run must fail loudly
@@ -333,3 +359,73 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- exit-code contract under hostile configurations --------------------------
+
+# allowed sizes stay small, so every drawn run is quick and light
+_SMALL = {"profile": {"n_samples": "41"},
+          "bowl": {"n_samples": "41", "n_theta": "8"},
+          "catenoid": {"n_samples": "41", "n_theta": "8"},
+          "tilt": {"n_samples": "41", "n_rulings": "3"},
+          "calabi-to-l3": {"grid": "9x9"},
+          "weierstrass": {"grid": "9x9"},
+          "bjorling": {"grid": "9x9"}}
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0",
+                            "-1", "1e-320", "", "x"]) | st.floats().map(repr)
+_PATHS = st.sampled_from(["", "nan", "missing.csv", __file__])
+_PROFILES = st.sampled_from([
+    "linear slope=nan", "linear slope=inf", "linear slope=1e308",
+    "linear slope=-1e308", "linear slope=0", "log alpha=nan",
+    "log alpha=1e308", "series L=nan b=1 c=1", "series L=1e308",
+    "custom dphi=z domain=nan,1", "custom dphi=z domain=inf,-inf",
+    "custom dphi=1/z domain=0,inf", "custom dphi=exp(1e308*z) domain=0,1",
+    "custom dphi=sqrt(-1-z**2) domain=0,1",
+    "quintic a=1", ""])
+
+
+def _values(key):
+    if key in SIZE_LIMITS:
+        # above the limit, rejected before anything is allocated, or small
+        return st.sampled_from([str(SIZE_LIMITS[key] + 1), "10" * 20,
+                                "3", "0", "-1", "nan", "1e308"])
+    if key == "grid":
+        return st.sampled_from([f"{GRID_NODES + 1}x1", f"3x{GRID_NODES}",
+                                "100000x100000", "3x3", "2x9", "nanxinf",
+                                "9"])
+    if key == "profile":
+        return _PROFILES
+    if key in ("input", "source", "data"):
+        return _PATHS
+    if key in ("r_window", "base", "anchor"):
+        return st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join)
+    return _NUMBERS
+
+
+@st.composite
+def _hostile_runs(draw):
+    command = draw(st.sampled_from(sorted(_DEFAULTS)))
+    params = dict(_SMALL.get(command, {}))
+    keys = sorted(set(_DEFAULTS[command]) | {"tol", "format", "seed"})
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                             unique=True)):
+        params[key] = draw(_values(key))
+    return command, params
+
+
+@pytest.mark.filterwarnings("ignore")  # the numerics may warn on such input
+@settings(max_examples=100, deadline=2000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_hostile_runs())
+def test_hostile_configurations_keep_the_exit_code_contract(run):
+    # exit 0, 1 or 2, error.json on every failure, never an escaped exception
+    command, params = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--out", tmp]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value}"]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            doc = json.loads((Path(tmp) / "error.json").read_text())
+            assert doc["error"]["exit_code"] == code

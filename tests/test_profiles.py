@@ -71,6 +71,10 @@ def test_monotonicity_flag_is_checked():
             domain=(-1.0, 1.0),
             increasing=True,  # dphi vanishes at 0
         )
+    # a dphi that is NaN everywhere has no sign to check
+    with pytest.raises(ProfileError):
+        make_custom(lambda z: np.full_like(np.asarray(z, dtype=float),
+                                           np.nan), domain=(0.0, 1.0))
 
 
 def test_lambda_of_z_linear_is_constant():

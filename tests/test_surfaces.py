@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from phimin import make_builtin
 from phimin.solvers import ProfileCurve, solve_bowl, solve_catenary, solve_catenoid
@@ -200,6 +201,107 @@ def test_sphere_mean_curvature_control():
         + LIN1.dphi(mesh.vertices[:, 2]) * mesh.normals[:, 2]
     # trace convention with outward normals: H = -2/R
     assert np.nanmedian(h) == pytest.approx(-2.0, rel=1e-2)
+
+
+# -- mesh kernels against per-edge and per-vertex references -----------------
+
+
+def closed_sphere_mesh(n=400):
+    # hull of a Fibonacci lattice: a closed triangulated unit sphere
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    r = np.sqrt(1.0 - z * z)
+    t = math.pi * (3.0 - math.sqrt(5.0)) * k
+    p = np.column_stack([r * np.cos(t), r * np.sin(t), z])
+    return SurfaceMesh(p, ConvexHull(p).simplices, p)
+
+
+def reference_boundary_mask(mesh):
+    edges = np.sort(np.concatenate([mesh.faces[:, [0, 1]],
+                                    mesh.faces[:, [1, 2]],
+                                    mesh.faces[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[uniq[counts == 1].ravel()] = True
+    return mask
+
+
+def reference_second_fundamental_norm(mesh):
+    """One np.linalg.lstsq quadric fit per vertex over its two-ring."""
+    nbr = [set() for _ in range(mesh.n_vertices)]
+    for a, b, c in mesh.faces:
+        nbr[a].update((b, c))
+        nbr[b].update((a, c))
+        nbr[c].update((a, b))
+    boundary = reference_boundary_mask(mesh)
+    out = np.full(mesh.n_vertices, math.nan)
+    for i in np.flatnonzero(~boundary):
+        ring = set(nbr[i]).union(*(nbr[j] for j in nbr[i])) - {i}
+        if len(ring) < 5:
+            continue
+        nrm = mesh.normals[i]
+        t1 = np.cross(nrm, [1.0, 0.0, 0.0])
+        if np.linalg.norm(t1) < 1e-6:
+            t1 = np.cross(nrm, [0.0, 1.0, 0.0])
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(nrm, t1)
+        d = mesh.vertices[sorted(ring)] - mesh.vertices[i]
+        xi, eta, zeta = d @ t1, d @ t2, d @ nrm
+        A = np.column_stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi,
+                             eta])
+        a, b, c, dd, ee = np.linalg.lstsq(A, zeta, rcond=None)[0]
+        I = np.array([[1 + dd * dd, dd * ee], [dd * ee, 1 + ee * ee]])
+        II = np.array([[a, b], [b, c]]) / math.sqrt(1 + dd * dd + ee * ee)
+        S = np.linalg.solve(I, II)
+        out[i] = math.sqrt((S * S).sum())
+    return out
+
+
+def three_page_book():
+    # edge (0, 1) is shared by three faces; every other edge by one
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0],
+                      [0.5, -1.0, 0.0], [0.5, 0.0, 1.0]])
+    normals = np.repeat([[0.0, 0.0, 1.0]], 5, axis=0)
+    return SurfaceMesh(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+                       normals)
+
+
+def test_boundary_mask_matches_row_unique():
+    sphere = closed_sphere_mesh()
+    doubled = SurfaceMesh(sphere.vertices,
+                          np.concatenate([sphere.faces, sphere.faces[:1]]),
+                          sphere.normals)
+    strip = extrude_cylinder(solve_catenary(LIN1, 0.0, 0.5, n_samples=41),
+                             (0.0, 0.1), 2)
+    n = 31
+    x = np.linspace(-1, 1, n)
+    grid = GraphPatch(x, x[:21], np.outer(x, x[:21]) ** 2).to_mesh()
+    bowl = revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16)
+    assert bowl.meta["has_apex"]
+    for mesh in (sphere, doubled, strip, grid, bowl, three_page_book()):
+        assert np.array_equal(mesh.boundary_mask(),
+                              reference_boundary_mask(mesh))
+    assert not sphere.boundary_mask().any()
+    # the edges of the doubled face are shared by three faces, not one
+    assert not doubled.boundary_mask().any()
+    assert strip.boundary_mask().all()
+    assert grid.boundary_mask().sum() == 2 * (n + 21) - 4
+    assert bowl.boundary_mask().sum() == 16
+
+
+@pytest.mark.parametrize("mesh", [
+    closed_sphere_mesh(),
+    sphere_mesh(radius=2.0, n_s=20, nt=24),
+    tilt_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 4,
+                  (-0.8, 0.8), 21),
+], ids=["closed-sphere", "sphere-band", "tilted-cylinder"])
+def test_batched_fit_matches_per_vertex_lstsq(mesh):
+    s_norm, _ = second_fundamental_norm(mesh, LIN1)
+    want = reference_second_fundamental_norm(mesh)
+    assert np.array_equal(np.isnan(s_norm), np.isnan(want))
+    good = ~np.isnan(want)
+    assert good.sum() > 0.8 * mesh.n_vertices
+    assert np.max(np.abs(s_norm[good] - want[good]) / want[good]) < 1e-10
 
 
 # -- tilted cylinders ---------------------------------------------------------
