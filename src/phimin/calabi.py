@@ -25,8 +25,8 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import NumericalError
-from .profiles import (DomainError, WeightProfile, make_builtin, make_custom,
-                       _antiderivative, _invert_monotone)
+from .profiles import (WeightProfile, make_builtin, make_custom,
+                       _antiderivative, _invert_monotone, _limit)
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
                        lfe_residual, graph_mean_curvature,
                        graph_gauss_curvature, curvature_from_derivatives)
@@ -47,7 +47,11 @@ class ThetaPrimitive:
 
     ``value`` is the primitive itself; ``inverse_value`` is a closed-form
     inverse when one exists (otherwise the primitive is inverted
-    numerically).
+    numerically).  ``reach`` is the closed interval where ``value``
+    evaluates: the panel reach of a quadrature primitive, the image of the
+    source primitive's reach for the primitive of a dual weight, the
+    domain otherwise.  ``image_hint`` is the exact image of the domain,
+    known for the primitive of a dual weight (the source domain).
     """
 
     value: Callable
@@ -55,6 +59,11 @@ class ThetaPrimitive:
     domain: Tuple[float, float]
     inverse_value: Optional[Callable] = None
     image_hint: Optional[Tuple[float, float]] = None
+    reach: Optional[Tuple[float, float]] = None
+
+    def __post_init__(self):
+        if self.reach is None:
+            self.reach = tuple(getattr(self.value, "reach", self.domain))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -66,33 +75,19 @@ class ThetaPrimitive:
         if self.inverse_value is not None:
             out = np.asarray(self.inverse_value(t), dtype=float)
             return out if out.shape else float(out)
-        return _invert_monotone(self.value, t, self.domain, self.derivative,
-                               error=NumericalError)
+        return _invert_monotone(self.value, t, self.domain, self.reach,
+                                self.derivative, error=NumericalError)
 
     def image(self, lo: float, hi: float) -> Tuple[float, float]:
         """Open interval the primitive maps (lo, hi) onto, by monotonicity.
 
-        A stored ``image_hint`` (known exactly for inverses) answers the
-        whole-domain question directly; otherwise infinite endpoints are
-        probed and may come back infinite."""
+        A stored ``image_hint`` answers the whole-domain question directly;
+        otherwise each end is the primitive's limit there (``_limit``),
+        infinite where the reach stops short of an infinite end."""
         if self.image_hint is not None and (lo, hi) == tuple(self.domain):
             return tuple(self.image_hint)
-
-        def limit(end, side):
-            if not math.isfinite(end):
-                probe = math.copysign(700.0, end)
-                try:
-                    v = float(self.value(probe))
-                except (OverflowError, FloatingPointError, DomainError):
-                    # diverged before the probe; the analytic image of a
-                    # primitive of a positive integrand is unbounded there
-                    return math.copysign(math.inf, end)
-                if not math.isfinite(v) or abs(v) >= 1e300:
-                    return math.copysign(math.inf, end)
-                return v
-            eps = 1e-9 * max(1.0, abs(end))
-            return float(self.value(end + eps if side == "lo" else end - eps))
-        return limit(lo, "lo"), limit(hi, "hi")
+        return (_limit(self.value, lo, 1.0, self.reach),
+                _limit(self.value, hi, -1.0, self.reach))
 
 
 def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
@@ -110,6 +105,7 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
         inverse_value=(None if nat.inverse_value is None else
                        lambda t, _g=nat.inverse_value, _o=off: _g(
                            np.asarray(t, dtype=float) + _o)),
+        reach=nat.reach,
     )
 
 
@@ -142,7 +138,7 @@ def _natural_theta(profile: WeightProfile, fallback_base: float
             inverse_value=lambda t, q=q: (
                 q * np.asarray(t, dtype=float)) ** (1.0 / q),
         )
-    value = _antiderivative(deriv, fallback_base, profile.domain)
+    value = _antiderivative(deriv, fallback_base, profile.reach)
     return ThetaPrimitive(value=value, derivative=deriv,
                           domain=profile.domain)
 
@@ -174,11 +170,11 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
     directions; offset primitives fall through to the generic closures.
     """
     lo, hi = theta.image(*profile.domain)
-    lo, hi = (lo, hi) if lo < hi else (hi, lo)
+    reach = theta.image(*theta.reach)
 
     dual_theta = ThetaPrimitive(value=theta.inverse, derivative=None,
                                 domain=(lo, hi), inverse_value=theta.__call__,
-                                image_hint=tuple(profile.domain))
+                                image_hint=tuple(profile.domain), reach=reach)
 
     if profile.kind == "linear" and profile.params["slope"] == 1.0 \
             and _is_natural(profile, theta):
@@ -203,6 +199,7 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
             return (p1 ** 2 - p2) * np.exp(
                 -2.0 * np.asarray(profile.phi(s), dtype=float))
 
+        d_phi.reach = reach
         dual = make_custom(d_dphi, phi=d_phi, ddphi=d_ddphi,
                            domain=(lo, hi),
                            increasing=not profile.increasing,

@@ -440,9 +440,7 @@ def _read_csv_any(path: Path) -> Tuple[Dict[str, str], str, np.ndarray]:
     text = path.read_text(encoding="utf-8").splitlines()
     meta: Dict[str, str] = {}
     colnames = ""
-    n_skip = 0
-    for line in text:
-        n_skip += 1
+    for n_skip, line in enumerate(text, 1):
         stripped = line.strip()
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
@@ -455,7 +453,7 @@ def _read_csv_any(path: Path) -> Tuple[Dict[str, str], str, np.ndarray]:
     else:
         raise ValueError(f"{path} holds no data rows")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=n_skip, ndmin=2)
+        data = np.loadtxt(text[n_skip:], delimiter=",", ndmin=2)
     except Exception as exc:
         raise ValueError(f"{path} is not a readable CSV table: {exc}") from exc
     if data.size == 0:
@@ -494,8 +492,10 @@ def _write_patch_csv(cfg: RunConfig, patch: GraphPatch, name: str,
     return name
 
 
-def _load_patch_csv(path: Path) -> Tuple[GraphPatch, Dict[str, str]]:
-    meta, colnames, data = _read_csv_any(path)
+def _patch_from_csv(path: Path, table: Tuple[Dict[str, str], str, np.ndarray]
+                    ) -> Tuple[GraphPatch, Dict[str, str]]:
+    """Graph patch and headers from the table ``_read_csv_any(path)`` read."""
+    meta, colnames, data = table
     if colnames != "x,y,u":
         raise ValueError(f"{path} is not a graph patch artifact "
                          f"(columns {colnames!r})")
@@ -786,7 +786,7 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
 
 def _cmd_calabi_r3(cfg: RunConfig) -> int:
     in_path = cfg.input_path("input", "Lorentzian patch CSV")
-    patch, meta = _load_patch_csv(in_path)
+    patch, meta = _patch_from_csv(in_path, _read_csv_any(in_path))
     if patch.signature != LORENTZIAN:
         raise ValueError(f"{in_path} is not a Lorentzian patch; "
                          "calabi-to-r3 transforms spacelike graphs back")
@@ -819,7 +819,8 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     source_path = (Path(source_text) if source_text
                    else in_path.parent / "source.csv")
     if source_path.exists():
-        source_patch, _ = _load_patch_csv(source_path)
+        source_patch, _ = _patch_from_csv(source_path,
+                                          _read_csv_any(source_path))
         report["source"] = str(source_path)
         report["roundtrip_sup_difference"] = _fmt(
             _patch_sup_difference(back, source_patch))
@@ -963,9 +964,10 @@ def _verify_curve(meta: Dict[str, str], data: np.ndarray,
     return {"ode_residual": _rotational_ode_residual(curve, profile)}
 
 
-def _verify_patch(meta: Dict[str, str], path: Path) -> Dict[str, float]:
-    patch, header = _load_patch_csv(path)
-    weight, _ = _patch_weight_from_header(header, path)
+def _verify_patch(table: Tuple[Dict[str, str], str, np.ndarray],
+                  path: Path) -> Dict[str, float]:
+    patch, meta = _patch_from_csv(path, table)
+    weight, _ = _patch_weight_from_header(meta, path)
     residual = (lfe_residual if patch.signature == LORENTZIAN
                 else fe_residual)(patch, weight)
     return {"graph_equation_residual": float(np.nanmax(np.abs(residual)))}
@@ -979,7 +981,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         checks = _verify_curve(meta, data, path)
     elif colnames == "x,y,u":
         kind = "graph_patch"
-        checks = _verify_patch(meta, path)
+        checks = _verify_patch((meta, colnames, data), path)
     elif colnames == "u,v,re_g,im_g":
         kind = "gauss_field"
         field = load_gauss_field(path)

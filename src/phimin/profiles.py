@@ -52,9 +52,11 @@ class WeightProfile:
     ``kind`` is one of ``linear / log / series / custom`` and ``params`` keeps
     the defining constants for serialization.  ``increasing`` declares strict
     monotonicity of phi on the domain (checked by sampling at construction).
-    ``sup_phi`` is the supremum of phi at the right end of the domain
-    (``inf`` when phi is unbounded above); it decides whether the half-width
-    integral can be finite at all.
+    ``reach`` is the closed interval where phi, dphi and ddphi evaluate:
+    the reach phi carries (built by quadrature, or the weight of a dual),
+    the domain otherwise.
+    ``sup_phi`` is the limit of phi at the right end of the domain (see
+    ``_limit``); it decides whether the half-width integral can be finite.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -64,15 +66,19 @@ class WeightProfile:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     increasing: bool = True
-    sup_phi: float = math.inf
     # (L, b) with dphi(u) -> L*u + b as u -> inf, when that limit is known.
     asymptote: Optional[Tuple[float, float]] = None
     # growth exponent hint: dphi ~ u^alpha for large u (1 for linear kinds)
     growth_alpha: Optional[float] = None
+    reach: Tuple[float, float] = field(init=False)
+    sup_phi: float = field(init=False)
 
     def __post_init__(self):
         self.domain = _as_float_pair(self.domain)
+        self.reach = tuple(getattr(self.phi, "reach", self.domain))
         self._check_monotone()
+        self.sup_phi = _limit(self.phi, self.domain[1], -1.0, self.reach,
+                              self.increasing)
 
     # -- evaluation helpers ------------------------------------------------
 
@@ -92,30 +98,13 @@ class WeightProfile:
 
     def phi_range(self) -> Tuple[float, float]:
         """Image of the open domain under phi (ordered)."""
-        lo, hi = self.domain
-        a = self._limit_phi(lo, side="right")
-        b = self._limit_phi(hi, side="left")
-        return (a, b) if a < b else (b, a)
-
-    def _limit_phi(self, endpoint: float, side: str) -> float:
-        if not math.isfinite(endpoint):
-            # probe far out; linear/series grow without bound, log too
-            probe = math.copysign(1e12, endpoint)
-            try:
-                val = float(self.phi(probe))
-            except (OverflowError, FloatingPointError):
-                return math.copysign(math.inf, endpoint) if self.increasing else -math.copysign(math.inf, endpoint)
-            if abs(val) > 1e300:
-                return math.copysign(math.inf, val)
-            # fall back to declared sup
-            return self.sup_phi if endpoint > 0 else -math.inf
-        eps = max(abs(endpoint), 1.0) * 1e-9
-        z = endpoint + eps if side == "right" else endpoint - eps
-        return float(self.phi(z))
+        a = _limit(self.phi, self.domain[0], 1.0, self.reach, self.increasing)
+        return (a, self.sup_phi) if a < self.sup_phi else (self.sup_phi, a)
 
     def inverse_phi(self, w):
         """Solve phi(z) = w on the domain (phi strictly monotone)."""
-        return _invert_monotone(self.phi, w, self.domain, self.dphi)
+        return _invert_monotone(self.phi, w, self.domain, self.reach,
+                                self.dphi)
 
     # -- validation --------------------------------------------------------
 
@@ -125,10 +114,12 @@ class WeightProfile:
         b = hi if math.isfinite(hi) else max(a + 1.0, 50.0)
         pad = (b - a) * 1e-6
         zs = np.linspace(a + pad, b - pad, n)
-        d = _defined_run(self.dphi, zs)
-        if d is not None:
-            d = d[~np.isnan(d)]
-        if d is None or d.size < 32:
+        zs = zs[(zs >= self.reach[0]) & (zs <= self.reach[1])]
+        # a dphi that raises everywhere leaves a reach of one point
+        d = np.broadcast_to(np.asarray(self.dphi(zs), dtype=float),
+                            zs.shape) if zs.size >= 32 else zs
+        d = d[~np.isnan(d)]
+        if d.size < 32:
             raise ProfileError(
                 "dphi could not be sampled across enough of the domain "
                 "to check monotonicity")
@@ -170,7 +161,6 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
             ddphi=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             domain=dom, kind="linear", params={"slope": m},
             increasing=inc,
-            sup_phi=math.inf if inc else -math.inf,
             asymptote=(0.0, m), growth_alpha=0.0,
         )
 
@@ -191,7 +181,6 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
             ddphi=lambda z, a=a: -a / np.asarray(z, dtype=float) ** 2,
             domain=dom, kind="log", params={"alpha": a},
             increasing=inc,
-            sup_phi=math.inf if inc else -math.inf,
             asymptote=None, growth_alpha=-1.0,
         )
 
@@ -236,7 +225,7 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
         prof = WeightProfile(
             phi=p, dphi=dd, ddphi=d2, domain=dom, kind="series",
             params={"L": L, "b": b, "coeffs": coeffs},
-            increasing=True, sup_phi=math.inf,
+            increasing=True,
             asymptote=(L, b), growth_alpha=1.0 if L > 0 else 0.0,
         )
         return prof
@@ -269,17 +258,9 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
             z = np.asarray(z, dtype=float)
             h = 1e-6 * np.maximum(1.0, np.abs(z))
             return (np.asarray(_d(z + h)) - np.asarray(_d(z - h))) / (2 * h)
-    sup = math.inf if increasing else -math.inf
-    try:
-        probe = dom[1] - 1e-6 if math.isfinite(dom[1]) else 1e9
-        v = float(phi(probe))
-        if math.isfinite(dom[1]) and math.isfinite(v):
-            sup = v
-    except Exception:
-        pass
     return WeightProfile(phi=phi, dphi=dphi, ddphi=ddphi, domain=dom,
                          kind="custom", params=params or {},
-                         increasing=increasing, sup_phi=sup,
+                         increasing=increasing,
                          asymptote=asymptote, growth_alpha=growth_alpha)
 
 
@@ -287,42 +268,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # nodes on [0, 1] of the rules on the two halves, then on the whole
 _PANEL_NODES = np.concatenate([0.25 * (_GL_X + 1.0), 0.25 * (_GL_X + 3.0),
                                0.5 * (_GL_X + 1.0)])
-
-
-def _defined_run(f: Callable, zs: np.ndarray) -> Optional[np.ndarray]:
-    """Values of ``f`` on the run of the sorted samples ``zs`` where it
-    evaluates, in a few vectorized calls; None when no run of 32 is found.
-
-    Quadrature-backed closures evaluate on one interval of heights (the
-    reach of their primitives and inversions), so the samples that work
-    form one run.  A probe finds a sample inside it (probes are 16 apart,
-    so any run of 32 is hit), and each end of the run is bisected.
-    """
-    def at(i, j):
-        try:
-            return np.asarray(f(zs[i:j]), dtype=float)
-        except (DomainError, NumericalError, ArithmeticError):
-            return None
-
-    def edge(good, bad, works):
-        while abs(good - bad) > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if works(mid) else (good, mid)
-        return good
-
-    n = len(zs)
-    whole = at(0, n)
-    if whole is not None:
-        return whole
-    probes = sorted(range(8, n, 16), key=lambda i: abs(i - n // 2))
-    k = next((i for i in probes if at(i, i + 1) is not None), None)
-    if k is None:
-        return None
-    left = lambda i: at(i, k + 1) is not None
-    right = lambda j: at(k, j + 1) is not None
-    first = 0 if left(0) else edge(k, 0, left)
-    last = n - 1 if right(n - 1) else edge(k, n - 1, right)
-    return at(first, last + 1)
 
 
 def _gauss(f, a, b) -> np.ndarray:
@@ -372,9 +317,10 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
 
     Built once on composite Gauss-Legendre panels running outward from the
     anchor.  Each side stops at a finite domain end, where dphi stops being
-    finite, where the value passes 1e250, or 1e12 from the anchor; heights
-    beyond that reach raise DomainError.  A height is evaluated with one
-    rule from the edge of its panel nearer the anchor.
+    finite, where the value passes 1e250, or 1e12 from the anchor; the
+    returned callable keeps that interval as its ``reach``, and heights
+    beyond it raise DomainError.  A height is evaluated with one rule from
+    the edge of its panel nearer the anchor.
     """
     def f(z):
         return np.broadcast_to(np.asarray(dphi(z), dtype=float), z.shape)
@@ -409,18 +355,43 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
                                                  flat[part])
         return out.reshape(z.shape) if z.shape else float(out[0])
 
+    phi.reach = (float(edges[0]), float(edges[-1]))
     return phi
 
 
+def _inset(end: float, inward: float) -> float:
+    """A finite end moved 1e-9 (relative) toward ``inward``."""
+    return end + inward * 1e-9 * max(1.0, abs(end)) if math.isfinite(end) \
+        else end
+
+
+def _limit(f: Callable, end: float, inward: float,
+           reach: Tuple[float, float], increasing: bool = True) -> float:
+    """Limit of the strictly monotone ``f`` at the lower (``inward`` = 1)
+    or upper (-1) end of an open interval: f 1e-9 (relative) inside a
+    finite end, f at an infinite one; infinite where that point is beyond
+    the reach or f is NaN there (f diverged before the end).
+    """
+    z = _inset(end, inward)
+    if reach[0] <= z <= reach[1]:
+        with np.errstate(all="ignore"):
+            v = float(f(z))
+        if not math.isnan(v):
+            return v
+    return math.copysign(math.inf, -inward if increasing else inward)
+
+
 def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
+                     reach: Tuple[float, float],
                      df: Optional[Callable] = None, error=DomainError):
     """Solve f(z) = t elementwise for f strictly monotone on the open domain.
 
-    One bracket serves the whole array: finite ends are held 1e-9
-    (relative) inside the domain, infinite ends are pushed out by doubling
-    steps.  A sample table narrows it to one cell per value; safeguarded
-    Newton steps follow when the derivative ``df`` is known, bisection
-    otherwise.  A value the bracket cannot reach raises ``error``.
+    One bracket serves the whole array.  It stays inside the reach, where
+    f evaluates, and holds finite domain ends 1e-9 (relative) inside;
+    infinite domain ends are pushed out by doubling steps up to the reach.
+    A sample table narrows it to one cell per value; safeguarded Newton
+    steps follow when the derivative ``df`` is known, bisection otherwise.
+    A value the bracket cannot reach raises ``error``.
     """
     t = np.asarray(t, dtype=float)
     if not t.size:
@@ -428,32 +399,23 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
     if not np.isfinite(t).all():
         raise error("cannot invert a non-finite value")
     lo, hi = domain
-    a = lo + 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else -1.0
-    b = hi - 1e-9 * max(1.0, abs(hi)) if math.isfinite(hi) else 1.0
-    if not math.isfinite(lo):
-        a = min(a, b - 1.0)
-    if not math.isfinite(hi):
-        b = max(b, a + 1.0)
+    a_end = max(_inset(lo, 1.0), reach[0])
+    b_end = min(_inset(hi, -1.0), reach[1])
+    a = a_end if math.isfinite(lo) else max(min(-1.0, b_end - 1.0), a_end)
+    b = b_end if math.isfinite(hi) else min(max(1.0, a + 1.0), b_end)
 
-    def value(z):
-        try:
-            return np.asarray(f(z), dtype=float)
-        except DomainError as err:
-            raise error(f"value outside the attainable range ({err})") \
-                from err
-
-    sign = 1.0 if float(value(b)) >= float(value(a)) else -1.0
-    g = lambda z: sign * value(z)
+    sign = 1.0 if float(f(b)) >= float(f(a)) else -1.0
+    g = lambda z: sign * np.asarray(f(z), dtype=float)
     flat = sign * t.ravel()
     step = 1.0
     for _ in range(110):
         below = not float(g(a)) <= flat.min()
         above = not float(g(b)) >= flat.max()
-        if not (below or above):
+        if not (below or above) or below and a == a_end \
+                or above and b == b_end:
             break
-        if below and math.isfinite(lo) or above and math.isfinite(hi):
-            break
-        a, b, step = a - step * below, b + step * above, 2.0 * step
+        a, b = max(a - step * below, a_end), min(b + step * above, b_end)
+        step *= 2.0
     if below or above:
         raise error("value outside the attainable range")
 
@@ -516,7 +478,7 @@ def curly_g(profile: WeightProfile, u0: float, u) -> np.ndarray:
     profile.require_inside(u)
     return _antiderivative(
         lambda s: 1.0 / np.asarray(profile.dphi(s), dtype=float), u0,
-        profile.domain)(u)
+        profile.reach)(u)
 
 
 # small expression evaluator used by the CLI for custom profiles -------------

@@ -377,12 +377,10 @@ def _rot_rhs(profile: WeightProfile):
 
 
 def _pick_method(profile: WeightProfile, z0: float, s_max: float) -> str:
-    # stiffness scales with dphi far up the curve (z grows at most like s)
-    try:
-        z_probe = min(z0 + s_max, profile.domain[1] - 1e-9) if math.isfinite(profile.domain[1]) else z0 + s_max
-        rate = abs(float(profile.dphi(z_probe)))
-    except Exception:
-        rate = 1.0
+    # stiffness scales with dphi far up the curve (z grows at most like s),
+    # read no higher than the weight evaluates
+    z_probe = min(z0 + s_max, profile.domain[1] - 1e-9, profile.reach[1])
+    rate = abs(float(profile.dphi(z_probe)))
     return "LSODA" if rate * s_max > 5e3 else "DOP853"
 
 
@@ -479,6 +477,11 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
     """
     if x0 <= 0:
         raise ValueError("neck distance x0 must be positive")
+    if s_max / x0 < tol:  # only sin(th)/x <= 1/x0 bends it back
+        raise NumericalError(
+            f"neck x0={x0:.3e} is too wide to bend within s_max={s_max:g}: "
+            f"the axis term turns the tangent by at most s_max/x0 = "
+            f"{s_max / x0:.1e}, below the tolerance {tol:.1e}")
     profile.require_inside(z0, "neck height")
     _require_convex_weight(profile, max(z0 - s_max, profile.domain[0] + 1e-12)
                            if math.isfinite(profile.domain[0]) else z0 - s_max,

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line driver (in-process)."""
 
+import builtins
+import io
 import json
 import re
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from phimin import cli
 from phimin.cli import (
     _DEFAULTS,
     GRID_NODES,
@@ -208,6 +211,34 @@ def test_custom_weight_round_trip_verifies(tmp_path):
     assert meta["profile"] == "custom dphi=z+1 domain=-1,inf"
     assert main(["verify", str(tmp_path / "r3" / "roundtrip.csv"),
                  "--out", str(tmp_path / "v")]) == 0
+
+
+def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
+    assert main(["calabi-to-l3", "--out", str(tmp_path), "--grid", "31x31",
+                 "--param", "profile=custom dphi=z+1 domain=-1,3",
+                 "--param", "patch=bowl", "--param", "z0=0",
+                 "--param", "s_max=1", "--param", "halfwidth=0.3"]) == 0
+    path = tmp_path / "lorentz.csv"
+    # the body parsed from the lines already read, bit for bit as from file
+    assert cli._read_csv_any(path)[2].tobytes() == read_csv(path)[2].tobytes()
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", counting_open)
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert opened.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("x0", ["1e14", "1e16"])
+def test_too_wide_a_neck_is_named_as_the_cause(tmp_path, x0):
+    # the parent blamed the starting circle or the tolerance
+    assert main(["catenoid", "--out", str(tmp_path),
+                 "--param", f"x0={x0}"]) == 2
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert "too wide to bend within s_max" in doc["error"]["message"]
 
 
 def test_numerical_failure_exit_two(tmp_path):

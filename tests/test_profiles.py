@@ -83,6 +83,21 @@ def test_lambda_of_z_linear_is_constant():
     assert np.allclose(lambda_of_z(p, w), 3.0)
 
 
+def test_decreasing_linear_weight_maps_onto_the_whole_line():
+    p = make_builtin("linear", -1.0)
+    assert p.phi_range() == (-math.inf, math.inf)
+    assert lambda_of_z(p, 0.5) == -1.0
+
+
+def test_lambda_of_z_of_a_quadrature_weight_stops_at_its_reach():
+    # phi = e^z - 1 by quadrature; its reach ends near z = 560, where the
+    # parent rule probed phi at z = 1e12
+    p = make_custom(lambda z: np.exp(np.asarray(z, dtype=float)))
+    assert p.phi_range() == (-math.inf, math.inf)
+    assert lambda_of_z(p, 1.0) == float(p.dphi(p.inverse_phi(1.0)))
+    assert lambda_of_z(p, 1.0) == pytest.approx(2.0, rel=1e-14)
+
+
 def test_lambda_of_z_log_closed_form():
     a = 2.0
     p = make_builtin("log", a)
@@ -147,6 +162,13 @@ def test_custom_profile_fd_second_derivative():
         anchor=0.0,
     )
     assert float(p.ddphi(0.5)) == pytest.approx(math.exp(0.5), rel=1e-5)
+
+
+def test_constant_expression_weight_is_accepted():
+    # "2" evaluates to one number for the whole sample, which the
+    # monotonicity check used to count as a single sample
+    p = make_custom(expression_callable("2"), anchor=0.0)
+    assert p.phi(1.5) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_expression_callable_rejects_unknown_names():
