@@ -48,9 +48,9 @@ class ThetaPrimitive:
     ``value`` is the primitive itself; ``inverse_value`` is a closed-form
     inverse when one exists (otherwise the primitive is inverted
     numerically).  ``reach`` is the closed interval where ``value``
-    evaluates: the panel reach of a quadrature primitive, the image of the
-    source primitive's reach for the primitive of a dual weight, the
-    domain otherwise.  ``image_hint`` is the exact image of the domain,
+    evaluates, the domain unless given: the reach of a quadrature primitive,
+    and for the primitive of a dual weight the image of the source
+    primitive's reach.  ``image_hint`` is the exact image of the domain,
     known for the primitive of a dual weight (the source domain).
     """
 
@@ -63,7 +63,7 @@ class ThetaPrimitive:
 
     def __post_init__(self):
         if self.reach is None:
-            self.reach = tuple(getattr(self.value, "reach", self.domain))
+            self.reach = self.domain
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -138,9 +138,9 @@ def _natural_theta(profile: WeightProfile, fallback_base: float
             inverse_value=lambda t, q=q: (
                 q * np.asarray(t, dtype=float)) ** (1.0 / q),
         )
-    value = _antiderivative(deriv, fallback_base, profile.reach)
+    value = _antiderivative(deriv, fallback_base, profile.domain)
     return ThetaPrimitive(value=value, derivative=deriv,
-                          domain=profile.domain)
+                          domain=profile.domain, reach=value.reach)
 
 
 def _is_natural(profile: WeightProfile, theta: ThetaPrimitive) -> bool:
@@ -199,9 +199,8 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
             return (p1 ** 2 - p2) * np.exp(
                 -2.0 * np.asarray(profile.phi(s), dtype=float))
 
-        d_phi.reach = reach
         dual = make_custom(d_dphi, phi=d_phi, ddphi=d_ddphi,
-                           domain=(lo, hi),
+                           domain=(lo, hi), reach=reach,
                            increasing=not profile.increasing,
                            params={"dual_of": profile.kind,
                                    "source_params": dict(profile.params)})

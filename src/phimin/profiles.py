@@ -52,9 +52,9 @@ class WeightProfile:
     ``kind`` is one of ``linear / log / series / custom`` and ``params`` keeps
     the defining constants for serialization.  ``increasing`` declares strict
     monotonicity of phi on the domain (checked by sampling at construction).
-    ``reach`` is the closed interval where phi, dphi and ddphi evaluate:
-    the reach phi carries (built by quadrature, or the weight of a dual),
-    the domain otherwise.
+    ``reach`` is the closed interval where phi, dphi and ddphi evaluate,
+    the domain unless given (``make_custom`` gives the reach of the phi it
+    builds by quadrature, ``dual_profile`` theta's image of its own reach).
     ``sup_phi`` is the limit of phi at the right end of the domain (see
     ``_limit``); it decides whether the half-width integral can be finite.
     """
@@ -70,12 +70,13 @@ class WeightProfile:
     asymptote: Optional[Tuple[float, float]] = None
     # growth exponent hint: dphi ~ u^alpha for large u (1 for linear kinds)
     growth_alpha: Optional[float] = None
-    reach: Tuple[float, float] = field(init=False)
+    reach: Optional[Tuple[float, float]] = None
     sup_phi: float = field(init=False)
 
     def __post_init__(self):
         self.domain = _as_float_pair(self.domain)
-        self.reach = tuple(getattr(self.phi, "reach", self.domain))
+        self.reach = self.domain if self.reach is None else \
+            (float(self.reach[0]), float(self.reach[1]))
         self._check_monotone()
         self.sup_phi = _limit(self.phi, self.domain[1], -1.0, self.reach,
                               self.increasing)
@@ -115,11 +116,11 @@ class WeightProfile:
         pad = (b - a) * 1e-6
         zs = np.linspace(a + pad, b - pad, n)
         zs = zs[(zs >= self.reach[0]) & (zs <= self.reach[1])]
-        # a dphi that raises everywhere leaves a reach of one point
-        d = np.broadcast_to(np.asarray(self.dphi(zs), dtype=float),
-                            zs.shape) if zs.size >= 32 else zs
-        d = d[~np.isnan(d)]
-        if d.size < 32:
+        if zs.size >= 32:
+            d = np.broadcast_to(np.asarray(self.dphi(zs), dtype=float),
+                                zs.shape)
+            d = d[~np.isnan(d)]
+        if zs.size < 32 or d.size < 32:
             raise ProfileError(
                 "dphi could not be sampled across enough of the domain "
                 "to check monotonicity")
@@ -240,12 +241,15 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
                 anchor: Optional[float] = None,
                 growth_alpha: Optional[float] = None,
                 asymptote: Optional[Tuple[float, float]] = None,
-                params: Optional[dict] = None) -> WeightProfile:
+                params: Optional[dict] = None,
+                reach: Optional[Tuple[float, float]] = None) -> WeightProfile:
     """Wrap user callables into a profile.
 
     When ``phi`` is omitted it is reconstructed from ``dphi`` by cumulative
     quadrature anchored at ``anchor`` (phi(anchor) = 0); the additive constant
-    never enters the minimal-surface equation, only overall weights.
+    never enters the minimal-surface equation, only overall weights.  The
+    profile's reach is then that primitive's; a given ``phi`` comes with
+    its ``reach`` (the domain when omitted).
     When ``ddphi`` is omitted a central difference of ``dphi`` is used.
     """
     dom = _as_float_pair(domain)
@@ -253,6 +257,7 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
         if anchor is None:
             anchor = dom[0] + 1.0 if math.isfinite(dom[0]) else 0.0
         phi = _antiderivative(dphi, anchor, dom)
+        reach = phi.reach
     if ddphi is None:
         def ddphi(z, _d=dphi):
             z = np.asarray(z, dtype=float)
@@ -260,8 +265,8 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
             return (np.asarray(_d(z + h)) - np.asarray(_d(z - h))) / (2 * h)
     return WeightProfile(phi=phi, dphi=dphi, ddphi=ddphi, domain=dom,
                          kind="custom", params=params or {},
-                         increasing=increasing,
-                         asymptote=asymptote, growth_alpha=growth_alpha)
+                         increasing=increasing, asymptote=asymptote,
+                         growth_alpha=growth_alpha, reach=reach)
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -317,10 +322,13 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
 
     Built once on composite Gauss-Legendre panels running outward from the
     anchor.  Each side stops at a finite domain end, where dphi stops being
-    finite, where the value passes 1e250, or 1e12 from the anchor; the
-    returned callable keeps that interval as its ``reach``, and heights
-    beyond it raise DomainError.  A height is evaluated with one rule from
-    the edge of its panel nearer the anchor.
+    finite, where the value passes 1e250, or 1e12 from the anchor.  A side
+    that stops short of an infinite domain end has converged there when
+    the second half of its run moved the value by at most 1e-9 (relative);
+    the primitive then holds its last value up to that end.  The returned
+    callable keeps the interval where it evaluates as its ``reach``, and
+    heights beyond it raise DomainError.  A height is evaluated with one
+    rule from the edge of its panel nearer the anchor.
     """
     def f(z):
         return np.broadcast_to(np.asarray(dphi(z), dtype=float), z.shape)
@@ -336,26 +344,32 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
     hi_edges, hi_values = _reach(finite_or_nan, anchor, max(dom[1], anchor))
     edges = np.array(lo_edges[::-1] + [anchor] + hi_edges)
     values = np.array(lo_values[::-1] + [0.0] + hi_values)
+    reach = [float(edges[0]), float(edges[-1])]
 
     def phi(z):
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
-        outside = ~((flat >= edges[0]) & (flat <= edges[-1]))
+        outside = ~((flat >= reach[0]) & (flat <= reach[1]))
         if outside.any():
             raise DomainError(
                 f"height {flat[outside][0]} outside the reach "
-                f"[{edges[0]}, {edges[-1]}] of the antiderivative")
+                f"[{reach[0]}, {reach[1]}] of the antiderivative")
+        flat = np.clip(flat, edges[0], edges[-1])
         k = np.where(flat >= anchor,
                      np.searchsorted(edges, flat, "right") - 1,
                      np.searchsorted(edges, flat, "left"))
-        out = np.empty(flat.shape)
-        for s in range(0, flat.size, 4096):
-            part = slice(s, s + 4096)
-            out[part] = values[k[part]] + _gauss(f, edges[k[part]],
-                                                 flat[part])
+        out = values[k]  # a height on a panel edge takes the edge's value
+        off_edge = np.flatnonzero(flat != edges[k])
+        for s in range(0, off_edge.size, 4096):
+            part = off_edge[s:s + 4096]
+            out[part] += _gauss(f, edges[k[part]], flat[part])
         return out.reshape(z.shape) if z.shape else float(out[0])
 
-    phi.reach = (float(edges[0]), float(edges[-1]))
+    for i, end in ((0, dom[0]), (-1, dom[1])):
+        if math.isinf(end) and edges[i] != anchor and abs(values[i] - phi(
+                0.5 * (anchor + edges[i]))) <= 1e-9 * max(1.0, abs(values[i])):
+            reach[i] = end  # converged: phi holds values[i] up to the end
+    phi.reach = tuple(reach)
     return phi
 
 
@@ -369,8 +383,9 @@ def _limit(f: Callable, end: float, inward: float,
            reach: Tuple[float, float], increasing: bool = True) -> float:
     """Limit of the strictly monotone ``f`` at the lower (``inward`` = 1)
     or upper (-1) end of an open interval: f 1e-9 (relative) inside a
-    finite end, f at an infinite one; infinite where that point is beyond
-    the reach or f is NaN there (f diverged before the end).
+    finite end, f at an infinite one (where a converged primitive holds its
+    last value); infinite where that point is beyond the reach or f is NaN
+    there (f diverged before the end).
     """
     z = _inset(end, inward)
     if reach[0] <= z <= reach[1]:
@@ -478,7 +493,7 @@ def curly_g(profile: WeightProfile, u0: float, u) -> np.ndarray:
     profile.require_inside(u)
     return _antiderivative(
         lambda s: 1.0 / np.asarray(profile.dphi(s), dtype=float), u0,
-        profile.reach)(u)
+        profile.domain)(u)
 
 
 # small expression evaluator used by the CLI for custom profiles -------------

@@ -332,19 +332,13 @@ def _dyadic_tail(f, origin: float, top: float, first: int, small: float,
 # rotational curves
 # ---------------------------------------------------------------------------
 
-def _require_increasing_weight(profile: WeightProfile, z_lo: float,
-                               z_hi: float) -> None:
+def _require_rotational_weight(profile: WeightProfile, z_lo: float,
+                               z_hi: float, convex: bool) -> None:
     zs = np.linspace(z_lo, min(z_hi, z_lo + 1e6), 129)
     zs = zs[(zs > profile.domain[0]) & (zs < profile.domain[1])]
     if not np.all(np.asarray(profile.dphi(zs)) > 0):
         raise ProfileError("rotational solver needs dphi > 0 on the height range")
-
-
-def _require_convex_weight(profile: WeightProfile, z_lo: float, z_hi: float) -> None:
-    _require_increasing_weight(profile, z_lo, z_hi)
-    zs = np.linspace(z_lo, min(z_hi, z_lo + 1e6), 129)
-    zs = zs[(zs > profile.domain[0]) & (zs < profile.domain[1])]
-    if np.any(np.asarray(profile.ddphi(zs)) < -1e-9):
+    if convex and np.any(np.asarray(profile.ddphi(zs)) < -1e-9):
         raise ProfileError("rotational solver needs a convex weight (ddphi >= 0)")
 
 
@@ -401,7 +395,7 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
     # need it); convexity is not: non-convex weights such as dphi = 1/z have
     # perfectly good bowls near the axis, so convexity is enforced on the
     # output inclination instead, where its failure actually shows up.
-    _require_increasing_weight(profile, z0, z0 + s_max)
+    _require_rotational_weight(profile, z0, z0 + s_max, convex=False)
 
     c1 = float(profile.dphi(z0)) / 2.0
     c3 = c1 * (float(profile.ddphi(z0)) / 2.0 - c1 * c1) / 4.0
@@ -477,15 +471,19 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
     """
     if x0 <= 0:
         raise ValueError("neck distance x0 must be positive")
-    if s_max / x0 < tol:  # only sin(th)/x <= 1/x0 bends it back
-        raise NumericalError(
-            f"neck x0={x0:.3e} is too wide to bend within s_max={s_max:g}: "
-            f"the axis term turns the tangent by at most s_max/x0 = "
-            f"{s_max / x0:.1e}, below the tolerance {tol:.1e}")
     profile.require_inside(z0, "neck height")
-    _require_convex_weight(profile, max(z0 - s_max, profile.domain[0] + 1e-12)
-                           if math.isfinite(profile.domain[0]) else z0 - s_max,
-                           z0 + s_max)
+    _require_rotational_weight(
+        profile, max(z0 - s_max, profile.domain[0] + 1e-12)
+        if math.isfinite(profile.domain[0]) else z0 - s_max, z0 + s_max,
+        convex=True)
+    # only the axis term sin(th)/x <= 1/x0 bends the curve back through the
+    # neck; when it turns the tangent by less than tol over s_max, the
+    # checks below that would blame the tolerance or the circle name that
+    # cause instead
+    too_wide = None if s_max / x0 >= tol else (
+        f"neck x0={x0:.3e} is too wide to bend within s_max={s_max:g}: the "
+        f"axis term turns the tangent by at most s_max/x0 = {s_max / x0:.1e}, "
+        f"below the tolerance {tol:.1e}")
 
     rhs = _rot_rhs(profile)
 
@@ -519,8 +517,9 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
                       method="DOP853", rtol=tol, atol=tol, events=events_a,
                       dense_output=True)
     if sol_a.status != 1 or not len(sol_a.t_events[0]):
-        raise NumericalError("curve never turned horizontal below the neck; "
-                             "profile domain too short or tolerance too loose")
+        raise NumericalError(too_wide or "curve never turned horizontal below "
+                             "the neck; profile domain too short or "
+                             "tolerance too loose")
     t_foot = float(sol_a.t_events[0][0])
     x_f, z_f, _ = (float(v) for v in sol_a.y_events[0][0])
 
@@ -573,8 +572,8 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
     xl, zl, thl = sol_l.sol(s_l)
     neck_err = abs(float(sol_l.sol(s0)[0]) - x0)
     if neck_err > 1e4 * tol + 1e-9:
-        raise NumericalError(
-            f"retraced neck misses the starting circle by {neck_err:.3e}")
+        raise NumericalError(too_wide or f"retraced neck misses the starting "
+                             f"circle by {neck_err:.3e}")
     left = ProfileCurve(s=s_l, x=xl, z=zl, theta=thl,
                         curve_kind=CATENOID_LEFT, profile=profile,
                         initial_data={"x0": x0, "z0": z0},
@@ -588,9 +587,8 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
     ])
     n_cross = count_self_intersections(pts)
     if n_cross:
-        raise NumericalError(
-            f"catenoid polyline self-intersects {n_cross} times; "
-            "refine the tolerance")
+        raise NumericalError(too_wide or f"catenoid polyline self-intersects "
+                             f"{n_cross} times; refine the tolerance")
     right.meta["self_intersections"] = 0
     left.meta["self_intersections"] = 0
     return right, left

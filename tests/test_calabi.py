@@ -146,6 +146,22 @@ def test_theta_inverts_every_height_of_its_reach(spec, base, t):
     assert np.all(np.abs(back - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
 
 
+def test_dual_of_a_converging_theta_starts_at_its_limit():
+    # e^phi = e^(z + z^3/3) vanishes below, so theta converges at -inf: the
+    # dual weight's domain and reach both start at that limit
+    from scipy.integrate import quad
+    p = profile_from_spec("custom dphi=1+z**2")
+    th = make_theta(p, 0.5)
+    dual, _ = dual_profile(p, th)
+    assert th.reach[0] == -math.inf
+    assert dual.domain[0] == dual.reach[0] == float(th(-700.0))
+    limit = -quad(lambda z: math.exp(z + z ** 3 / 3), -math.inf, 0.5,
+                  epsabs=0, epsrel=1e-13)[0]
+    assert dual.domain[0] == pytest.approx(limit, rel=1e-13)
+    with pytest.raises(DomainError):
+        dual.require_inside(dual.domain[0] - 1e-3)
+
+
 @given(m=st.floats(min_value=0.2, max_value=3.0),
        z=st.floats(min_value=-2.0, max_value=2.0))
 def test_theta_inverse_roundtrip_linear(m, z):

@@ -232,13 +232,19 @@ def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
     assert opened.count(str(path)) == 1
 
 
-@pytest.mark.parametrize("x0", ["1e14", "1e16"])
-def test_too_wide_a_neck_is_named_as_the_cause(tmp_path, x0):
-    # the parent blamed the starting circle or the tolerance
+@pytest.mark.parametrize("x0, cause", [
+    ("1e10", "never turned back up; extend s_max"),
+    ("1e12", "never turned back up; extend s_max"),
+    ("1e14", "too wide to bend within s_max"),
+    ("1e16", "too wide to bend within s_max")])
+def test_too_wide_a_neck_is_named_as_the_cause(tmp_path, x0, cause):
+    # s_max/x0 falls below tol from x0 = 4e10 on; the left branch runs out
+    # of s_max first, and wider necks trip checks (the retraced neck, self
+    # intersections) that would otherwise blame the circle or the tolerance
     assert main(["catenoid", "--out", str(tmp_path),
                  "--param", f"x0={x0}"]) == 2
     doc = json.loads((tmp_path / "error.json").read_text())
-    assert "too wide to bend within s_max" in doc["error"]["message"]
+    assert cause in doc["error"]["message"]
 
 
 def test_numerical_failure_exit_two(tmp_path):

@@ -90,12 +90,25 @@ def test_decreasing_linear_weight_maps_onto_the_whole_line():
 
 
 def test_lambda_of_z_of_a_quadrature_weight_stops_at_its_reach():
-    # phi = e^z - 1 by quadrature; its reach ends near z = 560, where the
-    # parent rule probed phi at z = 1e12
+    # phi = e^z - 1 by quadrature: its reach ends near z = 560 above, far
+    # short of a probe at z = 1e12, and phi converges to -1 below
     p = make_custom(lambda z: np.exp(np.asarray(z, dtype=float)))
-    assert p.phi_range() == (-math.inf, math.inf)
+    assert p.reach[0] == -math.inf and p.reach[1] < 600.0
+    assert p.phi_range()[1] == math.inf
+    assert p.phi_range()[0] == pytest.approx(-1.0, rel=1e-15)
     assert lambda_of_z(p, 1.0) == float(p.dphi(p.inverse_phi(1.0)))
     assert lambda_of_z(p, 1.0) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_sup_phi_is_finite_only_where_phi_converges():
+    # log z grows without bound, however slowly; 1/2 - 1/z converges
+    slow = make_custom(lambda z: 1.0 / np.asarray(z, dtype=float),
+                       domain=(0.0, math.inf))
+    assert slow.reach[1] < math.inf and slow.sup_phi == math.inf
+    bounded = make_custom(lambda z: np.asarray(z, dtype=float) ** -2.0,
+                          domain=(1.0, math.inf))
+    assert bounded.reach[1] == math.inf
+    assert bounded.sup_phi == pytest.approx(0.5, abs=1e-11)
 
 
 def test_lambda_of_z_log_closed_form():
