@@ -45,10 +45,12 @@ from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
                        mean_curvature_residual, revolve, rotational_patch,
                        save_obj, save_ply, tilt_cylinder, write_header,
                        write_rows)
-from .weierstrass import (bjorling_from_json, gauss_pde_residual,
-                          integrate_representation, load_gauss_field,
-                          reconstruction_residuals, rotational_gauss_field,
-                          save_gauss_field, solve_bjorling)
+from .surfaces import read_table as _read_csv_any
+from .weierstrass import (bjorling_from_json, gauss_field_from_table,
+                          gauss_pde_residual, integrate_representation,
+                          load_gauss_field, reconstruction_residuals,
+                          rotational_gauss_field, save_gauss_field,
+                          solve_bjorling)
 
 _FORMATS = ("obj", "ply", "csv")
 
@@ -435,32 +437,6 @@ def _write_csv(path: Path, comments: Sequence[str], header: str,
         write_rows(fh, data, cell=cell)
 
 
-def _read_csv_any(path: Path) -> Tuple[Dict[str, str], str, np.ndarray]:
-    """Header comments (``key = value`` lines), column names, data matrix."""
-    text = path.read_text(encoding="utf-8").splitlines()
-    meta: Dict[str, str] = {}
-    colnames = ""
-    for n_skip, line in enumerate(text, 1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-            continue
-        colnames = stripped
-        break
-    else:
-        raise ValueError(f"{path} holds no data rows")
-    try:
-        data = np.loadtxt(text[n_skip:], delimiter=",", ndmin=2)
-    except Exception as exc:
-        raise ValueError(f"{path} is not a readable CSV table: {exc}") from exc
-    if data.size == 0:
-        raise ValueError(f"{path} holds no data rows")
-    return meta, colnames, data
-
-
 def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
     initial = " ".join(f"{k}={_fmt(v)}"
                        for k, v in sorted(curve.initial_data.items())
@@ -693,6 +669,15 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
                                  cfg.float_("s_max", positive=True),
                                  tol=cfg.float_("tol", positive=True),
                                  n_samples=cfg.int_("n_samples", minimum=3))
+    # the check verify makes of each written curve: a branch whose axis term
+    # is lost in the steps (necks far wider than s_max) passes the solver
+    threshold = _VERIFY_DEFAULT_THRESHOLD["profile_curve"]
+    for side, curve in (("right", right), ("left", left)):
+        residual = _rotational_ode_residual(curve, prof)
+        if not residual <= threshold:
+            raise NumericalError(
+                f"{side} branch has profile ODE residual {_fmt(residual)} "
+                f"above the verify threshold {_fmt(threshold)}")
     n_theta = cfg.int_("n_theta", minimum=3)
     artifacts = [_write_curve_csv(cfg, right, "curve_right.csv"),
                  _write_curve_csv(cfg, left, "curve_left.csv")]
@@ -984,7 +969,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         checks = _verify_patch((meta, colnames, data), path)
     elif colnames == "u,v,re_g,im_g":
         kind = "gauss_field"
-        field = load_gauss_field(path)
+        field = gauss_field_from_table(path, (meta, colnames, data))
         checks = {"gauss_pde_residual":
                   float(np.nanmax(np.abs(gauss_pde_residual(field))))}
     elif colnames in ("x,y,z,nx,ny,nz", "i,j,k"):

@@ -13,8 +13,9 @@ curvatures), under which the defining identity reads
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -557,6 +558,180 @@ def rotational_patch(curve: ProfileCurve, halfwidth: float,
 FLOAT = "%.16e"
 _CHUNK_ROWS = 8192
 
+# Array text.  A block of rows becomes a (rows, bytes) uint8 matrix holding
+# the text with a NUL wherever a byte is optional (the sign of a %.16e value,
+# the leading zeros of a %d value), and the NULs are dropped at the end.
+# Digits come from a table of four-digit words viewed as uint32.
+#
+# A %.16e value x = q * 10^(d-16) with q the 17-digit integer is found by
+# one correctly rounded product (or quotient) s = |x| * 10^(16-d) in long
+# double: 10^k with k <= 27 is exact in a 64-bit significand (5^27 < 2^63).
+# Below 1e17 < 2^57 the spacing u of long double is at most 2^-7, so s lies
+# within u/2 of the exact value; a fraction of s other than exactly 1/2 is
+# then at least u away from 1/2 on the same side as the exact fraction, and
+# rounding s to the nearest integer gives the correctly rounded q.  A value
+# the array code does not print (non-finite, |16-d| > 27, a fraction of
+# exactly 1/2, q outside [1e16, 1e17), a negative %d) is formatted by %.
+_EXACT_SCALING = np.finfo(np.longdouble).nmant >= 63
+_CONVERSION = re.compile(r"(%\.16e|%d)")
+_POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
+_FLOAT_BYTES = 23  # sign, digit, ".", 16 digits, "e", sign, 2 digits
+
+
+def _words(*columns) -> np.ndarray:
+    """One uint32 word per row of four byte ``columns``."""
+    rows = np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8)
+    return rows.view(np.uint32).ravel()
+
+
+_QUAD = (np.arange(10 ** 4, dtype=np.int16)[:, None]
+         // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + 48
+         ).astype(np.uint8)
+_blank = np.logical_and.accumulate(_QUAD == 48, axis=1)
+_blank[:, 3] = False
+# word 0: four NULs; word 1 + g: the four-digit group g with its leading
+# zeros as NULs (0 keeps its last digit); word 10001 + g: all four digits
+_GROUP = np.concatenate([np.zeros(1, dtype=np.uint32),
+                         _words(*np.where(_blank, 0, _QUAD).T),
+                         _words(*_QUAD.T)])
+_DIGITS = _GROUP[10001:]
+# the words of a %.16e value: sign, digit, ".", digit by 100 * signbit plus
+# the first two digits; three digits and "e" by the last three digits;
+# exponent sign and digits by exponent + 11 (the array code prints -11..43)
+_HEAD = _words(np.repeat([0, 45], 100), np.tile(_QUAD[:100, 2], 2), 46,
+               np.tile(_QUAD[:100, 3], 2))
+_LAST3 = _words(*_QUAD[:1000, 1:].T, 101)
+_exp = np.arange(-11, 44)
+_EXPONENT = _words(np.where(_exp < 0, 45, 43), 48 + abs(_exp) // 10,
+                   48 + abs(_exp) % 10, 0)
+del _QUAD, _blank, _exp
+
+
+def _float_text(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``%.16e`` of ``x`` into the byte columns ``out``; returns the
+    mask of values left to ``%``."""
+    a = np.abs(x)
+    zero = a == 0
+    ok = np.isfinite(a) & ~zero
+    a[~ok] = 1.0
+    d = np.floor(np.log10(a)).astype(np.int64)
+    ok &= (d >= -11) & (d <= 43)
+    a[~ok] = 1.0
+    al = a.astype(np.longdouble)
+    s = _scaled(al, np.where(ok, d, 0))
+    # judge s itself: 1e-7 scales to 9999999999999999.55, whose rounded
+    # value 1e16 would pass a check on q and print the wrong exponent
+    below = np.flatnonzero(s < 1e16)
+    d[below] -= 1
+    s[below] = _scaled(al[below], d[below])
+    t = s + 0.5
+    q = t.astype(np.int64)
+    # a fraction of s of exactly 1/2 makes t whole; q must have 17 digits
+    ok &= (t != q) & ((q - 10 ** 16).view(np.uint64) < 9 * 10 ** 16)
+    ok[below] &= d[below] >= -11
+    # zeros print as q = 0, d = 0; the text of other values left to % is
+    # overwritten, so any in-range q and d do
+    q[~ok] = 0
+    d[~ok] = 0
+    top, rest = np.divmod(q, 10 ** 15)
+    high, low = np.divmod(rest, 10 ** 7)
+    words = np.empty((len(x), 6), dtype=np.uint32)
+    words[:, 0] = _HEAD[np.signbit(x) * 100 + top]
+    for col, part in enumerate(np.divmod(high, 10 ** 4), 1):
+        words[:, col] = _DIGITS[part]
+    third, last = np.divmod(low, 1000)
+    words[:, 3] = _DIGITS[third]
+    words[:, 4] = _LAST3[last]
+    words[:, 5] = _EXPONENT[d + 11]
+    out[:] = words.view(np.uint8)[:, :_FLOAT_BYTES]
+    return ~(ok | zero)
+
+
+def _scaled(al: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|x| * 10^(16-d) in one rounding, for exponents d in -12..43."""
+    k = 16 - d
+    s = al * _POW10[np.clip(k, 0, 27)]
+    neg = np.flatnonzero(k < 0)
+    s[neg] = al[neg] / _POW10[-k[neg]]
+    return s
+
+
+def _int_text(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``%d`` of the non-negative ``v`` right-aligned into the byte
+    columns ``out``, leading zeros as NULs; returns the mask of values
+    left to ``%``."""
+    n = -(-out.shape[1] // 4)
+    words = np.empty((len(v), n), dtype=np.uint32)
+    for col in range(n):
+        head = v // 10 ** (4 * (n - 1 - col))
+        # all digits under a nonzero higher group; NULs for a zero group
+        # above the last
+        shown = 1 if col == n - 1 else head > 0
+        words[:, col] = _GROUP[head % 10 ** 4 + 10 ** 4 * (head >= 10 ** 4)
+                               + shown]
+    out[:] = words.view(np.uint8)[:, 4 * n - out.shape[1]:]
+    return v < 0
+
+
+def _row_plan(line: str, rows: np.ndarray):
+    """The template ``line`` as literal pieces and conversions, or None
+    where array code does not write ``rows`` with it: a conversion other
+    than %.16e and %d, a dtype that does not suit them, a literal that is
+    not plain ASCII, or a count of conversions other than the columns."""
+    pieces = _CONVERSION.split(line)
+    literals, cells = pieces[0::2], pieces[1::2]
+    dtype = rows.dtype
+    if rows.ndim != 2 or len(cells) != rows.shape[1] or not cells or any(
+            "%" in lit or not lit.isascii() or "\0" in lit or "\x01" in lit
+            for lit in literals):
+        return None
+    if FLOAT in cells and not (_EXACT_SCALING and dtype.kind == "f"
+                               and dtype.itemsize <= 8):
+        return None
+    if "%d" in cells and not (dtype.kind in "iu"
+                              and np.can_cast(dtype, np.int64)):
+        return None
+    return [np.frombuffer(lit.encode("ascii"), dtype=np.uint8)
+            for lit in literals], cells
+
+
+def _block_text(line: str, plan, chunk: np.ndarray) -> str:
+    """The text of ``chunk`` under ``line``: array code where ``plan``
+    allows, ``%`` for each value it leaves (each row without a plan)."""
+    if plan is None:
+        return "".join(line % tuple(row)
+                       for row in chunk.reshape(len(chunk), -1).tolist())
+    literals, cells = plan
+    values = [chunk[:, j].astype(np.float64 if c == FLOAT else np.int64)
+              for j, c in enumerate(cells)]
+    widths = [_FLOAT_BYTES if c == FLOAT else len(str(v.max()))
+              for c, v in zip(cells, values)]
+    block = np.empty((len(chunk), sum(map(len, literals)) + sum(widths)),
+                     dtype=np.uint8)
+    bad = np.empty((len(chunk), len(cells)), dtype=bool)
+    col = 0
+    for j, lit in enumerate(literals):
+        block[:, col:col + len(lit)] = lit
+        col += len(lit)
+        if j < len(cells):
+            out = block[:, col:col + widths[j]]
+            write = _float_text if cells[j] == FLOAT else _int_text
+            bad[:, j] = write(values[j], out)
+            # a value left to % keeps one \x01 byte, which marks its place
+            out[bad[:, j]] = 0
+            out[bad[:, j], 0] = 1
+            col += widths[j]
+    text = block.tobytes().replace(b"\0", b"").decode("ascii")
+    if not bad.any():
+        return text
+    pieces, start = [], 0
+    for i, j in zip(*np.nonzero(bad)):
+        end = text.index("\x01", start)
+        pieces += [text[start:end], cells[j] % chunk[i, j].item()]
+        start = end + 1
+    pieces.append(text[start:])
+    return "".join(pieces)
+
 
 def write_header(fh, lines: Sequence[str], prefix: str = "# ") -> None:
     """One text line per entry, each behind ``prefix``."""
@@ -567,14 +742,41 @@ def write_rows(fh, rows, sep: str = ",", prefix: str = "",
                cell: str = FLOAT) -> None:
     """One text line per row of ``rows``: ``prefix``, then the row's cells
     joined by ``sep``, each cell formatted by ``cell`` (which may take
-    several consecutive values).  Blocks of rows are formatted with a
-    single ``%`` over a repeated row template and streamed to ``fh``."""
+    several consecutive values).  Blocks of rows are written by array code
+    with the bytes of ``%`` over the row template; a value the array code
+    does not print is formatted by ``%`` itself."""
     rows = np.atleast_2d(rows)
     line = prefix + sep.join([cell] * (rows.shape[1] // cell.count("%")))
     line += "\n"
+    plan = _row_plan(line, rows)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        fh.write(_block_text(line, plan, rows[start:start + _CHUNK_ROWS]))
+
+
+def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
+    """Header comments (``key = value`` lines), column names and data matrix
+    of a CSV artifact, parsed from one open of the file."""
+    meta: Dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            stripped = line.strip()
+            if not stripped.startswith("#"):
+                colnames = stripped
+                break
+            body = stripped.lstrip("#").strip()
+            if "=" in body:
+                key, val = body.split("=", 1)
+                meta[key.strip()] = val.strip()
+        else:
+            raise ValueError(f"{path} holds no data rows")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except Exception as exc:
+            raise ValueError(f"{path} is not a readable CSV table: {exc}"
+                             ) from exc
+    if data.size == 0:
+        raise ValueError(f"{path} holds no data rows")
+    return meta, colnames, data
 
 
 def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:

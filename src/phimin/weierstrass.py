@@ -48,14 +48,15 @@ from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
 from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
-                       mean_curvature_residual, write_header, write_rows)
+                       mean_curvature_residual, read_table, write_header,
+                       write_rows)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
     "wirtinger_derivatives", "integrate_representation",
     "reconstruction_residuals", "rotational_gauss_field", "solve_bjorling",
-    "save_gauss_field", "load_gauss_field", "bjorling_to_json",
-    "bjorling_from_json",
+    "save_gauss_field", "load_gauss_field", "gauss_field_from_table",
+    "bjorling_to_json", "bjorling_from_json",
 ]
 
 TAYLOR = "taylor"
@@ -969,26 +970,23 @@ def save_gauss_field(fieldobj: GaussField, path,
 
 def load_gauss_field(path) -> GaussField:
     """Read a field written by ``save_gauss_field``."""
-    k = None
-    shape = None
-    n_skip = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            n_skip += 1
-            line = line.strip()
-            if line.startswith("# k ="):
-                k = float(line.split("=", 1)[1])
-            elif line.startswith("# shape ="):
-                shape = tuple(int(t) for t in line.split("=", 1)[1].split())
-            elif not line.startswith("#"):
-                break
-    if k is None or shape is None or len(shape) != 2:
-        raise ValueError(f"{path} lacks the field header (k and shape)")
-    raw = np.loadtxt(path, delimiter=",", skiprows=n_skip, ndmin=2)
-    nu, nv = shape
+    return gauss_field_from_table(path, read_table(path))
+
+
+def gauss_field_from_table(path, table: Tuple[Dict[str, str], str, np.ndarray]
+                           ) -> GaussField:
+    """Field from the table ``read_table(path)`` read: the ``k`` and
+    ``shape`` headers and rows of u, v, Re G, Im G."""
+    meta, _, raw = table
+    try:
+        k = float(meta["k"])
+        nu, nv = (int(t) for t in meta["shape"].split())
+    except (KeyError, ValueError):
+        raise ValueError(f"{path} lacks the field header (k and shape)"
+                         ) from None
     if raw.shape != (nu * nv, 4):
         raise ValueError(f"{path} holds {raw.shape[0]} rows with "
-                         f"{raw.shape[1] if raw.ndim == 2 else 1} columns, "
+                         f"{raw.shape[1]} columns, "
                          f"expected {nu * nv} rows of 4")
     u = raw[::nv, 0]
     v = raw[:nv, 1]

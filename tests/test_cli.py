@@ -232,6 +232,50 @@ def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
     assert opened.count(str(path)) == 1
 
 
+def test_verify_reads_a_gauss_field_once(tmp_path, monkeypatch):
+    assert main(["weierstrass", "--out", str(tmp_path), "--grid", "61x41",
+                 "--param", "s_max=4", "--param", "s_hi=3"]) == 0
+    path = tmp_path / "field.csv"
+    # the field built from the table verify holds, bit for bit as from file
+    meta, _, raw = read_csv(path)
+    nu, nv = (int(t) for t in meta["shape"].split())
+    field = cli.gauss_field_from_table(path, cli._read_csv_any(path))
+    assert field.k_param == float(meta["k"])
+    assert field.u.tobytes() == raw[::nv, 0].tobytes()
+    assert field.v.tobytes() == raw[:nv, 1].tobytes()
+    assert field.G.tobytes() == (raw[:, 2] + 1j * raw[:, 3]).reshape(
+        nu, nv).tobytes()
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", counting_open)
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert opened.count(str(path)) == 1
+    opened.clear()
+    assert main(["weierstrass", str(path), "--out", str(tmp_path / "w"),
+                 "--format", "csv"]) == 0
+    assert opened.count(str(path)) == 1
+
+
+def test_catenoid_refuses_branches_that_fail_verify(tmp_path):
+    # s_max/x0 = 4e-13 loses the axis term in the steps; the curves the
+    # solver accepts would fail verify (residuals 6.5e-2 and 0.56)
+    assert main(["catenoid", "--out", str(tmp_path / "wide"),
+                 "--param", "x0=1e13"]) == 2
+    doc = json.loads((tmp_path / "wide" / "error.json").read_text())
+    message = doc["error"]["message"]
+    assert "right branch" in message and "1.0000000000000000e-03" in message
+    assert not (tmp_path / "wide" / "curve_right.csv").exists()
+    # the stock preset passes the check and keeps its report keys
+    assert main(["catenoid", "--preset", "catenoid-exp-weight",
+                 "--format", "csv", "--out", str(tmp_path / "preset")]) == 0
+    assert sorted(read_report(tmp_path / "preset")["report"]) == [
+        "left_meta", "min_axis_distance", "right_meta", "self_intersections"]
+
+
 @pytest.mark.parametrize("x0, cause", [
     ("1e10", "never turned back up; extend s_max"),
     ("1e12", "never turned back up; extend s_max"),

@@ -1,10 +1,14 @@
+import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from phimin import make_builtin
+from phimin import make_builtin, surfaces
 from phimin.solvers import ProfileCurve, solve_bowl, solve_catenary, solve_catenoid
 from phimin.surfaces import (
     EUCLIDEAN,
@@ -22,6 +26,7 @@ from phimin.surfaces import (
     save_ply,
     second_fundamental_norm,
     tilt_cylinder,
+    write_rows,
 )
 
 LIN1 = make_builtin("linear", 1.0)
@@ -391,3 +396,132 @@ def test_cylinder_patch_matches_curve():
     assert np.allclose(patch.u[:, 0], -np.log(np.cos(patch.x)), atol=1e-8)
     with pytest.raises(ValueError):
         cylinder_patch(curve, 2.0, 0.5, 11, 11)
+
+
+# ---------------------------------------------------------------------------
+# artifact number text: write_rows against Python's % on the row template
+# ---------------------------------------------------------------------------
+
+def _written(rows, **kwargs):
+    fh = io.StringIO()
+    write_rows(fh, rows, **kwargs)
+    return fh.getvalue()
+
+
+def _percent(rows, sep=",", prefix="", cell="%.16e"):
+    rows = np.atleast_2d(rows)
+    line = prefix + sep.join([cell] * (rows.shape[1] // cell.count("%")))
+    return (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
+def _rows_of(values, ncols):
+    values = np.asarray(values, dtype=float)
+    return np.resize(values, (-(-len(values) // ncols), ncols))
+
+
+_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.lists(_BITS | st.floats() | st.floats(-1e3, 1e3),
+                       min_size=1, max_size=60),
+       ncols=st.sampled_from([1, 3, 4, 6]),
+       sep=st.sampled_from([",", " "]),
+       prefix=st.sampled_from(["", "v ", "vn "]))
+def test_write_rows_matches_percent_on_drawn_values(values, ncols, sep,
+                                                    prefix):
+    rows = _rows_of(values, ncols)
+    assert _written(rows, sep=sep, prefix=prefix) \
+        == _percent(rows, sep=sep, prefix=prefix)
+
+
+def _longdouble_halves(n=6000):
+    """Normal draws whose 17-digit scaling in long double lands exactly on
+    one half, with a flag for those whose exact fraction is not one half
+    (there long double and exact rounding may disagree)."""
+    x = np.abs(np.random.default_rng(7).standard_normal(n))
+    d = np.floor(np.log10(x)).astype(int)
+    s = x.astype(np.longdouble) * (10.0 ** (16 - d)).astype(np.longdouble)
+    low = s < 1e16
+    d[low] -= 1
+    s[low] = x[low].astype(np.longdouble) * (10.0 ** (16 - d[low])
+                                             ).astype(np.longdouble)
+    half = np.abs(s - np.rint(s)) == 0.5
+    exact = [Fraction(float(v)) * Fraction(10) ** int(16 - k) % 1
+             for v, k in zip(x[half], d[half])]
+    return x[half], [f != Fraction(1, 2) for f in exact]
+
+
+def test_write_rows_matches_percent_on_hard_cases():
+    powers = [10.0 ** k for k in range(-30, 31)]
+    hard = [np.nextafter(p, toward) for p in powers
+            for toward in (0.0, math.inf)] + powers
+    halves, inexact = _longdouble_halves()
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert any(inexact)  # long double rounding differs from exact here
+    # 18 significant digits ending in 5: exact ties, rounded half to even
+    ties = [2.0 ** -25, 3 * 2.0 ** -25, 3 * 2.0 ** -24, 5 * 2.0 ** -24]
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+               5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-7]
+    # exponents at the +-27 scaling boundary and with three digits
+    boundary = [1.2345e-11, 9.999e-12, 1e-11, 1e-12, 1.5e43, 9.99e43,
+                1e43, 1e44, 1e-100, 1e100, 1e-300, 1e300, 2.5e-310]
+    values = np.array(hard + list(halves) + ties + special + boundary)
+    values = np.concatenate([values, -values])
+    for ncols in (1, 3, 4, 6):
+        rows = _rows_of(values, ncols)
+        for sep, prefix in ((",", ""), (" ", "v "), (" ", "vn ")):
+            assert _written(rows, sep=sep, prefix=prefix) \
+                == _percent(rows, sep=sep, prefix=prefix)
+    assert "%.16e" % 1e-7 == "9.9999999999999995e-08"
+    assert _written([1e-7]) == "9.9999999999999995e-08\n"
+
+
+def test_write_rows_matches_percent_across_blocks():
+    # more rows than one block, normal data with exact zeros mixed in
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2 * surfaces._CHUNK_ROWS + 5, 3))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    rows[7, 1] = 1e-30  # one row left to %
+    # and magnitudes over every exponent the array code prints
+    spread = 10.0 ** rng.uniform(-12, 45, (10000, 3)) * rng.choice([-1, 1],
+                                                                  (10000, 3))
+    for sep, prefix in ((",", ""), (" ", "v ")):
+        for block in (rows, spread):
+            assert _written(block, sep=sep, prefix=prefix) \
+                == _percent(block, sep=sep, prefix=prefix)
+
+
+def test_write_rows_matches_percent_on_integers():
+    big = np.iinfo(np.int64).max
+    ints = np.array([[0, 1, 9], [9999, 10000, 10001], [10 ** 9 - 1, 10 ** 9,
+                     10 ** 9 + 7], [123456789012, 2 ** 40, big],
+                     [-1, 0, -(10 ** 12)], [5, 0, 0]], dtype=np.int64)
+    rng = np.random.default_rng(5)
+    drawn = rng.integers(0, 2 ** 62, (500, 3)) // rng.integers(
+        1, 10 ** 15, (500, 3))
+    for rows in (ints, drawn, ints.astype(np.int32)[[0, 1, 5]]):
+        for sep, prefix in ((",", ""), (" ", "3 ")):
+            assert _written(rows, sep=sep, prefix=prefix, cell="%d") \
+                == _percent(rows, sep=sep, prefix=prefix, cell="%d")
+        pairs = np.repeat(rows, 2, axis=1)
+        assert _written(pairs, sep=" ", prefix="f ", cell="%d//%d") \
+            == _percent(pairs, sep=" ", prefix="f ", cell="%d//%d")
+
+
+def test_write_rows_without_long_double_scaling(monkeypatch):
+    # where long double has fewer than 64 significand bits every float row
+    # goes through %; the bytes are the same
+    rows = np.array([[0.5, -2.25, 1e-7], [1e-30, 3.0, -0.0],
+                     [math.nan, 1.0, 2.0 ** -25], [6.02e23, -1e-3, 7.0]])
+    expected = _percent(rows, sep=" ", prefix="v ")
+    assert _written(rows, sep=" ", prefix="v ") == expected
+    monkeypatch.setattr(surfaces, "_EXACT_SCALING", False)
+
+    def no_array_floats(x, out):
+        raise AssertionError("array code ran without the long double gate")
+    monkeypatch.setattr(surfaces, "_float_text", no_array_floats)
+    assert _written(rows, sep=" ", prefix="v ") == expected
+    assert _written(rows[:, :2]) == _percent(rows[:, :2])
