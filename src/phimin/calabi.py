@@ -21,19 +21,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import NumericalError
 from .profiles import (WeightProfile, make_builtin, make_custom,
                        _antiderivative, _invert_monotone, _limit)
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
-                       lfe_residual, graph_mean_curvature,
-                       graph_gauss_curvature, curvature_from_derivatives)
+                       lfe_residual, _graph_curvatures,
+                       curvature_from_derivatives, staircase)
 
 __all__ = [
-    "ThetaPrimitive", "PotentialPatch", "make_theta", "dual_profile",
-    "integrate_potential", "to_lorentz", "from_lorentz",
+    "ThetaPrimitive", "PotentialPatch", "make_theta", "natural_theta",
+    "dual_profile", "integrate_potential", "to_lorentz", "from_lorentz",
 ]
 
 
@@ -51,7 +50,9 @@ class ThetaPrimitive:
     evaluates, the domain unless given: the reach of a quadrature primitive,
     and for the primitive of a dual weight the image of the source
     primitive's reach.  ``image_hint`` is the exact image of the domain,
-    known for the primitive of a dual weight (the source domain).
+    known for the primitive of a dual weight (the source domain).  ``base``
+    is the height where the primitive vanishes, None for a closed form with
+    its canonical additive constant, on which the dual weight depends.
     """
 
     value: Callable
@@ -60,6 +61,7 @@ class ThetaPrimitive:
     inverse_value: Optional[Callable] = None
     image_hint: Optional[Tuple[float, float]] = None
     reach: Optional[Tuple[float, float]] = None
+    base: Optional[float] = None
 
     def __post_init__(self):
         if self.reach is None:
@@ -96,7 +98,7 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
     Closed forms for the builtin kinds; the panel primitive otherwise.
     """
     profile.require_inside(base_point, "base point")
-    nat = _natural_theta(profile, fallback_base=base_point)
+    nat = natural_theta(profile, base_point)
     off = float(nat.value(base_point))
     return ThetaPrimitive(
         value=lambda z, _f=nat.value, _o=off: np.asarray(_f(z)) - _o,
@@ -105,15 +107,16 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
         inverse_value=(None if nat.inverse_value is None else
                        lambda t, _g=nat.inverse_value, _o=off: _g(
                            np.asarray(t, dtype=float) + _o)),
-        reach=nat.reach,
+        reach=nat.reach, base=base_point,
     )
 
 
-def _natural_theta(profile: WeightProfile, fallback_base: float
-                   ) -> ThetaPrimitive:
-    """Primitive of e^phi with the canonical additive constant for builtin
-    kinds (so dual weights take their closed forms); quadrature pinned at
-    ``fallback_base`` otherwise."""
+def natural_theta(profile: WeightProfile, base: Optional[float] = None
+                  ) -> ThetaPrimitive:
+    """Primitive of e^phi with the canonical additive constant for the
+    linear and log kinds (so dual weights take their closed forms); for
+    other kinds the panel primitive pinned to zero at ``base``, which they
+    therefore require."""
     deriv = lambda z: np.exp(np.asarray(profile.phi(z), dtype=float))
     if profile.kind == "linear":
         m = profile.params["slope"]
@@ -138,9 +141,14 @@ def _natural_theta(profile: WeightProfile, fallback_base: float
             inverse_value=lambda t, q=q: (
                 q * np.asarray(t, dtype=float)) ** (1.0 / q),
         )
-    value = _antiderivative(deriv, fallback_base, profile.domain)
+    if base is None:
+        raise ValueError(
+            f"the {profile.kind} weight has no closed-form primitive of "
+            "e^phi; its quadrature primitive needs the base height "
+            "(theta_base) where it vanishes")
+    value = _antiderivative(deriv, base, profile.domain)
     return ThetaPrimitive(value=value, derivative=deriv,
-                          domain=profile.domain, reach=value.reach)
+                          domain=profile.domain, reach=value.reach, base=base)
 
 
 def _is_natural(profile: WeightProfile, theta: ThetaPrimitive) -> bool:
@@ -155,7 +163,7 @@ def _is_natural(profile: WeightProfile, theta: ThetaPrimitive) -> bool:
         0.5 * (lo + hi)
     if math.isfinite(lo) and probe <= lo:
         probe = lo + 1.0
-    nat = _natural_theta(profile, fallback_base=probe)
+    nat = natural_theta(profile)
     a, b = float(theta(probe)), float(nat.value(probe))
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -282,23 +290,15 @@ def integrate_potential(patch: GraphPatch, profile: WeightProfile,
     genuine solution keeps passing while a non-solution keeps failing.
     """
     hxx, hxy, hyy, *_ = _hessian_fields(patch, profile)
-    x, y = patch.x, patch.y
-
-    def routes(px, py):
-        # gradient component with d/dx = px, d/dy = py
-        col = cumulative_trapezoid(px[:, 0], x, initial=0.0)
-        a = col[:, None] + cumulative_trapezoid(py, y, axis=1, initial=0.0)
-        row = cumulative_trapezoid(py[0, :], y, initial=0.0)
-        b = row[None, :] + cumulative_trapezoid(px, x, axis=0, initial=0.0)
-        return 0.5 * (a + b), float(np.max(np.abs(a - b)))
-
-    phi_x, dis_x = routes(hxx, hxy)
-    phi_y, dis_y = routes(hxy, hyy)
-    disagreement = max(dis_x, dis_y)
+    ax, bx = staircase(hxx, hxy, patch.hx, patch.hy)
+    ay, by = staircase(hxy, hyy, patch.hx, patch.hy)
+    phi_x, phi_y = 0.5 * (ax + bx), 0.5 * (ay + by)
+    disagreement = max(float(np.max(np.abs(ax - bx))),
+                       float(np.max(np.abs(ay - by))))
 
     if tol is None:
         hess_scale = max(float(np.max(np.abs(f))) for f in (hxx, hxy, hyy))
-        extent = (x[-1] - x[0]) + (y[-1] - y[0])
+        extent = (patch.x[-1] - patch.x[0]) + (patch.y[-1] - patch.y[0])
         tol = 25.0 * (patch.hx ** 2 + patch.hy ** 2) * hess_scale * \
             max(1.0, extent)
     if disagreement > tol:
@@ -306,7 +306,7 @@ def integrate_potential(patch: GraphPatch, profile: WeightProfile,
             f"potential system is not integrable on this patch "
             f"(path disagreement {disagreement:.3e} > {tol:.3e}); "
             f"the heights do not solve the graph equation")
-    return PotentialPatch(x=x, y=y, phi_x=phi_x, phi_y=phi_y,
+    return PotentialPatch(x=patch.x, y=patch.y, phi_x=phi_x, phi_y=phi_y,
                           meta={"path_disagreement": disagreement,
                                 "tol": tol,
                                 "signature": patch.signature})
@@ -352,8 +352,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
 
     theta = patch.meta.get("theta_hint")
     if not isinstance(theta, ThetaPrimitive):
-        theta = _natural_theta(profile,
-                               fallback_base=float(np.min(patch.u)))
+        theta = natural_theta(profile, float(np.min(patch.u)))
     dual, dual_theta = dual_profile(profile, theta)
 
     det = hxx * hyy - hxy ** 2
@@ -459,6 +458,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
 
     _verify(out, dual, patch, profile, su, px, py, u_src)
     out.meta["theta_hint"] = dual_theta
+    out.meta["theta_base"] = theta.base
     out.meta["origin_hint"] = (float(px[0]), float(py[0]))
     out.meta["dual_kind"] = dual.kind
     out.meta["path_disagreement"] = pot.meta["path_disagreement"]
@@ -494,8 +494,7 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
 
     # curvature relations at matched points: the factors e^{-phi} W^2 and
     # e^{-2 phi} W^4 are evaluated on the source side
-    h_dst = graph_mean_curvature(out)
-    k_dst = graph_gauss_curvature(out)
+    h_dst, k_dst = _graph_curvatures(out)
     suxx = su(px, py, dx=2, grid=False).reshape(nx, ny)
     suyy = su(px, py, dy=2, grid=False).reshape(nx, ny)
     suxy = su(px, py, dx=1, dy=1, grid=False).reshape(nx, ny)

@@ -31,8 +31,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .calabi import _natural_theta  # in-package reuse for header round trips
-from .calabi import dual_profile, from_lorentz, make_theta, to_lorentz
+from .calabi import (dual_profile, from_lorentz, make_theta, natural_theta,
+                     to_lorentz)
 from .errors import NumericalError
 from .profiles import (ProfileError, WeightProfile, expression_callable,
                        make_builtin, make_custom)
@@ -41,11 +41,11 @@ from .solvers import (CATENARY_GRAPH, ProfileCurve, compute_lambda,
                       fit_asymptotics, solve_bowl, solve_catenary,
                       solve_catenoid)
 from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
-                       SurfaceMesh, cylinder_patch, fe_residual, lfe_residual,
-                       mean_curvature_residual, revolve, rotational_patch,
-                       save_obj, save_ply, tilt_cylinder, write_header,
-                       write_rows)
-from .surfaces import read_table as _read_csv_any
+                       SurfaceMesh, cylinder_patch, fe_residual,
+                       grid_from_table, grid_rows, lfe_residual,
+                       mean_curvature_residual, read_table, revolve,
+                       rotational_patch, save_obj, save_ply, tilt_cylinder,
+                       write_table)
 from .weierstrass import (bjorling_from_json, gauss_field_from_table,
                           gauss_pde_residual, integrate_representation,
                           load_gauss_field, reconstruction_residuals,
@@ -429,14 +429,6 @@ def _artifact_comments(cfg: RunConfig, kind: str,
     return lines
 
 
-def _write_csv(path: Path, comments: Sequence[str], header: str,
-               data: np.ndarray, cell: str = FLOAT) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_header(fh, comments)
-        write_header(fh, [header], prefix="")
-        write_rows(fh, data, cell=cell)
-
-
 def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
     initial = " ".join(f"{k}={_fmt(v)}"
                        for k, v in sorted(curve.initial_data.items())
@@ -446,48 +438,35 @@ def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
     if initial:
         extra.append(f"initial = {initial}")
     data = np.column_stack([curve.s, curve.x, curve.z, curve.theta])
-    _write_csv(cfg.out_dir / name,
-               _artifact_comments(cfg, "profile_curve", extra),
-               "s,x,z,theta", data)
+    write_table(cfg.out_dir / name,
+                _artifact_comments(cfg, "profile_curve", extra),
+                "s,x,z,theta", data)
     return name
 
 
 def _write_patch_csv(cfg: RunConfig, patch: GraphPatch, name: str,
                      profile_line: str, extra: Sequence[str] = ()) -> str:
-    nx, ny = len(patch.x), len(patch.y)
+    shape, rows = grid_rows(patch.x, patch.y, patch.u)
     comments = [f"signature = {patch.signature}",
-                f"profile = {profile_line}",
-                f"shape = {nx} {ny}"]
-    comments.extend(extra)
-    X = np.repeat(patch.x, ny)
-    Y = np.tile(patch.y, nx)
-    data = np.column_stack([X, Y, patch.u.reshape(-1)])
-    _write_csv(cfg.out_dir / name,
-               _artifact_comments(cfg, "graph_patch", comments),
-               "x,y,u", data)
+                f"profile = {profile_line}", shape, *extra]
+    write_table(cfg.out_dir / name,
+                _artifact_comments(cfg, "graph_patch", comments), "x,y,u",
+                rows)
     return name
 
 
 def _patch_from_csv(path: Path, table: Tuple[Dict[str, str], str, np.ndarray]
                     ) -> Tuple[GraphPatch, Dict[str, str]]:
-    """Graph patch and headers from the table ``_read_csv_any(path)`` read."""
+    """Graph patch and headers from the table ``read_table(path)`` read."""
     meta, colnames, data = table
     if colnames != "x,y,u":
         raise ValueError(f"{path} is not a graph patch artifact "
                          f"(columns {colnames!r})")
-    shape = meta.get("shape", "").split()
-    if len(shape) != 2:
-        raise ValueError(f"{path} lacks the shape header")
-    nx, ny = int(shape[0]), int(shape[1])
-    if data.shape != (nx * ny, 3):
-        raise ValueError(f"{path} holds {data.shape[0]} rows, "
-                         f"expected {nx * ny}")
+    x, y, (u,) = grid_from_table(path, meta, data)
     signature = meta.get("signature", "")
     if signature not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"{path} lacks a valid signature header")
-    patch = GraphPatch(data[::ny, 0], data[:ny, 1],
-                       data[:, 2].reshape(nx, ny), signature=signature)
-    return patch, meta
+    return GraphPatch(x, y, u, signature=signature), meta
 
 
 def _write_mesh(cfg: RunConfig, mesh: SurfaceMesh, stem: str,
@@ -500,12 +479,12 @@ def _write_mesh(cfg: RunConfig, mesh: SurfaceMesh, stem: str,
     if fmt == "ply":
         save_ply(mesh, cfg.out_dir / f"{stem}.ply", comments=comments)
         return [f"{stem}.ply"]
-    _write_csv(cfg.out_dir / f"{stem}.csv",
-               comments + [f"signature = {mesh.signature}"],
-               "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))
-    _write_csv(cfg.out_dir / f"{stem}_faces.csv",
-               _artifact_comments(cfg, "mesh_faces", extra), "i,j,k",
-               mesh.faces, cell="%d")
+    write_table(cfg.out_dir / f"{stem}.csv",
+                comments + [f"signature = {mesh.signature}"],
+                "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))
+    write_table(cfg.out_dir / f"{stem}_faces.csv",
+                _artifact_comments(cfg, "mesh_faces", extra), "i,j,k",
+                mesh.faces, cell="%d")
     return [f"{stem}.csv", f"{stem}_faces.csv"]
 
 
@@ -561,19 +540,6 @@ def _finish(cfg: RunConfig, artifacts: list, report: dict) -> None:
 # patch-side weight reconstruction from artifact headers
 # ---------------------------------------------------------------------------
 
-def _theta_for_source(source: WeightProfile, theta_base: str):
-    if theta_base == "natural":
-        lo, hi = source.domain
-        if math.isfinite(lo):
-            probe = lo + 1.0
-        elif math.isfinite(hi):
-            probe = hi - 1.0
-        else:
-            probe = 0.0
-        return _natural_theta(source, fallback_base=probe)
-    return make_theta(source, float(theta_base))
-
-
 def _patch_weight_from_header(meta: Dict[str, str], path: Path
                               ) -> Tuple[WeightProfile, Optional[object]]:
     """Patch-side weight and, for transformed patches, the primitive hint."""
@@ -583,19 +549,12 @@ def _patch_weight_from_header(meta: Dict[str, str], path: Path
                          "residual oracle for it")
     if text.startswith("dual-of "):
         source = profile_from_spec(text[len("dual-of "):])
-        theta = _theta_for_source(source, meta.get("theta_base", "natural"))
-        dual, dual_theta = dual_profile(source, theta)
-        return dual, dual_theta
+        # the primitive that made the patch: "natural" names the closed form
+        # with its canonical constant, a number the height it vanishes at
+        base = meta.get("theta_base", "natural")
+        return dual_profile(source, natural_theta(source) if base == "natural"
+                            else make_theta(source, float(base)))
     return profile_from_spec(text), None
-
-
-def _restore_hints(patch: GraphPatch, meta: Dict[str, str],
-                   theta_hint) -> None:
-    if theta_hint is not None:
-        patch.meta["theta_hint"] = theta_hint
-    hint = meta.get("origin_hint", "").split()
-    if len(hint) == 2:
-        patch.meta["origin_hint"] = (float(hint[0]), float(hint[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +680,12 @@ def _cmd_tilt(cfg: RunConfig) -> int:
     return 0
 
 
+# the verification report of a transform, as both calabi commands give it
+_TRANSFORM_REPORT = ("residual_max", "gradient_pairing_max", "hh_abs_max",
+                     "hh_rel_max", "kk_abs_max", "path_disagreement",
+                     "newton_iters")
+
+
 def _cmd_calabi_l3(cfg: RunConfig) -> int:
     prof = cfg.profile()
     nx, ny = cfg.grid()
@@ -749,34 +714,33 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
         profile_line = f"dual-of {spec}"
     extra = [f"source_profile = {spec}"]
     if profile_line.startswith("dual-of "):
-        base = ("natural" if prof.kind != "custom"
-                else _fmt(float(np.min(patch.u))))
-        extra.append(f"theta_base = {base}")
-    hint = lor.meta.get("origin_hint")
-    if hint is not None:
-        extra.append(f"origin_hint = {_fmt(hint[0])} {_fmt(hint[1])}")
+        base = lor.meta["theta_base"]
+        extra.append("theta_base = "
+                     + ("natural" if base is None else _fmt(base)))
+    extra.append("origin_hint = "
+                 + " ".join(map(_fmt, lor.meta["origin_hint"])))
     artifacts.append(_write_patch_csv(cfg, lor, "lorentz.csv",
                                       profile_line, extra))
     report = {"patch": patch_kind,
               "dual_kind": dual.kind,
               "source_shape": [len(patch.x), len(patch.y)],
-              "lorentz_shape": [len(lor.x), len(lor.y)]}
-    for key in ("residual_max", "gradient_pairing_max", "hh_abs_max",
-                "hh_rel_max", "kk_abs_max", "path_disagreement",
-                "newton_iters"):
-        report[key] = _jsonable(lor.meta[key])
+              "lorentz_shape": [len(lor.x), len(lor.y)],
+              **{key: _jsonable(lor.meta[key]) for key in _TRANSFORM_REPORT}}
     _finish(cfg, artifacts, report)
     return 0
 
 
 def _cmd_calabi_r3(cfg: RunConfig) -> int:
     in_path = cfg.input_path("input", "Lorentzian patch CSV")
-    patch, meta = _patch_from_csv(in_path, _read_csv_any(in_path))
+    patch, meta = _patch_from_csv(in_path, read_table(in_path))
     if patch.signature != LORENTZIAN:
         raise ValueError(f"{in_path} is not a Lorentzian patch; "
                          "calabi-to-r3 transforms spacelike graphs back")
-    weight, theta_hint = _patch_weight_from_header(meta, in_path)
-    _restore_hints(patch, meta, theta_hint)
+    weight, patch.meta["theta_hint"] = _patch_weight_from_header(meta,
+                                                                  in_path)
+    hint = meta.get("origin_hint", "").split()
+    if len(hint) == 2:
+        patch.meta["origin_hint"] = (float(hint[0]), float(hint[1]))
     back, back_weight = from_lorentz(patch, weight,
                                      tol=cfg.maybe_float("path_tol",
                                                          positive=True))
@@ -787,25 +751,19 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
         source = meta["profile"]
         profile_line = (source[len("dual-of "):]
                         if source.startswith("dual-of ") else "unserialized")
-    extra = []
-    hint = back.meta.get("origin_hint")
-    if hint is not None:
-        extra.append(f"origin_hint = {_fmt(hint[0])} {_fmt(hint[1])}")
+    origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
     artifacts = [_write_patch_csv(cfg, back, "roundtrip.csv",
-                                  profile_line, extra)]
+                                  profile_line, [origin])]
     report = {"recovered_kind": back_weight.kind,
-              "recovered_shape": [len(back.x), len(back.y)]}
-    for key in ("residual_max", "gradient_pairing_max", "hh_abs_max",
-                "hh_rel_max", "kk_abs_max", "path_disagreement",
-                "newton_iters"):
-        report[key] = _jsonable(back.meta[key])
+              "recovered_shape": [len(back.x), len(back.y)],
+              **{key: _jsonable(back.meta[key]) for key in _TRANSFORM_REPORT}}
 
     source_text = cfg.text("source")
     source_path = (Path(source_text) if source_text
                    else in_path.parent / "source.csv")
     if source_path.exists():
         source_patch, _ = _patch_from_csv(source_path,
-                                          _read_csv_any(source_path))
+                                          read_table(source_path))
         report["source"] = str(source_path)
         report["roundtrip_sup_difference"] = _fmt(
             _patch_sup_difference(back, source_patch))
@@ -835,6 +793,11 @@ def _patch_sup_difference(a: GraphPatch, b: GraphPatch) -> float:
         vals = sign * spl(xg, yg)
         diff = vals if diff is None else diff + vals
     return float(np.max(np.abs(diff)))
+
+
+# the verification report of a reconstructed surface
+_MESH_REPORT = ("path_disagreement", "conformal_defect", "gauss_map_defect",
+                "mean_curvature_residual")
 
 
 def _cmd_weierstrass(cfg: RunConfig) -> int:
@@ -871,10 +834,8 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
               "pde_residual_max": _fmt(residual),
               "identity_residuals": {
                   key: _fmt(np.nanmax(np.abs(val)))
-                  for key, val in sorted(identities.items())}}
-    for key in ("path_disagreement", "conformal_defect", "gauss_map_defect",
-                "mean_curvature_residual"):
-        report[key] = _jsonable(mesh.meta[key])
+                  for key, val in sorted(identities.items())},
+              **{key: _jsonable(mesh.meta[key]) for key in _MESH_REPORT}}
     _finish(cfg, artifacts, report)
     return 0
 
@@ -899,9 +860,8 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
         mesh = integrate_representation(field)
         artifacts += _write_mesh(cfg, mesh, "surface",
                                  [f"k = {_fmt(k)}"])
-        for key in ("path_disagreement", "conformal_defect",
-                    "gauss_map_defect", "mean_curvature_residual"):
-            report[key] = _jsonable(mesh.meta[key])
+        report.update((key, _jsonable(mesh.meta[key]))
+                      for key in _MESH_REPORT)
     _finish(cfg, artifacts, report)
     return 0
 
@@ -960,7 +920,7 @@ def _verify_patch(table: Tuple[Dict[str, str], str, np.ndarray],
 
 def _cmd_verify(cfg: RunConfig) -> int:
     path = cfg.input_path("input", "artifact CSV")
-    meta, colnames, data = _read_csv_any(path)
+    meta, colnames, data = read_table(path)
     if colnames == "s,x,z,theta":
         kind = "profile_curve"
         checks = _verify_curve(meta, data, path)

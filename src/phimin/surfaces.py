@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .profiles import WeightProfile
@@ -154,6 +155,21 @@ def _grid_faces(nx: int, ny: int) -> np.ndarray:
     return np.concatenate([t1, t2])
 
 
+def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
+              i0: int = 0, j0: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Both staircase routes of the trapezoid path integral of
+    ``p dx + q dy`` from node (i0, j0) of a uniform grid to every node.
+
+    Route A runs along x on the row j0 and then along y; route B along y on
+    the column i0 and then along x.  The routes agree up to quadrature
+    error exactly where the form is closed."""
+    cx = cumulative_trapezoid(p, dx=hx, axis=0, initial=0.0)
+    cy = cumulative_trapezoid(q, dx=hy, axis=1, initial=0.0)
+    a = (cx[:, j0] - cx[i0, j0])[:, None] + (cy - cy[:, j0][:, None])
+    b = (cy[i0, :] - cy[i0, j0])[None, :] + (cx - cx[i0, :][None, :])
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # surface constructions
 # ---------------------------------------------------------------------------
@@ -277,8 +293,9 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
 # graph-equation residuals (independent finite-difference oracles)
 # ---------------------------------------------------------------------------
 
-def _interior_derivatives(patch: GraphPatch):
-    u, hx, hy = patch.u, patch.hx, patch.hy
+def _interior_derivatives(u: np.ndarray, hx: float, hy: float):
+    """Node values and second-order central differences (u_x, u_y, u_xx,
+    u_yy, u_xy) of ``u`` on the interior nodes of its grid."""
     c = u[1:-1, 1:-1]
     ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2 * hx)
     uy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2 * hy)
@@ -293,14 +310,7 @@ def fe_residual(patch: GraphPatch, profile: WeightProfile) -> np.ndarray:
     (1+u_x^2) u_yy + (1+u_y^2) u_xx - 2 u_x u_y u_xy - dphi(u) W^2,
     W^2 = 1 + u_x^2 + u_y^2, by central differences.  NaN on the border.
     """
-    c, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch)
-    w2 = 1.0 + ux ** 2 + uy ** 2
-    res = ((1.0 + ux ** 2) * uyy + (1.0 + uy ** 2) * uxx
-           - 2.0 * ux * uy * uxy
-           - np.asarray(profile.dphi(c), dtype=float) * w2)
-    out = np.full_like(patch.u, math.nan)
-    out[1:-1, 1:-1] = res
-    return out
+    return _graph_residual(patch, profile, 1.0)
 
 
 def lfe_residual(patch: GraphPatch, profile: WeightProfile) -> np.ndarray:
@@ -310,15 +320,22 @@ def lfe_residual(patch: GraphPatch, profile: WeightProfile) -> np.ndarray:
 
     Raises when the spacelike condition fails at any interior stencil node.
     """
-    c, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch)
-    w2 = 1.0 - ux ** 2 - uy ** 2
+    return _graph_residual(patch, profile, -1.0)
+
+
+def _graph_residual(patch: GraphPatch, profile: WeightProfile,
+                    s: float) -> np.ndarray:
+    """The graph equation's residual for the sign ``s`` of the ambient form
+    (1 Euclidean, -1 Lorentzian); multiplying by s = +-1 is exact."""
+    c, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch.u, patch.hx,
+                                                     patch.hy)
+    w2 = 1.0 + s * ux ** 2 + s * uy ** 2
     if np.any(w2 <= 0.0):
         raise ValueError("patch is not spacelike on the residual stencil")
-    res = ((1.0 - ux ** 2) * uyy + (1.0 - uy ** 2) * uxx
-           + 2.0 * ux * uy * uxy
-           + np.asarray(profile.dphi(c), dtype=float) * w2)
     out = np.full_like(patch.u, math.nan)
-    out[1:-1, 1:-1] = res
+    out[1:-1, 1:-1] = ((1.0 + s * ux ** 2) * uyy + (1.0 + s * uy ** 2) * uxx
+                       - 2.0 * s * ux * uy * uxy
+                       - s * np.asarray(profile.dphi(c), dtype=float) * w2)
     return out
 
 
@@ -347,7 +364,8 @@ def curvature_from_derivatives(signature: str, ux, uy, uxx, uyy, uxy
 
 
 def _graph_curvatures(patch: GraphPatch) -> Tuple[np.ndarray, np.ndarray]:
-    _, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch)
+    _, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch.u, patch.hx,
+                                                     patch.hy)
     if patch.signature == LORENTZIAN and np.any(
             1.0 - ux ** 2 - uy ** 2 <= 0.0):
         raise ValueError("patch is not spacelike on the stencil")
@@ -753,9 +771,20 @@ def write_rows(fh, rows, sep: str = ",", prefix: str = "",
         fh.write(_block_text(line, plan, rows[start:start + _CHUNK_ROWS]))
 
 
+def write_table(path, comments: Sequence[str], header: str,
+                data: np.ndarray, cell: str = FLOAT) -> None:
+    """CSV artifact: ``# key = value`` comment lines, the column line, then
+    one row of ``data`` per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_header(fh, comments)
+        write_header(fh, [header], prefix="")
+        write_rows(fh, data, cell=cell)
+
+
 def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
     """Header comments (``key = value`` lines), column names and data matrix
-    of a CSV artifact, parsed from one open of the file."""
+    of a CSV artifact, parsed from one open of the file.  Every row must
+    hold one value per name on the column line."""
     meta: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -776,7 +805,36 @@ def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
                              ) from exc
     if data.size == 0:
         raise ValueError(f"{path} holds no data rows")
+    width = len(colnames.split(","))
+    if data.shape[1] != width:
+        raise ValueError(f"{path} has rows of {data.shape[1]} values under "
+                         f"the {width} columns {colnames!r}")
     return meta, colnames, data
+
+
+def grid_rows(x: np.ndarray, y: np.ndarray, *values: np.ndarray
+              ) -> Tuple[str, np.ndarray]:
+    """The ``shape = n m`` header line and the rows x, y, values... of a
+    grid table, row-major over (x, y); each of ``values`` is (n, m)."""
+    return (f"shape = {len(x)} {len(y)}",
+            np.column_stack([np.repeat(x, len(y)), np.tile(y, len(x)),
+                             *(np.reshape(v, -1) for v in values)]))
+
+
+def grid_from_table(path, meta: Dict[str, str], data: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, list]:
+    """Axes and value grids of a table written from ``grid_rows`` under a
+    ``shape = n m`` header: x, y and one (n, m) array per further column."""
+    try:
+        nx, ny = (int(t) for t in meta["shape"].split())
+    except (KeyError, ValueError):
+        raise ValueError(f"{path} lacks a valid shape header (shape = n m)"
+                         ) from None
+    if min(nx, ny) < 1 or len(data) != nx * ny:
+        raise ValueError(f"{path} holds {len(data)} rows, expected {nx} x "
+                         f"{ny} = {nx * ny}")
+    return (data[::ny, 0], data[:ny, 1],
+            [data[:, j].reshape(nx, ny) for j in range(2, data.shape[1])])
 
 
 def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:

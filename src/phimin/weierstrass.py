@@ -48,8 +48,9 @@ from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
 from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
-                       mean_curvature_residual, read_table, write_header,
-                       write_rows)
+                       _interior_derivatives, grid_from_table, grid_rows,
+                       mean_curvature_residual, read_table, staircase,
+                       write_table)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
@@ -68,6 +69,10 @@ _UNIT_CIRCLE_TOL = 1e-12
 # Representation integrands are refused (rather than clamped) when the
 # denominator drops below this anywhere on the grid.
 _SINGULAR_LOCUS_TOL = 1e-8
+# Upper bounds on Cauchy data, checked before any series work, whose cost
+# grows steeply with the truncation degree and the coefficients per row.
+MAX_DEGREE = 32
+MAX_TERMS = 64
 
 
 def _uniform_spacing(grid: np.ndarray, name: str) -> float:
@@ -104,8 +109,8 @@ class GaussField:
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.G = np.asarray(self.G, dtype=complex)
-        self._hu = _uniform_spacing(self.u, "u")
-        self._hv = _uniform_spacing(self.v, "v")
+        self.hu = _uniform_spacing(self.u, "u")
+        self.hv = _uniform_spacing(self.v, "v")
         if self.G.shape != (len(self.u), len(self.v)):
             raise ValueError("G must have shape (len(u), len(v))")
         if not np.all(np.isfinite(self.G.real) & np.isfinite(self.G.imag)):
@@ -125,14 +130,6 @@ class GaussField:
             raise ValueError(
                 f"|G| = 1 at {int(bad.sum())} interior node(s): the "
                 "representation denominators 1 - |G|^4 vanish there")
-
-    @property
-    def hu(self) -> float:
-        return self._hu
-
-    @property
-    def hv(self) -> float:
-        return self._hv
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -170,15 +167,10 @@ def gauss_pde_residual(field: GaussField) -> np.ndarray:
     reconstruction and the Cauchy solver are both checked against.
     """
     G, k = field.G, field.k_param
-    hu, hv = field.hu, field.hv
-    c = G[1:-1, 1:-1]
+    c, gu, gv, guu, gvv, _ = _interior_derivatives(G, field.hu, field.hv)
     D = 1.0 - np.abs(c) ** 4
     if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
         raise NumericalError("|G| = 1 at a stencil node")
-    guu = (G[2:, 1:-1] - 2.0 * c + G[:-2, 1:-1]) / hu ** 2
-    gvv = (G[1:-1, 2:] - 2.0 * c + G[1:-1, :-2]) / hv ** 2
-    gu = (G[2:, 1:-1] - G[:-2, 1:-1]) / (2.0 * hu)
-    gv = (G[1:-1, 2:] - G[1:-1, :-2]) / (2.0 * hv)
     gz = 0.5 * (gu - 1j * gv)
     gzb = 0.5 * (gu + 1j * gv)
     out = np.full_like(G, np.nan + 1j * np.nan)
@@ -191,21 +183,6 @@ def gauss_pde_residual(field: GaussField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reconstruction from a sampled field
 # ---------------------------------------------------------------------------
-
-def _route_integrals(w: np.ndarray, hu: float, hv: float, ib: int, jb: int
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Re of the path integral of ``w dzeta`` from node (ib, jb), two routes.
-
-    Route A walks along u at v = v[jb] and then along v; route B swaps the
-    order.  Only the real part of the integral is path independent for a
-    solution field, and only it is returned.
-    """
-    cu = cumulative_trapezoid(w, dx=hu, axis=0, initial=0.0)
-    cv = cumulative_trapezoid(1j * w, dx=hv, axis=1, initial=0.0)
-    ra = (cu[:, jb] - cu[ib, jb])[:, None] + (cv - cv[:, jb][:, None])
-    rb = (cv[ib, :] - cv[ib, jb])[None, :] + (cu - cu[ib, :][None, :])
-    return ra.real, rb.real
-
 
 def _locate_base(field: GaussField, base: Optional[complex]) -> Tuple[int, int]:
     if base is None:
@@ -303,23 +280,24 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     w2 = 1j * gbz * (1.0 + G ** 2) / D
     w3 = gbz * G / D
 
+    def routes(w):
+        # only the real part of the integral of w dzeta is path independent
+        a, b = staircase(w, 1j * w, hu, hv, ib, jb)
+        return a.real, b.real
+
     if k == 1.0:
-        parts_a, parts_b = [], []
-        for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0)):
-            ra, rb = _route_integrals(w, hu, hv, ib, jb)
-            parts_a.append(s * ra)
-            parts_b.append(s * rb)
-        psi = [0.5 * (a + b) for a, b in zip(parts_a, parts_b)]
-        disagreement = max(float(np.abs(a - b).max())
-                           for a, b in zip(parts_a, parts_b))
+        parts = [[s * r for r in routes(w)]
+                 for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0))]
+        psi = [0.5 * (a + b) for a, b in parts]
+        disagreement = max(float(np.abs(a - b).max()) for a, b in parts)
     else:
-        r3a, r3b = _route_integrals(w3, hu, hv, ib, jb)
+        r3a, r3b = routes(w3)
         gamma_a = np.exp(4.0 * (k - 1.0) * r3a)
         gamma_b = np.exp(4.0 * (k - 1.0) * r3b)
         gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
         vertical = 2.0 * k / (k - 1.0)
-        q1a, q1b = _route_integrals(w1 * gamma, hu, hv, ib, jb)
-        q2a, q2b = _route_integrals(w2 * gamma, hu, hv, ib, jb)
+        q1a, q1b = routes(w1 * gamma)
+        q2a, q2b = routes(w2 * gamma)
         psi = [2.0 * k * (q1a + q1b), 2.0 * k * (q2a + q2b),
                vertical * gamma]
         disagreement = max(
@@ -436,9 +414,7 @@ def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
     p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
     fh = p1 - 1j * p2
 
-    gu = np.gradient(G, hu, axis=0, edge_order=2)
-    gv = np.gradient(G, hv, axis=1, edge_order=2)
-    gzb = 0.5 * (gu + 1j * gv)
+    _, gzb = wirtinger_derivatives(GaussField(u, v, G, k))
     D = 1.0 - np.abs(G) ** 4
     dphi = np.ones_like(points[..., 2]) if k == 1.0 \
         else (2.0 / (k - 1.0)) / points[..., 2]
@@ -753,13 +729,16 @@ class BjorlingData:
         self.beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         self.normal = np.atleast_2d(np.asarray(self.normal, dtype=float))
         for name, arr in (("beta", self.beta), ("normal", self.normal)):
-            if arr.shape[0] != 3 or arr.shape[1] < 1:
-                raise ValueError(f"{name} must have shape (3, n_terms)")
+            if arr.shape[0] != 3 or not 1 <= arr.shape[1] <= MAX_TERMS:
+                raise ValueError(f"{name} must have shape (3, n_terms) with "
+                                 f"1 <= n_terms <= {MAX_TERMS}, got "
+                                 f"{arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite coefficients")
         self.degree = int(self.degree)
-        if self.degree < 2:
-            raise ValueError("series degree must be at least 2")
+        if not 2 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"series degree must lie in 2..{MAX_DEGREE}, "
+                             f"got {self.degree}")
         if self.curve_kind == TAYLOR:
             if not self.s_halfwidth > 0:
                 raise ValueError("taylor data need s_halfwidth > 0")
@@ -817,8 +796,7 @@ class BjorlingData:
 
 def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
                    n_u: int = 201, n_v: int = 201,
-                   residual_tol: float = 1e-3,
-                   resolution: Optional[int] = None) -> GaussField:
+                   residual_tol: float = 1e-3) -> GaussField:
     """Grow the Gauss field off a curve with prescribed surface normal.
 
     The curve and normal determine the field and its first transverse
@@ -850,9 +828,8 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
         raise ValueError("halfwidth must be positive")
     if n_u < 3 or n_v < 3:
         raise ValueError("evaluation grid needs at least 3 nodes per axis")
-    if resolution is None:
-        resolution = 2 * data.degree + 9 + max(data.beta.shape[1],
-                                               data.normal.shape[1])
+    resolution = 2 * data.degree + 9 + max(data.beta.shape[1],
+                                           data.normal.shape[1])
 
     b, vfield = data.series_triples(resolution)
     sgrid = data.sample_grid(max(n_u, 129))
@@ -956,16 +933,10 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
 def save_gauss_field(fieldobj: GaussField, path,
                      comments: Sequence[str] = ()) -> None:
     """Write a field as CSV columns (u, v, Re G, Im G), row-major in u."""
-    nu, nv = fieldobj.shape
-    uu = np.repeat(fieldobj.u, nv)
-    vv = np.tile(fieldobj.v, nu)
-    flat = fieldobj.G.reshape(-1)
-    data = np.column_stack([uu, vv, flat.real, flat.imag])
-    with open(path, "w", encoding="utf-8") as fh:
-        write_header(fh, [*comments, f"k = {FLOAT % float(fieldobj.k_param)}",
-                          f"shape = {nu} {nv}"])
-        write_header(fh, ["u,v,re_g,im_g"], prefix="")
-        write_rows(fh, data)
+    shape, rows = grid_rows(fieldobj.u, fieldobj.v, fieldobj.G.real,
+                            fieldobj.G.imag)
+    write_table(path, [*comments, f"k = {FLOAT % float(fieldobj.k_param)}",
+                       shape], "u,v,re_g,im_g", rows)
 
 
 def load_gauss_field(path) -> GaussField:
@@ -977,21 +948,17 @@ def gauss_field_from_table(path, table: Tuple[Dict[str, str], str, np.ndarray]
                            ) -> GaussField:
     """Field from the table ``read_table(path)`` read: the ``k`` and
     ``shape`` headers and rows of u, v, Re G, Im G."""
-    meta, _, raw = table
+    meta, colnames, raw = table
+    if colnames != "u,v,re_g,im_g":
+        raise ValueError(f"{path} is not a Gauss field artifact "
+                         f"(columns {colnames!r})")
     try:
         k = float(meta["k"])
-        nu, nv = (int(t) for t in meta["shape"].split())
     except (KeyError, ValueError):
-        raise ValueError(f"{path} lacks the field header (k and shape)"
-                         ) from None
-    if raw.shape != (nu * nv, 4):
-        raise ValueError(f"{path} holds {raw.shape[0]} rows with "
-                         f"{raw.shape[1]} columns, "
-                         f"expected {nu * nv} rows of 4")
-    u = raw[::nv, 0]
-    v = raw[:nv, 1]
-    G = (raw[:, 2] + 1j * raw[:, 3]).reshape(nu, nv)
-    return GaussField(u=u, v=v, G=G, k_param=k, meta={"source": str(path)})
+        raise ValueError(f"{path} lacks a valid k header") from None
+    u, v, (re_g, im_g) = grid_from_table(path, meta, raw)
+    return GaussField(u=u, v=v, G=re_g + 1j * im_g, k_param=k,
+                      meta={"source": str(path)})
 
 
 def bjorling_to_json(data: BjorlingData, k: float) -> str:
@@ -1015,16 +982,30 @@ def bjorling_from_json(text: str) -> Tuple[BjorlingData, float]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid Cauchy-data document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("Cauchy-data document must be a JSON object")
     for key in ("curve_kind", "k", "beta", "normal"):
         if key not in doc:
             raise ValueError(f"Cauchy-data document lacks the {key!r} entry")
-    data = BjorlingData(
-        curve_kind=doc["curve_kind"],
-        beta=np.asarray(doc["beta"], dtype=float),
-        normal=np.asarray(doc["normal"], dtype=float),
-        degree=int(doc.get("degree", 12)),
-        center=float(doc.get("center", 0.0)),
-        s_halfwidth=float(doc.get("s_halfwidth", 1.0)),
-        period=float(doc.get("period", 0.0)),
-    )
-    return data, float(doc["k"])
+    numbers = {"k": doc["k"], "degree": doc.get("degree", 12),
+               "center": doc.get("center", 0.0),
+               "s_halfwidth": doc.get("s_halfwidth", 1.0),
+               "period": doc.get("period", 0.0)}
+    for key, value in numbers.items():
+        try:
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or key == "degree" and value % 1:
+                raise TypeError
+            numbers[key] = float(value)
+        except (TypeError, OverflowError):
+            kind = "an integer" if key == "degree" else "a number"
+            raise ValueError(f"Cauchy-data entry {key!r} must be {kind}, "
+                             f"got {value!r}") from None
+    try:
+        rows = [np.asarray(doc[key], dtype=float)
+                for key in ("beta", "normal")]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"Cauchy-data rows must hold numbers ({exc})"
+                         ) from None
+    k = numbers.pop("k")
+    return BjorlingData(doc["curve_kind"], *rows, **numbers), k

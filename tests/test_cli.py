@@ -3,6 +3,7 @@
 import builtins
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -213,6 +214,66 @@ def test_custom_weight_round_trip_verifies(tmp_path):
                  "--out", str(tmp_path / "v")]) == 0
 
 
+_SERIES_CHAIN = ["--grid", "61x61", "--param", "profile=series L=1 b=0.5",
+                 "--param", "patch=bowl", "--param", "z0=0.5",
+                 "--param", "s_max=1.5", "--param", "halfwidth=0.3"]
+
+
+@pytest.fixture(scope="module")
+def series_chain(tmp_path_factory):
+    out = tmp_path_factory.mktemp("series")
+    assert main(["calabi-to-l3", "--out", str(out / "l3"),
+                 *_SERIES_CHAIN]) == 0
+    return out
+
+
+def test_series_weight_round_trip_verifies(series_chain):
+    # a series weight has no closed-form primitive: the header records where
+    # the quadrature primitive that made the patch vanishes (the lowest
+    # source height, z0), and both ways read it back with that primitive
+    lorentz = series_chain / "l3" / "lorentz.csv"
+    meta, _, _ = read_csv(lorentz)
+    assert meta["theta_base"] == "5.0000000000000000e-01"
+    assert main(["verify", str(lorentz),
+                 "--out", str(series_chain / "v")]) == 0
+    assert main(["calabi-to-r3", str(lorentz),
+                 "--out", str(series_chain / "r3")]) == 0
+    back = read_report(series_chain / "r3")["report"]
+    assert float(back["roundtrip_sup_difference"]) <= 10 * 0.01
+    assert main(["verify", str(series_chain / "r3" / "roundtrip.csv"),
+                 "--out", str(series_chain / "vr")]) == 0
+
+
+def test_natural_base_without_a_closed_form_is_refused(series_chain,
+                                                       tmp_path):
+    # "natural" names a closed-form primitive, which a series weight lacks:
+    # such a header is refused, not read with a primitive pinned elsewhere
+    text = (series_chain / "l3" / "lorentz.csv").read_text()
+    old = re.sub(r"# theta_base = .*", "# theta_base = natural", text)
+    assert old != text
+    path = tmp_path / "lorentz.csv"
+    path.write_text(old)
+    for command in ("verify", "calabi-to-r3"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == 1
+        message = json.loads((out / "error.json").read_text())["error"][
+            "message"]
+        assert "series" in message and "theta_base" in message
+
+
+def test_verify_refuses_rows_narrower_than_the_columns(reaper_run,
+                                                        tmp_path):
+    lines = (reaper_run / "curve.csv").read_text().splitlines()
+    body = [line.rsplit(",", 1)[0] if not line.startswith("#")
+            and line != "s,x,z,theta" else line for line in lines]
+    path = tmp_path / "narrow.csv"
+    path.write_text("\n".join(body) + "\n")
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 1
+    doc = json.loads((tmp_path / "v" / "error.json").read_text())
+    assert doc["error"]["exit_code"] == 1
+    assert "3 values" in doc["error"]["message"]
+
+
 def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
     assert main(["calabi-to-l3", "--out", str(tmp_path), "--grid", "31x31",
                  "--param", "profile=custom dphi=z+1 domain=-1,3",
@@ -220,7 +281,7 @@ def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
                  "--param", "s_max=1", "--param", "halfwidth=0.3"]) == 0
     path = tmp_path / "lorentz.csv"
     # the body parsed from the lines already read, bit for bit as from file
-    assert cli._read_csv_any(path)[2].tobytes() == read_csv(path)[2].tobytes()
+    assert cli.read_table(path)[2].tobytes() == read_csv(path)[2].tobytes()
     opened, real_open = [], builtins.open
 
     def counting_open(file, *args, **kwargs):
@@ -239,7 +300,7 @@ def test_verify_reads_a_gauss_field_once(tmp_path, monkeypatch):
     # the field built from the table verify holds, bit for bit as from file
     meta, _, raw = read_csv(path)
     nu, nv = (int(t) for t in meta["shape"].split())
-    field = cli.gauss_field_from_table(path, cli._read_csv_any(path))
+    field = cli.gauss_field_from_table(path, cli.read_table(path))
     assert field.k_param == float(meta["k"])
     assert field.u.tobytes() == raw[::nv, 0].tobytes()
     assert field.v.tobytes() == raw[:nv, 1].tobytes()
@@ -510,3 +571,139 @@ def test_hostile_configurations_keep_the_exit_code_contract(run):
         if code:
             doc = json.loads((Path(tmp) / "error.json").read_text())
             assert doc["error"]["exit_code"] == code
+
+
+# -- exit-code contract under hostile file contents ---------------------------
+
+# a well-formed artifact of each kind, then up to three of its aspects
+# replaced by drawn values
+_ARTIFACTS = {
+    "curve": ("s,x,z,theta", {"curve_kind": "catenary_graph",
+                              "profile": "linear slope=1"}),
+    "patch": ("x,y,u", {"signature": "lorentzian", "profile": "log alpha=-1",
+                        "shape": "{n} {m}"}),
+    "field": ("u,v,re_g,im_g", {"k": "1", "shape": "{n} {m}"}),
+}
+_ASPECTS = {
+    "columns": ["s,x,z,theta", "x,y,u", "u,v,re_g,im_g", "x,y,z,nx,ny,nz",
+                "i,j,k", "a,b", ""],
+    "width": [1, 2, 3, 4, 5],
+    "extra_rows": [-1, 1, 2],
+    "fill": ["zeros", "nan", "huge"],
+    "shape": ["{m} {n}", "{n}", "0 0", "-1 -9", "a b", "1e9 1e9", ""],
+    "k": ["2", "-1", "0", "nan", "inf", "x", ""],
+    "signature": ["euclidean", "spacelike", ""],
+    "profile": ["linear slope=1", "series L=1 b=0.5", "dual-of linear slope=1",
+                "dual-of linear slope=2", "dual-of series L=1 b=0.5",
+                "dual-of custom dphi=z+1 domain=-1,3", "custom dphi=z",
+                "unserialized", "quintic a=1", ""],
+    "theta_base": ["natural", "0", "0.5", "-5", "nan", "1e308", "x", ""],
+    "curve_kind": ["bowl_graph", "catenoid_left", "x", ""],
+    "origin_hint": ["0 0", "nan 1", "1"],
+}
+_FILLS = {"smooth": lambda x, y: 0.5 * x * x + 0.2 * y * y + 0.1,
+          "zeros": lambda x, y: 0.0 * x, "nan": lambda x, y: x + math.nan,
+          "huge": lambda x, y: x + 1e308}
+# Fourier data of a horizontal circle with its bowl-like normal
+_CIRCLE = {"curve_kind": "fourier", "k": 1.0, "degree": 8,
+           "period": 4 * math.pi,
+           "beta": [[0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 0.0]],
+           "normal": [[0.0, -math.sin(0.9), 0.0], [0.0, 0.0, -math.sin(0.9)],
+                      [math.cos(0.9), 0.0, 0.0]]}
+_ROWS = st.sampled_from([[[0.0] * 65] * 3, [[1.0]], [], [[0.0, 1.0]] * 2,
+                         [[1.0, None, 0.0]] * 3, [[1.0, [2.0]]] * 3, "x",
+                         {"a": 1}, None, 3])
+_ENTRIES = {
+    "curve_kind": st.sampled_from(["taylor", "x", 1, None]),
+    "k": st.sampled_from([2.0, 0, -1, [1], "1", None, True, math.nan, 1e308]),
+    "degree": st.sampled_from([2, 12, 33, 10 ** 5, 1.5, -1, "12", None, [12],
+                               1e300, math.inf]),
+    "beta": _ROWS, "normal": _ROWS,
+    "period": st.sampled_from([0, -1, math.nan, "x"])}
+
+
+def _artifact_text(draw, kind: str) -> str:
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    columns, header = _ARTIFACTS[kind]
+    aspects = {"columns": columns, "width": len(columns.split(",")),
+               "extra_rows": 0, "fill": "smooth", **header}
+    for key in draw(st.lists(st.sampled_from(sorted(_ASPECTS)), unique=True,
+                             max_size=3)):
+        aspects[key] = draw(st.sampled_from(_ASPECTS[key]))
+    rows = n * m + aspects.pop("extra_rows")
+    x = np.resize(np.repeat(np.linspace(-0.3, 0.3, n), m), rows)
+    y = np.resize(np.tile(np.linspace(-0.3, 0.3, m), n), rows)
+    table = np.column_stack([x, y] + [_FILLS[aspects.pop("fill")](x, y)] * 4)
+    lines = [f"# {key} = {str(value).format(n=n, m=m)}"
+             for key, value in aspects.items()
+             if key not in ("columns", "width")]
+    lines.append(aspects["columns"])
+    lines += [",".join(repr(float(v)) for v in row)
+              for row in table[:, :aspects["width"]]]
+    return "\n".join(lines) + "\n"
+
+
+def _hostile_file(draw, command: str) -> str:
+    if command != "bjorling":
+        kind = draw(st.sampled_from(sorted(_ARTIFACTS))) \
+            if command == "verify" else \
+            {"calabi-to-r3": "patch", "weierstrass": "field"}[command]
+        return _artifact_text(draw, kind)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(
+            ["3", "null", "[]", '"x"', "true", "{", "[1, 2]"]))
+    doc = dict(_CIRCLE)
+    for key in draw(st.lists(st.sampled_from(sorted(_ENTRIES)), unique=True,
+                             max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key)
+        else:
+            doc[key] = draw(_ENTRIES[key])
+    return json.dumps(doc)
+
+
+@pytest.mark.filterwarnings("ignore")  # the numerics may warn on such input
+@pytest.mark.parametrize("command",
+                         ["verify", "calabi-to-r3", "weierstrass", "bjorling"])
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hostile_file_contents_keep_the_exit_code_contract(command, data):
+    # exit 0, 1 or 2, never an escaped exception; error.json on every
+    # failure, except a residual above its threshold, which verify reports
+    # in verify.json
+    text = _hostile_file(data.draw, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "input", Path(tmp) / "out"
+        path.write_text(text)
+        argv = [command, str(path), "--out", str(out)]
+        if command in ("weierstrass", "bjorling"):
+            argv += ["--grid", "9x9", "--format", "csv"]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if code and (out / "verify.json").exists():
+            assert code == 2
+            assert json.loads((out / "verify.json").read_text())[
+                "passed"] is False
+        elif code:
+            doc = json.loads((out / "error.json").read_text())
+            assert doc["error"]["exit_code"] == code
+
+
+def test_cauchy_data_above_their_bounds_exit_one(tmp_path):
+    # checked before any series work: a degree of 10**5 never returned
+    from phimin.weierstrass import MAX_DEGREE, MAX_TERMS
+    pad = [0.0] * (MAX_TERMS + 1 - 3)
+    wide = [row + pad for row in _CIRCLE["beta"]]
+    for name, change, says in (
+            ("above", {"degree": MAX_DEGREE + 1}, f"2..{MAX_DEGREE}, got "
+                                                  f"{MAX_DEGREE + 1}"),
+            ("huge", {"degree": 10 ** 5}, "got 100000"),
+            ("wide", {"beta": wide}, f"n_terms <= {MAX_TERMS}, got (3, "
+                                     f"{MAX_TERMS + 1})")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**_CIRCLE, **change}))
+        assert main(["bjorling", str(path), "--out", str(tmp_path / name),
+                     "--grid", "9x9"]) == 1
+        doc = json.loads((tmp_path / name / "error.json").read_text())
+        assert says in doc["error"]["message"]

@@ -25,6 +25,7 @@ from phimin.surfaces import (
     save_obj,
     save_ply,
     second_fundamental_norm,
+    staircase,
     tilt_cylinder,
     write_rows,
 )
@@ -367,6 +368,36 @@ def test_mesh_validates_lorentz_normals():
     with pytest.raises(ValueError):
         SurfaceMesh(verts, faces, np.repeat([[0.0, 0.0, 1.0]], 3, axis=0),
                     signature="other")
+
+
+_COEF = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coef=st.tuples(_COEF, _COEF, _COEF, _COEF, _COEF),
+       nx=st.integers(2, 12), ny=st.integers(2, 12),
+       hx=st.floats(1e-3, 1.0), hy=st.floats(1e-3, 1.0),
+       x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), data=st.data())
+def test_staircase_integrates_an_exact_gradient(coef, nx, ny, hx, hy, x0, y0,
+                                                 data):
+    # f = a x^2 + b x y + c y^2 + d x + e y has a gradient that is linear
+    # along every grid line, where the trapezoid rule is exact: both routes
+    # are the potential f - f(node) up to rounding
+    a, b, c, d, e = coef
+    x = x0 + hx * np.arange(nx)
+    y = y0 + hy * np.arange(ny)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    f = a * X ** 2 + b * X * Y + c * Y ** 2 + d * X + e * Y
+    i0 = data.draw(st.integers(0, nx - 1))
+    j0 = data.draw(st.integers(0, ny - 1))
+    route_a, route_b = staircase(2 * a * X + b * Y + d, b * X + 2 * c * Y + e,
+                                 hx, hy, i0, j0)
+    want = f - f[i0, j0]
+    atol = 1e-13 * (nx + ny) * (1.0 + np.abs(f).max())
+    np.testing.assert_allclose(route_a, route_b, rtol=0, atol=atol)
+    np.testing.assert_allclose(route_a, want, rtol=0, atol=atol)
+    np.testing.assert_allclose(route_b, want, rtol=0, atol=atol)
+    assert route_a[i0, j0] == route_b[i0, j0] == 0.0
 
 
 def test_obj_ply_export(tmp_path):
