@@ -28,7 +28,8 @@ from .profiles import (WeightProfile, make_builtin, make_custom,
                        _antiderivative, _invert_monotone, _limit)
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
                        lfe_residual, _graph_curvatures,
-                       curvature_from_derivatives, staircase)
+                       curvature_from_derivatives, staircase,
+                       uniform_spacing)
 
 __all__ = [
     "ThetaPrimitive", "PotentialPatch", "make_theta", "natural_theta",
@@ -52,7 +53,8 @@ class ThetaPrimitive:
     primitive's reach.  ``image_hint`` is the exact image of the domain,
     known for the primitive of a dual weight (the source domain).  ``base``
     is the height where the primitive vanishes, None for a closed form with
-    its canonical additive constant, on which the dual weight depends.
+    its canonical additive constant, on which the dual weight depends; the
+    primitive of a dual weight keeps the source primitive's ``base``.
     """
 
     value: Callable
@@ -151,44 +153,30 @@ def natural_theta(profile: WeightProfile, base: Optional[float] = None
                           domain=profile.domain, reach=value.reach, base=base)
 
 
-def _is_natural(profile: WeightProfile, theta: ThetaPrimitive) -> bool:
-    """Whether ``theta`` carries the canonical additive constant.
-
-    Any primitive of e^phi induces a valid dual weight, but only the
-    natural one lands on the builtin closed forms; an offset shifts the
-    dual's argument.
-    """
-    lo, hi = profile.domain
-    probe = 0.5 if not (math.isfinite(lo) and math.isfinite(hi)) else \
-        0.5 * (lo + hi)
-    if math.isfinite(lo) and probe <= lo:
-        probe = lo + 1.0
-    nat = natural_theta(profile)
-    a, b = float(theta(probe)), float(nat.value(probe))
-    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
-
-
 def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
                  ) -> Tuple[WeightProfile, ThetaPrimitive]:
     """Transformed weight -phi(theta^{-1}(w)) and the primitive of its
     exponential weight (which is theta^{-1} itself).
 
-    The pair Linear(1) <-> Log(-1) paired with its natural primitive maps
-    onto the builtin constructors so the duality is exact in both
-    directions; offset primitives fall through to the generic closures.
+    The pin decides: the pair Linear(1) <-> Log(-1) maps onto the builtin
+    constructors only for the canonical primitive (``theta.base`` None), so
+    the duality is exact in both directions; a pinned primitive falls
+    through to the generic closures.  The dual's primitive records the
+    source primitive's ``base``, so a round trip keeps that decision.
     """
     lo, hi = theta.image(*profile.domain)
     reach = theta.image(*theta.reach)
 
     dual_theta = ThetaPrimitive(value=theta.inverse, derivative=None,
                                 domain=(lo, hi), inverse_value=theta.__call__,
-                                image_hint=tuple(profile.domain), reach=reach)
+                                image_hint=tuple(profile.domain), reach=reach,
+                                base=theta.base)
 
-    if profile.kind == "linear" and profile.params["slope"] == 1.0 \
-            and _is_natural(profile, theta):
+    if theta.base is None and profile.kind == "linear" \
+            and profile.params["slope"] == 1.0:
         dual = make_builtin("log", -1.0)
-    elif profile.kind == "log" and profile.params["alpha"] == -1.0 \
-            and _is_natural(profile, theta):
+    elif theta.base is None and profile.kind == "log" \
+            and profile.params["alpha"] == -1.0:
         dual = make_builtin("linear", 1.0)
     else:
         def d_phi(w):
@@ -240,8 +228,8 @@ class PotentialPatch:
         shape = (len(self.x), len(self.y))
         if self.phi_x.shape != shape or self.phi_y.shape != shape:
             raise ValueError("gradient fields must be (len(x), len(y))")
-        hx = self.x[1] - self.x[0]
-        hy = self.y[1] - self.y[0]
+        hx = uniform_spacing(self.x, "x")
+        hy = uniform_spacing(self.y, "y")
         mixed = (np.gradient(self.phi_x, hy, axis=1, edge_order=2)
                  - np.gradient(self.phi_y, hx, axis=0, edge_order=2))
         self.meta.setdefault("mixed_partial_defect",

@@ -182,8 +182,7 @@ _DEFAULTS: Dict[str, Dict[str, str]] = {
     "calabi-to-r3": {"input": "", "source": "", "path_tol": ""},
     "weierstrass": {"profile": "linear slope=1", "k": "1", "z0": "0.5",
                     "s_max": "6", "s_lo": "1", "s_hi": "4", "v_half": "1",
-                    "grid": "161x121", "input": "", "base": "", "anchor": "",
-                    "path_tol": ""},
+                    "grid": "161x121", "input": "", "base": "", "anchor": ""},
     "bjorling": {"data": "", "halfwidth": "0.5", "grid": "201x201",
                  "reconstruct": "true", "tol": "1e-3"},
     "verify": {"input": "", "tol": ""},
@@ -544,7 +543,7 @@ def _patch_weight_from_header(meta: Dict[str, str], path: Path
                               ) -> Tuple[WeightProfile, Optional[object]]:
     """Patch-side weight and, for transformed patches, the primitive hint."""
     text = meta.get("profile", "")
-    if not text or text == "unserialized":
+    if not text:
         raise ValueError(f"{path} carries no profile header; cannot pick a "
                          "residual oracle for it")
     if text.startswith("dual-of "):
@@ -555,6 +554,22 @@ def _patch_weight_from_header(meta: Dict[str, str], path: Path
         return dual_profile(source, natural_theta(source) if base == "natural"
                             else make_theta(source, float(base)))
     return profile_from_spec(text), None
+
+
+def _dual_header(dual: WeightProfile, weight_line: str,
+                 base: Optional[float]) -> Tuple[str, list]:
+    """Profile line of the dual of the weight ``weight_line`` names and,
+    for a ``dual-of`` line, the ``theta_base`` line of the primitive
+    (pinned at ``base``) that made it."""
+    try:
+        return profile_to_spec(dual), []
+    except ValueError:
+        pass
+    if weight_line.startswith("dual-of "):
+        # the dual of a dual weight is the source weight the line names
+        return weight_line[len("dual-of "):], []
+    return f"dual-of {weight_line}", [
+        "theta_base = " + ("natural" if base is None else _fmt(base))]
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +610,7 @@ def _cmd_bowl(cfg: RunConfig) -> int:
     curve = solve_bowl(prof, z0, cfg.float_("s_max", positive=True),
                        tol=cfg.float_("tol", positive=True),
                        n_samples=cfg.int_("n_samples", minimum=3))
+    _gate_curves(prof, ("curve", curve))
     mesh = revolve(curve, cfg.int_("n_theta", minimum=3))
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
     artifacts += _write_mesh(cfg, mesh, "bowl",
@@ -628,15 +644,7 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
                                  cfg.float_("s_max", positive=True),
                                  tol=cfg.float_("tol", positive=True),
                                  n_samples=cfg.int_("n_samples", minimum=3))
-    # the check verify makes of each written curve: a branch whose axis term
-    # is lost in the steps (necks far wider than s_max) passes the solver
-    threshold = _VERIFY_DEFAULT_THRESHOLD["profile_curve"]
-    for side, curve in (("right", right), ("left", left)):
-        residual = _rotational_ode_residual(curve, prof)
-        if not residual <= threshold:
-            raise NumericalError(
-                f"{side} branch has profile ODE residual {_fmt(residual)} "
-                f"above the verify threshold {_fmt(threshold)}")
+    _gate_curves(prof, ("right branch", right), ("left branch", left))
     n_theta = cfg.int_("n_theta", minimum=3)
     artifacts = [_write_curve_csv(cfg, right, "curve_right.csv"),
                  _write_curve_csv(cfg, left, "curve_left.csv")]
@@ -708,19 +716,11 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
     artifacts = [_write_patch_csv(cfg, patch, "source.csv", spec)]
     lor, dual = to_lorentz(patch, prof, tol=cfg.maybe_float("path_tol",
                                                             positive=True))
-    try:
-        profile_line = profile_to_spec(dual)
-    except ValueError:
-        profile_line = f"dual-of {spec}"
-    extra = [f"source_profile = {spec}"]
-    if profile_line.startswith("dual-of "):
-        base = lor.meta["theta_base"]
-        extra.append("theta_base = "
-                     + ("natural" if base is None else _fmt(base)))
-    extra.append("origin_hint = "
-                 + " ".join(map(_fmt, lor.meta["origin_hint"])))
-    artifacts.append(_write_patch_csv(cfg, lor, "lorentz.csv",
-                                      profile_line, extra))
+    profile_line, pin = _dual_header(dual, spec, lor.meta["theta_base"])
+    origin = "origin_hint = " + " ".join(map(_fmt, lor.meta["origin_hint"]))
+    artifacts.append(_write_patch_csv(
+        cfg, lor, "lorentz.csv", profile_line,
+        [f"source_profile = {spec}", *pin, origin]))
     report = {"patch": patch_kind,
               "dual_kind": dual.kind,
               "source_shape": [len(patch.x), len(patch.y)],
@@ -744,16 +744,11 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     back, back_weight = from_lorentz(patch, weight,
                                      tol=cfg.maybe_float("path_tol",
                                                          positive=True))
-    try:
-        profile_line = profile_to_spec(back_weight)
-    except ValueError:
-        # the dual of a dual weight is the source weight the header names
-        source = meta["profile"]
-        profile_line = (source[len("dual-of "):]
-                        if source.startswith("dual-of ") else "unserialized")
+    profile_line, pin = _dual_header(back_weight, meta["profile"],
+                                     back.meta["theta_base"])
     origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
     artifacts = [_write_patch_csv(cfg, back, "roundtrip.csv",
-                                  profile_line, [origin])]
+                                  profile_line, [*pin, origin])]
     report = {"recovered_kind": back_weight.kind,
               "recovered_shape": [len(back.x), len(back.y)],
               **{key: _jsonable(back.meta[key]) for key in _TRANSFORM_REPORT}}
@@ -893,6 +888,21 @@ def _rotational_ode_residual(curve: ProfileCurve,
     r3 = r3[away]
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)),
                      np.max(np.abs(r3)) if r3.size else 0.0))
+
+
+def _gate_curves(profile: WeightProfile,
+                 *curves: Tuple[str, ProfileCurve]) -> None:
+    """The check ``verify`` makes of each rotational curve, applied before
+    it is written: a curve the solver accepts can still fail it (a catenoid
+    branch whose axis term is lost in the steps of a neck far wider than
+    s_max, a bowl whose series launch is invalid for a steep weight)."""
+    threshold = _VERIFY_DEFAULT_THRESHOLD["profile_curve"]
+    for name, curve in curves:
+        residual = _rotational_ode_residual(curve, profile)
+        if not residual <= threshold:
+            raise NumericalError(
+                f"{name} has profile ODE residual {_fmt(residual)} "
+                f"above the verify threshold {_fmt(threshold)}")
 
 
 def _verify_curve(meta: Dict[str, str], data: np.ndarray,

@@ -38,6 +38,10 @@ class DomainError(ProfileError):
     """Argument outside the profile's height domain."""
 
 
+# heights at which construction samples dphi to check monotonicity
+_MONOTONE_SAMPLES = 257
+
+
 def _as_float_pair(domain: Sequence[float]) -> Tuple[float, float]:
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -109,12 +113,12 @@ class WeightProfile:
 
     # -- validation --------------------------------------------------------
 
-    def _check_monotone(self, n: int = 257) -> None:
+    def _check_monotone(self) -> None:
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else -50.0
         b = hi if math.isfinite(hi) else max(a + 1.0, 50.0)
         pad = (b - a) * 1e-6
-        zs = np.linspace(a + pad, b - pad, n)
+        zs = np.linspace(a + pad, b - pad, _MONOTONE_SAMPLES)
         zs = zs[(zs >= self.reach[0]) & (zs <= self.reach[1])]
         if zs.size >= 32:
             d = np.broadcast_to(np.asarray(self.dphi(zs), dtype=float),
@@ -138,8 +142,8 @@ class WeightProfile:
 # builtin constructors
 # ---------------------------------------------------------------------------
 
-def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
-                 increasing: Optional[bool] = None) -> WeightProfile:
+def make_builtin(kind: str, *params,
+                 domain: Optional[Sequence[float]] = None) -> WeightProfile:
     """Build one of the named profile kinds.
 
     make_builtin("linear", m)            phi = m z
@@ -152,16 +156,13 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
         m = float(m)
         if m == 0.0 or not math.isfinite(m):
             raise ProfileError("linear profile needs a finite nonzero slope")
-        inc = m > 0
-        if increasing is not None and increasing != inc:
-            raise ProfileError("linear slope sign contradicts the increasing flag")
         dom = _as_float_pair(domain) if domain is not None else (-math.inf, math.inf)
         return WeightProfile(
             phi=lambda z, m=m: m * np.asarray(z, dtype=float),
             dphi=lambda z, m=m: np.full_like(np.asarray(z, dtype=float), m),
             ddphi=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             domain=dom, kind="linear", params={"slope": m},
-            increasing=inc,
+            increasing=m > 0,
             asymptote=(0.0, m), growth_alpha=0.0,
         )
 
@@ -170,9 +171,6 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
         a = float(a)
         if a == 0.0 or not math.isfinite(a):
             raise ProfileError("log profile needs a finite nonzero exponent")
-        inc = a > 0
-        if increasing is not None and increasing != inc:
-            raise ProfileError("log exponent sign contradicts the increasing flag")
         dom = _as_float_pair(domain) if domain is not None else (0.0, math.inf)
         if dom[0] < 0.0:
             raise ProfileError("log profile lives on positive heights")
@@ -181,7 +179,7 @@ def make_builtin(kind: str, *params, domain: Optional[Sequence[float]] = None,
             dphi=lambda z, a=a: a / np.asarray(z, dtype=float),
             ddphi=lambda z, a=a: -a / np.asarray(z, dtype=float) ** 2,
             domain=dom, kind="log", params={"alpha": a},
-            increasing=inc,
+            increasing=a > 0,
             asymptote=None, growth_alpha=-1.0,
         )
 

@@ -79,9 +79,24 @@ class SurfaceMesh:
         return mask
 
 
+def uniform_spacing(axis, name: str) -> float:
+    """Step of a uniform grid axis: 1-D, at least 3 nodes, strictly
+    increasing, and every step within 1e-8 (relative) of the first."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or len(axis) < 3:
+        raise ValueError(f"{name} grid must be 1-D with at least 3 nodes")
+    d = np.diff(axis)
+    # steps this close to a positive first step are all positive
+    if not (d[0] > 0 and np.allclose(d, d[0], rtol=1e-8, atol=0.0)):
+        raise ValueError(f"{name} grid must be uniform and strictly "
+                         "increasing")
+    return float(d[0])
+
+
 @dataclass
 class GraphPatch:
-    """Heights on a uniform rectangular grid: u[i, j] = u(x[i], y[j])."""
+    """Heights on a uniform rectangular grid: u[i, j] = u(x[i], y[j]),
+    with steps ``hx`` and ``hy`` (see ``uniform_spacing``)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -93,14 +108,10 @@ class GraphPatch:
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
+        self.hx = uniform_spacing(self.x, "x")
+        self.hy = uniform_spacing(self.y, "y")
         if self.u.shape != (len(self.x), len(self.y)):
             raise ValueError("u must have shape (len(x), len(y))")
-        if len(self.x) < 3 or len(self.y) < 3:
-            raise ValueError("patch needs at least 3 nodes per axis")
-        for g in (self.x, self.y):
-            d = np.diff(g)
-            if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12) or d[0] <= 0:
-                raise ValueError("grids must be uniform and increasing")
         if self.signature not in (EUCLIDEAN, LORENTZIAN):
             raise ValueError(f"unknown signature {self.signature!r}")
         if self.signature == LORENTZIAN:
@@ -109,14 +120,6 @@ class GraphPatch:
             if np.any(speed >= 1.0):
                 raise ValueError("Lorentzian patch is not spacelike "
                                  "(|grad u| >= 1 at an interior node)")
-
-    @property
-    def hx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def hy(self) -> float:
-        return float(self.y[1] - self.y[0])
 
     def gradients(self) -> Tuple[np.ndarray, np.ndarray]:
         """Central-difference gradient fields (second order up to the

@@ -50,7 +50,7 @@ from .solvers import BOWL_GRAPH, ProfileCurve
 from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
                        _interior_derivatives, grid_from_table, grid_rows,
                        mean_curvature_residual, read_table, staircase,
-                       write_table)
+                       uniform_spacing, write_table)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
@@ -75,18 +75,6 @@ MAX_DEGREE = 32
 MAX_TERMS = 64
 
 
-def _uniform_spacing(grid: np.ndarray, name: str) -> float:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 3:
-        raise ValueError(f"{name} grid must be 1-D with at least 3 nodes")
-    d = np.diff(grid)
-    if np.any(d <= 0):
-        raise ValueError(f"{name} grid must be strictly increasing")
-    if not np.allclose(d, d[0], rtol=1e-8, atol=0.0):
-        raise ValueError(f"{name} grid must be uniform")
-    return float(d[0])
-
-
 @dataclass
 class GaussField:
     """Sampled complex field G on a rectangle in the conformal plane.
@@ -109,8 +97,8 @@ class GaussField:
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.G = np.asarray(self.G, dtype=complex)
-        self.hu = _uniform_spacing(self.u, "u")
-        self.hv = _uniform_spacing(self.v, "v")
+        self.hu = uniform_spacing(self.u, "u")
+        self.hv = uniform_spacing(self.v, "v")
         if self.G.shape != (len(self.u), len(self.v)):
             raise ValueError("G must have shape (len(u), len(v))")
         if not np.all(np.isfinite(self.G.real) & np.isfinite(self.G.imag)):
@@ -402,19 +390,18 @@ def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
             raise ValueError("mesh does not carry a stored parameterization; "
                              "only meshes from integrate_representation are "
                              "supported")
-    u, v = mesh.meta["u"], mesh.meta["v"]
-    G, k = mesh.meta["G"], float(mesh.meta["k"])
-    nu, nv = len(u), len(v)
-    hu, hv = u[1] - u[0], v[1] - v[0]
-    points = mesh.vertices.reshape(nu, nv, 3)
+    field = GaussField(mesh.meta["u"], mesh.meta["v"], mesh.meta["G"],
+                       mesh.meta["k"])
+    G, k = field.G, field.k_param
+    points = mesh.vertices.reshape(*field.shape, 3)
 
-    pu = np.gradient(points, hu, axis=0, edge_order=2)
-    pv = np.gradient(points, hv, axis=1, edge_order=2)
+    pu = np.gradient(points, field.hu, axis=0, edge_order=2)
+    pv = np.gradient(points, field.hv, axis=1, edge_order=2)
     psi_z = 0.5 * (pu - 1j * pv)
     p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
     fh = p1 - 1j * p2
 
-    _, gzb = wirtinger_derivatives(GaussField(u, v, G, k))
+    _, gzb = wirtinger_derivatives(field)
     D = 1.0 - np.abs(G) ** 4
     dphi = np.ones_like(points[..., 2]) if k == 1.0 \
         else (2.0 / (k - 1.0)) / points[..., 2]

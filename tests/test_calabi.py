@@ -15,6 +15,7 @@ from phimin.calabi import (
     from_lorentz,
     integrate_potential,
     make_theta,
+    natural_theta,
     to_lorentz,
 )
 from phimin.cli import profile_from_spec, profile_to_spec
@@ -191,6 +192,23 @@ def test_dual_with_offset_primitive_shifts_argument():
     assert float(dual.phi(1.5)) == pytest.approx(-math.log(2.5), rel=1e-12)
     assert dual_theta(th(0.8)) == pytest.approx(0.8, rel=1e-12)
     assert dual_theta.inverse(0.8) == pytest.approx(th(0.8), rel=1e-12)
+
+
+def test_the_recorded_pin_decides_the_builtin_dual():
+    # e^z - 9.4e-14 agrees with the canonical e^z to 1e-12 at any probe
+    # height, yet it is pinned: only the canonical primitive (base None)
+    # has the builtin dual, and the dual's primitive keeps the pin
+    pinned = make_theta(LIN1, -30.0)
+    dual, dual_theta = dual_profile(LIN1, pinned)
+    assert dual.kind == "custom" and dual.params["dual_of"] == "linear"
+    assert dual_theta.base == -30.0
+    assert dual_profile(dual, dual_theta)[0].kind == "custom"
+    canonical, canonical_theta = dual_profile(LIN1, natural_theta(LIN1))
+    assert profile_to_spec(canonical) == profile_to_spec(
+        make_builtin("log", -1.0))
+    assert canonical_theta.base is None
+    back, _ = dual_profile(canonical, canonical_theta)
+    assert profile_to_spec(back) == profile_to_spec(LIN1)
 
 
 def test_custom_dual_does_not_inherit_the_source_spec():

@@ -25,6 +25,7 @@ from phimin.cli import (
     profile_to_spec,
 )
 from phimin.profiles import ProfileError
+from phimin.surfaces import grid_rows, write_table
 
 
 def read_report(out_dir):
@@ -149,6 +150,8 @@ def test_validation_failures_exit_one(tmp_path):
                  "--out", out]) == 1
     assert main(["weierstrass", "--grid", "10", "--out", out]) == 1
     assert main(["weierstrass", "--grid", "2x5", "--out", out]) == 1
+    # the path tolerance is tol; path_tol is not a weierstrass key
+    assert main(["weierstrass", "--param", "path_tol=1", "--out", out]) == 1
     assert main(["profile", "--no-such-flag"]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1
@@ -212,6 +215,25 @@ def test_custom_weight_round_trip_verifies(tmp_path):
     assert meta["profile"] == "custom dphi=z+1 domain=-1,inf"
     assert main(["verify", str(tmp_path / "r3" / "roundtrip.csv"),
                  "--out", str(tmp_path / "v")]) == 0
+
+
+def test_hand_made_lorentzian_patch_names_its_dual(tmp_path):
+    # u = -log(cosh 2x)/2 solves the Lorentzian graph equation of the
+    # linear slope=2 weight; its way back has no spec of its own and is
+    # named the way calabi-to-l3 names a dual, with the pin that made it
+    g = np.linspace(-0.6, 0.6, 61)
+    u = np.broadcast_to(-0.5 * np.log(np.cosh(2.0 * g))[:, None], (61, 61))
+    shape, rows = grid_rows(g, g, u)
+    path = tmp_path / "lorentz.csv"
+    write_table(path, ["artifact = graph_patch", "signature = lorentzian",
+                       "profile = linear slope=2", shape], "x,y,u", rows)
+    assert main(["verify", str(path), "--out", str(tmp_path / "vl")]) == 0
+    assert main(["calabi-to-r3", str(path), "--out", str(tmp_path / "r3")]) == 0
+    meta, _, _ = read_csv(tmp_path / "r3" / "roundtrip.csv")
+    assert meta["profile"] == "dual-of linear slope=2"
+    assert meta["theta_base"] == "natural"
+    assert main(["verify", str(tmp_path / "r3" / "roundtrip.csv"),
+                 "--out", str(tmp_path / "vr")]) == 0
 
 
 _SERIES_CHAIN = ["--grid", "61x61", "--param", "profile=series L=1 b=0.5",
@@ -335,6 +357,27 @@ def test_catenoid_refuses_branches_that_fail_verify(tmp_path):
                  "--format", "csv", "--out", str(tmp_path / "preset")]) == 0
     assert sorted(read_report(tmp_path / "preset")["report"]) == [
         "left_meta", "min_axis_distance", "right_meta", "self_intersections"]
+
+
+def test_bowl_refuses_a_curve_that_fails_verify(tmp_path):
+    # dphi(z0)/2 = 1000 makes the series launch at s = 1e-3 invalid: the
+    # solver's curve launches at slope 383 and fails verify at 576
+    assert main(["bowl", "--out", str(tmp_path / "steep"),
+                 "--param", "profile=linear slope=2000",
+                 "--param", "z0=1", "--param", "s_max=4"]) == 2
+    doc = json.loads((tmp_path / "steep" / "error.json").read_text())
+    assert doc["error"]["exit_code"] == 2
+    assert "curve has profile ODE residual" in doc["error"]["message"]
+    assert not (tmp_path / "steep" / "curve.csv").exists()
+    # rate * s_max above 5e3 selects the stiff integrator, whose curve
+    # passes the same check
+    out = tmp_path / "stiff"
+    assert main(["bowl", "--out", str(out), "--format", "csv",
+                 "--param", "profile=custom dphi=exp(z)",
+                 "--param", "z0=1", "--param", "s_max=8"]) == 0
+    assert read_report(out)["report"]["meta"]["method"] == "LSODA"
+    assert main(["verify", str(out / "curve.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
 
 
 @pytest.mark.parametrize("x0, cause", [

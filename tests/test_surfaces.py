@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from phimin import make_builtin, surfaces
+from phimin.calabi import PotentialPatch
 from phimin.solvers import ProfileCurve, solve_bowl, solve_catenary, solve_catenoid
 from phimin.surfaces import (
     EUCLIDEAN,
@@ -29,6 +30,7 @@ from phimin.surfaces import (
     tilt_cylinder,
     write_rows,
 )
+from phimin.weierstrass import GaussField
 
 LIN1 = make_builtin("linear", 1.0)
 
@@ -105,10 +107,27 @@ def test_lfe_rejects_non_spacelike():
         lfe_residual(patch, LIN1)
 
 
+def _grid_owners(axis):
+    n = len(axis)
+    g = np.linspace(0.0, 1.0, n)
+    # the gradient of the convex potential (x^2 + y^2)/2
+    phi_x, phi_y = np.meshgrid(axis, g, indexing="ij")
+    return (lambda: GraphPatch(axis, g, np.zeros((n, n))),
+            lambda: GaussField(axis, g, np.full((n, n), 0.5 + 0j), 1.0),
+            lambda: PotentialPatch(axis, g, phi_x, phi_y))
+
+
 def test_patch_requires_uniform_grid():
-    x = np.array([0.0, 0.1, 0.3])
-    with pytest.raises(ValueError):
-        GraphPatch(x, np.linspace(0, 1, 3), np.zeros((3, 3)))
+    # one rule for patches, Gauss fields and potentials: strictly
+    # increasing, every step within 1e-8 (relative, no absolute term) of
+    # the first
+    for build in _grid_owners(np.array([0.0, 1.0, 2.0 + 5e-9, 3.0])):
+        build()
+    for axis in ([0.0, 1e-13, 5e-14, 1.5e-13], [0.0, 1e-13, 3e-13, 4e-13],
+                 [0.0, 0.1, 0.3, 0.4], [0.0, -0.1, -0.2, -0.3]):
+        for build in _grid_owners(np.array(axis)):
+            with pytest.raises(ValueError, match="x grid|u grid"):
+                build()
 
 
 # -- meshes and discrete curvature ------------------------------------------
