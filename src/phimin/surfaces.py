@@ -69,10 +69,11 @@ class SurfaceMesh:
 
         Each edge is counted under one int64 key ``i * n + j`` (i < j)."""
         n = self.n_vertices
-        a, b = self.faces, np.roll(self.faces, -1, axis=1)
-        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                 return_counts=True)
-        lone = keys[counts == 1]
+        a, b = self.faces, self.faces[:, [1, 2, 0]]
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=None)
+        new = np.ones(len(keys) + 1, dtype=bool)  # keys[i] != keys[i - 1]
+        np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+        lone = keys[new[:-1] & new[1:]]  # a key equal to neither neighbour
         mask = np.zeros(n, dtype=bool)
         mask[lone // n] = True
         mask[lone % n] = True
@@ -400,38 +401,38 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
     """Discrete mean-curvature vector (trace convention) per vertex:
     (1/(2 A_i)) sum_j (cot a_ij + cot b_ij) (p_j - p_i), with barycentric
     vertex areas.  Rows for boundary vertices are unreliable and the caller
-    masks them."""
-    p = mesh.vertices
-    f = mesh.faces
+    masks them.
+
+    It runs on coordinate columns: corner c of a face with the edges
+    E_c = p_{c+1} - p_c (mod 3) spans E_c and -E_{c+2} and weights E_{c+1}.
+    Sums keep the order of ``np.cross`` and ``norm`` on rows, and each
+    coordinate is scattered by 1-D ``ufunc.at`` in corner order."""
+    f = mesh.faces.T.copy()
     n = mesh.n_vertices
-    vec = np.zeros((n, 3))
+    edge = np.empty((3, 3, f.shape[1]))  # edge[coordinate, c] = E_c
+    for q, e in zip(mesh.vertices.T, edge):
+        corner = q[f]
+        np.subtract(corner[[1, 2, 0]], corner, out=e)
+    vec = np.zeros((3, n))
     area = np.zeros(n)
-
-    tri = p[f]  # (m, 3, 3)
-    for corner in range(3):
-        i = f[:, corner]
-        j = f[:, (corner + 1) % 3]
-        k = f[:, (corner + 2) % 3]
-        # cotangent at vertex i of angle between edges (j - i) and (k - i);
-        # it weights the opposite edge (j, k)
-        e1 = p[j] - p[i]
-        e2 = p[k] - p[i]
-        cross = np.cross(e1, e2)
-        denom = np.linalg.norm(cross, axis=1)
-        denom = np.where(denom < 1e-300, 1e-300, denom)
-        cot = (e1 * e2).sum(axis=1) / denom
-        d = p[k] - p[j]
-        np.add.at(vec, j, 0.5 * cot[:, None] * d)
-        np.add.at(vec, k, -0.5 * cot[:, None] * d)
-
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    a = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-    for corner in range(3):
-        np.add.at(area, f[:, corner], a / 3.0)
-
-    area = np.where(area < 1e-300, 1e-300, area)
-    return vec / area[:, None]
+    for c in range(3):
+        (ax, ay, az), (bx, by, bz) = edge[:, c], edge[:, (c + 2) % 3]
+        # |E_{c+2} x E_c| is |E_c x -E_{c+2}| bit for bit
+        denom = np.sqrt((by * az - bz * ay) ** 2 + (bz * ax - bx * az) ** 2
+                        + (bx * ay - by * ax) ** 2)
+        if c == 0:
+            third = 0.5 * denom / 3.0  # a third of the face area
+        denom[denom < 1e-300] = 1e-300
+        # minus half the cotangent at corner c
+        half = 0.5 * ((ax * bx + ay * by + az * bz) / denom)
+        for acc, d in zip(vec, edge[:, (c + 1) % 3]):
+            t = half * d
+            np.subtract.at(acc, f[(c + 1) % 3], t)
+            np.add.at(acc, f[(c + 2) % 3], t)
+    for corners in f:
+        np.add.at(area, corners, third)
+    area[area < 1e-300] = 1e-300
+    return (vec / area).T
 
 
 def mean_curvature_residual(mesh: SurfaceMesh,
@@ -736,11 +737,19 @@ def _block_text(line: str, plan, chunk: np.ndarray) -> str:
         col += len(lit)
         if j < len(cells):
             out = block[:, col:col + widths[j]]
-            write = _float_text if cells[j] == FLOAT else _int_text
-            bad[:, j] = write(values[j], out)
-            # a value left to % keeps one \x01 byte, which marks its place
-            out[bad[:, j]] = 0
-            out[bad[:, j], 0] = 1
+            if j and cells[j] == cells[j - 1] and np.array_equal(
+                    values[j].view(np.uint64), values[j - 1].view(np.uint64)):
+                # a column that repeats the one before (an OBJ face's v//vn)
+                # repeats its text
+                out[:] = prev
+                bad[:, j] = bad[:, j - 1]
+            else:
+                write = _float_text if cells[j] == FLOAT else _int_text
+                bad[:, j] = write(values[j], out)
+                # a value left to % keeps one \x01 byte, which marks its place
+                out[bad[:, j]] = 0
+                out[bad[:, j], 0] = 1
+            prev = out
             col += widths[j]
     text = block.tobytes().replace(b"\0", b"").decode("ascii")
     if not bad.any():

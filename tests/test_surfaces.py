@@ -251,6 +251,34 @@ def reference_boundary_mask(mesh):
     return mask
 
 
+def reference_cotangent_curvature(mesh):
+    """The cotangent formula on rows of coordinates, scattered by 2-D
+    np.add.at one corner at a time."""
+    p, f, n = mesh.vertices, mesh.faces, mesh.n_vertices
+    vec = np.zeros((n, 3))
+    area = np.zeros(n)
+    tri = p[f]
+    for corner in range(3):
+        i = f[:, corner]
+        j = f[:, (corner + 1) % 3]
+        k = f[:, (corner + 2) % 3]
+        e1 = p[j] - p[i]
+        e2 = p[k] - p[i]
+        denom = np.linalg.norm(np.cross(e1, e2), axis=1)
+        denom = np.where(denom < 1e-300, 1e-300, denom)
+        cot = (e1 * e2).sum(axis=1) / denom
+        d = p[k] - p[j]
+        np.add.at(vec, j, 0.5 * cot[:, None] * d)
+        np.add.at(vec, k, -0.5 * cot[:, None] * d)
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    a = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    for corner in range(3):
+        np.add.at(area, f[:, corner], a / 3.0)
+    area = np.where(area < 1e-300, 1e-300, area)
+    return vec / area[:, None]
+
+
 def reference_second_fundamental_norm(mesh):
     """One np.linalg.lstsq quadric fit per vertex over its two-ring."""
     nbr = [set() for _ in range(mesh.n_vertices)]
@@ -312,6 +340,47 @@ def test_boundary_mask_matches_row_unique():
     assert strip.boundary_mask().all()
     assert grid.boundary_mask().sum() == 2 * (n + 21) - 4
     assert bowl.boundary_mask().sum() == 16
+
+
+def degenerate_mesh():
+    # face 1 repeats a vertex and face 2 is collinear: both have zero area,
+    # so vertex 4 (only on face 2) and vertex 5 (on no face) have zero area
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.5], [2.0, 2.0, 1.0], [5.0, 5.0, 5.0]])
+    normals = np.repeat([[0.0, 0.0, 1.0]], 6, axis=0)
+    return SurfaceMesh(verts, np.array([[0, 1, 2], [1, 1, 2], [0, 3, 4],
+                                        [1, 3, 2]]), normals)
+
+
+@pytest.mark.parametrize("mesh", [
+    GraphPatch(np.linspace(-1, 1, 31), np.linspace(-0.7, 0.7, 21),
+               np.outer(np.linspace(-1, 1, 31),
+                        np.linspace(-0.7, 0.7, 21)) ** 2).to_mesh(),
+    revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16),
+    tilt_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 5,
+                  (-0.8, 0.8), 21),
+    closed_sphere_mesh(),
+    degenerate_mesh(),
+], ids=["grid", "apex-fan", "tilted-cylinder", "sphere", "degenerate"])
+def test_cotangent_curvature_matches_row_scatter(mesh):
+    got = surfaces._cotangent_curvature(mesh)
+    want = reference_cotangent_curvature(mesh)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_degenerate_mesh_hits_both_clamps():
+    mesh = degenerate_mesh()
+    cross = np.cross(mesh.vertices[mesh.faces[:, 1]]
+                     - mesh.vertices[mesh.faces[:, 0]],
+                     mesh.vertices[mesh.faces[:, 2]]
+                     - mesh.vertices[mesh.faces[:, 0]])
+    assert (np.linalg.norm(cross, axis=1) == 0.0).sum() == 2
+    assert not np.isin([4, 5], mesh.faces[[0, 1, 3]]).any()
+    # without either clamp a division by zero leaves inf or NaN
+    assert np.isfinite(surfaces._cotangent_curvature(mesh)).all()
 
 
 @pytest.mark.parametrize("mesh", [
@@ -440,6 +509,21 @@ def test_obj_ply_export(tmp_path):
     assert obj.read_bytes() == obj2.read_bytes()
 
 
+def test_obj_face_rows_across_digit_groups(tmp_path):
+    n = 10002
+    verts = np.column_stack([np.arange(n, dtype=float), np.zeros(n),
+                             np.zeros(n)])
+    normals = np.repeat([[0.0, 0.0, 1.0]], n, axis=0)
+    # one-based indices 9999, 10000, 10001 and 10002 meet small ones
+    faces = np.array([[9998, 9999, 10000], [10000, 10001, 0], [0, 1, 9998],
+                      [5, 9999, 10001], [9, 99, 999]])
+    save_obj(SurfaceMesh(verts, faces, normals), tmp_path / "m.obj")
+    text = (tmp_path / "m.obj").read_text()
+    rows = np.repeat(faces + 1, 2, axis=1).tolist()
+    assert text[text.index("\nf ") + 1:] == "".join(
+        "f %d//%d %d//%d %d//%d\n" % tuple(row) for row in rows)
+
+
 def test_cylinder_patch_matches_curve():
     curve = solve_catenary(LIN1, 0.0, 1.3, tol=1e-11, n_samples=401)
     patch = cylinder_patch(curve, 1.0, 0.5, 81, 41)
@@ -559,6 +643,16 @@ def test_write_rows_matches_percent_on_integers():
         pairs = np.repeat(rows, 2, axis=1)
         assert _written(pairs, sep=" ", prefix="f ", cell="%d//%d") \
             == _percent(pairs, sep=" ", prefix="f ", cell="%d//%d")
+
+
+def test_write_rows_repeats_only_a_bitwise_equal_column():
+    # 0.0 and -0.0 compare equal but print differently
+    rows = np.array([[0.0, -0.0, -0.0], [1.5, 1.5, 1.5]])
+    assert _written(rows) == _percent(rows)
+    rows[1] = math.nan
+    assert _written(rows, sep="//") == _percent(rows, sep="//")
+    ints = np.array([[7, 7, 70], [-3, -3, 3], [10 ** 4, 10 ** 4, 9]])
+    assert _written(ints, cell="%d") == _percent(ints, cell="%d")
 
 
 def test_write_rows_without_long_double_scaling(monkeypatch):
