@@ -12,6 +12,7 @@ curvatures), under which the defining identity reads
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -713,8 +714,7 @@ def _row_plan(line: str, rows: np.ndarray):
     if "%d" in cells and not (dtype.kind in "iu"
                               and np.can_cast(dtype, np.int64)):
         return None
-    return [np.frombuffer(lit.encode("ascii"), dtype=np.uint8)
-            for lit in literals], cells
+    return [lit.encode("ascii") for lit in literals], cells
 
 
 def _block_text(line: str, plan, chunk: np.ndarray) -> str:
@@ -728,29 +728,29 @@ def _block_text(line: str, plan, chunk: np.ndarray) -> str:
               for j, c in enumerate(cells)]
     widths = [_FLOAT_BYTES if c == FLOAT else len(str(v.max()))
               for c, v in zip(cells, values)]
-    block = np.empty((len(chunk), sum(map(len, literals)) + sum(widths)),
-                     dtype=np.uint8)
+    row, spans = b"", []
+    for lit, width in zip(literals, widths + [0]):
+        row += lit
+        spans.append(slice(len(row), len(row) + width))
+        row += bytes(width)
+    block = np.empty((len(chunk), len(row)), dtype=np.uint8)
+    # the literal pieces of every row, copied as one fixed-width item
+    _items(block)[:] = np.void(row)
     bad = np.empty((len(chunk), len(cells)), dtype=bool)
-    col = 0
-    for j, lit in enumerate(literals):
-        block[:, col:col + len(lit)] = lit
-        col += len(lit)
-        if j < len(cells):
-            out = block[:, col:col + widths[j]]
-            if j and cells[j] == cells[j - 1] and np.array_equal(
-                    values[j].view(np.uint64), values[j - 1].view(np.uint64)):
-                # a column that repeats the one before (an OBJ face's v//vn)
-                # repeats its text
-                out[:] = prev
-                bad[:, j] = bad[:, j - 1]
-            else:
-                write = _float_text if cells[j] == FLOAT else _int_text
-                bad[:, j] = write(values[j], out)
-                # a value left to % keeps one \x01 byte, which marks its place
-                out[bad[:, j]] = 0
-                out[bad[:, j], 0] = 1
-            prev = out
-            col += widths[j]
+    for j, cell in enumerate(cells):
+        out = block[:, spans[j]]
+        if j and cell == cells[j - 1] and np.array_equal(
+                values[j].view(np.uint64), values[j - 1].view(np.uint64)):
+            # a column that repeats the one before (an OBJ face's v//vn)
+            # repeats its text
+            _items(out)[:] = _items(block[:, spans[j - 1]])
+            bad[:, j] = bad[:, j - 1]
+        else:
+            write = _float_text if cell == FLOAT else _int_text
+            bad[:, j] = write(values[j], out)
+            # a value left to % keeps one \x01 byte, which marks its place
+            out[bad[:, j]] = 0
+            out[bad[:, j], 0] = 1
     text = block.tobytes().replace(b"\0", b"").decode("ascii")
     if not bad.any():
         return text
@@ -761,6 +761,12 @@ def _block_text(line: str, plan, chunk: np.ndarray) -> str:
         start = end + 1
     pieces.append(text[start:])
     return "".join(pieces)
+
+
+def _items(columns: np.ndarray) -> np.ndarray:
+    """The byte ``columns`` of a block as one fixed-width item per row, so
+    that a copy moves whole rows of bytes."""
+    return columns.view(np.dtype((np.void, columns.shape[1])))
 
 
 def write_header(fh, lines: Sequence[str], prefix: str = "# ") -> None:
@@ -796,22 +802,34 @@ def write_table(path, comments: Sequence[str], header: str,
 def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
     """Header comments (``key = value`` lines), column names and data matrix
     of a CSV artifact, parsed from one open of the file.  Every row must
-    hold one value per name on the column line."""
+    hold one value per name on the column line.
+
+    A body all in the writer's %.16e form is read by array code
+    (``_float_body``); any other body by ``np.loadtxt`` on the text a
+    universal-newline handle sees."""
     meta: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped.startswith("#"):
-                colnames = stripped
-                break
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-        else:
-            raise ValueError(f"{path} holds no data rows")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    # the byte offset of the next line, where the file holds no \r (so
+    # that universal newlines change no byte)
+    start = 0
+    for line in text:
+        start += len(line.encode("utf-8"))
+        stripped = line.strip()
+        if not stripped.startswith("#"):
+            colnames = stripped
+            break
+        body = stripped.lstrip("#").strip()
+        if "=" in body:
+            key, val = body.split("=", 1)
+            meta[key.strip()] = val.strip()
+    else:
+        raise ValueError(f"{path} holds no data rows")
+    data = _float_body(raw, start)
+    if data is None:
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = np.loadtxt(text, delimiter=",", ndmin=2)
         except Exception as exc:
             raise ValueError(f"{path} is not a readable CSV table: {exc}"
                              ) from exc
@@ -822,6 +840,102 @@ def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
         raise ValueError(f"{path} has rows of {data.shape[1]} values under "
                          f"the {width} columns {colnames!r}")
     return meta, colnames, data
+
+
+# Reading is the writer's argument in reverse: a %.16e cell is q * 10^k with
+# q its 17 digits, so where |k| <= 27 the product (or quotient) in long
+# double is the exact value rounded once, and rounding that to float64
+# rounds the exact value unless it lies exactly halfway between two
+# doubles.  Such a cell, and one with |k| > 27, is read by float().
+def _float_body(raw: bytes, start: int):
+    """The rows of ``raw[start:]``, read in blocks of about ``_CHUNK_ROWS``
+    rows, or None unless every row holds the same number of %.16e cells
+    separated by "," and ended by "\n" (the last "\n" may be missing)."""
+    if not _EXACT_SCALING or start >= len(raw) or b"\r" in raw:
+        return None
+    first = (raw.find(b"\n", start) + 1 or len(raw)) - start
+    ncols = raw.count(b",", start, start + first) + 1
+    nrows = raw.count(b"\n", start) + (raw[-1] != ord("\n"))
+    if 23 * nrows * ncols > len(raw) - start + 1:  # 23 bytes a cell
+        return None
+    out = np.empty(nrows * ncols)
+    filled = 0
+    while start < len(raw):
+        end = raw.rfind(b"\n", start, start + _CHUNK_ROWS * first) + 1 \
+            or len(raw)
+        # the block with the "\n" before it, which ends the line above
+        buf = np.frombuffer(raw, np.uint8, end - start + 1, start - 1)
+        if raw[end - 1] != ord("\n"):
+            buf = np.append(buf, np.uint8(ord("\n")))
+        values = _float_cells(buf, ncols)
+        if values is None:
+            return None
+        out[filled:filled + len(values)] = values
+        filled += len(values)
+        start = end
+    return out.reshape(nrows, ncols)
+
+
+def _float_cells(buf: np.ndarray, ncols: int):
+    """Values of rows of ``ncols`` %.16e cells, or None where ``buf`` (a
+    "\n", then the rows) is not in that form."""
+    e = np.flatnonzero(buf == ord("e"))  # one per cell
+    if len(e) % ncols or not len(e) or e[-1] + 5 != len(buf):
+        return None
+    # a cell and its separator end 4 bytes after its "e" and hold 23 bytes,
+    # 24 with a "-"
+    minus = np.diff(e, prepend=-4).view(np.uint64) - 23
+    if (minus > 1).any():
+        return None
+    # 24 bytes from the one before each leading digit, as three words:
+    # [sign or separator, digit, ".", 5 digits], [8 digits],
+    # [3 digits, "e", exponent sign, 2 digits, separator]
+    head, mid, tail = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,)
+                                 )[e - 19].view("<u8").reshape(-1, 3).T
+    exp_sign = tail >> 32 & 0xFF
+    sep = np.full(len(e), ord(","), dtype=np.uint64)
+    sep[ncols - 1::ncols] = ord("\n")
+    ok = (head & 0xFF0000 == 0x2E0000) & (tail >> 56 == sep)
+    ok &= (exp_sign == ord("+")) | (exp_sign == ord("-"))
+    ok &= (head & 0xFF == ord("-")) | (minus == 0)
+    # the literal bytes read as "0" for the test of the digits
+    for w in (head & 0xFFFFFFFFFF00FF00 | 0x300030, mid,
+              tail & 0x00FFFF0000FFFFFF | 0x3000003030000000):
+        # every byte is a digit: its high nibble and that of byte + 6 are 3
+        ok &= (w & 0xF0F0F0F0F0F0F0F0 | (w + 0x0606060606060606
+                                         & 0xF0F0F0F0F0F0F0F0) >> 4
+               ) == 0x3333333333333333
+    if not ok.all():
+        return None
+    q = (head >> 8 & 0xF) * 10 ** 16 \
+        + _eight_digits(head >> 24 | mid << 40) * 10 ** 8 \
+        + _eight_digits(mid >> 24 | tail << 40)
+    k = ((tail >> 40 & 0xF) * 10 + (tail >> 48 & 0xF)).view(np.int64)
+    k = np.where(exp_sign == ord("-"), -16 - k, k - 16)
+    far = np.abs(k) > 27
+    k[far] = 0
+    ql = q.view(np.int64).astype(np.longdouble)
+    r = ql / _POW10[np.maximum(-k, 0)]
+    up = np.flatnonzero(k > 0)
+    r[up] = ql[up] * _POW10[k[up]]
+    v = r.astype(np.float64)
+    # r - v is exact, and so is its double where r lies halfway between v
+    # and a neighbour: v + 2 (r - v) then lands on that neighbour.  Such a
+    # cell goes to float(), since its exact value may round either way
+    low = (r - v).astype(np.float64)
+    tie = (low != 0) & (v + 2 * low - v == 2 * low)
+    v.view(np.uint64)[:] |= minus << 63
+    for i in np.flatnonzero(far | tie).tolist():
+        v[i] = float(buf[e[i] - 18 - int(minus[i]):e[i] + 4].tobytes())
+    return v
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The numbers written by eight ASCII digits in little-endian words
+    (SWAR: pairs, then fours, then all eight)."""
+    w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
 
 
 def grid_rows(x: np.ndarray, y: np.ndarray, *values: np.ndarray
@@ -836,7 +950,9 @@ def grid_rows(x: np.ndarray, y: np.ndarray, *values: np.ndarray
 def grid_from_table(path, meta: Dict[str, str], data: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, list]:
     """Axes and value grids of a table written from ``grid_rows`` under a
-    ``shape = n m`` header: x, y and one (n, m) array per further column."""
+    ``shape = n m`` header: x, y and one (n, m) array per further column.
+    The x and y columns must be those ``grid_rows`` makes of the axes, bit
+    for bit."""
     try:
         nx, ny = (int(t) for t in meta["shape"].split())
     except (KeyError, ValueError):
@@ -845,7 +961,15 @@ def grid_from_table(path, meta: Dict[str, str], data: np.ndarray
     if min(nx, ny) < 1 or len(data) != nx * ny:
         raise ValueError(f"{path} holds {len(data)} rows, expected {nx} x "
                          f"{ny} = {nx * ny}")
-    return (data[::ny, 0], data[:ny, 1],
+    x, y = data[::ny, 0], data[:ny, 1]
+    grid = grid_rows(x, y)[1]
+    off = np.flatnonzero((data[:, :2].view(np.uint64)
+                          != grid.view(np.uint64)).any(axis=1))
+    if len(off):
+        raise ValueError(f"{path} data row {off[0]} (from 0) is not at the "
+                         f"grid node {tuple(grid[off[0]].tolist())} of its "
+                         "place")
+    return (x, y,
             [data[:, j].reshape(nx, ny) for j in range(2, data.shape[1])])
 
 

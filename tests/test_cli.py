@@ -296,6 +296,29 @@ def test_verify_refuses_rows_narrower_than_the_columns(reaper_run,
     assert "3 values" in doc["error"]["message"]
 
 
+def test_verify_refuses_a_patch_off_its_grid(tmp_path):
+    # the x and y columns must be the grid the first rows and columns span
+    assert main(["calabi-to-l3", "--preset", "lorentz-soliton-pair",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "source.csv").read_text().splitlines(keepends=True)
+    head = lines.index("x,y,u\n") + 1
+    swapped = list(lines)
+    swapped[head + 5000], swapped[head + 7000] = (swapped[head + 7000],
+                                                  swapped[head + 5000])
+    moved = list(lines)
+    moved[head + 9000] = "9.0" + moved[head + 9000][
+        moved[head + 9000].index(","):]
+    for name, text, row in (("swapped", swapped, 5000),
+                            ("moved", moved, 9000)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(text))
+        out = tmp_path / f"verify-{name}"
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        message = json.loads((out / "error.json").read_text())["error"][
+            "message"]
+        assert f"data row {row} (from 0)" in message
+
+
 def test_verify_reads_a_patch_artifact_once(tmp_path, monkeypatch):
     assert main(["calabi-to-l3", "--out", str(tmp_path), "--grid", "31x31",
                  "--param", "profile=custom dphi=z+1 domain=-1,3",

@@ -1,6 +1,8 @@
 import io
 import math
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from phimin.surfaces import (
     fe_residual,
     lfe_residual,
     mean_curvature_residual,
+    read_table,
     revolve,
     rotational_patch,
     save_obj,
@@ -669,3 +672,229 @@ def test_write_rows_without_long_double_scaling(monkeypatch):
     monkeypatch.setattr(surfaces, "_float_text", no_array_floats)
     assert _written(rows, sep=" ", prefix="v ") == expected
     assert _written(rows[:, :2]) == _percent(rows[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# artifact number text: read_table against np.loadtxt on the same body
+# ---------------------------------------------------------------------------
+
+def reference_read_table(path):
+    """The reader before array code: header lines from a text handle, then
+    np.loadtxt on the rest of it."""
+    meta = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            stripped = line.strip()
+            if not stripped.startswith("#"):
+                colnames = stripped
+                break
+            body = stripped.lstrip("#").strip()
+            if "=" in body:
+                key, val = body.split("=", 1)
+                meta[key.strip()] = val.strip()
+        else:
+            raise ValueError(f"{path} holds no data rows")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except Exception as exc:
+            raise ValueError(f"{path} is not a readable CSV table: {exc}"
+                             ) from exc
+    if data.size == 0:
+        raise ValueError(f"{path} holds no data rows")
+    width = len(colnames.split(","))
+    if data.shape[1] != width:
+        raise ValueError(f"{path} has rows of {data.shape[1]} values under "
+                         f"the {width} columns {colnames!r}")
+    return meta, colnames, data
+
+
+_HEAD = "# artifact = test\n# shape = 1 2\n"
+
+
+def _read_back(body):
+    """read_table of a table with ``body`` (text, or the rows to write with
+    write_rows), and np.loadtxt of the same body."""
+    if not isinstance(body, str):
+        body = _written(body)
+    cols = ",".join("c%d" % j for j in range(body.split("\n")[0]
+                                             .count(",") + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/table.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_HEAD + cols + "\n" + body)
+        got = read_table(path)
+    assert got[0] == {"artifact": "test", "shape": "1 2"}
+    assert got[1] == cols
+    return got[2], np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+
+
+def _cells_read(monkeypatch):
+    """Count the blocks the array reader parses."""
+    calls, real = [], surfaces._float_cells
+
+    def counting(buf, ncols):
+        calls.append(real(buf, ncols) is not None)
+        return real(buf, ncols)
+    monkeypatch.setattr(surfaces, "_float_cells", counting)
+    return calls
+
+
+def _no_array_cells(buf, ncols):
+    raise AssertionError("array code ran without the long double gate")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.lists(_BITS | st.floats() | st.floats(-1e3, 1e3),
+                       min_size=1, max_size=60),
+       ncols=st.sampled_from([1, 3, 4, 6]))
+def test_read_table_matches_loadtxt_on_drawn_values(values, ncols):
+    rows = _rows_of(values, ncols)
+    fh = io.StringIO()
+    np.savetxt(fh, rows, fmt="%.16e", delimiter=",")
+    for body in (rows, fh.getvalue()):
+        got, want = _read_back(body)
+        assert got.tobytes() == want.tobytes()
+        # where long double has fewer than 64 significand bits every body
+        # goes to np.loadtxt; the arrays are the same
+        with mock.patch.object(surfaces, "_EXACT_SCALING", False), \
+                mock.patch.object(surfaces, "_float_cells", _no_array_cells):
+            assert _read_back(body)[0].tobytes() == want.tobytes()
+
+
+def _longdouble_midpoints(x, n=200000):
+    """%.16e cells with exponent ``x`` whose 17-digit integer scaled in long
+    double lands exactly halfway between two doubles, with a flag for those
+    whose exact value rounds otherwise than that midpoint."""
+    q = np.random.default_rng(11 + x).integers(10 ** 16, 10 ** 17, n)
+    k = x - 16
+    p = surfaces._POW10[abs(k)]
+    r = q.astype(np.longdouble) * p if k >= 0 else q.astype(np.longdouble) / p
+    v = r.astype(np.float64)
+    side = np.nextafter(v, np.where(r > v, math.inf, -math.inf))
+    half = 2 * r == v + side.astype(np.longdouble)
+    cells = ["%d.%016de%+03d" % (a // 10 ** 16, a % 10 ** 16, x)
+             for a in q[half].tolist()]
+    return cells, [float(c) != u for c, u in zip(cells, v[half].tolist())]
+
+
+def test_read_table_matches_loadtxt_on_hard_cases(monkeypatch):
+    powers = [10.0 ** k for k in range(-30, 31)]
+    hard = [np.nextafter(p, toward) for p in powers
+            for toward in (0.0, math.inf)] + powers
+    halves, _ = _longdouble_halves()
+    ties = [2.0 ** -25, 3 * 2.0 ** -25, 3 * 2.0 ** -24, 5 * 2.0 ** -24]
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+               5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-7]
+    # the +-27 scaling boundary: exponents -12/-11 and 43/44
+    boundary = [1.2345e-11, 9.999e-12, 1e-11, 1e-12, 9.999999999999999e-12,
+                1.5e43, 9.99e43, 1e43, 1e44, 9.999999999999999e43,
+                1e-100, 1e100, 1e-300, 1e300, 2.5e-310]
+    values = np.array(hard + list(halves) + ties + special + boundary)
+    values = np.concatenate([values, -values])
+    for ncols in (1, 3, 4, 6):
+        rows = _rows_of(values, ncols)
+        got, want = _read_back(rows)
+        assert got.tobytes() == want.tobytes()
+    # cells with two-digit exponents only, so the array reader takes them
+    a = np.abs(values)
+    finite = _rows_of(values[(a == 0) | (a >= 1e-99) & (a < 1e100)], 3)
+    calls = _cells_read(monkeypatch)
+    got, want = _read_back(finite)
+    assert got.tobytes() == want.tobytes() == finite.tobytes()
+    assert calls == [True]
+    # cells whose long double value is a double midpoint, written by hand
+    calls.clear()
+    for x in (-7, 0, 5, 30):
+        cells, inexact = _longdouble_midpoints(x)
+        if np.finfo(np.longdouble).nmant >= 63:
+            assert len(cells) > 20 and any(inexact)
+        cells = cells + ["-" + c for c in cells]
+        got, want = _read_back("".join(f"{c},1.0000000000000000e+00\n"
+                                       for c in cells))
+        assert got.tobytes() == want.tobytes()
+    assert all(calls)
+
+
+def test_read_table_matches_loadtxt_across_blocks(monkeypatch):
+    # rows of mixed widths (signs), so that blocks end inside a row
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((3 * surfaces._CHUNK_ROWS + 7, 4))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    rows[5, 2] = 1e-30  # one cell read by float()
+    spread = 10.0 ** rng.uniform(-12, 45, (10000, 3)) * rng.choice([-1, 1],
+                                                                  (10000, 3))
+    calls = _cells_read(monkeypatch)
+    for block in (rows, spread):
+        text = _written(block)
+        # and without the last newline
+        for body in (text, text[:-1]):
+            calls.clear()
+            got, want = _read_back(body)
+            assert got.tobytes() == want.tobytes() == block.tobytes()
+            assert len(calls) > 1 and all(calls)
+
+
+_FAST = "1.0000000000000000e+00,-2.5000000000000000e-01\n" * 3
+_TABLES = {
+    "crlf": (_HEAD + "a,b\n" + _FAST).replace("\n", "\r\n").encode(),
+    "lone cr": (_HEAD + "a,b\n" + _FAST).replace("\n", "\r").encode(),
+    "cr in the body": (_HEAD + "a,b\n" + _FAST.replace("\n", "\r", 1)
+                       ).encode(),
+    "spaces": (_HEAD + "a,b\n" + _FAST.replace(",", ", ")).encode(),
+    "faces": (_HEAD + "i,j,k\n" + "1,2,3\n40,50,60\n").encode(),
+    "nan and inf": (_HEAD + "a,b\n" + _FAST + "nan,-inf\n").encode(),
+    "three-digit exponent": (_HEAD + "a,b\n" + _FAST
+                             + "1.0000000000000000e+300,0\n").encode(),
+    "upper-case exponent": (_HEAD + "a,b\n" + _FAST.upper()).encode(),
+    "no last newline": (_HEAD + "a,b\n" + _FAST[:-1]).encode(),
+    "blank last line": (_HEAD + "a,b\n" + _FAST + "\n").encode(),
+    "ragged": (_HEAD + "a,b\n" + _FAST
+               + "1.0000000000000000e+00\n").encode(),
+    "narrow": (_HEAD + "a,b,c\n" + _FAST).encode(),
+    "non-numeric": (_HEAD + "a,b\n" + _FAST + "x,1\n").encode(),
+    "header only": (_HEAD + "a,b\n").encode(),
+    # 10^10 cells by the first row's width and the count of lines
+    "many empty cells": (_HEAD + "a,b\n" + "," * 10 ** 5 + "\n" * 10 ** 5
+                         ).encode(),
+    "no column line": _HEAD.encode(),
+    "empty": b"",
+    "plus sign": (_HEAD + "a,b\n" + "+" + _FAST).encode(),
+    "two short rows": (_HEAD + "a,b\n" + _FAST
+                       + "1.0000000000000000e+00\n" * 2).encode(),
+    "a long row, then a short one": (_HEAD + "a,b\n" + _FAST + _FAST[:23]
+                                     + _FAST[:-1] + "\n" + _FAST[:22] + "\n"
+                                     ).encode(),
+    "colon among the digits": (_HEAD + "a,b\n" + _FAST.replace(
+        "e-01\n", "e-01\n1.00000000000:0000e+00,1e+00\n", 1)).encode(),
+    "comma for the point": (_HEAD + "a,b\n" + _FAST.replace(
+        "1.", "1,", 1)).encode(),
+    "letter for the point": (_HEAD + "a,b\n" + _FAST.replace(
+        "1.", "1x", 1)).encode(),
+    "comma for the exponent sign": (_HEAD + "a,b\n" + _FAST[:47]
+                                    + _FAST[47:].replace("e+", "e,", 1)
+                                    ).encode(),
+    "point in the exponent": (_HEAD + "a,b\n" + _FAST.replace(
+        "e+00", "e+0.")).encode(),
+    "bad utf-8 in the header": b"# k = \xff\n" + (_HEAD + "a,b\n"
+                                                 + _FAST).encode(),
+    "bad utf-8 in the body": (_HEAD + "a,b\n" + _FAST).encode()
+    + b"\xfe,1\n",
+    "bad utf-8 far in the body": (_HEAD + "a,b\n" + _FAST * 2000).encode()
+    + b"1.0000000000000000e+0\xc3,1\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_read_table_falls_back_as_loadtxt_reads(name, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(_TABLES[name])
+    outcomes = []
+    for read in (reference_read_table, read_table):
+        try:
+            meta, cols, data = read(path)
+            outcomes.append((meta, cols, data.shape, data.tobytes()))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
