@@ -406,21 +406,33 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
 
     # initial guess from the monotone mid-line profiles, then full Newton
     jm, im = ny // 2, nx // 2
-    px = np.interp(tx, gfx[:, jm], patch.x)
-    py = np.interp(ty, gfy[im, :], patch.y)
+    gx = np.interp(xg, gfx[:, jm], patch.x)
+    gy = np.interp(yg, gfy[im, :], patch.y)
+    px, py = np.repeat(gx, ny), np.tile(gy, nx)
+
+    def pointwise(spl, **order):
+        return spl(px, py, grid=False, **order)
+
+    def on_guess(spl, **order):
+        # FITPACK's grid evaluation equals the pointwise one bit for bit
+        # and is an order of magnitude cheaper; it needs sorted axes
+        return spl(gx, gy, **order).ravel()
+
+    at = on_guess if np.all(np.diff(gx) >= 0) and np.all(np.diff(gy) >= 0) \
+        else pointwise
     scale = max(x_hi - x_lo, y_hi - y_lo, 1.0)
     newton_tol = 1e-11 * scale
     iters = 0
     for iters in range(1, 61):
-        fx = sx(px, py, grid=False) - tx
-        fy = sy(px, py, grid=False) - ty
+        fx = at(sx) - tx
+        fy = at(sy) - ty
         res = max(float(np.max(np.abs(fx))), float(np.max(np.abs(fy))))
         if res < newton_tol:
             break
-        jxx = sx(px, py, dx=1, grid=False)
-        jxy = sx(px, py, dy=1, grid=False)
-        jyx = sy(px, py, dx=1, grid=False)
-        jyy = sy(px, py, dy=1, grid=False)
+        jxx = at(sx, dx=1)
+        jxy = at(sx, dy=1)
+        jyx = at(sy, dx=1)
+        jyy = at(sy, dy=1)
         jdet = jxx * jyy - jxy * jyx
         if np.any(jdet <= 0.0):
             raise NumericalError("gradient map folds over during "
@@ -429,6 +441,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
                      patch.x[0], patch.x[-1])
         py = np.clip(py - (-jyx * fx + jxx * fy) / jdet,
                      patch.y[0], patch.y[-1])
+        at = pointwise
     else:
         raise NumericalError("resampling after the base-coordinate change "
                              "did not converge")

@@ -43,9 +43,9 @@ from .solvers import (CATENARY_GRAPH, ProfileCurve, compute_lambda,
 from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
                        SurfaceMesh, cylinder_patch, fe_residual,
                        grid_from_table, grid_rows, lfe_residual,
-                       mean_curvature_residual, read_table, revolve,
-                       rotational_patch, save_obj, save_ply, tilt_cylinder,
-                       write_table)
+                       mean_curvature_residual, open_table, read_table,
+                       revolve, rotational_patch, save_obj, save_ply,
+                       tilt_cylinder, write_table)
 from .weierstrass import (bjorling_from_json, gauss_field_from_table,
                           gauss_pde_residual, integrate_representation,
                           load_gauss_field, reconstruction_residuals,
@@ -867,6 +867,9 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
 
 _VERIFY_DEFAULT_THRESHOLD = {"profile_curve": 1e-3, "graph_patch": 5e-2,
                              "gauss_field": 1e-3}
+# the artifact kind verify checks, by the column line of its table
+_VERIFIED_COLUMNS = {"s,x,z,theta": "profile_curve", "x,y,u": "graph_patch",
+                     "u,v,re_g,im_g": "gauss_field"}
 
 
 def _rotational_ode_residual(curve: ProfileCurve,
@@ -930,23 +933,24 @@ def _verify_patch(table: Tuple[Dict[str, str], str, np.ndarray],
 
 def _cmd_verify(cfg: RunConfig) -> int:
     path = cfg.input_path("input", "artifact CSV")
-    meta, colnames, data = read_table(path)
-    if colnames == "s,x,z,theta":
-        kind = "profile_curve"
+    # the column line decides the kind before the body is parsed
+    meta, colnames, body = open_table(path)
+    kind = _VERIFIED_COLUMNS.get(colnames)
+    if kind is None:
+        if colnames in ("x,y,z,nx,ny,nz", "i,j,k"):
+            raise ValueError(f"{path} is a mesh export; the residual "
+                             "oracles work on curve, patch, and field "
+                             "artifacts")
+        raise ValueError(f"{path} has unrecognized columns {colnames!r}")
+    data = body()
+    if kind == "profile_curve":
         checks = _verify_curve(meta, data, path)
-    elif colnames == "x,y,u":
-        kind = "graph_patch"
+    elif kind == "graph_patch":
         checks = _verify_patch((meta, colnames, data), path)
-    elif colnames == "u,v,re_g,im_g":
-        kind = "gauss_field"
+    else:
         field = gauss_field_from_table(path, (meta, colnames, data))
         checks = {"gauss_pde_residual":
                   float(np.nanmax(np.abs(gauss_pde_residual(field))))}
-    elif colnames in ("x,y,z,nx,ny,nz", "i,j,k"):
-        raise ValueError(f"{path} is a mesh export; the residual oracles "
-                         "work on curve, patch, and field artifacts")
-    else:
-        raise ValueError(f"{path} has unrecognized columns {colnames!r}")
 
     threshold = cfg.maybe_float("tol", positive=True)
     if threshold is None:

@@ -28,6 +28,8 @@ CATENOID_LEFT = "catenoid_left"
 _GRAPH_KINDS = (CATENARY_GRAPH, BOWL_GRAPH)
 _BLOWUP_SLOPE = 1e8
 _LAUNCH = 1e-3  # series launch length at the rotation axis
+# candidate segment pairs decided at once by count_self_intersections
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -599,7 +601,11 @@ def count_self_intersections(points: np.ndarray) -> int:
 
     Adjacent segments (sharing an endpoint) are skipped.  Uses exact sign
     tests on orientation predicates; collinear overlaps count as crossings.
-    Quadratic with a bounding-box prefilter, fine for a few thousand points.
+    Candidate pairs come from a sweep along x: once the segments are
+    sorted by their left ends, the ones whose x-range meets segment s
+    directly follow s.  Each pair is then decided, with the first index
+    the smaller, by a bounding-box test and the predicates, about
+    ``_PAIR_BLOCK`` pairs at a time.
     """
     p = np.asarray(points, dtype=float)
     n = len(p) - 1
@@ -613,18 +619,27 @@ def count_self_intersections(points: np.ndarray) -> int:
         return np.sign((p1[..., 0] - p0[..., 0]) * (q[..., 1] - p0[..., 1])
                        - (p1[..., 1] - p0[..., 1]) * (q[..., 0] - p0[..., 0]))
 
+    order = np.argsort(lo[:, 0], kind="stable")
+    # sorted segment s meets the x-ranges of sorted segments s+1 .. end-1
+    follow = np.searchsorted(lo[order, 0], hi[order, 0], side="right") \
+        - np.arange(1, n + 1)
+    step = max(1, _PAIR_BLOCK // n)
     count = 0
-    for i in range(n - 2):
-        js = np.arange(i + 2, n)
-        mask = ~((lo[js, 0] > hi[i, 0]) | (hi[js, 0] < lo[i, 0])
-                 | (lo[js, 1] > hi[i, 1]) | (hi[js, 1] < lo[i, 1]))
-        js = js[mask]
-        if not len(js):
-            continue
-        o1 = orient(a[i], b[i], a[js])
-        o2 = orient(a[i], b[i], b[js])
-        o3 = orient(a[js], b[js], a[i][None, :])
-        o4 = orient(a[js], b[js], b[i][None, :])
+    for s0 in range(0, n, step):
+        cnt = follow[s0:s0 + step]
+        first = np.repeat(np.arange(s0, s0 + len(cnt)), cnt)
+        second = first + 1 + np.arange(len(first)) \
+            - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        i = np.minimum(order[first], order[second])
+        j = np.maximum(order[first], order[second])
+        keep = (j - i >= 2) & ~((lo[j, 0] > hi[i, 0]) | (hi[j, 0] < lo[i, 0])
+                                | (lo[j, 1] > hi[i, 1])
+                                | (hi[j, 1] < lo[i, 1]))
+        i, j = i[keep], j[keep]
+        o1 = orient(a[i], b[i], a[j])
+        o2 = orient(a[i], b[i], b[j])
+        o3 = orient(a[j], b[j], a[i])
+        o4 = orient(a[j], b[j], b[i])
         crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
         degenerate = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
         count += int(np.sum(crossing | degenerate))

@@ -16,7 +16,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -238,16 +238,13 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
     N[:, :, 1] = -sin_th * st[None, :]
     N[:, :, 2] = np.broadcast_to(cos_th, (rings, nt))
 
-    faces = []
     idx = np.arange(nt)
     nxt = (idx + 1) % nt
-    for r in range(rings - 1):
-        a = r * nt + idx
-        b = r * nt + nxt
-        c = (r + 1) * nt + idx
-        d = (r + 1) * nt + nxt
-        faces.append(np.column_stack([a, b, d]))
-        faces.append(np.column_stack([a, d, c]))
+    # the first ring's quads (a, b, c, d) = (t, t+1, nt+t, nt+t+1) give
+    # the triangles (a, b, d), then (a, d, c); each ring is an offset of it
+    ring = np.concatenate([np.column_stack([idx, nxt, nxt + nt]),
+                           np.column_stack([idx, nxt + nt, idx + nt])])
+    faces = [(np.arange(rings - 1)[:, None, None] * nt + ring).reshape(-1, 3)]
     if has_apex:
         apex = rings * nt
         verts[apex] = (0.0, 0.0, z[0])
@@ -406,34 +403,50 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
 
     It runs on coordinate columns: corner c of a face with the edges
     E_c = p_{c+1} - p_c (mod 3) spans E_c and -E_{c+2} and weights E_{c+1}.
-    Sums keep the order of ``np.cross`` and ``norm`` on rows, and each
-    coordinate is scattered by 1-D ``ufunc.at`` in corner order."""
+    The corner weights are formed over blocks of ``_CHUNK_ROWS`` faces, so
+    no edge array spans the mesh.  Sums keep the order of ``np.cross`` and
+    ``norm`` on rows, and each coordinate is scattered by 1-D ``ufunc.at``
+    in corner order (the three accumulators are independent, so one
+    coordinate's three corners run before the next coordinate's)."""
     f = mesh.faces.T.copy()
-    n = mesh.n_vertices
+    v = mesh.vertices.T
+    half = np.empty(f.shape)  # minus half the cotangent at each corner
+    third = np.empty(f.shape[1])  # a third of the face area
+    for lo in range(0, f.shape[1], _CHUNK_ROWS):
+        block = slice(lo, lo + _CHUNK_ROWS)
+        _corner_weights(v, f[:, block], half[:, block], third[block])
+    vec = np.zeros((3, mesh.n_vertices))
+    for acc, q in zip(vec, v):
+        for c in range(3):
+            j, k = f[(c + 1) % 3], f[(c + 2) % 3]
+            t = half[c] * (q[k] - q[j])  # E_{c+1}
+            np.subtract.at(acc, j, t)
+            np.add.at(acc, k, t)
+    area = np.zeros(mesh.n_vertices)
+    for corners in f:
+        np.add.at(area, corners, third)
+    area[area < 1e-300] = 1e-300
+    return (vec / area).T
+
+
+def _corner_weights(v: np.ndarray, f: np.ndarray, half: np.ndarray,
+                    third: np.ndarray) -> None:
+    """Minus half the cotangent at each corner of the faces ``f`` (3, B)
+    into ``half`` (3, B), and a third of their areas into ``third``, from
+    the coordinate rows ``v``."""
     edge = np.empty((3, 3, f.shape[1]))  # edge[coordinate, c] = E_c
-    for q, e in zip(mesh.vertices.T, edge):
+    for q, e in zip(v, edge):
         corner = q[f]
         np.subtract(corner[[1, 2, 0]], corner, out=e)
-    vec = np.zeros((3, n))
-    area = np.zeros(n)
     for c in range(3):
         (ax, ay, az), (bx, by, bz) = edge[:, c], edge[:, (c + 2) % 3]
         # |E_{c+2} x E_c| is |E_c x -E_{c+2}| bit for bit
         denom = np.sqrt((by * az - bz * ay) ** 2 + (bz * ax - bx * az) ** 2
                         + (bx * ay - by * ax) ** 2)
         if c == 0:
-            third = 0.5 * denom / 3.0  # a third of the face area
+            third[:] = 0.5 * denom / 3.0
         denom[denom < 1e-300] = 1e-300
-        # minus half the cotangent at corner c
-        half = 0.5 * ((ax * bx + ay * by + az * bz) / denom)
-        for acc, d in zip(vec, edge[:, (c + 1) % 3]):
-            t = half * d
-            np.subtract.at(acc, f[(c + 1) % 3], t)
-            np.add.at(acc, f[(c + 2) % 3], t)
-    for corners in f:
-        np.add.at(area, corners, third)
-    area[area < 1e-300] = 1e-300
-    return (vec / area).T
+        half[c] = 0.5 * ((ax * bx + ay * by + az * bz) / denom)
 
 
 def mean_curvature_residual(mesh: SurfaceMesh,
@@ -801,8 +814,17 @@ def write_table(path, comments: Sequence[str], header: str,
 
 def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
     """Header comments (``key = value`` lines), column names and data matrix
-    of a CSV artifact, parsed from one open of the file.  Every row must
-    hold one value per name on the column line.
+    of a CSV artifact, parsed from one open of the file (``open_table``)."""
+    meta, colnames, body = open_table(path)
+    return meta, colnames, body()
+
+
+def open_table(path) -> Tuple[Dict[str, str], str,
+                              Callable[[], np.ndarray]]:
+    """Header comments and column names of a CSV artifact, and the parser
+    of its data matrix, so that a caller may refuse a table by its column
+    line before the body is parsed.  The file is opened and read once,
+    here.  Every row must hold one value per name on the column line.
 
     A body all in the writer's %.16e form is read by array code
     (``_float_body``); any other body by ``np.loadtxt`` on the text a
@@ -826,20 +848,23 @@ def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
             meta[key.strip()] = val.strip()
     else:
         raise ValueError(f"{path} holds no data rows")
-    data = _float_body(raw, start)
-    if data is None:
-        try:
-            data = np.loadtxt(text, delimiter=",", ndmin=2)
-        except Exception as exc:
-            raise ValueError(f"{path} is not a readable CSV table: {exc}"
-                             ) from exc
-    if data.size == 0:
-        raise ValueError(f"{path} holds no data rows")
-    width = len(colnames.split(","))
-    if data.shape[1] != width:
-        raise ValueError(f"{path} has rows of {data.shape[1]} values under "
-                         f"the {width} columns {colnames!r}")
-    return meta, colnames, data
+
+    def parse() -> np.ndarray:
+        data = _float_body(raw, start)
+        if data is None:
+            try:
+                data = np.loadtxt(text, delimiter=",", ndmin=2)
+            except Exception as exc:
+                raise ValueError(f"{path} is not a readable CSV table: "
+                                 f"{exc}") from exc
+        if data.size == 0:
+            raise ValueError(f"{path} holds no data rows")
+        width = len(colnames.split(","))
+        if data.shape[1] != width:
+            raise ValueError(f"{path} has rows of {data.shape[1]} values "
+                             f"under the {width} columns {colnames!r}")
+        return data
+    return meta, colnames, parse
 
 
 # Reading is the writer's argument in reverse: a %.16e cell is q * 10^k with

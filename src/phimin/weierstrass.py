@@ -241,8 +241,77 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     image of the discrete normal) and ``mean_curvature_residual`` (sup of
     the cotangent-formula curvature defect against the matching weight).
     """
-    G, k = field.G, field.k_param
     nu, nv = field.shape
+    points, pinned = _immersion(field, base, anchor, path_tol)
+    mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
+                       faces=_grid_faces(nu, nv),
+                       normals=field.normals().reshape(-1, 3),
+                       signature=EUCLIDEAN,
+                       meta={"kind": "weierstrass-representation",
+                             "k": field.k_param, "u": field.u.copy(),
+                             "v": field.v.copy(), "G": field.G.copy(),
+                             **pinned})
+    mesh.meta.update(_first_order_defects(points, field))
+    prof = _weight_profile_for(field.k_param, points[..., 2])
+    if prof is not None:
+        res = mean_curvature_residual(mesh, prof)
+        mesh.meta["mean_curvature_residual"] = float(np.nanmax(np.abs(res)))
+    else:
+        mesh.meta["mean_curvature_residual"] = math.nan
+    return mesh
+
+
+def _immersion(field: GaussField, base: Optional[complex],
+               anchor: Optional[Sequence[float]], path_tol: Optional[float]
+               ) -> Tuple[np.ndarray, dict]:
+    """The (nu, nv, 3) points of ``integrate_representation`` and the meta
+    entries that record how they were pinned; the coordinate arrays die
+    on return, once stacked."""
+    ib, jb, psi, disagreement = _path_integrals(field, base)
+    k = field.k_param
+    sup_psi = max(float(np.abs(p).max()) for p in psi)
+    tol = 1e-3 * (1.0 + sup_psi) if path_tol is None else float(path_tol)
+    if disagreement > tol:
+        raise NumericalError(
+            f"path dependence {disagreement:.3e} exceeds {tol:.3e}: the "
+            "field does not satisfy the integrability PDE on this grid")
+
+    # Pin the free constants of the solution family.
+    anchor_used = None
+    if anchor is not None:
+        ax, ay, az = (float(anchor[0]), float(anchor[1]), float(anchor[2]))
+        ia, ja = ib, jb
+        anchor_used = (ax, ay, az)
+    elif "anchor_point" in field.meta and "anchor_zeta" in field.meta:
+        ax, ay, az = (float(c) for c in field.meta["anchor_point"])
+        ia, ja = _locate_base(field, field.meta["anchor_zeta"])
+        anchor_used = (ax, ay, az)
+    if anchor_used is not None:
+        if k == 1.0:
+            for p, a in zip(psi, anchor_used):
+                p += a - p[ia, ja]
+        else:
+            c0 = anchor_used[2] / psi[2][ia, ja]
+            if c0 <= 0:
+                raise ValueError(
+                    "anchor height lies on the wrong side of the singular "
+                    "plane z = 0; only positive homotheties preserve the "
+                    "weight family")
+            psi = [c0 * p for p in psi]
+            psi[0] += anchor_used[0] - psi[0][ia, ja]
+            psi[1] += anchor_used[1] - psi[1][ia, ja]
+    return np.stack(psi, axis=-1), {
+        "base_zeta": complex(field.u[ib], field.v[jb]),
+        "anchor": anchor_used, "path_disagreement": disagreement,
+        "path_tol": tol}
+
+
+def _path_integrals(field: GaussField, base: Optional[complex]
+                    ) -> Tuple[int, int, List[np.ndarray], float]:
+    """Base node, the three coordinate functions before pinning, and the
+    worst disagreement of their two routes; the derivatives, integrands
+    and routes die on return."""
+    G, k = field.G, field.k_param
     hu, hv = field.hu, field.hv
 
     gz, gzb = wirtinger_derivatives(field)
@@ -292,61 +361,21 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
             4.0 * abs(k) * float(np.abs(q1a - q1b).max()),
             4.0 * abs(k) * float(np.abs(q2a - q2b).max()),
             abs(vertical) * float(np.abs(gamma_a - gamma_b).max()))
+    return ib, jb, psi, disagreement
 
-    sup_psi = max(float(np.abs(p).max()) for p in psi)
-    tol = 1e-3 * (1.0 + sup_psi) if path_tol is None else float(path_tol)
-    if disagreement > tol:
-        raise NumericalError(
-            f"path dependence {disagreement:.3e} exceeds {tol:.3e}: the "
-            "field does not satisfy the integrability PDE on this grid")
 
-    # Pin the free constants of the solution family.
-    anchor_used = None
-    if anchor is not None:
-        ax, ay, az = (float(anchor[0]), float(anchor[1]), float(anchor[2]))
-        ia, ja = ib, jb
-        anchor_used = (ax, ay, az)
-    elif "anchor_point" in field.meta and "anchor_zeta" in field.meta:
-        ax, ay, az = (float(c) for c in field.meta["anchor_point"])
-        ia, ja = _locate_base(field, field.meta["anchor_zeta"])
-        anchor_used = (ax, ay, az)
-    if anchor_used is not None:
-        if k == 1.0:
-            for p, a in zip(psi, anchor_used):
-                p += a - p[ia, ja]
-        else:
-            c0 = anchor_used[2] / psi[2][ia, ja]
-            if c0 <= 0:
-                raise ValueError(
-                    "anchor height lies on the wrong side of the singular "
-                    "plane z = 0; only positive homotheties preserve the "
-                    "weight family")
-            psi = [c0 * p for p in psi]
-            psi[0] += anchor_used[0] - psi[0][ia, ja]
-            psi[1] += anchor_used[1] - psi[1][ia, ja]
-
-    points = np.stack(psi, axis=-1)
-    normals = field.normals()
-    mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
-                       faces=_grid_faces(nu, nv),
-                       normals=normals.reshape(-1, 3),
-                       signature=EUCLIDEAN,
-                       meta={"kind": "weierstrass-representation",
-                             "k": k, "u": field.u.copy(), "v": field.v.copy(),
-                             "G": field.G.copy(),
-                             "base_zeta": complex(field.u[ib], field.v[jb]),
-                             "anchor": anchor_used,
-                             "path_disagreement": disagreement,
-                             "path_tol": tol})
-
-    # Verification block: conformality, normal recovery, mean curvature.
-    pu = np.gradient(points, hu, axis=0, edge_order=2)
-    pv = np.gradient(points, hv, axis=1, edge_order=2)
+def _first_order_defects(points: np.ndarray, field: GaussField
+                         ) -> Dict[str, float]:
+    """``conformal_defect`` and ``gauss_map_defect`` of the (nu, nv, 3)
+    points against the field; the tangent fields die on return."""
+    G = field.G
+    pu = np.gradient(points, field.hu, axis=0, edge_order=2)
+    pv = np.gradient(points, field.hv, axis=1, edge_order=2)
     ee = np.einsum("ijk,ijk->ij", pu, pu)[1:-1, 1:-1]
     gg = np.einsum("ijk,ijk->ij", pv, pv)[1:-1, 1:-1]
     ff = np.einsum("ijk,ijk->ij", pu, pv)[1:-1, 1:-1]
     lam2 = 0.5 * (ee + gg)
-    mesh.meta["conformal_defect"] = float(
+    conformal = float(
         (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff)) / lam2).max())
 
     nrm = np.cross(pv, pu)[1:-1, 1:-1]
@@ -354,15 +383,8 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     ok = 1.0 + nrm[..., 2] > 1e-6
     grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
                     / np.where(ok, 1.0 + nrm[..., 2], 1.0), G[1:-1, 1:-1])
-    mesh.meta["gauss_map_defect"] = float(np.abs(grec - G[1:-1, 1:-1]).max())
-
-    prof = _weight_profile_for(k, points[..., 2])
-    if prof is not None:
-        res = mean_curvature_residual(mesh, prof)
-        mesh.meta["mean_curvature_residual"] = float(np.nanmax(np.abs(res)))
-    else:
-        mesh.meta["mean_curvature_residual"] = math.nan
-    return mesh
+    return {"conformal_defect": conformal,
+            "gauss_map_defect": float(np.abs(grec - G[1:-1, 1:-1]).max())}
 
 
 def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
@@ -395,13 +417,11 @@ def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
     G, k = field.G, field.k_param
     points = mesh.vertices.reshape(*field.shape, 3)
 
-    pu = np.gradient(points, field.hu, axis=0, edge_order=2)
-    pv = np.gradient(points, field.hv, axis=1, edge_order=2)
-    psi_z = 0.5 * (pu - 1j * pv)
+    psi_z = _wirtinger_zeta(points, field.hu, field.hv)
     p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
     fh = p1 - 1j * p2
 
-    _, gzb = wirtinger_derivatives(field)
+    gzb = wirtinger_derivatives(field)[1]
     D = 1.0 - np.abs(G) ** 4
     dphi = np.ones_like(points[..., 2]) if k == 1.0 \
         else (2.0 / (k - 1.0)) / points[..., 2]
@@ -417,6 +437,14 @@ def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
         arr[0, :] = arr[-1, :] = np.nan
         arr[:, 0] = arr[:, -1] = np.nan
     return out
+
+
+def _wirtinger_zeta(points: np.ndarray, hu: float, hv: float) -> np.ndarray:
+    """psi_zeta of the (nu, nv, 3) points by central differences, one-sided
+    at the border; the two real gradients die on return."""
+    pu = np.gradient(points, hu, axis=0, edge_order=2)
+    pv = np.gradient(points, hv, axis=1, edge_order=2)
+    return 0.5 * (pu - 1j * pv)
 
 
 def rotational_gauss_field(curve: ProfileCurve, k_param: float,

@@ -462,3 +462,25 @@ def test_fold_over_near_vertical_tangent():
     u = np.tile(-np.log(np.cos(x))[:, None], (1, len(y)))
     with pytest.raises(NumericalError, match="singular locus"):
         to_lorentz(GraphPatch(x, y, u), LIN1)
+
+
+@pytest.mark.parametrize("dx,dy", [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2),
+                                   (1, 1)])
+def test_quintic_spline_grid_evaluation_is_pointwise_bit_for_bit(dx, dy):
+    # the transform's first Newton step evaluates its quintic splines on
+    # the tensor grid of the initial guess; FITPACK's grid routines must
+    # give the pointwise values exactly, or the duality's bits change
+    rng = np.random.default_rng(5)
+    x = np.linspace(-1.0, 1.3, 41)
+    y = np.linspace(-0.7, 0.9, 37)
+    u = np.sin(2.0 * x)[:, None] * np.cosh(y)[None, :] \
+        + 0.01 * rng.normal(size=(41, 37))
+    spl = RectBivariateSpline(x, y, u, kx=5, ky=5)
+    # sorted but uneven axes with repeats and the ends, as np.interp makes
+    gx = np.sort(np.concatenate([rng.uniform(-1.0, 1.3, 60),
+                                 [-1.0, -1.0, 1.3, 1.3]]))
+    gy = np.sort(np.concatenate([rng.uniform(-0.7, 0.9, 50), [0.9, 0.9]]))
+    got = spl(gx, gy, dx=dx, dy=dy).ravel()
+    want = spl(np.repeat(gx, len(gy)), np.tile(gy, len(gx)), dx=dx, dy=dy,
+               grid=False)
+    assert got.tobytes() == want.tobytes()

@@ -296,6 +296,18 @@ def test_verify_refuses_rows_narrower_than_the_columns(reaper_run,
     assert "3 values" in doc["error"]["message"]
 
 
+def test_verify_refuses_a_mesh_export_by_its_column_line(tmp_path):
+    # the column line decides; the body is never parsed
+    for columns in ("x,y,z,nx,ny,nz", "i,j,k"):
+        path = tmp_path / "mesh.csv"
+        path.write_text(f"# artifact = mesh\n{columns}\n1,2,x\n\x00;;\n")
+        out = tmp_path / f"v-{len(columns)}"
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        message = json.loads((out / "error.json").read_text())["error"][
+            "message"]
+        assert "is a mesh export" in message
+
+
 def test_verify_refuses_a_patch_off_its_grid(tmp_path):
     # the x and y columns must be the grid the first rows and columns span
     assert main(["calabi-to-l3", "--preset", "lorentz-soliton-pair",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phimin import make_builtin, make_custom
-from phimin.cli import RunConfig, _write_curve_csv
+from phimin import make_builtin, make_custom, solvers
+from phimin.cli import RunConfig, _write_curve_csv, profile_from_spec
 from phimin.errors import NumericalError
 from phimin.solvers import (
     AsymptoteReport,
@@ -192,6 +192,70 @@ def test_self_intersection_counter():
     # a staircase never crosses itself
     stair = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2]], float)
     assert count_self_intersections(stair) == 0
+
+
+def reference_count_self_intersections(points):
+    """Every segment against all later non-adjacent ones, one at a time."""
+    p = np.asarray(points, dtype=float)
+    n = len(p) - 1
+    if n < 3:
+        return 0
+    a, b = p[:-1], p[1:]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+
+    def orient(p0, p1, q):
+        return np.sign((p1[..., 0] - p0[..., 0]) * (q[..., 1] - p0[..., 1])
+                       - (p1[..., 1] - p0[..., 1]) * (q[..., 0] - p0[..., 0]))
+
+    count = 0
+    for i in range(n - 2):
+        js = np.arange(i + 2, n)
+        mask = ~((lo[js, 0] > hi[i, 0]) | (hi[js, 0] < lo[i, 0])
+                 | (lo[js, 1] > hi[i, 1]) | (hi[js, 1] < lo[i, 1]))
+        js = js[mask]
+        if not len(js):
+            continue
+        o1 = orient(a[i], b[i], a[js])
+        o2 = orient(a[i], b[i], b[js])
+        o3 = orient(a[js], b[js], a[i][None, :])
+        o4 = orient(a[js], b[js], b[i][None, :])
+        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
+        degenerate = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+        count += int(np.sum(crossing | degenerate))
+    return count
+
+
+def catenoid_preset_polyline():
+    # the catenoid-exp-weight preset's branches, joined as its report joins
+    # them (2,404 points)
+    prof = profile_from_spec("custom dphi=exp(-1/z) domain=0.01,inf "
+                             "growth_alpha=0 asymptote=0,1")
+    right, left = solve_catenoid(prof, 1.0, 2.0, 6.0, tol=1e-10,
+                                 n_samples=1201)
+    return np.column_stack([np.concatenate([left.x[::-1], right.x]),
+                            np.concatenate([left.z[::-1], right.z])])
+
+
+@pytest.mark.parametrize("block", [1 << 20, 7])
+def test_self_intersection_sweep_matches_all_pairs(block, monkeypatch):
+    monkeypatch.setattr(solvers, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(3)
+    cross = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    stair = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2]], float)
+    walks = [np.cumsum(rng.normal(size=(n, 2)), axis=0)
+             for n in (4, 5, 40, 300)]
+    # steps on the integer lattice make touching and collinear segments
+    walks += [np.cumsum(rng.integers(-1, 2, size=(n, 2)), axis=0).astype(
+        float) for n in (6, 50, 400)]
+    polylines = [cross, stair, cross[:3], *walks]
+    if block > 7:
+        polylines.append(catenoid_preset_polyline())
+    counts = [count_self_intersections(p) for p in polylines]
+    assert counts == [reference_count_self_intersections(p)
+                      for p in polylines]
+    assert counts[:3] == [1, 0, 0]
+    assert max(counts[3:7]) > 0 and max(counts[7:10]) > 0
 
 
 def test_fit_asymptotics_soliton_constant(soliton_bowl):

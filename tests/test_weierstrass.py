@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
+from phimin import surfaces
 from phimin.errors import NumericalError
 from phimin.profiles import make_builtin
 from phimin.solvers import solve_bowl
@@ -158,6 +160,38 @@ def test_reaper_reconstruction_matches_closed_form():
     assert mesh.meta["conformal_defect"] < 5e-3
     assert mesh.meta["gauss_map_defect"] < 1e-3
     assert mesh.meta["mean_curvature_residual"] < 1e-3
+
+
+def traced_peak(fn, *args):
+    """Bytes held at the peak of ``fn(*args)`` beyond those held before,
+    as tracemalloc counts them (numpy reports its buffers to it, so the
+    figure repeats exactly)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_reconstruction_peak_memory():
+    # the integrands, routes and tangent fields die before the mesh oracle
+    # runs: about 300 B a node, against 790 when they lived to the end
+    f = reaper_field(201, 151)
+    assert traced_peak(integrate_representation, f) <= 450 * f.G.size
+
+
+def test_cotangent_oracle_peak_memory():
+    # corner weights formed over blocks of faces: about 90 B a face,
+    # against 192 with all nine edge columns of the mesh held at once
+    mesh = integrate_representation(reaper_field(201, 151))
+    assert traced_peak(surfaces._cotangent_curvature, mesh) \
+        <= 130 * len(mesh.faces)
 
 
 def test_reconstruction_error_refines(lin1_bowl):
