@@ -320,13 +320,15 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
 
     Built once on composite Gauss-Legendre panels running outward from the
     anchor.  Each side stops at a finite domain end, where dphi stops being
-    finite, where the value passes 1e250, or 1e12 from the anchor.  A side
-    that stops short of an infinite domain end has converged there when
-    the second half of its run moved the value by at most 1e-9 (relative);
-    the primitive then holds its last value up to that end.  The returned
-    callable keeps the interval where it evaluates as its ``reach``, and
-    heights beyond it raise DomainError.  A height is evaluated with one
-    rule from the edge of its panel nearer the anchor.
+    finite, where the value passes 1e250, or 1e12 from the anchor.  At an
+    infinite domain end ``_tail`` decides whether the primitive has a limit;
+    where it has, the primitive holds its last value up to that end.  The
+    returned callable keeps the interval where it evaluates as its
+    ``reach`` and, as its ``limit``, the value it tends to at dom[1]: the
+    tail's limit (infinite where the tail diverges) at an infinite end,
+    the value where the run stops at a finite one.  Heights beyond the
+    reach raise DomainError.  A height is evaluated with one rule from the
+    edge of its panel nearer the anchor.
     """
     def f(z):
         return np.broadcast_to(np.asarray(dphi(z), dtype=float), z.shape)
@@ -363,12 +365,47 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
             out[part] += _gauss(f, edges[k[part]], flat[part])
         return out.reshape(z.shape) if z.shape else float(out[0])
 
+    limits = [float(values[0]), float(values[-1])]
     for i, end in ((0, dom[0]), (-1, dom[1])):
-        if math.isinf(end) and edges[i] != anchor and abs(values[i] - phi(
-                0.5 * (anchor + edges[i]))) <= 1e-9 * max(1.0, abs(values[i])):
-            reach[i] = end  # converged: phi holds values[i] up to the end
-    phi.reach = tuple(reach)
+        if math.isinf(end):
+            limits[i] = _tail(phi, anchor, float(edges[i]))
+            if math.isfinite(limits[i]):
+                reach[i] = end  # phi holds values[i] up to the end
+    phi.reach, phi.limit = tuple(reach), limits[1]
     return phi
+
+
+def _tail(F: Callable, origin: float, last: float) -> float:
+    """The tail rule: the limit of a primitive ``F`` (zero at ``origin``)
+    toward the infinite end beyond ``last``, where its run stops; infinite
+    where the tail diverges.
+
+    The blocks are F's increments over (origin + 2^(k-1), origin + 2^k)
+    toward ``last``, the first one from ``origin`` itself, and they stop
+    at ``last``.  The tail converges once a block stops moving F beyond
+    its rounding, and diverges once five successive block ratios exceed
+    0.95.  Otherwise it converges exactly when the median of the last five
+    ratios is below 0.9, and the last ratio, when below 0.9, adds the
+    geometric remainder of the last block.
+    """
+    span = abs(last - origin)
+    ends = origin + math.copysign(1.0, last - origin) * 2.0 ** np.arange(
+        math.floor(math.log2(span)) + 1 if span >= 1.0 else 0)
+    sums = np.asarray(F(np.clip(ends, *sorted((origin, last)))), dtype=float)
+    blocks = np.diff(sums, prepend=0.0)
+    ratios = []
+    for k in range(1, blocks.size):
+        if abs(blocks[k]) <= 64 * np.finfo(float).eps * abs(sums[k]):
+            return float(sums[k])
+        ratios.append(blocks[k] / blocks[k - 1])
+        if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
+            break
+    else:
+        if ratios and np.median(ratios[-5:]) < 0.9:
+            r = ratios[-1]
+            remainder = blocks[-1] * r / (1.0 - r) if r < 0.9 else 0.0
+            return float(sums[-1] + remainder)
+    return math.copysign(math.inf, sums[-1] if sums.size else last - origin)
 
 
 def _inset(end: float, inward: float) -> float:

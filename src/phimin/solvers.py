@@ -5,7 +5,9 @@ profiles (vertical "catenaries" solving u'' = dphi(u)(1+u'^2)), rotational
 bowls through the axis, and rotational necks at positive distance from the
 axis.  This module integrates those ODEs, evaluates the explicit half-width
 integral, checks the conserved quantity exp(phi(u)) cos(theta), and fits the
-far-field laws of the rotational graphs.
+far-field laws of the rotational graphs.  Its integrals (the half-width, the
+catenary cross-check, the radius tail) run on the Gauss-Legendre panels of
+``profiles._antiderivative``, whose tail rule decides every improper end.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import NumericalError
-from .profiles import ProfileError, WeightProfile, curly_g
+from .profiles import ProfileError, WeightProfile, _antiderivative, curly_g
 
 CATENARY_GRAPH = "catenary_graph"
 BOWL_GRAPH = "bowl_graph"
@@ -196,31 +198,34 @@ def solve_catenary(profile: WeightProfile, u0: float, x_max: float,
 
 def _catenary_quadrature_check(profile, u0, xs, uu, n_check: int = 9) -> float:
     """Compare ODE samples with the closed quadrature x(u) = int du/sqrt(e^{2q}-1),
-    q = phi(u) - phi(u0), taken along the monotone half-curve."""
-    phi0 = float(profile.phi(u0))
-    sgn = 1.0 if profile.increasing else -1.0
-    worst = 0.0
+    q = phi(u) - phi(u0), taken along the monotone half-curve: one panel
+    primitive (``_abscissa``) serves every sample."""
     idx = np.linspace(1, len(xs) - 1, n_check, dtype=int)
-    for i in idx:
-        u_i = float(uu[i])
-        if abs(u_i - u0) < 1e-14:
-            continue
-        # substitute u = u0 +/- w^2 to absorb the endpoint singularity
-        w_end = math.sqrt(abs(u_i - u0))
-        val, _ = quad(lambda w: 2.0 * w * _inv_sqrt_expm1(
-            float(profile.phi(u0 + sgn * w * w)) - phi0),
-            0.0, w_end, limit=200, epsabs=1e-13, epsrel=1e-12)
-        worst = max(worst, abs(val - float(xs[i])))
-    return worst
+    w = np.sqrt(np.abs(uu[idx] - u0))
+    x_of_w = _abscissa(profile, u0, 1.0 if profile.increasing else -1.0,
+                       float(w.max()))[0]
+    return float(np.max(np.abs(x_of_w(w) - xs[idx])))
 
 
-def _inv_sqrt_expm1(q: float) -> float:
-    """1/sqrt(e^{2q} - 1), evaluated stably for tiny and huge q."""
-    if q <= 0:
-        return math.inf
-    if q > 350:
-        return math.exp(-q)
-    return 1.0 / math.sqrt(math.expm1(2.0 * q))
+def _abscissa(profile: WeightProfile, u0: float, sgn: float, w_end: float):
+    """The catenary's abscissa x(w) at height u = u0 + sgn w^2, and its
+    rise q(w) = phi(u) - phi(u0), as panel primitives on (0, w_end).
+
+    x is the primitive of 2w/sqrt(e^{2q} - 1) (for huge q, 2w e^{-q}): the
+    substitution turns the 1/sqrt singularity at u0 analytic.  q is the
+    primitive of 2w sgn dphi(u), not a difference of phi, which would
+    cancel at small w.
+    """
+    dom = (0.0, w_end)
+    q = _antiderivative(lambda w: 2.0 * sgn * w * np.asarray(
+        profile.dphi(u0 + sgn * w * w), dtype=float), 0.0, dom)
+
+    def slope(w):
+        qw = q(w)
+        return 2.0 * w * np.where(qw > 350, np.exp(-qw), np.expm1(
+            2.0 * np.minimum(qw, 350)) ** -0.5)
+
+    return _antiderivative(slope, 0.0, dom), q
 
 
 def first_integral_drift(curve: ProfileCurve, profile: WeightProfile) -> float:
@@ -243,25 +248,24 @@ def compute_lambda(profile: WeightProfile, u0: float,
                    tol: float = 1e-10) -> AsymptoteReport:
     """Half-width of the maximal catenary interval, with a finiteness flag.
 
-    Two independent routes must agree: (a) direct evaluation of the improper
-    integral of 1/sqrt(exp(2(phi(u)-phi(u0))) - 1) with a square-root
-    substitution at the lower endpoint and dyadic tail blocks, and (b) tail
-    integrability of exp(-phi), tested on dyadic blocks.  Disagreement is a
-    numerical error (bad profile or tolerance).
+    Two independent routes must agree: (a) the improper integral of
+    1/sqrt(exp(2(phi(u)-phi(u0))) - 1), on panels in w after the
+    square-root substitution u = u0 + w^2 (``_abscissa``), and (b) tail
+    integrability of exp(-phi) on panels in the same w.  Both flags come
+    from the one tail rule (``profiles._tail``) at an infinite top; a finite
+    top is reached.  Disagreement is a numerical error (bad profile).  The
+    panels work to rounding, whatever ``tol`` asks.
     """
     if not profile.increasing:
         raise ProfileError("half-width analysis needs a strictly increasing profile")
     profile.require_inside(u0, "initial height")
     top = profile.domain[1]
-    phi0 = float(profile.phi(u0))
-
-    def decay(u: float) -> float:
-        q = float(profile.phi(u)) - phi0
-        return math.exp(-q) if q < 700 else 0.0
+    w_end = math.sqrt(top - u0)
+    half_width, q = _abscissa(profile, u0, 1.0, w_end)
 
     # tail integrability of exp(-phi); on a finite interval it is bounded
-    l1_finite = math.isfinite(top) or _dyadic_tail(
-        decay, u0, top, 1, 1e-14, limit=100, epsabs=1e-14, epsrel=1e-10)[1]
+    l1_finite = math.isfinite(top) or math.isfinite(_antiderivative(
+        lambda w: 2.0 * w * np.exp(-q(w)), 0.0, (0.0, w_end)).limit)
 
     if profile.sup_phi < math.inf:
         # bounded weight: the curve never turns vertical
@@ -271,63 +275,12 @@ def compute_lambda(profile: WeightProfile, u0: float,
         return AsymptoteReport(math.inf, False,
                                {"u0": u0, "sup_phi": profile.sup_phi})
 
-    def integrand(u: float) -> float:
-        return _inv_sqrt_expm1(float(profile.phi(u)) - phi0)
-
-    # lower endpoint: u = u0 + w^2 turns the 1/sqrt singularity analytic
-    head, _ = quad(lambda w: 2.0 * w * integrand(u0 + w * w), 0.0, 1.0,
-                   limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12)
-    total, finite_by_blocks = _dyadic_tail(
-        integrand, u0, top, 1, tol * 1e-2, head=head,
-        limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12)
-
-    if finite_by_blocks != l1_finite:
+    if math.isfinite(half_width.limit) != l1_finite:
         raise NumericalError(
             "half-width quadrature and exp(-phi) tail test disagree; "
-            "refine the tolerance or check the profile")
-
-    if not finite_by_blocks:
-        return AsymptoteReport(math.inf, False, {"u0": u0})
-    return AsymptoteReport(float(total), True, {"u0": u0})
-
-
-def _dyadic_tail(f, origin: float, top: float, first: int, small: float,
-                 head: float = 0.0, **quad_kw) -> Tuple[float, bool]:
-    """Integral of f toward ``top`` in dyadic blocks, with a finiteness flag.
-
-    Block k ends at origin + 2^k, for 64 values of k from ``first`` up; the
-    first block starts at ``origin`` (``first`` = 0) or origin + 1
-    (``first`` = 1), and blocks stop just short of a finite ``top``.  The
-    tail is finite once a block falls below ``small`` or ``top`` is
-    reached, divergent once five successive block ratios exceed 0.95, and,
-    undecided after 64 blocks, finite exactly when the median of the last
-    five ratios is below 0.9.  A finite tail that did not reach ``top``
-    gets the geometric remainder of its last ratio when that is below 0.9.
-    ``head`` starts the sum.
-    """
-    total, prev, ratios = head, None, []
-    a = origin + (1.0 if first else 0.0)
-    for k in range(64):
-        b = origin + 2.0 ** (first + k)
-        if b >= top:
-            b = top - 1e-12 * max(1.0, abs(top))
-        block, _ = quad(f, a, b, **quad_kw)
-        total += block
-        if block < small:
-            break
-        if prev is not None and prev > 0:
-            ratios.append(block / prev)
-            if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
-                return total, False
-        prev, a = block, b
-        if b >= top - 1e-9 * max(1.0, abs(top)):
-            return total, True
-    else:
-        if not (ratios and np.median(ratios[-5:]) < 0.9):
-            return total, False
-    if ratios and ratios[-1] < 0.9:
-        total += block * ratios[-1] / (1.0 - ratios[-1])
-    return total, True
+            "check the profile")
+    return AsymptoteReport(half_width.limit if l1_finite else math.inf,
+                           l1_finite, {"u0": u0})
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +679,10 @@ def _classify_radius(curve: ProfileCurve, profile: WeightProfile
                      ) -> Tuple[float, bool]:
     """Observed maximal radius: from x x' = cos(th) x ~ 1/dphi(z) far out,
     omega^2 = x_end^2 + 2 * int_{z_end}^inf dz/dphi(z) when that tail
-    converges; +inf otherwise (dyadic block test)."""
-    x_end = float(curve.x[-1])
-    tail, finite = _dyadic_tail(lambda zz: 1.0 / float(profile.dphi(zz)),
-                                float(curve.z[-1]), profile.domain[1], 0,
-                                1e-14, limit=100, epsabs=1e-14, epsrel=1e-10)
-    return (math.sqrt(x_end ** 2 + 2.0 * tail), True) if finite \
-        else (math.inf, False)
+    converges (``profiles._tail``); +inf otherwise."""
+    x_end, z_end = float(curve.x[-1]), float(curve.z[-1])
+    tail = _antiderivative(
+        lambda z: 1.0 / np.asarray(profile.dphi(z), dtype=float), z_end,
+        (z_end, profile.domain[1])).limit
+    return (math.sqrt(x_end ** 2 + 2.0 * tail), True) \
+        if math.isfinite(tail) else (math.inf, False)

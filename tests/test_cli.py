@@ -89,6 +89,16 @@ def test_lambda_half_width(tmp_path):
     assert report["finite"] is True
 
 
+def test_lambda_of_a_quadrature_weight_past_its_reach(tmp_path):
+    # phi of 1.5/z by quadrature reaches 1e12 from its anchor; the
+    # half-width's tail reads dphi, not phi past that reach
+    assert main(["lambda", "--out", str(tmp_path), "--param",
+                 "profile=custom dphi=1.5/z domain=0,inf",
+                 "--param", "u0=1"]) == 0
+    report = read_report(tmp_path)["report"]
+    assert abs(float(report["lambda"]) - 2.42865064788758) <= 1e-10
+
+
 def test_verify_accepts_good_curve(reaper_run, tmp_path):
     code = main(["verify", str(reaper_run / "curve.csv"),
                  "--out", str(tmp_path)])

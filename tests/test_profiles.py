@@ -14,7 +14,7 @@ from phimin import (
     make_builtin,
     make_custom,
 )
-from phimin.profiles import expression_callable
+from phimin.profiles import _tail, expression_callable
 
 
 def test_linear_basic():
@@ -109,6 +109,21 @@ def test_sup_phi_is_finite_only_where_phi_converges():
                           domain=(1.0, math.inf))
     assert bounded.reach[1] == math.inf
     assert bounded.sup_phi == pytest.approx(0.5, abs=1e-11)
+    # a slow tail: 1e12 from the anchor phi is still 2e-6 short of sqrt(2)
+    slow_bounded = make_custom(lambda z: np.asarray(z, dtype=float) ** -1.5,
+                               domain=(1.0, math.inf))
+    assert slow_bounded.reach[1] == math.inf
+    assert slow_bounded.sup_phi == pytest.approx(math.sqrt(2.0), abs=1e-5)
+
+
+def test_tail_rule_on_dyadic_blocks():
+    # blocks of 1 - 1/(1+z) fall by half: the limit is 1, to 1e-9 with the
+    # geometric remainder (2e-6 without); blocks of log(1+z) settle at
+    # log 2: no limit
+    limit = _tail(lambda z: 1.0 - 1.0 / (1.0 + z), 0.0, 1e6)
+    assert limit == pytest.approx(1.0, abs=1e-9)
+    assert _tail(np.log1p, 0.0, 1e6) == math.inf
+    assert _tail(np.log1p, 0.0, 0.5) == math.inf  # not one whole block
 
 
 def test_lambda_of_z_log_closed_form():

@@ -49,6 +49,14 @@ def test_catenary_even_extension(reaper):
 
 def test_catenary_quadrature_crosscheck(reaper):
     assert reaper.meta["quadrature_discrepancy"] < 1e-10
+    # criterion 3's catenaries, most launched off u0 = 0, where a difference
+    # of phi would cancel near the turning height
+    for prof, u0, x_max in [(LIN1, 0.0, 1.45),
+                            (make_builtin("linear", 2.0), 0.3, 0.6),
+                            (make_builtin("log", 2.0), 1.0, 0.8),
+                            (make_builtin("series", 1.0, 1.0), 0.5, 0.7)]:
+        curve = solve_catenary(prof, u0, x_max, tol=1e-10)
+        assert curve.meta["quadrature_discrepancy"] <= 1e-9
 
 
 def test_catenary_blow_up_reports_half_width():
@@ -76,6 +84,14 @@ def test_compute_lambda_linear_is_half_pi():
     # translation invariance of the linear weight
     rep2 = compute_lambda(LIN1, 3.7, tol=1e-10)
     assert rep2.lambda_u0 == pytest.approx(rep.lambda_u0, abs=1e-8)
+
+
+def test_compute_lambda_matches_closed_forms():
+    from scipy.special import ellipk
+    # int_1^inf du / sqrt(u^4 - 1) = K(1/2) / sqrt(2), parameter m = 1/2
+    quartic = compute_lambda(make_builtin("log", 2.0), 1.0)
+    assert abs(quartic.lambda_u0 - ellipk(0.5) / math.sqrt(2.0)) <= 1e-12
+    assert abs(compute_lambda(LIN1, 3.7).lambda_u0 - math.pi / 2) <= 1e-12
 
 
 def test_compute_lambda_log_finiteness_split():
