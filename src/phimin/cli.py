@@ -164,7 +164,7 @@ _COMMON_DEFAULTS = {"format": "obj", "seed": "0"}
 _DEFAULTS: Dict[str, Dict[str, str]] = {
     "profile": {"profile": "linear slope=1", "u0": "0", "x_max": "1",
                 "tol": "1e-10", "n_samples": "801"},
-    "lambda": {"profile": "linear slope=1", "u0": "0", "tol": "1e-10"},
+    "lambda": {"profile": "linear slope=1", "u0": "0"},
     "bowl": {"profile": "linear slope=1", "z0": "0", "s_max": "4",
              "tol": "1e-10", "n_samples": "1201", "n_theta": "129",
              "r_window": ""},
@@ -390,7 +390,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.out:
         out = args.out
 
-    allowed = set(_COMMON_DEFAULTS) | set(_DEFAULTS[command]) | {"tol"}
+    # of the commands with no default tol, only weierstrass reads one
+    allowed = set(_COMMON_DEFAULTS) | set(_DEFAULTS[command]) | (
+        {"tol"} if command == "weierstrass" else set())
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ValueError(f"unknown config keys for {command}: "
@@ -594,8 +596,7 @@ def _cmd_profile(cfg: RunConfig) -> int:
 
 
 def _cmd_lambda(cfg: RunConfig) -> int:
-    rep = compute_lambda(cfg.profile(), cfg.float_("u0"),
-                         tol=cfg.float_("tol", positive=True))
+    rep = compute_lambda(cfg.profile(), cfg.float_("u0"))
     report = {"lambda": _fmt(rep.lambda_u0),
               "finite": rep.finite,
               "fitted_constants": _meta_report(rep.fitted_constants),

@@ -322,13 +322,13 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
     anchor.  Each side stops at a finite domain end, where dphi stops being
     finite, where the value passes 1e250, or 1e12 from the anchor.  At an
     infinite domain end ``_tail`` decides whether the primitive has a limit;
-    where it has, the primitive holds its last value up to that end.  The
-    returned callable keeps the interval where it evaluates as its
+    where it has, the primitive takes that limit beyond the end of its run.
+    The returned callable keeps the interval where it evaluates as its
     ``reach`` and, as its ``limit``, the value it tends to at dom[1]: the
     tail's limit (infinite where the tail diverges) at an infinite end,
     the value where the run stops at a finite one.  Heights beyond the
-    reach raise DomainError.  A height is evaluated with one rule from the
-    edge of its panel nearer the anchor.
+    reach raise DomainError.  A height within the run is evaluated with one
+    rule from the edge of its panel nearer the anchor.
     """
     def f(z):
         return np.broadcast_to(np.asarray(dphi(z), dtype=float), z.shape)
@@ -345,6 +345,7 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
     edges = np.array(lo_edges[::-1] + [anchor] + hi_edges)
     values = np.array(lo_values[::-1] + [0.0] + hi_values)
     reach = [float(edges[0]), float(edges[-1])]
+    limits = [float(values[0]), float(values[-1])]
 
     def phi(z):
         z = np.asarray(z, dtype=float)
@@ -354,6 +355,7 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
             raise DomainError(
                 f"height {flat[outside][0]} outside the reach "
                 f"[{reach[0]}, {reach[1]}] of the antiderivative")
+        below, above = flat < edges[0], flat > edges[-1]
         flat = np.clip(flat, edges[0], edges[-1])
         k = np.where(flat >= anchor,
                      np.searchsorted(edges, flat, "right") - 1,
@@ -363,14 +365,14 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
         for s in range(0, off_edge.size, 4096):
             part = off_edge[s:s + 4096]
             out[part] += _gauss(f, edges[k[part]], flat[part])
+        out[below], out[above] = limits  # past a converged run: its limit
         return out.reshape(z.shape) if z.shape else float(out[0])
 
-    limits = [float(values[0]), float(values[-1])]
     for i, end in ((0, dom[0]), (-1, dom[1])):
         if math.isinf(end):
             limits[i] = _tail(phi, anchor, float(edges[i]))
             if math.isfinite(limits[i]):
-                reach[i] = end  # phi holds values[i] up to the end
+                reach[i] = end
     phi.reach, phi.limit = tuple(reach), limits[1]
     return phi
 
@@ -381,22 +383,22 @@ def _tail(F: Callable, origin: float, last: float) -> float:
     where the tail diverges.
 
     The blocks are F's increments over (origin + 2^(k-1), origin + 2^k)
-    toward ``last``, the first one from ``origin`` itself, and they stop
-    at ``last``.  The tail converges once a block stops moving F beyond
-    its rounding, and diverges once five successive block ratios exceed
-    0.95.  Otherwise it converges exactly when the median of the last five
-    ratios is below 0.9, and the last ratio, when below 0.9, adds the
-    geometric remainder of the last block.
+    toward ``last``, the first from ``origin``, up to the last power of two
+    within the run.  The tail converges to F(last) once a block stops
+    moving F beyond its rounding, and diverges once five successive block
+    ratios exceed 0.95.  Otherwise it converges exactly when the median of
+    the last five ratios is below 0.9, to F at the last block's end plus,
+    when the last ratio is below 0.9, that block's geometric remainder.
     """
     span = abs(last - origin)
     ends = origin + math.copysign(1.0, last - origin) * 2.0 ** np.arange(
         math.floor(math.log2(span)) + 1 if span >= 1.0 else 0)
-    sums = np.asarray(F(np.clip(ends, *sorted((origin, last)))), dtype=float)
+    sums = np.asarray(F(ends), dtype=float)
     blocks = np.diff(sums, prepend=0.0)
     ratios = []
     for k in range(1, blocks.size):
         if abs(blocks[k]) <= 64 * np.finfo(float).eps * abs(sums[k]):
-            return float(sums[k])
+            return float(F(last))
         ratios.append(blocks[k] / blocks[k - 1])
         if len(ratios) >= 5 and min(ratios[-5:]) > 0.95:
             break
@@ -418,9 +420,9 @@ def _limit(f: Callable, end: float, inward: float,
            reach: Tuple[float, float], increasing: bool = True) -> float:
     """Limit of the strictly monotone ``f`` at the lower (``inward`` = 1)
     or upper (-1) end of an open interval: f 1e-9 (relative) inside a
-    finite end, f at an infinite one (where a converged primitive holds its
-    last value); infinite where that point is beyond the reach or f is NaN
-    there (f diverged before the end).
+    finite end, f at an infinite one (where a converged primitive takes
+    its tail's limit); infinite where that point is beyond the reach or f
+    is NaN there (f diverged before the end).
     """
     z = _inset(end, inward)
     if reach[0] <= z <= reach[1]:

@@ -199,33 +199,36 @@ def solve_catenary(profile: WeightProfile, u0: float, x_max: float,
 def _catenary_quadrature_check(profile, u0, xs, uu, n_check: int = 9) -> float:
     """Compare ODE samples with the closed quadrature x(u) = int du/sqrt(e^{2q}-1),
     q = phi(u) - phi(u0), taken along the monotone half-curve: one panel
-    primitive (``_abscissa``) serves every sample."""
+    primitive (``_abscissa``) serves every sample.  Samples within 1e-14 of
+    u0, where the rise is rounding noise, are skipped."""
     idx = np.linspace(1, len(xs) - 1, n_check, dtype=int)
+    idx = idx[np.abs(uu[idx] - u0) >= 1e-14]
+    if not idx.size:
+        return 0.0
     w = np.sqrt(np.abs(uu[idx] - u0))
-    x_of_w = _abscissa(profile, u0, 1.0 if profile.increasing else -1.0,
-                       float(w.max()))[0]
-    return float(np.max(np.abs(x_of_w(w) - xs[idx])))
+    q = _rise(profile, u0, 1.0 if profile.increasing else -1.0, w.max())
+    return float(np.max(np.abs(_abscissa(q, w.max())(w) - xs[idx])))
 
 
-def _abscissa(profile: WeightProfile, u0: float, sgn: float, w_end: float):
-    """The catenary's abscissa x(w) at height u = u0 + sgn w^2, and its
-    rise q(w) = phi(u) - phi(u0), as panel primitives on (0, w_end).
+def _rise(profile: WeightProfile, u0: float, sgn: float, w_end: float):
+    """The catenary's rise q(w) = phi(u) - phi(u0) at height u = u0 + sgn w^2,
+    as the panel primitive of 2w sgn dphi(u) on (0, w_end): a difference
+    of phi would cancel at small w."""
+    return _antiderivative(lambda w: 2.0 * sgn * w * np.asarray(
+        profile.dphi(u0 + sgn * w * w), dtype=float), 0.0, (0.0, w_end))
 
-    x is the primitive of 2w/sqrt(e^{2q} - 1) (for huge q, 2w e^{-q}): the
-    substitution turns the 1/sqrt singularity at u0 analytic.  q is the
-    primitive of 2w sgn dphi(u), not a difference of phi, which would
-    cancel at small w.
-    """
-    dom = (0.0, w_end)
-    q = _antiderivative(lambda w: 2.0 * sgn * w * np.asarray(
-        profile.dphi(u0 + sgn * w * w), dtype=float), 0.0, dom)
 
+def _abscissa(q, w_end: float):
+    """The catenary's abscissa x(w) on (0, w_end), given its rise q: the
+    panel primitive of 2w/sqrt(e^{2q} - 1) (for huge q, 2w e^{-q}).  The
+    substitution u = u0 +/- w^2 turns the 1/sqrt singularity at u0
+    analytic."""
     def slope(w):
         qw = q(w)
         return 2.0 * w * np.where(qw > 350, np.exp(-qw), np.expm1(
             2.0 * np.minimum(qw, 350)) ** -0.5)
 
-    return _antiderivative(slope, 0.0, dom), q
+    return _antiderivative(slope, 0.0, (0.0, w_end))
 
 
 def first_integral_drift(curve: ProfileCurve, profile: WeightProfile) -> float:
@@ -244,8 +247,7 @@ def first_integral_drift(curve: ProfileCurve, profile: WeightProfile) -> float:
 # half-width integral
 # ---------------------------------------------------------------------------
 
-def compute_lambda(profile: WeightProfile, u0: float,
-                   tol: float = 1e-10) -> AsymptoteReport:
+def compute_lambda(profile: WeightProfile, u0: float) -> AsymptoteReport:
     """Half-width of the maximal catenary interval, with a finiteness flag.
 
     Two independent routes must agree: (a) the improper integral of
@@ -253,15 +255,14 @@ def compute_lambda(profile: WeightProfile, u0: float,
     square-root substitution u = u0 + w^2 (``_abscissa``), and (b) tail
     integrability of exp(-phi) on panels in the same w.  Both flags come
     from the one tail rule (``profiles._tail``) at an infinite top; a finite
-    top is reached.  Disagreement is a numerical error (bad profile).  The
-    panels work to rounding, whatever ``tol`` asks.
+    top is reached.  Disagreement is a numerical error (bad profile).
     """
     if not profile.increasing:
         raise ProfileError("half-width analysis needs a strictly increasing profile")
     profile.require_inside(u0, "initial height")
     top = profile.domain[1]
     w_end = math.sqrt(top - u0)
-    half_width, q = _abscissa(profile, u0, 1.0, w_end)
+    q = _rise(profile, u0, 1.0, w_end)
 
     # tail integrability of exp(-phi); on a finite interval it is bounded
     l1_finite = math.isfinite(top) or math.isfinite(_antiderivative(
@@ -275,11 +276,12 @@ def compute_lambda(profile: WeightProfile, u0: float,
         return AsymptoteReport(math.inf, False,
                                {"u0": u0, "sup_phi": profile.sup_phi})
 
-    if math.isfinite(half_width.limit) != l1_finite:
+    half_width = _abscissa(q, w_end).limit
+    if math.isfinite(half_width) != l1_finite:
         raise NumericalError(
             "half-width quadrature and exp(-phi) tail test disagree; "
             "check the profile")
-    return AsymptoteReport(half_width.limit if l1_finite else math.inf,
+    return AsymptoteReport(half_width if l1_finite else math.inf,
                            l1_finite, {"u0": u0})
 
 

@@ -162,6 +162,8 @@ def test_validation_failures_exit_one(tmp_path):
     assert main(["weierstrass", "--grid", "2x5", "--out", out]) == 1
     # the path tolerance is tol; path_tol is not a weierstrass key
     assert main(["weierstrass", "--param", "path_tol=1", "--out", out]) == 1
+    # the half-width's panels work to rounding: lambda takes no tol
+    assert main(["lambda", "--param", "tol=1e-3", "--out", out]) == 1
     assert main(["profile", "--no-such-flag"]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1

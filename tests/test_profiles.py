@@ -109,11 +109,18 @@ def test_sup_phi_is_finite_only_where_phi_converges():
                           domain=(1.0, math.inf))
     assert bounded.reach[1] == math.inf
     assert bounded.sup_phi == pytest.approx(0.5, abs=1e-11)
-    # a slow tail: 1e12 from the anchor phi is still 2e-6 short of sqrt(2)
+    # slow tails: 1e12 from the anchor (2) phi is still 2e-6 short of
+    # sqrt(2) and 2e-2 short of 2^-0.2/0.2; past its run phi takes the
+    # tail rule's limit, geometric remainder included
     slow_bounded = make_custom(lambda z: np.asarray(z, dtype=float) ** -1.5,
                                domain=(1.0, math.inf))
     assert slow_bounded.reach[1] == math.inf
     assert slow_bounded.sup_phi == pytest.approx(math.sqrt(2.0), abs=1e-5)
+    slower = make_custom(lambda z: np.asarray(z, dtype=float) ** -1.2,
+                         domain=(1.0, math.inf))
+    assert slower.reach[1] == math.inf
+    assert slower.sup_phi == pytest.approx(2.0 ** -0.2 / 0.2, abs=1e-10)
+    assert slower.phi(1e15) == slower.sup_phi
 
 
 def test_tail_rule_on_dyadic_blocks():

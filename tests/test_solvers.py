@@ -57,13 +57,19 @@ def test_catenary_quadrature_crosscheck(reaper):
                             (make_builtin("series", 1.0, 1.0), 0.5, 0.7)]:
         curve = solve_catenary(prof, u0, x_max, tol=1e-10)
         assert curve.meta["quadrature_discrepancy"] <= 1e-9
+    # at an equilibrium (dphi(u0) = 0) the curve stays at u0: every sample
+    # is skipped, none compared
+    flat = make_custom(lambda z: (np.asarray(z, dtype=float) - 0.3) ** 2)
+    line = solve_catenary(flat, 0.3, 1.0, tol=1e-10)
+    assert np.all(line.z == 0.3) and line.x.max() > 0.5
+    assert line.meta["quadrature_discrepancy"] == 0.0
 
 
 def test_catenary_blow_up_reports_half_width():
     p = make_builtin("log", 2.0)
     curve = solve_catenary(p, 1.0, 10.0, tol=1e-10)
     assert curve.meta["terminated"] == "blow_up"
-    lam = compute_lambda(p, 1.0, tol=1e-10)
+    lam = compute_lambda(p, 1.0)
     assert lam.finite
     assert curve.meta["lambda_estimate"] == pytest.approx(lam.lambda_u0, abs=5e-2)
     # convex graph all the way out
@@ -78,11 +84,11 @@ def test_catenary_decreasing_profile_exits_domain():
 
 
 def test_compute_lambda_linear_is_half_pi():
-    rep = compute_lambda(LIN1, 0.0, tol=1e-10)
+    rep = compute_lambda(LIN1, 0.0)
     assert rep.finite
     assert rep.lambda_u0 == pytest.approx(math.pi / 2, abs=1e-8)
     # translation invariance of the linear weight
-    rep2 = compute_lambda(LIN1, 3.7, tol=1e-10)
+    rep2 = compute_lambda(LIN1, 3.7)
     assert rep2.lambda_u0 == pytest.approx(rep.lambda_u0, abs=1e-8)
 
 
@@ -92,6 +98,19 @@ def test_compute_lambda_matches_closed_forms():
     quartic = compute_lambda(make_builtin("log", 2.0), 1.0)
     assert abs(quartic.lambda_u0 - ellipk(0.5) / math.sqrt(2.0)) <= 1e-12
     assert abs(compute_lambda(LIN1, 3.7).lambda_u0 - math.pi / 2) <= 1e-12
+
+
+def test_compute_lambda_skips_the_half_width_of_a_bounded_weight(
+        monkeypatch):
+    # sup phi = 1/2: the exp(-phi) test alone decides, no half-width is built
+    bounded = make_custom(lambda z: np.asarray(z, dtype=float) ** -2.0,
+                          domain=(1.0, math.inf))
+
+    def no_abscissa(*args):
+        raise AssertionError("half-width built for a bounded weight")
+    monkeypatch.setattr(solvers, "_abscissa", no_abscissa)
+    rep = compute_lambda(bounded, 2.0)
+    assert not rep.finite and rep.lambda_u0 == math.inf
 
 
 def test_compute_lambda_log_finiteness_split():
