@@ -101,15 +101,16 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
     """
     profile.require_inside(base_point, "base point")
     nat = natural_theta(profile, base_point)
+    if nat.base is not None:
+        return nat  # the panel primitive, already zero at base_point
     off = float(nat.value(base_point))
     return ThetaPrimitive(
         value=lambda z, _f=nat.value, _o=off: np.asarray(_f(z)) - _o,
         derivative=nat.derivative,
         domain=profile.domain,
-        inverse_value=(None if nat.inverse_value is None else
-                       lambda t, _g=nat.inverse_value, _o=off: _g(
-                           np.asarray(t, dtype=float) + _o)),
-        reach=nat.reach, base=base_point,
+        inverse_value=lambda t, _g=nat.inverse_value, _o=off: _g(
+            np.asarray(t, dtype=float) + _o),
+        base=base_point,
     )
 
 
@@ -165,7 +166,9 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
     source primitive's ``base``, so a round trip keeps that decision.
     """
     lo, hi = theta.image(*profile.domain)
-    reach = theta.image(*theta.reach)
+    # the dual evaluates where theta inverts: on the image of a panel
+    # primitive's run, short of the tail limit it holds beyond it
+    reach = theta.image(*getattr(theta.value, "run", theta.reach))
 
     dual_theta = ThetaPrimitive(value=theta.inverse, derivative=None,
                                 domain=(lo, hi), inverse_value=theta.__call__,
@@ -301,6 +304,131 @@ def integrate_potential(patch: GraphPatch, profile: WeightProfile,
 
 
 # ---------------------------------------------------------------------------
+# tensor-product spline evaluation
+# ---------------------------------------------------------------------------
+
+# points per evaluation block: a block's basis rows and knots, about 500 B
+# a point for quintics, stay small beside the transform's own arrays (8192
+# raised the transform's traced peak above that of FITPACK's evaluation)
+_BLOCK = 4096
+
+
+def _basis(t: np.ndarray, k: int, x: np.ndarray):
+    """FITPACK's B-spline values at ``x`` for knots ``t`` of degree ``k``.
+
+    Returns the offset l - k of each point's first coefficient, where
+    t[l] <= x < t[l + 1] is the interval of ``fpbisp``'s knot search (the
+    last one at the right end and for NaN, after clamping to the ends),
+    and the rows of ``fpbspl``'s recursion: the degree-d values in rows
+    d(d+1)/2 .. d(d+1)/2 + d, so a derivative's lower degree is a slice.
+    """
+    n = len(t)
+    x = np.where(x < t[k], t[k], x)
+    x = np.where(x > t[n - k - 1], t[n - k - 1], x)
+    first = np.clip(np.searchsorted(t, x, "right") - 1 - k, 0, n - 2 * k - 2)
+    near = np.empty((2 * k, x.size))  # t[l + i] in row k - 1 + i
+    for r, row in enumerate(near):
+        np.take(t[r + 1:], first, out=row)
+    right, left = near[k:] - x, x - near[:k]
+    h = np.empty(((k + 1) * (k + 2) // 2, x.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        prev, row = h[j * (j - 1) // 2:], h[j * (j + 1) // 2:]
+        row[0] = 0.0
+        for i in range(1, j + 1):
+            f = prev[i - 1] / (near[k - 1 + i] - near[k - 1 + i - j])
+            row[i - 1] += f * right[i - 1]
+            row[i] = f * left[k - 1 + i - j]
+    return first, h
+
+
+class GridSplines:
+    """Interpolating tensor-product splines of fields on one grid.
+
+    FITPACK fits them (``RectBivariateSpline``); they are evaluated here
+    with the operations of its pointwise evaluation, so every value is
+    ``RectBivariateSpline.__call__(..., grid=False)``'s bit for bit:
+    ``pardeu``'s derivative coefficients, ``fpbisp``'s knot interval and
+    ``fpbspl`` recursion, and ``fpbisp``'s sum of (c * hx[i]) * hy[j],
+    i-major from +0.  Fits on one grid share their knots, so one knot
+    search and one recursion per axis serve every field and derivative
+    order at a point.  de Boor, "A Practical Guide to Splines" (1978);
+    Dierckx, "Curve and Surface Fitting with Splines" (1993).
+    """
+
+    def __init__(self, x, y, fields, kx: int, ky: int):
+        fits = [RectBivariateSpline(x, y, f, kx=kx, ky=ky).tck
+                for f in fields]
+        self.knots = fits[0][:2]
+        self.degrees = (kx, ky)
+        shape = (len(self.knots[0]) - kx - 1, len(self.knots[1]) - ky - 1)
+        self._coef = [c.reshape(shape) for _, _, c in fits]
+
+    def _table(self, field: int, dx: int, dy: int):
+        """The (dx, dy) derivative's coefficients, flat, and their row
+        length: ``pardeu``'s ((c[i+1] - c[i]) * k) / (t[i+1+k] - t[i+p])
+        at pass p, along x and then along y."""
+        c = self._coef[field]
+        for axis, nu in enumerate((dx, dy)):
+            t, k = self.knots[axis], self.degrees[axis]
+            if nu >= k:
+                raise ValueError(f"derivative order {nu} is not below the "
+                                 f"spline degree {k}")
+            c = np.moveaxis(c, axis, 0)
+            for p in range(1, nu + 1):
+                m = len(c) - 1
+                fac = t[k + 1:k + 1 + m] - t[p:p + m]
+                c = ((c[1:] - c[:-1]) * float(k - p + 1)) / fac[:, None]
+            c = np.moveaxis(c, 0, axis)
+        return np.ascontiguousarray(c).ravel(), c.shape[1]
+
+    def at(self, x: np.ndarray, y: np.ndarray, wanted) -> np.ndarray:
+        """Each (field, dx, dy) of ``wanted`` at the points (x[i], y[i]),
+        one row per entry."""
+        (tx, ty), (kx, ky) = self.knots, self.degrees
+        return self._sum(wanted, x.size, lambda part: (
+            _basis(tx, kx, x[part]), _basis(ty, ky, y[part])))
+
+    def on_grid(self, gx: np.ndarray, gy: np.ndarray, wanted) -> np.ndarray:
+        """As ``at`` on the points (gx[i], gy[j]), x-major; each axis's
+        basis is built once and broadcast."""
+        (tx, ty), (kx, ky) = self.knots, self.degrees
+        (ox, hx), (oy, hy) = _basis(tx, kx, gx), _basis(ty, ky, gy)
+
+        def part_basis(part):
+            i, j = np.divmod(np.arange(part.start, part.stop), gy.size)
+            return (ox[i], hx[:, i]), (oy[j], hy[:, j])
+        return self._sum(wanted, gx.size * gy.size, part_basis)
+
+    def _sum(self, wanted, n: int, part_basis) -> np.ndarray:
+        tables = [self._table(*w) for w in wanted]
+        out = np.empty((len(wanted), n))
+        term = np.empty(min(n, _BLOCK))
+        kx, ky = self.degrees
+        for lo in range(0, n, _BLOCK):
+            part = slice(lo, min(n, lo + _BLOCK))
+            (ox, hx), (oy, hy) = part_basis(part)
+            buf = term[:part.stop - lo]
+            for (_, dx, dy), (flat, row), acc in zip(wanted, tables,
+                                                     out[:, part]):
+                first = ox * row + oy
+                dgx, dgy = kx - dx, ky - dy
+                rx = hx[dgx * (dgx + 1) // 2:][:dgx + 1]
+                ry = hy[dgy * (dgy + 1) // 2:][:dgy + 1]
+                acc[...] = 0.0
+                for i, hxi in enumerate(rx):
+                    for j, hyj in enumerate(ry):
+                        # every index is in range; "clip" only skips the
+                        # buffering that the default mode does with ``out``
+                        np.take(flat[i * row + j:], first, out=buf,
+                                mode="clip")
+                        buf *= hxi
+                        buf *= hyj
+                        acc += buf
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the correspondence, both directions
 # ---------------------------------------------------------------------------
 
@@ -333,21 +461,28 @@ def from_lorentz(patch: GraphPatch, profile: WeightProfile,
     return _transform(patch, profile, tol)
 
 
-def _transform(patch: GraphPatch, profile: WeightProfile,
-               tol: Optional[float]) -> Tuple[GraphPatch, WeightProfile]:
-    pot = integrate_potential(patch, profile, tol)
-    hxx, hxy, hyy, ux, uy, w, _ = _hessian_fields(patch, profile)
-
-    theta = patch.meta.get("theta_hint")
-    if not isinstance(theta, ThetaPrimitive):
-        theta = natural_theta(profile, float(np.min(patch.u)))
-    dual, dual_theta = dual_profile(profile, theta)
-
+def _stretching(patch: GraphPatch, profile: WeightProfile
+                ) -> Tuple[float, float]:
+    """The largest stretching rates of the gradient map along x and y, its
+    Hessian's diagonal; a Hessian that degenerates anywhere raises."""
+    hxx, hxy, hyy = _hessian_fields(patch, profile)[:3]
     det = hxx * hyy - hxy ** 2
     if np.any(det <= 0.0) or np.any(hxx <= 0.0):
         raise NumericalError("gradient map folds over (degenerate Hessian); "
                              "the patch reaches the singular locus of the "
                              "correspondence")
+    return float(np.max(hxx)), float(np.max(hyy))
+
+
+def _transform(patch: GraphPatch, profile: WeightProfile,
+               tol: Optional[float]) -> Tuple[GraphPatch, WeightProfile]:
+    pot = integrate_potential(patch, profile, tol)
+
+    theta = patch.meta.get("theta_hint")
+    if not isinstance(theta, ThetaPrimitive):
+        theta = natural_theta(profile, float(np.min(patch.u)))
+    dual, dual_theta = dual_profile(profile, theta)
+    rate_x, rate_y = _stretching(patch, profile)
 
     # the free linear polynomial of the potential translates the new base
     # coordinates; a patch produced by the opposite transform remembers
@@ -371,10 +506,9 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
         raise NumericalError("image of the gradient map contains no "
                              "rectangle; patch too distorted to resample")
     # target spacing matches the image of a source cell where the map
-    # stretches the most: sampling finer than that would difference the
-    # interpolation wiggle of the source fields instead of the geometry
-    rate_x = float(np.max(hxx))
-    rate_y = float(np.max(hyy))
+    # stretches the most (rate_x, rate_y): sampling finer than that would
+    # difference the interpolation wiggle of the source fields instead of
+    # the geometry
     # the analytic Hessian determinant never vanishes, so true fold-over
     # cannot happen; what does happen near a vertical tangent is that the
     # stretching rate blows up until one source cell covers the whole
@@ -395,44 +529,34 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
 
     # quintic interpolation: second differences of the resampled heights
     # must not be dominated by interpolation error of the source fields
-    kx = min(5, len(patch.x) - 1)
-    ky = min(5, len(patch.y) - 1)
-    sx = RectBivariateSpline(patch.x, patch.y, gfx, kx=kx, ky=ky)
-    sy = RectBivariateSpline(patch.x, patch.y, gfy, kx=kx, ky=ky)
-    su = RectBivariateSpline(patch.x, patch.y, patch.u, kx=kx, ky=ky)
+    splines = GridSplines(patch.x, patch.y, (gfx, gfy, patch.u),
+                          kx=min(5, len(patch.x) - 1),
+                          ky=min(5, len(patch.y) - 1))
 
     tx, ty = np.meshgrid(xg, yg, indexing="ij")
     tx, ty = tx.ravel(), ty.ravel()
 
-    # initial guess from the monotone mid-line profiles, then full Newton
+    # initial guess from the monotone mid-line profiles, then full Newton;
+    # each step evaluates the base change and its Jacobian in one call
     jm, im = ny // 2, nx // 2
     gx = np.interp(xg, gfx[:, jm], patch.x)
     gy = np.interp(yg, gfy[im, :], patch.y)
     px, py = np.repeat(gx, ny), np.tile(gy, nx)
+    newton = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+              (1, 0, 1))
 
-    def pointwise(spl, **order):
-        return spl(px, py, grid=False, **order)
-
-    def on_guess(spl, **order):
-        # FITPACK's grid evaluation equals the pointwise one bit for bit
-        # and is an order of magnitude cheaper; it needs sorted axes
-        return spl(gx, gy, **order).ravel()
-
-    at = on_guess if np.all(np.diff(gx) >= 0) and np.all(np.diff(gy) >= 0) \
-        else pointwise
     scale = max(x_hi - x_lo, y_hi - y_lo, 1.0)
     newton_tol = 1e-11 * scale
     iters = 0
     for iters in range(1, 61):
-        fx = at(sx) - tx
-        fy = at(sy) - ty
+        fx, fy, jxx, jxy, jyx, jyy = (
+            splines.on_grid(gx, gy, newton) if iters == 1
+            else splines.at(px, py, newton))
+        fx -= tx
+        fy -= ty
         res = max(float(np.max(np.abs(fx))), float(np.max(np.abs(fy))))
         if res < newton_tol:
             break
-        jxx = at(sx, dx=1)
-        jxy = at(sx, dy=1)
-        jyx = at(sy, dx=1)
-        jyy = at(sy, dy=1)
         jdet = jxx * jyy - jxy * jyx
         if np.any(jdet <= 0.0):
             raise NumericalError("gradient map folds over during "
@@ -441,12 +565,13 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
                      patch.x[0], patch.x[-1])
         py = np.clip(py - (-jyx * fx + jxx * fy) / jdet,
                      patch.y[0], patch.y[-1])
-        at = pointwise
     else:
         raise NumericalError("resampling after the base-coordinate change "
                              "did not converge")
 
-    u_src = su(px, py, grid=False)
+    # the source heights and the derivatives _verify compares against
+    u_src, *du = splines.at(px, py, ((2, 0, 0), (2, 1, 0), (2, 0, 1),
+                                     (2, 2, 0), (2, 0, 2), (2, 1, 1)))
     heights = np.asarray(theta(u_src), dtype=float).reshape(nx, ny)
 
     sig = LORENTZIAN if patch.signature == EUCLIDEAN else EUCLIDEAN
@@ -457,7 +582,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
             f"transformed patch rejected ({err}); the source approaches "
             f"the singular locus of the correspondence") from err
 
-    _verify(out, dual, patch, profile, su, px, py, u_src)
+    _verify(out, dual, patch, profile, u_src, du)
     out.meta["theta_hint"] = dual_theta
     out.meta["theta_base"] = theta.base
     out.meta["origin_hint"] = (float(px[0]), float(py[0]))
@@ -468,14 +593,14 @@ def _transform(patch: GraphPatch, profile: WeightProfile,
 
 
 def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
-            profile: WeightProfile, su: RectBivariateSpline,
-            px: np.ndarray, py: np.ndarray, u_src: np.ndarray) -> None:
+            profile: WeightProfile, u_src: np.ndarray, du) -> None:
     """Residual + relation diagnostics, written into ``out.meta``.
 
     The destination side uses the central-difference curvature estimators;
-    the source side evaluates the same curvature formulas on spline
-    derivatives of the input heights (matched points are off-grid).  Both
-    are independent of how the transform produced the patch.
+    the source side evaluates the same curvature formulas on the spline
+    derivatives ``du`` (x, y, xx, yy, xy) of the input heights at the
+    matched points, which are off-grid.  Both are independent of how the
+    transform produced the patch.
     """
     nx, ny = len(out.x), len(out.y)
     residual = (lfe_residual if out.signature == LORENTZIAN
@@ -484,8 +609,7 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
 
     # slope pairing: dual gradient = source gradient / source area factor
     gx, gy = out.gradients()
-    sux = su(px, py, dx=1, grid=False).reshape(nx, ny)
-    suy = su(px, py, dy=1, grid=False).reshape(nx, ny)
+    sux, suy, suxx, suyy, suxy = (d.reshape(nx, ny) for d in du)
     if src.signature == EUCLIDEAN:
         w_src = np.sqrt(1.0 + sux ** 2 + suy ** 2)
     else:
@@ -496,9 +620,6 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     # curvature relations at matched points: the factors e^{-phi} W^2 and
     # e^{-2 phi} W^4 are evaluated on the source side
     h_dst, k_dst = _graph_curvatures(out)
-    suxx = su(px, py, dx=2, grid=False).reshape(nx, ny)
-    suyy = su(px, py, dy=2, grid=False).reshape(nx, ny)
-    suxy = su(px, py, dx=1, dy=1, grid=False).reshape(nx, ny)
     h_match, k_match = curvature_from_derivatives(
         src.signature, sux, suy, suxx, suyy, suxy)
     uu = u_src.reshape(nx, ny)

@@ -29,10 +29,9 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
-from .calabi import (dual_profile, from_lorentz, make_theta, natural_theta,
-                     to_lorentz)
+from .calabi import (GridSplines, dual_profile, from_lorentz, make_theta,
+                     natural_theta, to_lorentz)
 from .errors import NumericalError
 from .profiles import (ProfileError, WeightProfile, expression_callable,
                        make_builtin, make_custom)
@@ -783,10 +782,10 @@ def _patch_sup_difference(a: GraphPatch, b: GraphPatch) -> float:
     yg = np.linspace(y_lo, y_hi, 101)
     diff = None
     for patch, sign in ((a, 1.0), (b, -1.0)):
-        spl = RectBivariateSpline(patch.x, patch.y, patch.u,
-                                  kx=min(3, len(patch.x) - 1),
-                                  ky=min(3, len(patch.y) - 1))
-        vals = sign * spl(xg, yg)
+        spl = GridSplines(patch.x, patch.y, (patch.u,),
+                          kx=min(3, len(patch.x) - 1),
+                          ky=min(3, len(patch.y) - 1))
+        vals = sign * spl.on_grid(xg, yg, ((0, 0, 0),))[0]
         diff = vals if diff is None else diff + vals
     return float(np.max(np.abs(diff)))
 
@@ -811,11 +810,23 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
             (cfg.float_("s_lo"), cfg.float_("s_hi")),
             n_u=n_u, v_halfwidth=cfg.float_("v_half", positive=True),
             n_v=n_v)
+
+    residual = np.nanmax(np.abs(gauss_pde_residual(field)))
+    if not input_text:
+        # k and the weight are separate keys that must agree (k = 1 for a
+        # linear weight, alpha = 2/(k - 1) for log): refuse a built field
+        # that verify would reject before writing or integrating it
+        threshold = _VERIFY_DEFAULT_THRESHOLD["gauss_field"]
+        if not residual <= threshold:
+            raise NumericalError(
+                f"the rotational field with k = {cfg.text('k')} does not "
+                f"solve the field equation of the weight "
+                f"'{cfg.text('profile')}': gauss_pde_residual "
+                f"{_fmt(residual)} above the verify threshold "
+                f"{_fmt(threshold)}; k must belong to the weight")
         save_gauss_field(field, cfg.out_dir / "field.csv",
                          comments=_artifact_comments(cfg, "gauss_field"))
         artifacts.append("field.csv")
-
-    residual = np.nanmax(np.abs(gauss_pde_residual(field)))
     base = cfg.tuple_("base", 2)
     base = None if base is None else complex(*base)
     anchor = cfg.tuple_("anchor", 3)

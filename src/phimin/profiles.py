@@ -324,7 +324,8 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
     infinite domain end ``_tail`` decides whether the primitive has a limit;
     where it has, the primitive takes that limit beyond the end of its run.
     The returned callable keeps the interval where it evaluates as its
-    ``reach`` and, as its ``limit``, the value it tends to at dom[1]: the
+    ``reach``, the panels' span (where it is strictly monotone) as its
+    ``run`` and, as its ``limit``, the value it tends to at dom[1]: the
     tail's limit (infinite where the tail diverges) at an infinite end,
     the value where the run stops at a finite one.  Heights beyond the
     reach raise DomainError.  A height within the run is evaluated with one
@@ -374,6 +375,7 @@ def _antiderivative(dphi: Callable, anchor: float, dom: Tuple[float, float]):
             if math.isfinite(limits[i]):
                 reach[i] = end
     phi.reach, phi.limit = tuple(reach), limits[1]
+    phi.run = (float(edges[0]), float(edges[-1]))
     return phi
 
 
@@ -439,8 +441,10 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
     """Solve f(z) = t elementwise for f strictly monotone on the open domain.
 
     One bracket serves the whole array.  It stays inside the reach, where
-    f evaluates, and holds finite domain ends 1e-9 (relative) inside;
-    infinite domain ends are pushed out by doubling steps up to the reach.
+    f evaluates, or inside the run of a panel primitive (``f.run``), past
+    which f holds its tail limit and attains no value in between.  It holds
+    finite domain ends 1e-9 (relative) inside; infinite domain ends are
+    pushed out by doubling steps up to the reach or the run.
     A sample table narrows it to one cell per value; safeguarded Newton
     steps follow when the derivative ``df`` is known, bisection otherwise.
     A value the bracket cannot reach raises ``error``.
@@ -451,8 +455,9 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
     if not np.isfinite(t).all():
         raise error("cannot invert a non-finite value")
     lo, hi = domain
-    a_end = max(_inset(lo, 1.0), reach[0])
-    b_end = min(_inset(hi, -1.0), reach[1])
+    span = getattr(f, "run", reach)
+    a_end = max(_inset(lo, 1.0), span[0])
+    b_end = min(_inset(hi, -1.0), span[1])
     a = a_end if math.isfinite(lo) else max(min(-1.0, b_end - 1.0), a_end)
     b = b_end if math.isfinite(hi) else min(max(1.0, a + 1.0), b_end)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import erfi
 
 from phimin import make_builtin, make_custom
 from phimin.calabi import (
+    GridSplines,
     PotentialPatch,
     ThetaPrimitive,
     dual_profile,
@@ -18,7 +20,8 @@ from phimin.calabi import (
     natural_theta,
     to_lorentz,
 )
-from phimin.cli import profile_from_spec, profile_to_spec
+from phimin.cli import (_patch_sup_difference, profile_from_spec,
+                        profile_to_spec)
 from phimin.errors import NumericalError
 from phimin.profiles import DomainError
 from phimin.solvers import solve_bowl
@@ -161,6 +164,27 @@ def test_dual_of_a_converging_theta_starts_at_its_limit():
     assert dual.domain[0] == pytest.approx(limit, rel=1e-13)
     with pytest.raises(DomainError):
         dual.require_inside(dual.domain[0] - 1e-3)
+
+
+def test_theta_inverse_refuses_values_between_the_run_and_the_limit():
+    # e^phi = z^-1.2: theta (zero at 2) is 4.33285 where its run stops,
+    # 1e12 out, and holds its limit 4.35275 beyond; theta = 4.34 is reached
+    # near 9e12, where theta is not represented, so it is out of range.
+    # The dual weight evaluates on the image of the run only, and its phi
+    # grows without bound toward the limit
+    p = make_custom(lambda z: -1.2 / np.asarray(z, dtype=float),
+                    phi=lambda z: -1.2 * np.log(np.asarray(z, dtype=float)),
+                    domain=(1.0, math.inf), increasing=False)
+    th = make_theta(p, 2.0)
+    limit = th.image(1.0, math.inf)[1]
+    assert limit == pytest.approx(2.0 ** -0.2 / 0.2, rel=1e-12)
+    assert th(1e12) < 4.34 < limit
+    with pytest.raises(NumericalError, match="outside the attainable range"):
+        th.inverse(4.34)
+    assert th(th.inverse(4.33)) == pytest.approx(4.33, rel=1e-14)
+    dual, _ = dual_profile(p, th)
+    assert dual.domain[1] == limit
+    assert dual.reach[1] < 4.34 and dual.sup_phi == math.inf
 
 
 @given(m=st.floats(min_value=0.2, max_value=3.0),
@@ -464,23 +488,132 @@ def test_fold_over_near_vertical_tangent():
         to_lorentz(GraphPatch(x, y, u), LIN1)
 
 
-@pytest.mark.parametrize("dx,dy", [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2),
-                                   (1, 1)])
+ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+
+def assert_fitpack_bits(x, y, fields, kx, ky, px, py, gx, gy, dx, dy):
+    """GridSplines gives RectBivariateSpline's pointwise values bit for
+    bit at (px, py) and on the tensor grid gx x gy, and its grid values
+    on sorted axes, or refuses the order as FITPACK does."""
+    spl = GridSplines(x, y, fields, kx, ky)
+    fits = [RectBivariateSpline(x, y, f, kx=kx, ky=ky) for f in fields]
+    wanted = [(f, dx, dy) for f in range(len(fields))]
+    if dx >= kx or dy >= ky:
+        with pytest.raises(ValueError):
+            fits[0](px, py, dx=dx, dy=dy, grid=False)
+        with pytest.raises(ValueError, match="not below the spline degree"):
+            spl.at(px, py, wanted)
+        return
+    gpx, gpy = np.repeat(gx, len(gy)), np.tile(gy, len(gx))
+    sx, sy = np.sort(gx[gx == gx]), np.sort(gy[gy == gy])  # NaN dropped
+    for fit, at, on_grid, on_sorted in zip(
+            fits, spl.at(px, py, wanted), spl.on_grid(gx, gy, wanted),
+            spl.on_grid(sx, sy, wanted)):
+        assert at.tobytes() == fit(px, py, dx=dx, dy=dy,
+                                   grid=False).tobytes()
+        assert on_grid.tobytes() == fit(gpx, gpy, dx=dx, dy=dy,
+                                        grid=False).tobytes()
+        assert on_sorted.tobytes() == fit(sx, sy, dx=dx, dy=dy).tobytes()
+
+
+@pytest.mark.parametrize("dx,dy", ORDERS)
 def test_quintic_spline_grid_evaluation_is_pointwise_bit_for_bit(dx, dy):
-    # the transform's first Newton step evaluates its quintic splines on
-    # the tensor grid of the initial guess; FITPACK's grid routines must
-    # give the pointwise values exactly, or the duality's bits change
+    # the transform evaluates its splines with GridSplines; its values must
+    # be FITPACK's pointwise ones exactly, or the duality's bits change:
+    # degrees 2..5 with kx != ky, points on the knots, at and beyond both
+    # ends (clamped), repeated and NaN, and the tensor grid of the guess
     rng = np.random.default_rng(5)
-    x = np.linspace(-1.0, 1.3, 41)
-    y = np.linspace(-0.7, 0.9, 37)
-    u = np.sin(2.0 * x)[:, None] * np.cosh(y)[None, :] \
-        + 0.01 * rng.normal(size=(41, 37))
-    spl = RectBivariateSpline(x, y, u, kx=5, ky=5)
-    # sorted but uneven axes with repeats and the ends, as np.interp makes
-    gx = np.sort(np.concatenate([rng.uniform(-1.0, 1.3, 60),
-                                 [-1.0, -1.0, 1.3, 1.3]]))
-    gy = np.sort(np.concatenate([rng.uniform(-0.7, 0.9, 50), [0.9, 0.9]]))
-    got = spl(gx, gy, dx=dx, dy=dy).ravel()
-    want = spl(np.repeat(gx, len(gy)), np.tile(gy, len(gx)), dx=dx, dy=dy,
-               grid=False)
-    assert got.tobytes() == want.tobytes()
+    for kx, ky, nx, ny in ((5, 5, 41, 37), (2, 5, 3, 9), (5, 2, 12, 3),
+                           (3, 4, 17, 5), (4, 3, 6, 23)):
+        x = np.linspace(-1.0, 1.3, nx)
+        y = np.linspace(-0.7, 0.9, ny)
+        fields = [np.sin(2.0 * x)[:, None] * np.cosh(y)[None, :]
+                  + 0.01 * rng.normal(size=(nx, ny)),
+                  rng.normal(size=(nx, ny))]
+        tx, ty = RectBivariateSpline(x, y, fields[0], kx=kx, ky=ky).tck[:2]
+        special = np.array([[-1.0, -0.7], [1.3, 0.9], [-1.0, 0.9],
+                            [-3.0, 0.1], [7.0, -5.0], [1.3 + 1e-15, 2.0],
+                            [np.nan, 0.2], [0.3, np.nan], [0.1, 0.1],
+                            [0.1, 0.1]])
+        px = np.concatenate([rng.uniform(-1.0, 1.3, 200), tx,
+                             rng.uniform(-1.0, 1.3, ty.size), special[:, 0]])
+        py = np.concatenate([rng.uniform(-0.7, 0.9, 200),
+                             rng.uniform(-0.7, 0.9, tx.size), ty,
+                             special[:, 1]])
+        # unsorted guess axes with repeats and the ends, beyond them too
+        gx = np.concatenate([rng.uniform(-1.2, 1.5, 30), [1.3, -1.0, 0.2,
+                                                          0.2]])
+        gy = np.concatenate([rng.uniform(-0.8, 1.0, 20), [0.9, 0.9]])
+        assert_fitpack_bits(x, y, fields, kx, ky, px, py, gx, gy, dx, dy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grid_splines_match_fitpack_on_drawn_grids(data):
+    kx, ky = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5))
+    steps = st.floats(min_value=1e-3, max_value=10.0)
+    x = np.cumsum(data.draw(st.lists(steps, min_size=kx + 1,
+                                     max_size=24)))
+    y = np.cumsum(data.draw(st.lists(steps, min_size=ky + 1,
+                                     max_size=24))) - 5.0
+    values = st.floats(min_value=-1e3, max_value=1e3)
+    fields = [np.array(data.draw(st.lists(values, min_size=x.size * y.size,
+                                          max_size=x.size * y.size))
+                       ).reshape(x.size, y.size)]
+
+    def points(axis, size):
+        inside = st.floats(min_value=axis[0] - 1.0, max_value=axis[-1] + 1.0)
+        return np.array(data.draw(st.lists(
+            inside | st.sampled_from(list(axis) + [math.nan]),
+            min_size=size, max_size=size)))
+    n = data.draw(st.integers(1, 40))
+    px, py = points(x, n), points(y, n)
+    gx, gy = points(x, data.draw(st.integers(1, 8))), \
+        points(y, data.draw(st.integers(1, 8)))
+    for dx, dy in ORDERS:
+        assert_fitpack_bits(x, y, fields, kx, ky, px, py, gx, gy, dx, dy)
+
+
+def bowl_patch_201():
+    curve = solve_bowl(LIN1, 0.0, 1.2)
+    half = 0.68 * curve.x[-1] / math.sqrt(2.0)
+    g = np.linspace(-half, half, 201)
+    r = np.hypot(g[:, None], g[None, :])
+    return GraphPatch(g, g, CubicSpline(curve.x, curve.z)(r))
+
+
+def traced_peak(fn, *args):
+    """Bytes held at the peak of ``fn(*args)`` beyond those held before,
+    as tracemalloc counts them."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_transform_peak_memory():
+    # splines evaluated over blocks of points, the Hessian fields gone
+    # after the stretching rates: about 300 and 330 B a source node, where
+    # FITPACK's pointwise calls peaked at 370 and 394
+    patch = bowl_patch_201()
+    dst, dual = to_lorentz(patch, LIN1)
+    assert traced_peak(to_lorentz, patch, LIN1) <= 370 * patch.u.size
+    assert traced_peak(from_lorentz, dst, dual) <= 394 * dst.u.size
+
+
+def test_transform_leaves_spline_evaluation_to_the_package(monkeypatch):
+    # FITPACK fits the splines; no value comes from its evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("RectBivariateSpline.__call__ was called")
+    patch = bowl_patch(LIN1, 0.04, s_max=1.0)
+    monkeypatch.setattr(RectBivariateSpline, "__call__", refuse)
+    dst, dual = to_lorentz(patch, LIN1)
+    back, _ = from_lorentz(dst, dual)
+    assert _patch_sup_difference(back, patch) < 1e-2

@@ -529,6 +529,39 @@ def test_weierstrass_field_artifact_verifies(tmp_path):
     assert code == 0
 
 
+def test_weierstrass_refuses_a_field_whose_k_belongs_to_no_weight(tmp_path):
+    # k = 3 with the default linear weight: the built field misses the
+    # field equation (residual about 0.5 against verify's 1e-3), so it is
+    # refused before it is written or integrated
+    out = tmp_path / "w"
+    assert main(["weierstrass", "--grid", "81x61", "--param", "k=3",
+                 "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "k = 3" in message and "'linear slope=1'" in message
+    assert "gauss_pde_residual" in message
+    # log alpha = 2/(k - 1) is the weight of k = 3
+    ok = tmp_path / "ok"
+    assert main(["weierstrass", "--grid", "81x61", "--param", "k=3",
+                 "--param", "profile=log alpha=1", "--param", "s_max=4",
+                 "--param", "s_hi=3", "--format", "csv",
+                 "--out", str(ok)]) == 0
+    assert float(read_report(ok)["report"]["pde_residual_max"]) < 1e-3
+    # a field read from a file is integrated as before, and fails there
+    from phimin.profiles import make_builtin
+    from phimin.solvers import solve_bowl
+    from phimin.weierstrass import rotational_gauss_field, save_gauss_field
+    curve = solve_bowl(make_builtin("linear", 1.0), 0.5, 4.0)
+    path = tmp_path / "field.csv"
+    save_gauss_field(rotational_gauss_field(curve, 3.0, (1.0, 3.0), n_u=81,
+                                            v_halfwidth=1.0, n_v=61), path)
+    read = tmp_path / "read"
+    assert main(["weierstrass", str(path), "--format", "csv",
+                 "--out", str(read)]) == 2
+    message = json.loads((read / "error.json").read_text())["error"]["message"]
+    assert "path dependence" in message
+
+
 def test_bjorling_command(tmp_path):
     from phimin.weierstrass import BjorlingData, bjorling_to_json
 

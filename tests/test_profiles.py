@@ -189,6 +189,19 @@ def test_inverse_phi_vectorized_and_out_of_range():
         bounded.inverse_phi(2.0)
 
 
+def test_inverse_phi_refuses_values_between_the_run_and_the_limit():
+    # phi of z^-1.2 is 4.33285 where its run stops, 1e12 from the anchor,
+    # and holds its limit 4.35275 beyond; phi = 4.34 is reached near 9e12,
+    # where phi is not represented, so it is out of range, not the jump
+    p = make_custom(lambda z: np.asarray(z, dtype=float) ** -1.2,
+                    domain=(1.0, math.inf))
+    assert p.phi(1e12) < 4.34 < p.sup_phi
+    with pytest.raises(DomainError, match="outside the attainable range"):
+        p.inverse_phi(4.34)
+    z = p.inverse_phi(4.33)
+    assert z < 1e12 and p.phi(z) == pytest.approx(4.33, rel=1e-14)
+
+
 def test_custom_profile_fd_second_derivative():
     p = make_custom(
         dphi=lambda z: np.exp(np.asarray(z, dtype=float)),
