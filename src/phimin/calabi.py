@@ -268,17 +268,18 @@ def _hessian_fields(patch: GraphPatch, profile: WeightProfile):
     return hxx, hxy, hyy, ux, uy, w, weight
 
 
-def integrate_potential(patch: GraphPatch, profile: WeightProfile,
-                        tol: Optional[float] = None) -> PotentialPatch:
+def integrate_potential(patch: GraphPatch,
+                        profile: WeightProfile) -> PotentialPatch:
     """Path-integrate the prescribed Hessian rows into the potential
     gradient, normalized to zero at grid node [0, 0].
 
     Each gradient component is integrated along x-then-y and along
     y-then-x; the two routes agreeing (up to quadrature error) is exactly
     the integrability of the system, i.e. the patch solving its graph
-    equation.  Disagreement beyond ``tol`` raises NumericalError.  The
-    default tolerance scales with the grid spacing squared, so refining a
-    genuine solution keeps passing while a non-solution keeps failing.
+    equation.  Disagreement beyond ``25 (hx^2 + hy^2) max|Hess| max(1,
+    extent)`` (recorded as ``meta["tol"]``) raises NumericalError: the
+    bound scales with the grid spacing squared, so refining a genuine
+    solution keeps passing while a non-solution keeps failing.
     """
     hxx, hxy, hyy, *_ = _hessian_fields(patch, profile)
     ax, bx = staircase(hxx, hxy, patch.hx, patch.hy)
@@ -287,11 +288,10 @@ def integrate_potential(patch: GraphPatch, profile: WeightProfile,
     disagreement = max(float(np.max(np.abs(ax - bx))),
                        float(np.max(np.abs(ay - by))))
 
-    if tol is None:
-        hess_scale = max(float(np.max(np.abs(f))) for f in (hxx, hxy, hyy))
-        extent = (patch.x[-1] - patch.x[0]) + (patch.y[-1] - patch.y[0])
-        tol = 25.0 * (patch.hx ** 2 + patch.hy ** 2) * hess_scale * \
-            max(1.0, extent)
+    hess_scale = max(float(np.max(np.abs(f))) for f in (hxx, hxy, hyy))
+    extent = (patch.x[-1] - patch.x[0]) + (patch.y[-1] - patch.y[0])
+    tol = 25.0 * (patch.hx ** 2 + patch.hy ** 2) * hess_scale * \
+        max(1.0, extent)
     if disagreement > tol:
         raise NumericalError(
             f"potential system is not integrable on this patch "
@@ -432,8 +432,7 @@ class GridSplines:
 # the correspondence, both directions
 # ---------------------------------------------------------------------------
 
-def to_lorentz(patch: GraphPatch, profile: WeightProfile,
-               tol: Optional[float] = None
+def to_lorentz(patch: GraphPatch, profile: WeightProfile
                ) -> Tuple[GraphPatch, WeightProfile]:
     """Transform a Euclidean solution patch into the dual spacelike graph.
 
@@ -444,11 +443,10 @@ def to_lorentz(patch: GraphPatch, profile: WeightProfile,
     """
     if patch.signature != EUCLIDEAN:
         raise ValueError("to_lorentz expects a Euclidean patch")
-    return _transform(patch, profile, tol)
+    return _transform(patch, profile)
 
 
-def from_lorentz(patch: GraphPatch, profile: WeightProfile,
-                 tol: Optional[float] = None
+def from_lorentz(patch: GraphPatch, profile: WeightProfile
                  ) -> Tuple[GraphPatch, WeightProfile]:
     """Transform a spacelike solution patch back to a Euclidean graph.
 
@@ -458,7 +456,7 @@ def from_lorentz(patch: GraphPatch, profile: WeightProfile,
     """
     if patch.signature != LORENTZIAN:
         raise ValueError("from_lorentz expects a Lorentzian patch")
-    return _transform(patch, profile, tol)
+    return _transform(patch, profile)
 
 
 def _stretching(patch: GraphPatch, profile: WeightProfile
@@ -474,9 +472,9 @@ def _stretching(patch: GraphPatch, profile: WeightProfile
     return float(np.max(hxx)), float(np.max(hyy))
 
 
-def _transform(patch: GraphPatch, profile: WeightProfile,
-               tol: Optional[float]) -> Tuple[GraphPatch, WeightProfile]:
-    pot = integrate_potential(patch, profile, tol)
+def _transform(patch: GraphPatch, profile: WeightProfile
+               ) -> Tuple[GraphPatch, WeightProfile]:
+    pot = integrate_potential(patch, profile)
 
     theta = patch.meta.get("theta_hint")
     if not isinstance(theta, ThetaPrimitive):

@@ -45,11 +45,11 @@ from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
                        mean_curvature_residual, open_table, read_table,
                        revolve, rotational_patch, save_obj, save_ply,
                        tilt_cylinder, write_table)
-from .weierstrass import (bjorling_from_json, gauss_field_from_table,
-                          gauss_pde_residual, integrate_representation,
-                          load_gauss_field, reconstruction_residuals,
-                          rotational_gauss_field, save_gauss_field,
-                          solve_bjorling)
+from .weierstrass import (FIELD_RESIDUAL_BOUND, bjorling_from_json,
+                          gauss_field_from_table, gauss_pde_residual,
+                          integrate_representation, load_gauss_field,
+                          reconstruction_residuals, rotational_gauss_field,
+                          save_gauss_field, solve_bjorling)
 
 _FORMATS = ("obj", "ply", "csv")
 
@@ -176,14 +176,13 @@ _DEFAULTS: Dict[str, Dict[str, str]] = {
     "calabi-to-l3": {"profile": "linear slope=1", "patch": "reaper",
                      "u0": "0", "x_max": "1.3", "half_x": "1.2",
                      "half_y": "1.2", "z0": "0.5", "s_max": "6",
-                     "halfwidth": "1.0", "tol": "1e-10", "path_tol": "",
-                     "grid": "121x121"},
-    "calabi-to-r3": {"input": "", "source": "", "path_tol": ""},
+                     "halfwidth": "1.0", "tol": "1e-10", "grid": "121x121"},
+    "calabi-to-r3": {"input": "", "source": ""},
     "weierstrass": {"profile": "linear slope=1", "k": "1", "z0": "0.5",
                     "s_max": "6", "s_lo": "1", "s_hi": "4", "v_half": "1",
                     "grid": "161x121", "input": "", "base": "", "anchor": ""},
     "bjorling": {"data": "", "halfwidth": "0.5", "grid": "201x201",
-                 "reconstruct": "true", "tol": "1e-3"},
+                 "reconstruct": "true"},
     "verify": {"input": "", "tol": ""},
 }
 
@@ -389,9 +388,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.out:
         out = args.out
 
-    # of the commands with no default tol, only weierstrass reads one
-    allowed = set(_COMMON_DEFAULTS) | set(_DEFAULTS[command]) | (
-        {"tol"} if command == "weierstrass" else set())
+    allowed = set(_COMMON_DEFAULTS) | set(_DEFAULTS[command])
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ValueError(f"unknown config keys for {command}: "
@@ -607,10 +604,12 @@ def _cmd_lambda(cfg: RunConfig) -> int:
 def _cmd_bowl(cfg: RunConfig) -> int:
     prof = cfg.profile()
     z0 = cfg.float_("z0")
+    window = cfg.tuple_("r_window", 2)
     curve = solve_bowl(prof, z0, cfg.float_("s_max", positive=True),
                        tol=cfg.float_("tol", positive=True),
                        n_samples=cfg.int_("n_samples", minimum=3))
     _gate_curves(prof, ("curve", curve))
+    fit = None if window is None else fit_asymptotics(curve, prof, window)
     mesh = revolve(curve, cfg.int_("n_theta", minimum=3))
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
     artifacts += _write_mesh(cfg, mesh, "bowl",
@@ -625,9 +624,7 @@ def _cmd_bowl(cfg: RunConfig) -> int:
               "mesh_mean_curvature_residual": _fmt(
                   np.nanmax(np.abs(mean_curvature_residual(mesh, prof)))),
               "meta": _meta_report(curve.meta)}
-    window = cfg.tuple_("r_window", 2)
-    if window is not None:
-        fit = fit_asymptotics(curve, prof, window)
+    if fit is not None:
         report["far_field"] = {
             "omega_plus": _fmt(fit.lambda_u0),
             "finite": fit.finite,
@@ -714,8 +711,7 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
 
     spec = profile_to_spec(prof)
     artifacts = [_write_patch_csv(cfg, patch, "source.csv", spec)]
-    lor, dual = to_lorentz(patch, prof, tol=cfg.maybe_float("path_tol",
-                                                            positive=True))
+    lor, dual = to_lorentz(patch, prof)
     profile_line, pin = _dual_header(dual, spec, lor.meta["theta_base"])
     origin = "origin_hint = " + " ".join(map(_fmt, lor.meta["origin_hint"]))
     artifacts.append(_write_patch_csv(
@@ -741,9 +737,7 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     hint = meta.get("origin_hint", "").split()
     if len(hint) == 2:
         patch.meta["origin_hint"] = (float(hint[0]), float(hint[1]))
-    back, back_weight = from_lorentz(patch, weight,
-                                     tol=cfg.maybe_float("path_tol",
-                                                         positive=True))
+    back, back_weight = from_lorentz(patch, weight)
     profile_line, pin = _dual_header(back_weight, meta["profile"],
                                      back.meta["theta_base"])
     origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
@@ -797,6 +791,9 @@ _MESH_REPORT = ("path_disagreement", "conformal_defect", "gauss_map_defect",
 
 def _cmd_weierstrass(cfg: RunConfig) -> int:
     artifacts = []
+    base = cfg.tuple_("base", 2)
+    base = None if base is None else complex(*base)
+    anchor = cfg.tuple_("anchor", 3)
     input_text = cfg.text("input")
     if input_text:
         field = load_gauss_field(cfg.input_path("input", "field CSV"))
@@ -827,15 +824,10 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
         save_gauss_field(field, cfg.out_dir / "field.csv",
                          comments=_artifact_comments(cfg, "gauss_field"))
         artifacts.append("field.csv")
-    base = cfg.tuple_("base", 2)
-    base = None if base is None else complex(*base)
-    anchor = cfg.tuple_("anchor", 3)
-    mesh = integrate_representation(
-        field, base=base, anchor=anchor,
-        path_tol=cfg.maybe_float("tol", positive=True))
+    mesh = integrate_representation(field, base=base, anchor=anchor)
     artifacts += _write_mesh(cfg, mesh, "surface",
                              [f"k = {_fmt(field.k_param)}"])
-    identities = reconstruction_residuals(mesh)
+    identities = reconstruction_residuals(mesh, field)
     report = {"k": _fmt(field.k_param),
               "field_shape": list(field.shape),
               "pde_residual_max": _fmt(residual),
@@ -851,9 +843,9 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
     data_path = cfg.input_path("data", "strip data JSON")
     data, k = bjorling_from_json(data_path.read_text(encoding="utf-8"))
     n_u, n_v = cfg.grid()
+    reconstruct = cfg.flag("reconstruct")
     field = solve_bjorling(data, k, cfg.float_("halfwidth", positive=True),
-                           n_u=n_u, n_v=n_v,
-                           residual_tol=cfg.float_("tol", positive=True))
+                           n_u=n_u, n_v=n_v)
     save_gauss_field(field, cfg.out_dir / "field.csv",
                      comments=_artifact_comments(cfg, "gauss_field"))
     artifacts = ["field.csv"]
@@ -863,7 +855,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
               "certificate": _fmt(field.meta["certificate"]),
               "branch": field.meta["branch"],
               "branch_disagreement": _fmt(field.meta["branch_disagreement"])}
-    if cfg.flag("reconstruct"):
+    if reconstruct:
         mesh = integrate_representation(field)
         artifacts += _write_mesh(cfg, mesh, "surface",
                                  [f"k = {_fmt(k)}"])
@@ -878,7 +870,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 _VERIFY_DEFAULT_THRESHOLD = {"profile_curve": 1e-3, "graph_patch": 5e-2,
-                             "gauss_field": 1e-3}
+                             "gauss_field": FIELD_RESIDUAL_BOUND}
 # the artifact kind verify checks, by the column line of its table
 _VERIFIED_COLUMNS = {"s,x,z,theta": "profile_curve", "x,y,u": "graph_patch",
                      "u,v,re_g,im_g": "gauss_field"}

@@ -69,6 +69,9 @@ _UNIT_CIRCLE_TOL = 1e-12
 # Representation integrands are refused (rather than clamped) when the
 # denominator drops below this anywhere on the grid.
 _SINGULAR_LOCUS_TOL = 1e-8
+# The largest field PDE residual a Gauss field may have: the bound of
+# solve_bjorling's certificate and of verify's check of a field artifact.
+FIELD_RESIDUAL_BOUND = 1e-3
 # Upper bounds on Cauchy data, checked before any series work, whose cost
 # grows steeply with the truncation degree and the coefficients per row.
 MAX_DEGREE = 32
@@ -204,8 +207,8 @@ def _weight_profile_for(k: float, z: np.ndarray) -> Optional[WeightProfile]:
 
 
 def integrate_representation(field: GaussField, base: Optional[complex] = None,
-                             *, anchor: Optional[Sequence[float]] = None,
-                             path_tol: Optional[float] = None) -> SurfaceMesh:
+                             *, anchor: Optional[Sequence[float]] = None
+                             ) -> SurfaceMesh:
     """Rebuild the immersion whose Gauss image is the sampled field.
 
     The three coordinate functions are real parts of path integrals of
@@ -220,10 +223,9 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     Every integral is evaluated along two staircase routes; their averaged
     value is used and the worst disagreement is stored as
     ``meta["path_disagreement"]`` (it decays like O(h^2) for a true
-    solution).  Disagreement beyond ``path_tol`` raises
-    ``NumericalError``, since it means the field does not satisfy the
-    integrability PDE.  The default tolerance is
-    ``1e-3 * (1 + sup |psi|)``.
+    solution).  Disagreement beyond ``1e-3 * (1 + sup |psi|)`` (recorded as
+    ``meta["path_tol"]``) raises ``NumericalError``, since it means the
+    field does not satisfy the integrability PDE.
 
     ``anchor`` pins the free constants of the representation: for ``k = 1``
     the surface is translated so the base vertex lands on ``anchor``; for
@@ -242,14 +244,12 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     the cotangent-formula curvature defect against the matching weight).
     """
     nu, nv = field.shape
-    points, pinned = _immersion(field, base, anchor, path_tol)
+    points, pinned = _immersion(field, base, anchor)
     mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
                        faces=_grid_faces(nu, nv),
                        normals=field.normals().reshape(-1, 3),
                        signature=EUCLIDEAN,
                        meta={"kind": "weierstrass-representation",
-                             "k": field.k_param, "u": field.u.copy(),
-                             "v": field.v.copy(), "G": field.G.copy(),
                              **pinned})
     mesh.meta.update(_first_order_defects(points, field))
     prof = _weight_profile_for(field.k_param, points[..., 2])
@@ -262,7 +262,7 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
 
 
 def _immersion(field: GaussField, base: Optional[complex],
-               anchor: Optional[Sequence[float]], path_tol: Optional[float]
+               anchor: Optional[Sequence[float]]
                ) -> Tuple[np.ndarray, dict]:
     """The (nu, nv, 3) points of ``integrate_representation`` and the meta
     entries that record how they were pinned; the coordinate arrays die
@@ -270,7 +270,7 @@ def _immersion(field: GaussField, base: Optional[complex],
     ib, jb, psi, disagreement = _path_integrals(field, base)
     k = field.k_param
     sup_psi = max(float(np.abs(p).max()) for p in psi)
-    tol = 1e-3 * (1.0 + sup_psi) if path_tol is None else float(path_tol)
+    tol = 1e-3 * (1.0 + sup_psi)
     if disagreement > tol:
         raise NumericalError(
             f"path dependence {disagreement:.3e} exceeds {tol:.3e}: the "
@@ -387,13 +387,13 @@ def _first_order_defects(points: np.ndarray, field: GaussField
             "gauss_map_defect": float(np.abs(grec - G[1:-1, 1:-1]).max())}
 
 
-def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
+def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
+                             ) -> Dict[str, np.ndarray]:
     """Discrete defects of the first-order representation identities.
 
-    Takes a mesh produced by ``integrate_representation`` (it needs the
-    stored parameterization) and returns, on the (nu, nv) grid with NaN
-    border, the residuals of the identities tying ``psi_zeta`` to the
-    field:
+    Takes a mesh produced by ``integrate_representation`` and the field it
+    was built from, and returns, on the (nu, nv) grid with NaN border, the
+    residuals of the identities tying ``psi_zeta`` to the field:
 
     * ``null_defect``: psi1_z^2 + psi2_z^2 + psi3_z^2 (isotropy of the
       conformal immersion);
@@ -407,13 +407,6 @@ def reconstruction_residuals(mesh: SurfaceMesh) -> Dict[str, np.ndarray]:
     are invariant under the free constants (translation for k = 1,
     homothety and horizontal translation otherwise).
     """
-    for key in ("u", "v", "G", "k"):
-        if key not in mesh.meta:
-            raise ValueError("mesh does not carry a stored parameterization; "
-                             "only meshes from integrate_representation are "
-                             "supported")
-    field = GaussField(mesh.meta["u"], mesh.meta["v"], mesh.meta["G"],
-                       mesh.meta["k"])
     G, k = field.G, field.k_param
     points = mesh.vertices.reshape(*field.shape, 3)
 
@@ -810,8 +803,7 @@ class BjorlingData:
 
 
 def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
-                   n_u: int = 201, n_v: int = 201,
-                   residual_tol: float = 1e-3) -> GaussField:
+                   n_u: int = 201, n_v: int = 201) -> GaussField:
     """Grow the Gauss field off a curve with prescribed surface normal.
 
     The curve and normal determine the field and its first transverse
@@ -822,9 +814,9 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
     carries the anchor ``beta(s_center)``, so a subsequent
     ``integrate_representation`` reproduces the surface through the curve.
 
-    ``residual_tol`` bounds the convergence certificate: the PDE residual
-    of the evaluated series (``meta["certificate"]``).  A certificate above
-    the tolerance, or outright growth of the scaled coefficient norms,
+    ``FIELD_RESIDUAL_BOUND`` bounds the convergence certificate: the PDE
+    residual of the evaluated series (``meta["certificate"]``).  A
+    certificate above it, or outright growth of the scaled coefficient norms,
     raises ``NumericalError`` (strip too wide for the truncation order).
     Note the certificate is computed on the evaluation grid, so it
     includes an O(h^2) discretization floor in addition to the series
@@ -933,11 +925,11 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
 
     cert = float(np.nanmax(np.abs(gauss_pde_residual(fieldout))))
     fieldout.meta["certificate"] = cert
-    if not math.isfinite(cert) or cert > residual_tol:
+    if not math.isfinite(cert) or cert > FIELD_RESIDUAL_BOUND:
         raise NumericalError(
             f"convergence certificate {cert:.3e} exceeds the tolerance "
-            f"{residual_tol:.1e}: strip halfwidth {halfwidth:g} is too wide "
-            f"for truncation degree {data.degree}")
+            f"{FIELD_RESIDUAL_BOUND:.1e}: strip halfwidth {halfwidth:g} is "
+            f"too wide for truncation degree {data.degree}")
     return fieldout
 
 

@@ -160,10 +160,14 @@ def test_validation_failures_exit_one(tmp_path):
                  "--out", out]) == 1
     assert main(["weierstrass", "--grid", "10", "--out", out]) == 1
     assert main(["weierstrass", "--grid", "2x5", "--out", out]) == 1
-    # the path tolerance is tol; path_tol is not a weierstrass key
-    assert main(["weierstrass", "--param", "path_tol=1", "--out", out]) == 1
-    # the half-width's panels work to rounding: lambda takes no tol
-    assert main(["lambda", "--param", "tol=1e-3", "--out", out]) == 1
+    # each acceptance check derives its own bound: no command takes a path
+    # or certificate tolerance, and the half-width's panels work to
+    # rounding, so lambda takes no tol either
+    for command, key in (("weierstrass", "path_tol"), ("weierstrass", "tol"),
+                         ("calabi-to-l3", "path_tol"),
+                         ("calabi-to-r3", "path_tol"), ("bjorling", "tol"),
+                         ("lambda", "tol")):
+        assert main([command, "--param", f"{key}=1", "--out", out]) == 1
     assert main(["profile", "--no-such-flag"]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1
@@ -562,7 +566,8 @@ def test_weierstrass_refuses_a_field_whose_k_belongs_to_no_weight(tmp_path):
     assert "path dependence" in message
 
 
-def test_bjorling_command(tmp_path):
+def _circle_data(tmp_path) -> Path:
+    """Cauchy data of a horizontal circle with its bowl-like normal."""
     from phimin.weierstrass import BjorlingData, bjorling_to_json
 
     theta0 = 0.9
@@ -578,7 +583,11 @@ def test_bjorling_command(tmp_path):
                         degree=8, period=4 * np.pi)
     data_path = tmp_path / "circle.json"
     data_path.write_text(bjorling_to_json(data, 1.0))
+    return data_path
 
+
+def test_bjorling_command(tmp_path):
+    data_path = _circle_data(tmp_path)
     out = tmp_path / "out"
     code = main(["bjorling", str(data_path), "--out", str(out),
                  "--param", "halfwidth=0.1", "--grid", "101x21"])
@@ -587,6 +596,32 @@ def test_bjorling_command(tmp_path):
     assert float(report["certificate"]) < 1e-4
     assert report["branch"] == "primary"
     assert (out / "field.csv").exists()
+
+    # a strip too wide for the series fails its certificate (about 2e-3
+    # against the field bound 1e-3) before anything is written, and the
+    # bound cannot be raised: a field verify rejects is never written
+    wide = ["bjorling", str(data_path), "--grid", "11x5",
+            "--param", "halfwidth=0.5"]
+    out = tmp_path / "wide"
+    assert main(wide + ["--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    out = tmp_path / "wide_tol"
+    assert main(wide + ["--param", "reconstruct=false", "--tol", "1",
+                        "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_keys_are_validated_before_any_artifact_is_written(tmp_path):
+    data_path = _circle_data(tmp_path)
+    for name, argv in (
+            ("bowl", ["bowl", "--param", "r_window=1"]),
+            ("weierstrass", ["weierstrass", "--grid", "41x31",
+                             "--param", "anchor=1,2"]),
+            ("bjorling", ["bjorling", str(data_path), "--param",
+                          "halfwidth=0.1", "--param", "reconstruct=maybe"])):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 1, name
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"], name
 
 
 def test_preset_smoke(tmp_path):

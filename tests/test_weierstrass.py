@@ -245,7 +245,7 @@ def test_representation_identities_vanish_at_discretization_order():
     for n_u, n_v in ((81, 61), (161, 121)):
         f = reaper_field(n_u=n_u, n_v=n_v)
         mesh = integrate_representation(f, anchor=(0.0, 0.0, 0.0))
-        res = reconstruction_residuals(mesh)
+        res = reconstruction_residuals(mesh, f)
         assert set(res) == {"null_defect", "pairing_defect",
                             "split_defect_x", "split_defect_y",
                             "gradient_defect"}
