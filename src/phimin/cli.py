@@ -821,10 +821,12 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
                 f"'{cfg.text('profile')}': gauss_pde_residual "
                 f"{_fmt(residual)} above the verify threshold "
                 f"{_fmt(threshold)}; k must belong to the weight")
+    # integrate first: a refused base or path check leaves no field on disk
+    mesh = integrate_representation(field, base=base, anchor=anchor)
+    if not input_text:
         save_gauss_field(field, cfg.out_dir / "field.csv",
                          comments=_artifact_comments(cfg, "gauss_field"))
         artifacts.append("field.csv")
-    mesh = integrate_representation(field, base=base, anchor=anchor)
     artifacts += _write_mesh(cfg, mesh, "surface",
                              [f"k = {_fmt(field.k_param)}"])
     identities = reconstruction_residuals(mesh, field)

@@ -96,9 +96,9 @@ class WeightProfile:
         z = np.asarray(z, dtype=float)
         if not np.all(self.contains(z)):
             lo, hi = self.domain
-            bad = z[~self.contains(z)]
+            bad = float(z[~self.contains(z)].flat[0])
             raise DomainError(
-                f"{what} {bad.flat[0]!r} outside profile domain ({lo}, {hi})"
+                f"{what} {bad!r} outside profile domain ({lo}, {hi})"
             )
 
     def phi_range(self) -> Tuple[float, float]:

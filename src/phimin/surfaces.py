@@ -68,10 +68,17 @@ class SurfaceMesh:
     def boundary_mask(self) -> np.ndarray:
         """True for vertices on an edge owned by a single face.
 
-        Each edge is counted under one int64 key ``i * n + j`` (i < j)."""
+        Each edge is counted under one int64 key ``i * n + j`` (i < j),
+        written column by column into one array that is sorted in place."""
         n = self.n_vertices
-        a, b = self.faces, self.faces[:, [1, 2, 0]]
-        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=None)
+        keys = np.empty(self.faces.shape, dtype=np.int64)
+        for c, col in enumerate(keys.T):
+            a, b = self.faces[:, c], self.faces[:, (c + 1) % 3]
+            np.minimum(a, b, out=col)
+            col *= n
+            col += np.maximum(a, b)
+        keys = keys.ravel()
+        keys.sort()
         new = np.ones(len(keys) + 1, dtype=bool)  # keys[i] != keys[i - 1]
         np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
         lone = keys[new[:-1] & new[1:]]  # a key equal to neither neighbour
@@ -244,13 +251,16 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
     # the triangles (a, b, d), then (a, d, c); each ring is an offset of it
     ring = np.concatenate([np.column_stack([idx, nxt, nxt + nt]),
                            np.column_stack([idx, nxt + nt, idx + nt])])
-    faces = [(np.arange(rings - 1)[:, None, None] * nt + ring).reshape(-1, 3)]
+    body = (rings - 1) * 2 * nt  # the faces between rings, then the fan
+    faces = np.empty((body + (nt if has_apex else 0), 3), dtype=np.int64)
+    np.add(np.arange(rings - 1)[:, None, None] * nt, ring,
+           out=faces[:body].reshape(rings - 1, 2 * nt, 3))
     if has_apex:
         apex = rings * nt
         verts[apex] = (0.0, 0.0, z[0])
         normals[apex] = (0.0, 0.0, 1.0)
-        faces.append(np.column_stack([np.full(nt, apex), nxt, idx]))
-    mesh = SurfaceMesh(verts, np.concatenate(faces), normals,
+        faces[-nt:] = np.column_stack([np.full(nt, apex), nxt, idx])
+    mesh = SurfaceMesh(verts, faces, normals,
                        meta={"kind": "revolved", "nt": nt,
                              "has_apex": has_apex, "rings": rings})
     return mesh
@@ -403,29 +413,36 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
 
     It runs on coordinate columns: corner c of a face with the edges
     E_c = p_{c+1} - p_c (mod 3) spans E_c and -E_{c+2} and weights E_{c+1}.
-    The corner weights are formed over blocks of ``_CHUNK_ROWS`` faces, so
-    no edge array spans the mesh.  Sums keep the order of ``np.cross`` and
+    The corner weights, and each corner's term, are formed over blocks of
+    ``_CHUNK_ROWS`` faces: the weights, a third of each face area (until
+    the vertex areas are summed) and one reused buffer of terms are the
+    only arrays as long as the faces.  Sums keep the order of ``np.cross`` and
     ``norm`` on rows, and each coordinate is scattered by 1-D ``ufunc.at``
     in corner order (the three accumulators are independent, so one
     coordinate's three corners run before the next coordinate's)."""
-    f = mesh.faces.T.copy()
+    f = mesh.faces.T  # a view: every index row is read in place
     v = mesh.vertices.T
+    blocks = [slice(lo, lo + _CHUNK_ROWS)
+              for lo in range(0, f.shape[1], _CHUNK_ROWS)]
     half = np.empty(f.shape)  # minus half the cotangent at each corner
     third = np.empty(f.shape[1])  # a third of the face area
-    for lo in range(0, f.shape[1], _CHUNK_ROWS):
-        block = slice(lo, lo + _CHUNK_ROWS)
+    for block in blocks:
         _corner_weights(v, f[:, block], half[:, block], third[block])
-    vec = np.zeros((3, mesh.n_vertices))
-    for acc, q in zip(vec, v):
-        for c in range(3):
-            j, k = f[(c + 1) % 3], f[(c + 2) % 3]
-            t = half[c] * (q[k] - q[j])  # E_{c+1}
-            np.subtract.at(acc, j, t)
-            np.add.at(acc, k, t)
     area = np.zeros(mesh.n_vertices)
     for corners in f:
         np.add.at(area, corners, third)
+    del third
     area[area < 1e-300] = 1e-300
+    vec = np.zeros((3, mesh.n_vertices))
+    t = np.empty(f.shape[1])
+    for acc, q in zip(vec, v):
+        for c in range(3):
+            j, k = f[(c + 1) % 3], f[(c + 2) % 3]
+            for block in blocks:
+                np.multiply(half[c, block], q[k[block]] - q[j[block]],
+                            out=t[block])  # E_{c+1}
+            np.subtract.at(acc, j, t)
+            np.add.at(acc, k, t)
     return (vec / area).T
 
 
@@ -1004,8 +1021,12 @@ def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
         write_header(fh, [*comments, f"signature: {mesh.signature}"])
         write_rows(fh, mesh.vertices, sep=" ", prefix="v ")
         write_rows(fh, mesh.normals, sep=" ", prefix="vn ")
-        write_rows(fh, np.repeat(mesh.faces + 1, 2, axis=1), sep=" ",
-                   prefix="f ", cell="%d//%d")
+        # the v//vn columns repeated one block of faces at a time, so that
+        # no second face array spans the mesh
+        for lo in range(0, len(mesh.faces), _CHUNK_ROWS):
+            block = mesh.faces[lo:lo + _CHUNK_ROWS] + 1
+            write_rows(fh, np.repeat(block, 2, axis=1), sep=" ",
+                       prefix="f ", cell="%d//%d")
 
 
 def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:

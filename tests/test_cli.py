@@ -624,6 +624,27 @@ def test_keys_are_validated_before_any_artifact_is_written(tmp_path):
         assert sorted(p.name for p in out.iterdir()) == ["error.json"], name
 
 
+def test_weierstrass_refused_base_leaves_only_the_error(tmp_path):
+    # base is checked inside the integration, so the built field is written
+    # only once the integration succeeds
+    out = tmp_path / "w"
+    assert main(["weierstrass", "--grid", "41x31", "--param", "base=100,0",
+                 "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "outside the sampled rectangle" in message
+
+
+def test_domain_errors_print_plain_floats(tmp_path):
+    out = tmp_path / "c"
+    assert main(["calabi-to-l3", "--grid", "41x41",
+                 "--param", "profile=log alpha=1", "--param", "patch=reaper",
+                 "--out", str(out)]) == 1
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message == "initial height 0.0 outside profile domain (0.0, inf)"
+    assert "np." not in message
+
+
 def test_preset_smoke(tmp_path):
     out = tmp_path / "gallery"
     code = main(["tilt", "--preset", "tilted-grim-reaper",

@@ -226,6 +226,7 @@ def test_expression_callable_rejects_unknown_names():
     assert float(f(0.0)) == pytest.approx(2.0)
 
 
+@settings(derandomize=True)
 @given(m=st.floats(min_value=0.1, max_value=10.0), z=st.floats(-20, 20))
 def test_linear_inverse_phi_roundtrip(m, z):
     p = make_builtin("linear", m)
@@ -233,7 +234,7 @@ def test_linear_inverse_phi_roundtrip(m, z):
     assert p.inverse_phi(w) == pytest.approx(z, abs=1e-8)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     L=st.floats(min_value=0.2, max_value=4.0),
     b=st.floats(min_value=0.0, max_value=2.0),
@@ -247,7 +248,7 @@ def test_series_phi_consistent_with_dphi(L, b, z):
     assert fd == pytest.approx(float(p.dphi(z)), rel=1e-6)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(a=st.floats(min_value=0.5, max_value=3.0), w=st.floats(-3.0, 3.0))
 def test_lambda_of_z_log_property(a, w):
     p = make_builtin("log", a)

@@ -322,6 +322,15 @@ def three_page_book():
                        normals)
 
 
+def blocks_bowl_mesh():
+    # 25,472 faces: three whole blocks of _CHUNK_ROWS faces and part of a
+    # fourth, so every block edge of the mesh kernels is crossed
+    mesh = revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=101), 128)
+    assert 3 * surfaces._CHUNK_ROWS < len(mesh.faces) \
+        < 4 * surfaces._CHUNK_ROWS
+    return mesh
+
+
 def test_boundary_mask_matches_row_unique():
     sphere = closed_sphere_mesh()
     doubled = SurfaceMesh(sphere.vertices,
@@ -334,7 +343,8 @@ def test_boundary_mask_matches_row_unique():
     grid = GraphPatch(x, x[:21], np.outer(x, x[:21]) ** 2).to_mesh()
     bowl = revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16)
     assert bowl.meta["has_apex"]
-    for mesh in (sphere, doubled, strip, grid, bowl, three_page_book()):
+    big = blocks_bowl_mesh()
+    for mesh in (sphere, doubled, strip, grid, bowl, big, three_page_book()):
         assert np.array_equal(mesh.boundary_mask(),
                               reference_boundary_mask(mesh))
     assert not sphere.boundary_mask().any()
@@ -343,6 +353,7 @@ def test_boundary_mask_matches_row_unique():
     assert strip.boundary_mask().all()
     assert grid.boundary_mask().sum() == 2 * (n + 21) - 4
     assert bowl.boundary_mask().sum() == 16
+    assert big.boundary_mask().sum() == 128
 
 
 def degenerate_mesh():
@@ -364,7 +375,9 @@ def degenerate_mesh():
                   (-0.8, 0.8), 21),
     closed_sphere_mesh(),
     degenerate_mesh(),
-], ids=["grid", "apex-fan", "tilted-cylinder", "sphere", "degenerate"])
+    blocks_bowl_mesh(),
+], ids=["grid", "apex-fan", "tilted-cylinder", "sphere", "degenerate",
+        "four-blocks"])
 def test_cotangent_curvature_matches_row_scatter(mesh):
     got = surfaces._cotangent_curvature(mesh)
     want = reference_cotangent_curvature(mesh)

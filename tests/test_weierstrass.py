@@ -86,7 +86,7 @@ def meridian_splines(bowl):
 
 @given(re=st.floats(min_value=-0.6, max_value=0.6),
        im=st.floats(min_value=-0.6, max_value=0.6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_constant_field_residual_vanishes_and_normals_invert(re, im):
     u = np.linspace(0.0, 1.0, 5)
     G = np.full((5, 5), re + 1j * im)
@@ -181,17 +181,34 @@ def traced_peak(fn, *args):
 
 def test_reconstruction_peak_memory():
     # the integrands, routes and tangent fields die before the mesh oracle
-    # runs: about 300 B a node, against 790 when they lived to the end
+    # runs: about 256 B a node, against 790 when they lived to the end
     f = reaper_field(201, 151)
     assert traced_peak(integrate_representation, f) <= 450 * f.G.size
 
 
 def test_cotangent_oracle_peak_memory():
-    # corner weights formed over blocks of faces: about 90 B a face,
-    # against 192 with all nine edge columns of the mesh held at once
+    # the corner weights, one buffer of corner terms and the vertex sums:
+    # about 60 B a face, against 92 with an int64 copy of the faces and
+    # whole-mesh terms, and 192 with all nine edge columns held at once
     mesh = integrate_representation(reaper_field(201, 151))
     assert traced_peak(surfaces._cotangent_curvature, mesh) \
-        <= 130 * len(mesh.faces)
+        <= 70 * len(mesh.faces)
+
+
+def test_boundary_mask_peak_memory():
+    # one (faces, 3) array of edge keys sorted in place and one column of
+    # maxima: about 32 B a face, against 72 with five key arrays
+    mesh = integrate_representation(reaper_field(201, 151))
+    assert traced_peak(mesh.boundary_mask) <= 40 * len(mesh.faces)
+
+
+def test_save_obj_peak_memory(tmp_path):
+    # the v//vn face columns repeated one block at a time: about 9 B a face
+    # on a 441x331 grid, against 72 with them repeated for the whole mesh
+    x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
+    mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
+    assert traced_peak(surfaces.save_obj, mesh, tmp_path / "m.obj") \
+        <= 15 * len(mesh.faces)
 
 
 def test_reconstruction_error_refines(lin1_bowl):
