@@ -343,7 +343,8 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
     The axis point is a removable singularity; the first step is taken with
     the two-term series th = c1 s + c3 s^3, x = s - c1^2 s^3/6,
     z = z0 + c1 s^2/2 + (c3 - c1^3/6) s^4/4, where c1 = dphi(z0)/2 and
-    c3 = c1 (ddphi(z0)/2 - c1^2)/4, then the ODE takes over at s = 1e-3.
+    c3 = c1 (ddphi(z0)/2 - c1^2)/4, valid while s << 1/c1; the ODE takes
+    over at s = 1e-3 / max(1, c1).
     """
     profile.require_inside(z0, "axis height")
     if s_max <= _LAUNCH:
@@ -364,7 +365,8 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
         z = z0 + (c1 / 2.0) * s ** 2 + ((c3 - c1 ** 3 / 6.0) / 4.0) * s ** 4
         return x, z, th
 
-    xl, zl, thl = series(_LAUNCH)
+    launch = _LAUNCH / max(1.0, c1)
+    xl, zl, thl = series(launch)
     lo, hi = profile.domain
     events = []
     if math.isfinite(hi):
@@ -374,7 +376,7 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
         events.append(exit_hi)
 
     method = _pick_method(profile, z0, s_max)
-    sol = solve_ivp(_rot_rhs(profile), (_LAUNCH, s_max),
+    sol = solve_ivp(_rot_rhs(profile), (launch, s_max),
                     [float(xl), float(zl), float(thl)], method=method,
                     rtol=tol, atol=tol, events=events or None,
                     dense_output=True)
@@ -387,7 +389,7 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
     # from the axis, which is what a revolved mesh needs for the apex fan
     # to behave like a regular polar grid.
     s = np.linspace(0.0, s_end, n_samples)
-    head = s < _LAUNCH
+    head = s < launch
     x = np.empty_like(s)
     z = np.empty_like(s)
     th = np.empty_like(s)

@@ -616,19 +616,18 @@ _CHUNK_ROWS = 8192
 # the leading zeros of a %d value), and the NULs are dropped at the end.
 # Digits come from a table of four-digit words viewed as uint32.
 #
-# A %.16e value x = q * 10^(d-16) with q the 17-digit integer is found by
-# one correctly rounded product (or quotient) s = |x| * 10^(16-d) in long
-# double: 10^k with k <= 27 is exact in a 64-bit significand (5^27 < 2^63).
-# Below 1e17 < 2^57 the spacing u of long double is at most 2^-7, so s lies
-# within u/2 of the exact value; a fraction of s other than exactly 1/2 is
-# then at least u away from 1/2 on the same side as the exact fraction, and
-# rounding s to the nearest integer gives the correctly rounded q.  A value
-# the array code does not print (non-finite, |16-d| > 27, a fraction of
-# exactly 1/2, q outside [1e16, 1e17), a negative %d) is formatted by %.
-_EXACT_SCALING = np.finfo(np.longdouble).nmant >= 63
+# A %.16e value x = q * 10^(d-16) with q the 17-digit integer is found in
+# binary64 for decimal exponents d in -6..16, where 10^k, k = 16 - d, is
+# exact (5^22 < 2^53): p = |x| * 10^k rounds once, and Dekker's two-product
+# (Numer. Math. 18, 1971) gives its error e exactly, so that q = p + rint(e)
+# for p > 2^53.  A value the array code does not print (non-finite, d
+# outside -6..16, q outside [1e16, 1e17), a negative %d) is formatted by %.
 _CONVERSION = re.compile(r"(%\.16e|%d)")
-_POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
 _FLOAT_BYTES = 23  # sign, digit, ".", 16 digits, "e", sign, 2 digits
+_RUN_SHARE = 2  # runs pay where at most half of a column's rows start one
+_P10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
+_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)
+_P10_LO = _P10 - _P10_HI
 
 
 def _words(*columns) -> np.ndarray:
@@ -650,11 +649,11 @@ _GROUP = np.concatenate([np.zeros(1, dtype=np.uint32),
 _DIGITS = _GROUP[10001:]
 # the words of a %.16e value: sign, digit, ".", digit by 100 * signbit plus
 # the first two digits; three digits and "e" by the last three digits;
-# exponent sign and digits by exponent + 11 (the array code prints -11..43)
+# exponent sign and digits by k = 16 - exponent, for exponents -6..16
 _HEAD = _words(np.repeat([0, 45], 100), np.tile(_QUAD[:100, 2], 2), 46,
                np.tile(_QUAD[:100, 3], 2))
 _LAST3 = _words(*_QUAD[:1000, 1:].T, 101)
-_exp = np.arange(-11, 44)
+_exp = 16 - np.arange(23)
 _EXPONENT = _words(np.where(_exp < 0, 45, 43), 48 + abs(_exp) // 10,
                    48 + abs(_exp) % 10, 0)
 del _QUAD, _blank, _exp
@@ -665,48 +664,48 @@ def _float_text(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     mask of values left to ``%``."""
     a = np.abs(x)
     zero = a == 0
-    ok = np.isfinite(a) & ~zero
+    ok = (a > 1e-6) & (a < 1e17)  # fl(1e-6) is below 1e-6
     a[~ok] = 1.0
-    d = np.floor(np.log10(a)).astype(np.int64)
-    ok &= (d >= -11) & (d <= 43)
-    a[~ok] = 1.0
-    al = a.astype(np.longdouble)
-    s = _scaled(al, np.where(ok, d, 0))
-    # judge s itself: 1e-7 scales to 9999999999999999.55, whose rounded
-    # value 1e16 would pass a check on q and print the wrong exponent
-    below = np.flatnonzero(s < 1e16)
-    d[below] -= 1
-    s[below] = _scaled(al[below], d[below])
-    t = s + 0.5
-    q = t.astype(np.int64)
-    # a fraction of s of exactly 1/2 makes t whole; q must have 17 digits
-    ok &= (t != q) & ((q - 10 ** 16).view(np.uint64) < 9 * 10 ** 16)
-    ok[below] &= d[below] >= -11
-    # zeros print as q = 0, d = 0; the text of other values left to % is
-    # overwritten, so any in-range q and d do
-    q[~ok] = 0
-    d[~ok] = 0
-    top, rest = np.divmod(q, 10 ** 15)
-    high, low = np.divmod(rest, 10 ** 7)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    p, e = _product(a, k)
+    # judge p + e itself: the double below 0.1 scales to 1e16 - 0.83, which
+    # rounds to p = 1e16 with e < 0; k stays <= 22 as |x| > 1e-6
+    below = np.flatnonzero((p < 1e16) | ((p == 1e16) & (e < 0)))
+    k[below] += 1
+    p[below], e[below] = _product(a[below], k[below])
+    # p >= 1e16 is even, so rint's ties to even round p + e as % does
+    q = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
+    ok &= q - 10 ** 16 < 9 * 10 ** 16  # q must have 17 digits
+    # zeros print as q = 0, k = 16; the text of values left to % is replaced
+    q *= ok
+    head, low = _split(q, 10 ** 7)
+    top, high = _split(head, 10 ** 8)
     words = np.empty((len(x), 6), dtype=np.uint32)
-    words[:, 0] = _HEAD[np.signbit(x) * 100 + top]
-    for col, part in enumerate(np.divmod(high, 10 ** 4), 1):
-        words[:, col] = _DIGITS[part]
-    third, last = np.divmod(low, 1000)
-    words[:, 3] = _DIGITS[third]
-    words[:, 4] = _LAST3[last]
-    words[:, 5] = _EXPONENT[d + 11]
-    out[:] = words.view(np.uint8)[:, :_FLOAT_BYTES]
+    words[:, 0] = _HEAD.take(top + np.signbit(x) * np.uint64(100))
+    for col, part in enumerate(_split(high, 10 ** 4), 1):
+        words[:, col] = _DIGITS.take(part)
+    third, last = _split(low, 1000)
+    words[:, 3] = _DIGITS.take(third)
+    words[:, 4] = _LAST3.take(last)
+    words[:, 5] = _EXPONENT.take(k)
+    _items(out)[:] = _items(words.view(np.uint8)[:, :_FLOAT_BYTES])
     return ~(ok | zero)
 
 
-def _scaled(al: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """|x| * 10^(16-d) in one rounding, for exponents d in -12..43."""
-    k = 16 - d
-    s = al * _POW10[np.clip(k, 0, 27)]
-    neg = np.flatnonzero(k < 0)
-    s[neg] = al[neg] / _POW10[-k[neg]]
-    return s
+def _split(v: np.ndarray, unit: int):
+    """``divmod(v, unit)`` of the uint64 ``v``, at twice its speed."""
+    head = v // unit
+    return head, v - head * unit
+
+
+def _product(a: np.ndarray, k: np.ndarray):
+    """p = a * 10^k rounded, and its exact error e (Dekker's two-product)."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    lo = a - hi
+    ph, pl = _P10_HI.take(k), _P10_LO.take(k)
+    p = a * _P10.take(k)
+    return p, lo * pl - (((p - hi * ph) - lo * ph) - hi * pl)
 
 
 def _int_text(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -738,8 +737,7 @@ def _row_plan(line: str, rows: np.ndarray):
             "%" in lit or not lit.isascii() or "\0" in lit or "\x01" in lit
             for lit in literals):
         return None
-    if FLOAT in cells and not (_EXACT_SCALING and dtype.kind == "f"
-                               and dtype.itemsize <= 8):
+    if FLOAT in cells and not (dtype.kind == "f" and dtype.itemsize <= 8):
         return None
     if "%d" in cells and not (dtype.kind in "iu"
                               and np.can_cast(dtype, np.int64)):
@@ -776,11 +774,12 @@ def _block_text(line: str, plan, chunk: np.ndarray) -> str:
             _items(out)[:] = _items(block[:, spans[j - 1]])
             bad[:, j] = bad[:, j - 1]
         else:
-            write = _float_text if cell == FLOAT else _int_text
+            write = _float_runs if cell == FLOAT else _int_text
             bad[:, j] = write(values[j], out)
-            # a value left to % keeps one \x01 byte, which marks its place
-            out[bad[:, j]] = 0
-            out[bad[:, j], 0] = 1
+            if bad[:, j].any():
+                # a value left to % keeps one \x01 byte, which marks its place
+                out[bad[:, j]] = 0
+                out[bad[:, j], 0] = 1
     text = block.tobytes().replace(b"\0", b"").decode("ascii")
     if not bad.any():
         return text
@@ -791,6 +790,21 @@ def _block_text(line: str, plan, chunk: np.ndarray) -> str:
         start = end + 1
     pieces.append(text[start:])
     return "".join(pieces)
+
+
+def _float_runs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_float_text`` of ``x``, where runs pay with each run of bitwise
+    equal values (0.0 and -0.0 differ) formatted once at its head."""
+    bits = x.view(np.uint64)
+    head = np.insert(bits[1:] != bits[:-1], 0, True)
+    n = np.count_nonzero(head)
+    if n * _RUN_SHARE > len(x):
+        return _float_text(x, out)
+    text = np.empty((n, _FLOAT_BYTES), dtype=np.uint8)
+    run = np.cumsum(head) - 1
+    bad = _float_text(x[head], text)
+    _items(out)[:] = _items(text)[run]
+    return bad[run]
 
 
 def _items(columns: np.ndarray) -> np.ndarray:
@@ -884,11 +898,15 @@ def open_table(path) -> Tuple[Dict[str, str], str,
     return meta, colnames, parse
 
 
-# Reading is the writer's argument in reverse: a %.16e cell is q * 10^k with
-# q its 17 digits, so where |k| <= 27 the product (or quotient) in long
-# double is the exact value rounded once, and rounding that to float64
-# rounds the exact value unless it lies exactly halfway between two
-# doubles.  Such a cell, and one with |k| > 27, is read by float().
+# Reading: a %.16e cell is q * 10^k with q its 17 digits, and 10^k with
+# |k| <= 27 is exact in a 64-bit long double significand, so the product (or
+# quotient) in long double rounds the exact value once, and rounding that to
+# float64 rounds the exact value unless it lies halfway between two doubles.
+# Such a cell, and one with |k| > 27, is read by float().
+_EXACT_SCALING = np.finfo(np.longdouble).nmant >= 63
+_POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
+
+
 def _float_body(raw: bytes, start: int):
     """The rows of ``raw[start:]``, read in blocks of about ``_CHUNK_ROWS``
     rows, or None unless every row holds the same number of %.16e cells

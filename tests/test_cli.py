@@ -411,8 +411,9 @@ def test_catenoid_refuses_branches_that_fail_verify(tmp_path):
 
 
 def test_bowl_refuses_a_curve_that_fails_verify(tmp_path):
-    # dphi(z0)/2 = 1000 makes the series launch at s = 1e-3 invalid: the
-    # solver's curve launches at slope 383 and fails verify at 576
+    # c1 = dphi(z0)/2 = 1000 bends the bowl within 1/c1 = 1e-3 of the axis,
+    # which 1201 samples over s_max = 4 (steps of 3.3e-3) cannot resolve:
+    # the curve fails verify at 576, though the launch shrinks to 1e-6
     assert main(["bowl", "--out", str(tmp_path / "steep"),
                  "--param", "profile=linear slope=2000",
                  "--param", "z0=1", "--param", "s_max=4"]) == 2
@@ -427,6 +428,19 @@ def test_bowl_refuses_a_curve_that_fails_verify(tmp_path):
                  "--param", "profile=custom dphi=exp(z)",
                  "--param", "z0=1", "--param", "s_max=8"]) == 0
     assert read_report(out)["report"]["meta"]["method"] == "LSODA"
+    assert main(["verify", str(out / "curve.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
+
+
+def test_steep_bowl_launches_within_its_axis_scale(tmp_path):
+    # c1 = dphi(z0)/2 = 100: the series hands over to the ODE at
+    # s = 1e-3 / c1, and the curve verifies (launched at s = 1e-3 it failed
+    # at 4.7e-3)
+    out = tmp_path / "steep"
+    assert main(["bowl", "--out", str(out),
+                 "--param", "profile=linear slope=200", "--param", "z0=1",
+                 "--param", "s_max=1", "--param", "n_samples=20000",
+                 "--param", "n_theta=3"]) == 0
     assert main(["verify", str(out / "curve.csv"),
                  "--out", str(tmp_path / "v")]) == 0
 

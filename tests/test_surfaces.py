@@ -672,19 +672,86 @@ def test_write_rows_repeats_only_a_bitwise_equal_column():
 
 
 def test_write_rows_without_long_double_scaling(monkeypatch):
-    # where long double has fewer than 64 significand bits every float row
-    # goes through %; the bytes are the same
+    # the writer scales in binary64 alone: where long double has fewer than
+    # 64 significand bits (only the reader's gate) float rows still go
+    # through array code, with the same bytes
     rows = np.array([[0.5, -2.25, 1e-7], [1e-30, 3.0, -0.0],
                      [math.nan, 1.0, 2.0 ** -25], [6.02e23, -1e-3, 7.0]])
     expected = _percent(rows, sep=" ", prefix="v ")
     assert _written(rows, sep=" ", prefix="v ") == expected
     monkeypatch.setattr(surfaces, "_EXACT_SCALING", False)
-
-    def no_array_floats(x, out):
-        raise AssertionError("array code ran without the long double gate")
-    monkeypatch.setattr(surfaces, "_float_text", no_array_floats)
+    printed = _formatted(monkeypatch)
     assert _written(rows, sep=" ", prefix="v ") == expected
     assert _written(rows[:, :2]) == _percent(rows[:, :2])
+    assert sum(printed) == rows.size + rows[:, :2].size
+
+
+def _formatted(monkeypatch):
+    """Count the values the array code formats, call by call."""
+    calls, real = [], surfaces._float_text
+
+    def counting(x, out):
+        calls.append(len(x))
+        return real(x, out)
+    monkeypatch.setattr(surfaces, "_float_text", counting)
+    return calls
+
+
+def test_write_rows_formats_each_run_once(monkeypatch):
+    chunk = surfaces._CHUNK_ROWS
+    n = 2 * chunk + 700
+    rows = np.empty((n, 4))
+    rows[:, 0] = np.arange(n) // 500 * 0.25 - 3.0  # runs across block edges
+    rows[:, 1] = np.where(np.arange(n) // 300 % 2, 0.0, -0.0)
+    rows[:, 2] = np.arange(n) * 1.1  # no runs
+    rows[:, 3] = [(math.nan, -math.nan, 1e-30, 1e17, 2.5, -2.5)[i % 6]
+                  for i in np.arange(n) // 250]
+    # a run that starts in one block and ends in the next
+    assert rows[chunk - 1, 0] == rows[chunk, 0]
+    printed = _formatted(monkeypatch)
+    for sep, prefix in ((",", ""), (" ", "v ")):
+        printed.clear()
+        assert _written(rows, sep=sep, prefix=prefix) \
+            == _percent(rows, sep=sep, prefix=prefix)
+        # the third column in full, and the run heads of the others
+        assert n < sum(printed) < n + n // 50
+    assert _written(rows[:1]) == _percent(rows[:1])
+    single = np.full((chunk + 3, 1), 1e-30)  # every head left to %
+    assert _written(single) == _percent(single)
+
+
+def test_float_text_prints_every_value_of_exponents_minus_6_to_16():
+    halves, _ = _longdouble_halves()
+    edges = np.array([1e-6, 1e16, 1e17, 1e-5, 0.1, 1.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, math.inf)])
+    # 18 significant digits ending in 5: exact ties, rounded half to even
+    ties = [(2 ** 17 + 1) / 2 ** 17, (2 ** 17 + 3) / 2 ** 17,
+            (2 ** 17 + 1) / 2 ** 18, 1e5 + 1 / 4096, 1e5 + 3 / 4096]
+    edges = np.concatenate([edges, ties])
+    edges = np.concatenate([edges, -edges])
+    # fl(1e-6) lies below 1e-6, outside the exponents -6..16
+    for values, left_to_percent in (
+            (halves, np.zeros(len(halves), dtype=bool)),
+            (edges, (np.abs(edges) <= 1e-6) | (np.abs(edges) >= 1e17))):
+        out = np.zeros((len(values), surfaces._FLOAT_BYTES), dtype=np.uint8)
+        left = surfaces._float_text(values.copy(), out)
+        np.testing.assert_array_equal(left, left_to_percent)
+        text = [bytes(row).replace(b"\0", b"").decode() for row in out]
+        assert [t for t, bad in zip(text, left) if not bad] \
+            == ["%.16e" % v for v, bad in zip(values, left) if not bad]
+        assert _written(values[:, None]) == _percent(values[:, None])
+
+
+def test_float_text_leaves_few_bowl_values_to_percent():
+    # the gallery's 129 meridians; long double scaling left 0.66 % of these
+    # values to %
+    mesh = revolve(solve_bowl(LIN1, 0.0, 4.0, tol=1e-10, n_samples=201), 129)
+    values = np.concatenate([mesh.vertices.T, mesh.normals.T])
+    out = np.empty((values.shape[1], surfaces._FLOAT_BYTES), dtype=np.uint8)
+    left = sum(int(surfaces._float_text(col.copy(), out).sum())
+               for col in values)
+    assert left <= 1e-3 * values.size
 
 
 # ---------------------------------------------------------------------------
