@@ -955,6 +955,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         checks = _verify_patch((meta, colnames, data), path)
     else:
         field = gauss_field_from_table(path, (meta, colnames, data))
+        del data  # the table dies once the field holds its values
         checks = {"gauss_pde_residual":
                   float(np.nanmax(np.abs(gauss_pde_residual(field))))}
 

@@ -156,15 +156,18 @@ class GraphPatch:
 
 
 def _grid_faces(nx: int, ny: int) -> np.ndarray:
-    """Two triangles per cell on an (nx, ny) node grid, row-major indices."""
-    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-    v00 = (i * ny + j).ravel()
-    v10 = ((i + 1) * ny + j).ravel()
-    v01 = (i * ny + j + 1).ravel()
-    v11 = ((i + 1) * ny + j + 1).ravel()
-    t1 = np.column_stack([v00, v10, v11])
-    t2 = np.column_stack([v00, v11, v01])
-    return np.concatenate([t1, t2])
+    """Two triangles per cell on an (nx, ny) node grid, row-major indices:
+    (v00, v10, v11) for every cell, then (v00, v11, v01), written into one
+    array."""
+    faces = np.empty((2, nx - 1, ny - 1, 3), dtype=np.int64)
+    v00 = np.add.outer(np.arange(nx - 1) * ny, np.arange(ny - 1),
+                       out=faces[0, ..., 0])
+    np.add(v00, ny, out=faces[0, ..., 1])
+    np.add(v00, ny + 1, out=faces[0, ..., 2])
+    faces[1, ..., 0] = v00
+    faces[1, ..., 1] = faces[0, ..., 2]
+    np.add(v00, 1, out=faces[1, ..., 2])
+    return faces.reshape(-1, 3)
 
 
 def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
@@ -296,7 +299,7 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     normals = np.column_stack([n[:, 0],
                                c * n[:, 1] - s * n[:, 2],
                                s * n[:, 1] + c * n[:, 2]])
-    return SurfaceMesh(verts, base.faces.copy(), normals,
+    return SurfaceMesh(verts, base.faces, normals,
                        meta={"kind": "tilted_cylinder", "theta": theta,
                              "grid": base.meta["grid"]})
 
@@ -855,7 +858,8 @@ def open_table(path) -> Tuple[Dict[str, str], str,
     """Header comments and column names of a CSV artifact, and the parser
     of its data matrix, so that a caller may refuse a table by its column
     line before the body is parsed.  The file is opened and read once,
-    here.  Every row must hold one value per name on the column line.
+    here, and parsed once: the parser lets go of the file's bytes when it
+    returns.  Every row must hold one value per name on the column line.
 
     A body all in the writer's %.16e form is read by array code
     (``_float_body``); any other body by ``np.loadtxt`` on the text a
@@ -881,6 +885,7 @@ def open_table(path) -> Tuple[Dict[str, str], str,
         raise ValueError(f"{path} holds no data rows")
 
     def parse() -> np.ndarray:
+        nonlocal raw, text
         data = _float_body(raw, start)
         if data is None:
             try:
@@ -888,6 +893,8 @@ def open_table(path) -> Tuple[Dict[str, str], str,
             except Exception as exc:
                 raise ValueError(f"{path} is not a readable CSV table: "
                                  f"{exc}") from exc
+        # the file's bytes and their reader die here, not with the parser
+        raw = text = None
         if data.size == 0:
             raise ValueError(f"{path} holds no data rows")
         width = len(colnames.split(","))
@@ -1021,7 +1028,8 @@ def grid_from_table(path, meta: Dict[str, str], data: np.ndarray
     if min(nx, ny) < 1 or len(data) != nx * ny:
         raise ValueError(f"{path} holds {len(data)} rows, expected {nx} x "
                          f"{ny} = {nx * ny}")
-    x, y = data[::ny, 0], data[:ny, 1]
+    # copies: views would keep the whole table alive with the axes
+    x, y = data[::ny, 0].copy(), data[:ny, 1].copy()
     grid = grid_rows(x, y)[1]
     off = np.flatnonzero((data[:, :2].view(np.uint64)
                           != grid.view(np.uint64)).any(axis=1))

@@ -72,6 +72,11 @@ _SINGULAR_LOCUS_TOL = 1e-8
 # The largest field PDE residual a Gauss field may have: the bound of
 # solve_bjorling's certificate and of verify's check of a field artifact.
 FIELD_RESIDUAL_BOUND = 1e-3
+# Nodes in one row block of the field checks (gauss_pde_residual, the
+# first-order defects, reconstruction_residuals), whose temporaries span a
+# block, not the grid.  Blocks of 8192 or 32768 nodes were not faster on
+# all three checks at 441 x 331.
+_BLOCK_NODES = 16384
 # Upper bounds on Cauchy data, checked before any series work, whose cost
 # grows steeply with the truncation degree and the coefficients per row.
 MAX_DEGREE = 32
@@ -158,17 +163,44 @@ def gauss_pde_residual(field: GaussField) -> np.ndarray:
     reconstruction and the Cauchy solver are both checked against.
     """
     G, k = field.G, field.k_param
-    c, gu, gv, guu, gvv, _ = _interior_derivatives(G, field.hu, field.hv)
-    D = 1.0 - np.abs(c) ** 4
-    if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
-        raise NumericalError("|G| = 1 at a stencil node")
-    gz = 0.5 * (gu - 1j * gv)
-    gzb = 0.5 * (gu + 1j * gv)
     out = np.full_like(G, np.nan + 1j * np.nan)
-    out[1:-1, 1:-1] = (0.25 * (guu + gvv)
-                       + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
-                       + 2.0 * k * np.abs(gzb) ** 2 / D * c)
+    for _, _, a, b in _row_blocks(*G.shape):
+        c, gu, gv, guu, gvv, _ = _interior_derivatives(G[a:b], field.hu,
+                                                       field.hv)
+        D = 1.0 - np.abs(c) ** 4
+        if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
+            raise NumericalError("|G| = 1 at a stencil node")
+        gz = 0.5 * (gu - 1j * gv)
+        gzb = 0.5 * (gu + 1j * gv)
+        out[a + 1:b - 1, 1:-1] = (
+            0.25 * (guu + gvv)
+            + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
+            + 2.0 * k * np.abs(gzb) ** 2 / D * c)
     return out
+
+
+def _row_blocks(n: int, m: int):
+    """The row blocks of an (n, m) grid that the field checks run over:
+    (lo, hi, a, b) for rows lo:hi, about ``_BLOCK_NODES`` nodes and never
+    fewer than 3 rows, and the slab a:b that adds the row on each side
+    where the grid has one.  Differences of the slab, sliced back to
+    lo:hi, are bit for bit those of the whole grid: interior rows see the
+    same neighbours, and rows 0 and n - 1 the same one-sided formula."""
+    step = max(3, _BLOCK_NODES // m)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < step + 3 else lo + step
+        yield lo, hi, max(lo - 1, 0), min(hi + 1, n)
+        lo = hi
+
+
+def _gradients(f: np.ndarray, block: Tuple[int, int, int, int], hu: float,
+               hv: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows lo:hi of ``np.gradient(f, h, axis, edge_order=2)`` along u and
+    along v, from the slab of the row block ``(lo, hi, a, b)``."""
+    lo, hi, a, b = block
+    return (np.gradient(f[a:b], hu, axis=0, edge_order=2)[lo - a:hi - a],
+            np.gradient(f[lo:hi], hv, axis=1, edge_order=2))
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +341,15 @@ def _immersion(field: GaussField, base: Optional[complex],
 def _path_integrals(field: GaussField, base: Optional[complex]
                     ) -> Tuple[int, int, List[np.ndarray], float]:
     """Base node, the three coordinate functions before pinning, and the
-    worst disagreement of their two routes; the derivatives, integrands
-    and routes die on return."""
+    worst disagreement of their two routes; one integrand and its routes
+    are alive at a time, and each dies once reduced to its coordinate
+    function and its disagreement."""
     G, k = field.G, field.k_param
     hu, hv = field.hu, field.hv
 
     gz, gzb = wirtinger_derivatives(field)
     scale = 1.0 + np.abs(gz).max()
+    del gz
     if np.abs(gzb).max() <= 1e-13 * scale:
         raise ValueError(
             "the field is holomorphic to machine precision, so every "
@@ -332,59 +366,70 @@ def _path_integrals(field: GaussField, base: Optional[complex]
             "blow up as |G| -> 1")
 
     ib, jb = _locate_base(field, base)
-    gbz = np.conj(gzb)          # derivative of conj(G) along zeta
-    w1 = gbz * (1.0 - G ** 2) / D
-    w2 = 1j * gbz * (1.0 + G ** 2) / D
-    w3 = gbz * G / D
+    gbz = np.conj(gzb, out=gzb)     # derivative of conj(G) along zeta
+    # the integrands w1, w2, w3, each formed only when its routes are taken
+    integrands = (lambda: gbz * (1.0 - G ** 2) / D,
+                  lambda: 1j * gbz * (1.0 + G ** 2) / D,
+                  lambda: gbz * G / D)
 
     def routes(w):
         # only the real part of the integral of w dzeta is path independent
         a, b = staircase(w, 1j * w, hu, hv, ib, jb)
         return a.real, b.real
 
+    psi, gaps = [], []
     if k == 1.0:
-        parts = [[s * r for r in routes(w)]
-                 for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0))]
-        psi = [0.5 * (a + b) for a, b in parts]
-        disagreement = max(float(np.abs(a - b).max()) for a, b in parts)
+        for w, s in zip(integrands, (4.0, 4.0, 8.0)):
+            a, b = routes(w())
+            a, b = s * a, s * b
+            psi.append(0.5 * (a + b))
+            gaps.append(float(np.abs(a - b).max()))
+            del a, b
     else:
-        r3a, r3b = routes(w3)
-        gamma_a = np.exp(4.0 * (k - 1.0) * r3a)
-        gamma_b = np.exp(4.0 * (k - 1.0) * r3b)
-        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
         vertical = 2.0 * k / (k - 1.0)
-        q1a, q1b = routes(w1 * gamma)
-        q2a, q2b = routes(w2 * gamma)
-        psi = [2.0 * k * (q1a + q1b), 2.0 * k * (q2a + q2b),
-               vertical * gamma]
-        disagreement = max(
-            4.0 * abs(k) * float(np.abs(q1a - q1b).max()),
-            4.0 * abs(k) * float(np.abs(q2a - q2b).max()),
-            abs(vertical) * float(np.abs(gamma_a - gamma_b).max()))
-    return ib, jb, psi, disagreement
+        r3a, r3b = routes(integrands[2]())
+        gap3 = abs(vertical) * float(np.abs(np.exp(4.0 * (k - 1.0) * r3a)
+                                            - np.exp(4.0 * (k - 1.0) * r3b)
+                                            ).max())
+        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
+        del r3a, r3b
+        for w in integrands[:2]:
+            qa, qb = routes(w() * gamma)
+            psi.append(2.0 * k * (qa + qb))
+            gaps.append(4.0 * abs(k) * float(np.abs(qa - qb).max()))
+            del qa, qb
+        psi.append(vertical * gamma)
+        gaps.append(gap3)
+    return ib, jb, psi, max(gaps)
 
 
 def _first_order_defects(points: np.ndarray, field: GaussField
                          ) -> Dict[str, float]:
     """``conformal_defect`` and ``gauss_map_defect`` of the (nu, nv, 3)
-    points against the field; the tangent fields die on return."""
-    G = field.G
-    pu = np.gradient(points, field.hu, axis=0, edge_order=2)
-    pv = np.gradient(points, field.hv, axis=1, edge_order=2)
-    ee = np.einsum("ijk,ijk->ij", pu, pu)[1:-1, 1:-1]
-    gg = np.einsum("ijk,ijk->ij", pv, pv)[1:-1, 1:-1]
-    ff = np.einsum("ijk,ijk->ij", pu, pv)[1:-1, 1:-1]
-    lam2 = 0.5 * (ee + gg)
-    conformal = float(
-        (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff)) / lam2).max())
+    points against the field, as maxima over row blocks."""
+    n = len(field.u)
+    conformal, gauss_map = [], []
+    for block in _row_blocks(*field.shape):
+        lo, hi = block[:2]
+        pu, pv = _gradients(points, block, field.hu, field.hv)
+        inner = slice(max(lo, 1) - lo, min(hi, n - 1) - lo), slice(1, -1)
+        ee = np.einsum("ijk,ijk->ij", pu, pu)[inner]
+        gg = np.einsum("ijk,ijk->ij", pv, pv)[inner]
+        ff = np.einsum("ijk,ijk->ij", pu, pv)[inner]
+        lam2 = 0.5 * (ee + gg)
+        conformal.append(
+            (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff)) / lam2).max())
 
-    nrm = np.cross(pv, pu)[1:-1, 1:-1]
-    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-    ok = 1.0 + nrm[..., 2] > 1e-6
-    grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
-                    / np.where(ok, 1.0 + nrm[..., 2], 1.0), G[1:-1, 1:-1])
-    return {"conformal_defect": conformal,
-            "gauss_map_defect": float(np.abs(grec - G[1:-1, 1:-1]).max())}
+        nrm = np.cross(pv, pu)[inner]
+        nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
+        ok = 1.0 + nrm[..., 2] > 1e-6
+        G = field.G[lo:hi][inner]
+        grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
+                        / np.where(ok, 1.0 + nrm[..., 2], 1.0), G)
+        gauss_map.append(np.abs(grec - G).max())
+    # np.max, not max: a NaN in any block is the maximum, as over the grid
+    return {"conformal_defect": float(np.max(conformal)),
+            "gauss_map_defect": float(np.max(gauss_map))}
 
 
 def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
@@ -407,37 +452,36 @@ def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
     are invariant under the free constants (translation for k = 1,
     homothety and horizontal translation otherwise).
     """
-    G, k = field.G, field.k_param
+    k = field.k_param
     points = mesh.vertices.reshape(*field.shape, 3)
+    out = {key: np.empty(field.shape, dtype=complex)
+           for key in ("null_defect", "pairing_defect", "split_defect_x",
+                       "split_defect_y", "gradient_defect")}
+    for block in _row_blocks(*field.shape):
+        rows = slice(*block[:2])
+        pu, pv = _gradients(points, block, field.hu, field.hv)
+        psi_z = 0.5 * (pu - 1j * pv)
+        del pu, pv
+        p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
+        fh = p1 - 1j * p2
 
-    psi_z = _wirtinger_zeta(points, field.hu, field.hv)
-    p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
-    fh = p1 - 1j * p2
+        gu, gv = _gradients(field.G, block, field.hu, field.hv)
+        gzb = 0.5 * (gu + 1j * gv)
+        del gu, gv
+        G = field.G[rows]
+        D = 1.0 - np.abs(G) ** 4
+        z = points[rows, :, 2]
+        dphi = np.ones_like(z) if k == 1.0 else (2.0 / (k - 1.0)) / z
 
-    gzb = wirtinger_derivatives(field)[1]
-    D = 1.0 - np.abs(G) ** 4
-    dphi = np.ones_like(points[..., 2]) if k == 1.0 \
-        else (2.0 / (k - 1.0)) / points[..., 2]
-
-    out = {
-        "null_defect": p1 ** 2 + p2 ** 2 + p3 ** 2,
-        "pairing_defect": p3 - G * fh,
-        "split_defect_x": p1 - 0.5 * fh * (1.0 - G ** 2),
-        "split_defect_y": p2 - 0.5j * fh * (1.0 + G ** 2),
-        "gradient_defect": 4.0 * gzb - dphi * np.conj(fh) * D,
-    }
+        out["null_defect"][rows] = p1 ** 2 + p2 ** 2 + p3 ** 2
+        out["pairing_defect"][rows] = p3 - G * fh
+        out["split_defect_x"][rows] = p1 - 0.5 * fh * (1.0 - G ** 2)
+        out["split_defect_y"][rows] = p2 - 0.5j * fh * (1.0 + G ** 2)
+        out["gradient_defect"][rows] = 4.0 * gzb - dphi * np.conj(fh) * D
     for arr in out.values():
         arr[0, :] = arr[-1, :] = np.nan
         arr[:, 0] = arr[:, -1] = np.nan
     return out
-
-
-def _wirtinger_zeta(points: np.ndarray, hu: float, hv: float) -> np.ndarray:
-    """psi_zeta of the (nu, nv, 3) points by central differences, one-sided
-    at the border; the two real gradients die on return."""
-    pu = np.gradient(points, hu, axis=0, edge_order=2)
-    pv = np.gradient(points, hv, axis=1, edge_order=2)
-    return 0.5 * (pu - 1j * pv)
 
 
 def rotational_gauss_field(curve: ProfileCurve, k_param: float,

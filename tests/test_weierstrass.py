@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from phimin import surfaces
+from phimin import cli, surfaces, weierstrass
 from phimin.errors import NumericalError
 from phimin.profiles import make_builtin
 from phimin.solvers import solve_bowl
@@ -17,6 +17,7 @@ from phimin.weierstrass import (
     GaussField,
     bjorling_from_json,
     bjorling_to_json,
+    gauss_field_from_table,
     gauss_pde_residual,
     integrate_representation,
     load_gauss_field,
@@ -24,6 +25,7 @@ from phimin.weierstrass import (
     rotational_gauss_field,
     save_gauss_field,
     solve_bjorling,
+    wirtinger_derivatives,
 )
 
 LIN1 = make_builtin("linear", 1.0)
@@ -180,10 +182,75 @@ def traced_peak(fn, *args):
 
 
 def test_reconstruction_peak_memory():
-    # the integrands, routes and tangent fields die before the mesh oracle
-    # runs: about 256 B a node, against 790 when they lived to the end
+    # the mesh oracle with the mesh it judges: about 215 B a node, against
+    # 256 while the first-order defects spanned the grid and 790 while
+    # every intermediate lived to the end
     f = reaper_field(201, 151)
-    assert traced_peak(integrate_representation, f) <= 450 * f.G.size
+    assert traced_peak(integrate_representation, f) <= 240 * f.G.size
+
+
+def test_field_check_peak_memory():
+    # one integrand and its routes at a time, and the field checks over
+    # row blocks: 158, 103 and 118 B a node, against 238, 160 and 181
+    # over the whole grid
+    f = reaper_field(201, 151)
+    mesh = integrate_representation(f)
+    points = mesh.vertices.reshape(*f.shape, 3)
+    assert traced_peak(weierstrass._path_integrals, f, None) \
+        <= 175 * f.G.size
+    assert traced_peak(weierstrass._first_order_defects, points, f) \
+        <= 115 * f.G.size
+    assert traced_peak(gauss_pde_residual, f) <= 130 * f.G.size
+
+
+def test_grid_faces_peak_memory():
+    # written into one array: about 24.5 B a face for a 24 B result,
+    # against 72 through index vectors and stacked columns
+    assert traced_peak(surfaces._grid_faces, 441, 331) \
+        <= 27 * 2 * 440 * 330
+
+
+def test_weierstrass_command_peak_memory(tmp_path):
+    # a field three row blocks tall, end to end through the PLY writer:
+    # about 277 B a node, against 340 with the field checks over the
+    # whole grid and the parsed table pinned by the field's axes
+    f = reaper_field(801, 61)
+    path = tmp_path / "field.csv"
+    save_gauss_field(f, path)
+    peak = traced_peak(cli.main, ["weierstrass", str(path), "--format",
+                                  "ply", "--out", str(tmp_path / "w")])
+    assert peak <= 305 * f.G.size
+
+
+def test_verify_frees_the_field_file_before_its_oracle(tmp_path, monkeypatch):
+    # the parser lets go of the file's bytes (about 92 B a node) and
+    # verify of the parsed table (32 B a node) before gauss_pde_residual
+    # runs: about 19 B a node is held then, the field's 16 among them,
+    # against 144 with both alive
+    f = reaper_field(401, 81)
+    path = tmp_path / "field.csv"
+    save_gauss_field(f, path)
+    held = []
+
+    def oracle(field):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return gauss_pde_residual(field)
+    monkeypatch.setattr(cli, "gauss_pde_residual", oracle)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["verify", str(path), "--out",
+                         str(tmp_path / "v")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert held[0] - entry <= 21 * f.G.size
+
+
+def test_field_axes_do_not_pin_the_table(tmp_path):
+    path = tmp_path / "field.csv"
+    save_gauss_field(reaper_field(21, 11), path)
+    g = gauss_field_from_table(path, surfaces.read_table(path))
+    assert g.u.base is None and g.v.base is None
 
 
 def test_cotangent_oracle_peak_memory():
@@ -209,6 +276,130 @@ def test_save_obj_peak_memory(tmp_path):
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
     assert traced_peak(surfaces.save_obj, mesh, tmp_path / "m.obj") \
         <= 15 * len(mesh.faces)
+
+
+def whole_grid_checks(f, mesh):
+    """The field checks over the whole grid at once, as written before
+    they ran over row blocks: the PDE residual, the first-order defects,
+    the five identity residuals, and the path integrals' coordinate
+    functions and disagreement."""
+    G, k, hu, hv = f.G, f.k_param, f.hu, f.hv
+    c, gu, gv, guu, gvv, _ = surfaces._interior_derivatives(G, hu, hv)
+    D = 1.0 - np.abs(c) ** 4
+    gz, gzb = 0.5 * (gu - 1j * gv), 0.5 * (gu + 1j * gv)
+    pde = np.full_like(G, np.nan + 1j * np.nan)
+    pde[1:-1, 1:-1] = (0.25 * (guu + gvv)
+                       + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
+                       + 2.0 * k * np.abs(gzb) ** 2 / D * c)
+
+    points = mesh.vertices.reshape(*f.shape, 3)
+    pu = np.gradient(points, hu, axis=0, edge_order=2)
+    pv = np.gradient(points, hv, axis=1, edge_order=2)
+    ee = np.einsum("ijk,ijk->ij", pu, pu)[1:-1, 1:-1]
+    gg = np.einsum("ijk,ijk->ij", pv, pv)[1:-1, 1:-1]
+    ff = np.einsum("ijk,ijk->ij", pu, pv)[1:-1, 1:-1]
+    lam2 = 0.5 * (ee + gg)
+    nrm = np.cross(pv, pu)[1:-1, 1:-1]
+    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
+    ok = 1.0 + nrm[..., 2] > 1e-6
+    grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
+                    / np.where(ok, 1.0 + nrm[..., 2], 1.0), G[1:-1, 1:-1])
+    defects = {"conformal_defect": float(
+                   (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff))
+                    / lam2).max()),
+               "gauss_map_defect": float(np.abs(grec - G[1:-1, 1:-1]).max())}
+
+    psi_z = 0.5 * (pu - 1j * pv)
+    p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
+    fh = p1 - 1j * p2
+    gzb = wirtinger_derivatives(f)[1]
+    D = 1.0 - np.abs(G) ** 4
+    dphi = np.ones_like(points[..., 2]) if k == 1.0 \
+        else (2.0 / (k - 1.0)) / points[..., 2]
+    identities = {
+        "null_defect": p1 ** 2 + p2 ** 2 + p3 ** 2,
+        "pairing_defect": p3 - G * fh,
+        "split_defect_x": p1 - 0.5 * fh * (1.0 - G ** 2),
+        "split_defect_y": p2 - 0.5j * fh * (1.0 + G ** 2),
+        "gradient_defect": 4.0 * gzb - dphi * np.conj(fh) * D,
+    }
+    for arr in identities.values():
+        arr[0, :] = arr[-1, :] = np.nan
+        arr[:, 0] = arr[:, -1] = np.nan
+
+    gbz = np.conj(gzb)
+    D = f.denominator()
+    w1 = gbz * (1.0 - G ** 2) / D
+    w2 = 1j * gbz * (1.0 + G ** 2) / D
+    w3 = gbz * G / D
+    ib, jb = (f.shape[0] - 1) // 2, (f.shape[1] - 1) // 2
+
+    def routes(w):
+        a, b = surfaces.staircase(w, 1j * w, hu, hv, ib, jb)
+        return a.real, b.real
+
+    if k == 1.0:
+        parts = [[s * r for r in routes(w)]
+                 for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0))]
+        psi = [0.5 * (a + b) for a, b in parts]
+        disagreement = max(float(np.abs(a - b).max()) for a, b in parts)
+    else:
+        r3a, r3b = routes(w3)
+        gamma_a = np.exp(4.0 * (k - 1.0) * r3a)
+        gamma_b = np.exp(4.0 * (k - 1.0) * r3b)
+        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
+        vertical = 2.0 * k / (k - 1.0)
+        q1a, q1b = routes(w1 * gamma)
+        q2a, q2b = routes(w2 * gamma)
+        psi = [2.0 * k * (q1a + q1b), 2.0 * k * (q2a + q2b),
+               vertical * gamma]
+        disagreement = max(
+            4.0 * abs(k) * float(np.abs(q1a - q1b).max()),
+            4.0 * abs(k) * float(np.abs(q2a - q2b).max()),
+            abs(vertical) * float(np.abs(gamma_a - gamma_b).max()))
+    return pde, defects, identities, psi, disagreement
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+@pytest.mark.parametrize("family", ["reaper", "log"])
+def test_row_blocks_match_the_whole_grid_bit_for_bit(rows, family,
+                                                     log1_roof, monkeypatch):
+    # 41 and 82 rows in blocks of 3 or 4 leave a remainder of 1 or 2
+    # rows, which joins the last block
+    if family == "reaper":
+        f = reaper_field(41, 31)
+    else:
+        f = rotational_gauss_field(log1_roof, 3.0, (0.7, 4.5), n_u=82,
+                                   v_halfwidth=0.9, n_v=41)
+    mesh = integrate_representation(f)
+    pde, defects, identities, psi, disagreement = whole_grid_checks(f, mesh)
+    monkeypatch.setattr(weierstrass, "_BLOCK_NODES", rows * f.shape[1])
+    blocks = list(weierstrass._row_blocks(*f.shape))
+    assert len(blocks) == f.shape[0] // rows
+    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == f.shape[0]
+    assert min(hi - lo for lo, hi, _, _ in blocks) >= 3
+
+    assert gauss_pde_residual(f).tobytes() == pde.tobytes()
+    assert weierstrass._first_order_defects(
+        mesh.vertices.reshape(*f.shape, 3), f) == defects
+    got = reconstruction_residuals(mesh, f)
+    assert got.keys() == identities.keys()
+    for key, arr in identities.items():
+        assert got[key].tobytes() == arr.tobytes(), key
+    _, _, got_psi, got_disagreement = weierstrass._path_integrals(f, None)
+    assert [p.tobytes() for p in got_psi] == [p.tobytes() for p in psi]
+    assert got_disagreement == disagreement
+    for key in defects:
+        assert mesh.meta[key] == defects[key]
+
+
+def test_unit_modulus_in_a_later_block_is_refused(monkeypatch):
+    monkeypatch.setattr(weierstrass, "_BLOCK_NODES", 3 * 31)
+    f = reaper_field(41, 31)
+    f.G[35, 10] = 1.0  # after construction, which refuses such a node
+    with pytest.raises(NumericalError, match="stencil node"):
+        gauss_pde_residual(f)
 
 
 def test_reconstruction_error_refines(lin1_bowl):
