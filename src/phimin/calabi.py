@@ -472,6 +472,45 @@ def _stretching(patch: GraphPatch, profile: WeightProfile
     return float(np.max(hxx)), float(np.max(hyy))
 
 
+# Newton steps on the bilinear interpolant: the mid-line guess of a bowl
+# sits up to about seven cells from the root, and four steps reach the
+# bilinear root to rounding (moves of 7, 0.5, 4e-3 and 1e-7 cells)
+_BILINEAR_STEPS = 4
+
+
+def _bilinear_inverse(patch: GraphPatch, gfx, gfy, tx, ty, px, py):
+    """Newton steps from (px, py) towards the preimage of (tx, ty) under
+    the piecewise-bilinear interpolant of the fields ``gfx``, ``gfy`` on
+    the patch's grid, each point clipped to the grid's rectangle.  A
+    point whose cell's Jacobian is not positive there keeps its iterate,
+    for the quintic Newton to judge."""
+    x, y = patch.x, patch.y
+    ny = len(y)
+    fields = gfx.ravel(), gfy.ravel()
+    for _ in range(_BILINEAR_STEPS):
+        a, b = (px - x[0]) / patch.hx, (py - y[0]) / patch.hy
+        i = np.minimum(np.floor(a), len(x) - 2)
+        j = np.minimum(np.floor(b), ny - 2)
+        a -= i
+        b -= j
+        k = (i * ny + j).astype(np.intp)
+        rows = []
+        for f in fields:
+            f00, f10, f01, f11 = (f[k], f[k + ny], f[k + 1], f[k + ny + 1])
+            ex, ey, twist = f10 - f00, f01 - f00, f11 - f10 - f01 + f00
+            rows.append((f00 + a * ex + b * (ey + a * twist),
+                         (ex + b * twist) / patch.hx,
+                         (ey + a * twist) / patch.hy))
+        (fx, jxx, jxy), (fy, jyx, jyy) = rows
+        fx -= tx
+        fy -= ty
+        det = jxx * jyy - jxy * jyx
+        det[~(det > 0.0)] = np.inf  # a zero step
+        px = np.clip(px - (jyy * fx - jxy * fy) / det, x[0], x[-1])
+        py = np.clip(py - (jxx * fy - jyx * fx) / det, y[0], y[-1])
+    return px, py
+
+
 def _transform(patch: GraphPatch, profile: WeightProfile
                ) -> Tuple[GraphPatch, WeightProfile]:
     pot = integrate_potential(patch, profile)
@@ -534,12 +573,14 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     tx, ty = np.meshgrid(xg, yg, indexing="ij")
     tx, ty = tx.ravel(), ty.ravel()
 
-    # initial guess from the monotone mid-line profiles, then full Newton;
-    # each step evaluates the base change and its Jacobian in one call
+    # initial guess from the monotone mid-line profiles, brought within
+    # O(h^2) of the root by the bilinear inverse, then full Newton on the
+    # quintics; each step evaluates the base change and its Jacobian in
+    # one call
     jm, im = ny // 2, nx // 2
-    gx = np.interp(xg, gfx[:, jm], patch.x)
-    gy = np.interp(yg, gfy[im, :], patch.y)
-    px, py = np.repeat(gx, ny), np.tile(gy, nx)
+    px = np.repeat(np.interp(xg, gfx[:, jm], patch.x), ny)
+    py = np.tile(np.interp(yg, gfy[im, :], patch.y), nx)
+    px, py = _bilinear_inverse(patch, gfx, gfy, tx, ty, px, py)
     newton = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
               (1, 0, 1))
 
@@ -547,9 +588,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     newton_tol = 1e-11 * scale
     iters = 0
     for iters in range(1, 61):
-        fx, fy, jxx, jxy, jyx, jyy = (
-            splines.on_grid(gx, gy, newton) if iters == 1
-            else splines.at(px, py, newton))
+        fx, fy, jxx, jxy, jyx, jyy = splines.at(px, py, newton)
         fx -= tx
         fy -= ty
         res = max(float(np.max(np.abs(fx))), float(np.max(np.abs(fy))))

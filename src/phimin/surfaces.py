@@ -1067,5 +1067,10 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
             "property list uchar int vertex_indices", "end_header"]
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, head, prefix="")
-        write_rows(fh, np.hstack([mesh.vertices, mesh.normals]), sep=" ")
+        # positions beside normals one block of rows at a time, so that no
+        # second vertex array spans the mesh
+        for lo in range(0, mesh.n_vertices, _CHUNK_ROWS):
+            block = slice(lo, lo + _CHUNK_ROWS)
+            write_rows(fh, np.hstack([mesh.vertices[block],
+                                      mesh.normals[block]]), sep=" ")
         write_rows(fh, mesh.faces, sep=" ", prefix="3 ", cell="%d")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.special import erfi
 
-from phimin import make_builtin, make_custom
+from phimin import calabi, make_builtin, make_custom
 from phimin.calabi import (
     GridSplines,
     PotentialPatch,
@@ -619,3 +619,113 @@ def test_transform_leaves_spline_evaluation_to_the_package(monkeypatch):
     dst, dual = to_lorentz(patch, LIN1)
     back, _ = from_lorentz(dst, dual)
     assert _patch_sup_difference(back, patch) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the Newton start
+# ---------------------------------------------------------------------------
+
+def reference_resampling(patch, profile):
+    """The transform's target grid and heights by the quintic Newton from
+    the mid-line guess, with no bilinear steps, every value from
+    FITPACK's pointwise evaluation.  The target rectangle, node counts
+    and stopping rule are the transform's."""
+    pot = integrate_potential(patch, profile)
+    shift = patch.meta.get("origin_hint", (0.0, 0.0))
+    gfx, gfy = pot.phi_x + shift[0], pot.phi_y + shift[1]
+    theta = patch.meta.get("theta_hint") or natural_theta(
+        profile, float(np.min(patch.u)))
+    rates = np.array(calabi._stretching(patch, profile))
+    lo = np.array([gfx[0].max(), gfy[:, 0].max()]) + 1e-9
+    hi = np.array([gfx[-1].min(), gfy[:, -1].min()]) - 1e-9
+    pad = 2e-3 * (hi - lo)
+    lo, hi = lo + pad, hi - pad
+    cells = (hi - lo) / (np.array([patch.hx, patch.hy]) * rates)
+    nx, ny = np.clip(np.ceil(cells) + 1, 9,
+                     4 * np.array(patch.u.shape)).astype(int)
+    xg, yg = np.linspace(lo[0], hi[0], nx), np.linspace(lo[1], hi[1], ny)
+    tx, ty = (t.ravel() for t in np.meshgrid(xg, yg, indexing="ij"))
+    kx, ky = min(5, len(patch.x) - 1), min(5, len(patch.y) - 1)
+    fx, fy, fu = (RectBivariateSpline(patch.x, patch.y, f, kx=kx, ky=ky)
+                  for f in (gfx, gfy, patch.u))
+    px = np.repeat(np.interp(xg, gfx[:, ny // 2], patch.x), ny)
+    py = np.tile(np.interp(yg, gfy[nx // 2], patch.y), nx)
+    tol = 1e-11 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+    for _ in range(60):
+        rx, ry = fx(px, py, grid=False) - tx, fy(px, py, grid=False) - ty
+        if max(np.abs(rx).max(), np.abs(ry).max()) < tol:
+            break
+        jxx, jxy = fx(px, py, 1, 0, grid=False), fx(px, py, 0, 1, grid=False)
+        jyx, jyy = fy(px, py, 1, 0, grid=False), fy(px, py, 0, 1, grid=False)
+        det = jxx * jyy - jxy * jyx
+        px = np.clip(px - (jyy * rx - jxy * ry) / det, patch.x[0],
+                     patch.x[-1])
+        py = np.clip(py - (jxx * ry - jyx * rx) / det, patch.y[0],
+                     patch.y[-1])
+    else:
+        raise AssertionError("reference Newton did not converge")
+    return xg, yg, theta(fu(px, py, grid=False)).reshape(nx, ny)
+
+
+def test_bowl_transforms_take_three_quintic_evaluations():
+    # the bilinear inverse starts the quintic Newton within O(h^2) of the
+    # root: two evaluations each way here, against four from the mid-line
+    # guess alone
+    patch = bowl_patch_201()
+    dst, dual = to_lorentz(patch, LIN1)
+    back, _ = from_lorentz(dst, dual)
+    assert dst.meta["newton_iters"] <= 3
+    assert back.meta["newton_iters"] <= 3
+
+
+@pytest.mark.parametrize("make", [lambda: bowl_patch(LIN1, 0.02),
+                                  lambda: reaper_patch(0.02)],
+                         ids=["bowl", "reaper"])
+def test_bilinear_start_lands_on_the_reference_root(make):
+    # both directions, the way back with its stored origin and primitive;
+    # the heights agree to about 5e-15 here, and by the Newton tolerance
+    # (1e-11 of the target's extent) where one side stops a step earlier
+    patch = make()
+    dst, dual = to_lorentz(patch, LIN1)
+    back, _ = from_lorentz(dst, dual)
+    for src, profile, out in ((patch, LIN1, dst), (dst, dual, back)):
+        xg, yg, heights = reference_resampling(src, profile)
+        assert out.x.tobytes() == xg.tobytes()
+        assert out.y.tobytes() == yg.tobytes()
+        np.testing.assert_allclose(out.u, heights, rtol=0, atol=1e-12)
+
+
+def test_bilinear_fold_is_left_to_the_quintic_newton(monkeypatch):
+    # twenty rows of the potential's x gradient reversed: the bilinear
+    # cells of that band have a negative Jacobian, so a point in them
+    # keeps its iterate, and the quintic Newton refuses the band as it
+    # always has
+    integrate, bilinear = calabi.integrate_potential, calabi._bilinear_inverse
+    band = []
+
+    def folded(patch, profile):
+        pot = integrate(patch, profile)
+        i = len(pot.x) // 2
+        pot.phi_x[i:i + 20] = pot.phi_x[i:i + 20][::-1].copy()
+        assert np.all(np.diff(pot.phi_x, axis=0)[i:i + 19] < 0.0)
+        band.append((pot.x[i], pot.x[i + 19]))
+        return pot
+    starts, evaluations = [], []
+    at = GridSplines.at
+    monkeypatch.setattr(calabi, "integrate_potential", folded)
+    monkeypatch.setattr(calabi, "_bilinear_inverse", lambda *args: (
+        starts.append(args) or bilinear(*args)))
+    monkeypatch.setattr(GridSplines, "at", lambda self, *args: (
+        evaluations.append(args) or at(self, *args)))
+    with pytest.raises(NumericalError) as err:
+        to_lorentz(reaper_patch(0.02), LIN1)
+    assert str(err.value) == ("gradient map folds over during resampling "
+                              "(Jacobian sign change)")
+    assert evaluations
+
+    patch, gfx, gfy, tx, ty = starts[0][:5]
+    rng = np.random.default_rng(3)
+    px = rng.uniform(*band[0], tx.size)
+    py = rng.uniform(patch.y[0], patch.y[-1], tx.size)
+    qx, qy = bilinear(patch, gfx, gfy, tx, ty, px, py)
+    assert qx.tobytes() == px.tobytes() and qy.tobytes() == py.tobytes()

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -135,6 +136,25 @@ def test_determinism_byte_identical(tmp_path):
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_duality_chain_byte_identical(tmp_path):
+    # both transforms of the chain, each with its Newton resampling, run
+    # twice into the same place (calabi-to-r3 records its input's path)
+    out = tmp_path / "l3"
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["calabi-to-l3", "--preset", "lorentz-winglike-pair",
+                     "--grid", "41x41", "--out", str(out)]) == 0
+        assert main(["calabi-to-r3", str(out / "lorentz.csv"),
+                     "--out", str(out / "back")]) == 0
+        runs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()})
+    assert sorted(runs[0]) == ["back/report.json", "back/roundtrip.csv",
+                               "lorentz.csv", "report.json", "source.csv"]
+    for name, data in runs[0].items():
+        assert runs[1][name] == data, name
 
 
 def test_config_file_and_flag_precedence(tmp_path):

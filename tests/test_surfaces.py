@@ -525,6 +525,25 @@ def test_obj_ply_export(tmp_path):
     assert obj.read_bytes() == obj2.read_bytes()
 
 
+def test_ply_vertex_blocks_match_the_whole_mesh(tmp_path):
+    # 27,331 vertices, three whole blocks of _CHUNK_ROWS rows and part of
+    # a fourth; the flat half repeats its normals, so runs cross the block
+    # edges
+    x, y = np.linspace(-1.0, 1.0, 181), np.linspace(-1.0, 1.0, 151)
+    mesh = GraphPatch(x, y, np.maximum(x, 0.0)[:, None] ** 3
+                      + 0.0 * y).to_mesh()
+    assert 3 * surfaces._CHUNK_ROWS < mesh.n_vertices \
+        < 4 * surfaces._CHUNK_ROWS
+    path = tmp_path / "m.ply"
+    save_ply(mesh, path, comments=["config_sha256: abc"])
+    text = path.read_text()
+    head = text[:text.index("end_header\n") + len("end_header\n")]
+    want = io.StringIO()
+    write_rows(want, np.hstack([mesh.vertices, mesh.normals]), sep=" ")
+    write_rows(want, mesh.faces, sep=" ", prefix="3 ", cell="%d")
+    assert text == head + want.getvalue()
+
+
 def test_obj_face_rows_across_digit_groups(tmp_path):
     n = 10002
     verts = np.column_stack([np.arange(n, dtype=float), np.zeros(n),

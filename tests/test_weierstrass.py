@@ -278,6 +278,16 @@ def test_save_obj_peak_memory(tmp_path):
         <= 15 * len(mesh.faces)
 
 
+def test_save_ply_peak_memory(tmp_path):
+    # positions beside normals one block of rows at a time: about 38 B a
+    # vertex on a 441x331 grid, against 84 with them side by side for the
+    # whole mesh
+    x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
+    mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
+    assert traced_peak(surfaces.save_ply, mesh, tmp_path / "m.ply") \
+        <= 45 * mesh.n_vertices
+
+
 def whole_grid_checks(f, mesh):
     """The field checks over the whole grid at once, as written before
     they ran over row blocks: the PDE residual, the first-order defects,
