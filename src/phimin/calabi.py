@@ -328,7 +328,7 @@ def _basis(t: np.ndarray, k: int, x: np.ndarray):
     first = np.clip(np.searchsorted(t, x, "right") - 1 - k, 0, n - 2 * k - 2)
     near = np.empty((2 * k, x.size))  # t[l + i] in row k - 1 + i
     for r, row in enumerate(near):
-        np.take(t[r + 1:], first, out=row)
+        t[r + 1:].take(first, out=row)
     right, left = near[k:] - x, x - near[:k]
     h = np.empty(((k + 1) * (k + 2) // 2, x.size))
     h[0] = 1.0
@@ -352,7 +352,8 @@ class GridSplines:
     ``fpbspl`` recursion, and ``fpbisp``'s sum of (c * hx[i]) * hy[j],
     i-major from +0.  Fits on one grid share their knots, so one knot
     search and one recursion per axis serve every field and derivative
-    order at a point.  de Boor, "A Practical Guide to Splines" (1978);
+    order at a point; a pass over the points forms each (field, dx, dy)'s
+    coefficients once.  de Boor, "A Practical Guide to Splines" (1978);
     Dierckx, "Curve and Surface Fitting with Splines" (1993).
     """
 
@@ -382,12 +383,18 @@ class GridSplines:
             c = np.moveaxis(c, 0, axis)
         return np.ascontiguousarray(c).ravel(), c.shape[1]
 
+    def points(self, x: np.ndarray, y: np.ndarray):
+        """One pass over the points (x[i], y[i]) in blocks of at most
+        ``_BLOCK``: each block's slice and its basis for ``fill``, the two
+        axes' bases built as the block is reached."""
+        (tx, ty), (kx, ky) = self.knots, self.degrees
+        return _blocks(x.size, lambda part: (
+            _basis(tx, kx, x[part]), _basis(ty, ky, y[part])))
+
     def at(self, x: np.ndarray, y: np.ndarray, wanted) -> np.ndarray:
         """Each (field, dx, dy) of ``wanted`` at the points (x[i], y[i]),
         one row per entry."""
-        (tx, ty), (kx, ky) = self.knots, self.degrees
-        return self._sum(wanted, x.size, lambda part: (
-            _basis(tx, kx, x[part]), _basis(ty, ky, y[part])))
+        return self._collect(wanted, x.size, self.points(x, y))
 
     def on_grid(self, gx: np.ndarray, gy: np.ndarray, wanted) -> np.ndarray:
         """As ``at`` on the points (gx[i], gy[j]), x-major; each axis's
@@ -398,34 +405,49 @@ class GridSplines:
         def part_basis(part):
             i, j = np.divmod(np.arange(part.start, part.stop), gy.size)
             return (ox[i], hx[:, i]), (oy[j], hy[:, j])
-        return self._sum(wanted, gx.size * gy.size, part_basis)
+        n = gx.size * gy.size
+        return self._collect(wanted, n, _blocks(n, part_basis))
 
-    def _sum(self, wanted, n: int, part_basis) -> np.ndarray:
-        tables = [self._table(*w) for w in wanted]
+    def _collect(self, wanted, n: int, blocks) -> np.ndarray:
         out = np.empty((len(wanted), n))
-        term = np.empty(min(n, _BLOCK))
-        kx, ky = self.degrees
-        for lo in range(0, n, _BLOCK):
-            part = slice(lo, min(n, lo + _BLOCK))
-            (ox, hx), (oy, hy) = part_basis(part)
-            buf = term[:part.stop - lo]
-            for (_, dx, dy), (flat, row), acc in zip(wanted, tables,
-                                                     out[:, part]):
-                first = ox * row + oy
-                dgx, dgy = kx - dx, ky - dy
-                rx = hx[dgx * (dgx + 1) // 2:][:dgx + 1]
-                ry = hy[dgy * (dgy + 1) // 2:][:dgy + 1]
-                acc[...] = 0.0
-                for i, hxi in enumerate(rx):
-                    for j, hyj in enumerate(ry):
-                        # every index is in range; "clip" only skips the
-                        # buffering that the default mode does with ``out``
-                        np.take(flat[i * row + j:], first, out=buf,
-                                mode="clip")
-                        buf *= hxi
-                        buf *= hyj
-                        acc += buf
+        for part, basis in blocks:
+            self.fill(basis, wanted, out[:, part])
+            del basis  # before the next block's is built
         return out
+
+    def fill(self, basis, wanted, out: np.ndarray) -> None:
+        """Each (field, dx, dy) of ``wanted`` on one block's ``basis``
+        from a pass, into the rows of ``out``."""
+        (ox, hx), (oy, hy), tables = basis
+        kx, ky = self.degrees
+        buf = np.empty(ox.size)
+        for key, acc in zip(wanted, out):
+            if key not in tables:
+                tables[key] = self._table(*key)
+            flat, row = tables[key]
+            first = ox * row + oy
+            dgx, dgy = kx - key[1], ky - key[2]
+            rx = hx[dgx * (dgx + 1) // 2:][:dgx + 1]
+            ry = hy[dgy * (dgy + 1) // 2:][:dgy + 1]
+            acc[...] = 0.0
+            for i, hxi in enumerate(rx):
+                for j, hyj in enumerate(ry):
+                    # every index is in range; "clip" only skips the
+                    # buffering that the default mode does with ``out``
+                    flat[i * row + j:].take(first, out=buf, mode="clip")
+                    buf *= hxi
+                    buf *= hyj
+                    acc += buf
+
+
+def _blocks(n: int, part_basis):
+    """One pass over n points in slices of at most ``_BLOCK``, each with
+    ``part_basis(part)`` and the pass's coefficient tables, which ``fill``
+    forms on first use and which go with the pass."""
+    tables = {}
+    for lo in range(0, n, _BLOCK):
+        part = slice(lo, min(n, lo + _BLOCK))
+        yield part, (*part_basis(part), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +533,19 @@ def _bilinear_inverse(patch: GraphPatch, gfx, gfy, tx, ty, px, py):
     return px, py
 
 
+# the resampling Newton's fields: the base change, its Jacobian, and the
+# source heights with the derivatives _verify compares against
+_VALUES = ((0, 0, 0), (1, 0, 0))
+_JACOBIAN = ((0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+_HEIGHTS = ((2, 0, 0), (2, 1, 0), (2, 0, 1), (2, 2, 0), (2, 0, 2), (2, 1, 1))
+_NEXT = (_JACOBIAN, _HEIGHTS)  # after the values, unconverged or converged
+
+
+def _residual(f: np.ndarray) -> float:
+    """The Newton's stopping measure of the residual rows fx, fy."""
+    return max(float(np.max(np.abs(f[0]))), float(np.max(np.abs(f[1]))))
+
+
 def _transform(patch: GraphPatch, profile: WeightProfile
                ) -> Tuple[GraphPatch, WeightProfile]:
     pot = integrate_potential(patch, profile)
@@ -564,51 +599,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     xg = np.linspace(x_lo, x_hi, nx)
     yg = np.linspace(y_lo, y_hi, ny)
 
-    # quintic interpolation: second differences of the resampled heights
-    # must not be dominated by interpolation error of the source fields
-    splines = GridSplines(patch.x, patch.y, (gfx, gfy, patch.u),
-                          kx=min(5, len(patch.x) - 1),
-                          ky=min(5, len(patch.y) - 1))
-
-    tx, ty = np.meshgrid(xg, yg, indexing="ij")
-    tx, ty = tx.ravel(), ty.ravel()
-
-    # initial guess from the monotone mid-line profiles, brought within
-    # O(h^2) of the root by the bilinear inverse, then full Newton on the
-    # quintics; each step evaluates the base change and its Jacobian in
-    # one call
-    jm, im = ny // 2, nx // 2
-    px = np.repeat(np.interp(xg, gfx[:, jm], patch.x), ny)
-    py = np.tile(np.interp(yg, gfy[im, :], patch.y), nx)
-    px, py = _bilinear_inverse(patch, gfx, gfy, tx, ty, px, py)
-    newton = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-              (1, 0, 1))
-
-    scale = max(x_hi - x_lo, y_hi - y_lo, 1.0)
-    newton_tol = 1e-11 * scale
-    iters = 0
-    for iters in range(1, 61):
-        fx, fy, jxx, jxy, jyx, jyy = splines.at(px, py, newton)
-        fx -= tx
-        fy -= ty
-        res = max(float(np.max(np.abs(fx))), float(np.max(np.abs(fy))))
-        if res < newton_tol:
-            break
-        jdet = jxx * jyy - jxy * jyx
-        if np.any(jdet <= 0.0):
-            raise NumericalError("gradient map folds over during "
-                                 "resampling (Jacobian sign change)")
-        px = np.clip(px - (jyy * fx - jxy * fy) / jdet,
-                     patch.x[0], patch.x[-1])
-        py = np.clip(py - (-jyx * fx + jxx * fy) / jdet,
-                     patch.y[0], patch.y[-1])
-    else:
-        raise NumericalError("resampling after the base-coordinate change "
-                             "did not converge")
-
-    # the source heights and the derivatives _verify compares against
-    u_src, *du = splines.at(px, py, ((2, 0, 0), (2, 1, 0), (2, 0, 1),
-                                     (2, 2, 0), (2, 0, 2), (2, 1, 1)))
+    origin, (u_src, *du), iters = _resample(patch, gfx, gfy, xg, yg)
     heights = np.asarray(theta(u_src), dtype=float).reshape(nx, ny)
 
     sig = LORENTZIAN if patch.signature == EUCLIDEAN else EUCLIDEAN
@@ -622,11 +613,75 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     _verify(out, dual, patch, profile, u_src, du)
     out.meta["theta_hint"] = dual_theta
     out.meta["theta_base"] = theta.base
-    out.meta["origin_hint"] = (float(px[0]), float(py[0]))
+    out.meta["origin_hint"] = origin
     out.meta["dual_kind"] = dual.kind
     out.meta["path_disagreement"] = pot.meta["path_disagreement"]
     out.meta["newton_iters"] = iters
     return out, dual
+
+
+def _resample(patch: GraphPatch, gfx, gfy, xg, yg):
+    """The first preimage of the target grid xg x yg under the gradient
+    map (``gfx``, ``gfy``), the rows of ``_HEIGHTS`` at all of them, and
+    the number of quintic evaluations.
+
+    The mid-line guess, brought within O(h^2) of the root by the bilinear
+    inverse, starts full Newton on the quintics.  Each iterate makes one
+    pass over the blocks of points: a block evaluates the base change on
+    its one basis, then its Jacobian on the same basis, or the heights
+    where the block has already converged.  The whole-array rule decides,
+    and a block that guessed wrong builds its basis again for the fields
+    it lacks.
+    """
+    # quintic interpolation: second differences of the resampled heights
+    # must not be dominated by interpolation error of the source fields
+    splines = GridSplines(patch.x, patch.y, (gfx, gfy, patch.u),
+                          kx=min(5, len(patch.x) - 1),
+                          ky=min(5, len(patch.y) - 1))
+    nx, ny = len(xg), len(yg)
+    tx, ty = np.meshgrid(xg, yg, indexing="ij")
+    tx, ty = tx.ravel(), ty.ravel()
+    jm, im = ny // 2, nx // 2
+    px = np.repeat(np.interp(xg, gfx[:, jm], patch.x), ny)
+    py = np.tile(np.interp(yg, gfy[im, :], patch.y), nx)
+    px, py = _bilinear_inverse(patch, gfx, gfy, tx, ty, px, py)
+
+    newton_tol = 1e-11 * max(float(xg[-1] - xg[0]), float(yg[-1] - yg[0]),
+                             1.0)
+    # a block keeps its Jacobian or its heights in the same columns
+    f, more = np.empty((2, tx.size)), np.empty((6, tx.size))
+    for iters in range(1, 61):
+        guesses = []
+        for part, basis in splines.points(px, py):
+            block = f[:, part]
+            splines.fill(basis, _VALUES, block)
+            block[0] -= tx[part]
+            block[1] -= ty[part]
+            guess = _residual(block) < newton_tol
+            guesses.append((part, guess))
+            fields = _NEXT[guess]
+            splines.fill(basis, fields, more[:len(fields), part])
+            del basis  # before the next block's is built
+        converged = _residual(f) < newton_tol
+        fields = _NEXT[converged]
+        for part, guess in guesses:
+            if guess != converged:
+                more[:len(fields), part] = splines.at(px[part], py[part],
+                                                      fields)
+        if converged:
+            return (float(px[0]), float(py[0])), more, iters
+        fx, fy = f
+        jxx, jxy, jyx, jyy = more[:4]
+        jdet = jxx * jyy - jxy * jyx
+        if np.any(jdet <= 0.0):
+            raise NumericalError("gradient map folds over during "
+                                 "resampling (Jacobian sign change)")
+        px = np.clip(px - (jyy * fx - jxy * fy) / jdet,
+                     patch.x[0], patch.x[-1])
+        py = np.clip(py - (-jyx * fx + jxx * fy) / jdet,
+                     patch.y[0], patch.y[-1])
+    raise NumericalError("resampling after the base-coordinate change did "
+                         "not converge")
 
 
 def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,

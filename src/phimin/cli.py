@@ -1088,6 +1088,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as err:
         _emit_error(out_guess, command, sha, err, 1)
         return 1
+    except Exception as err:  # an internal fault keeps the contract too
+        _emit_error(out_guess, command, sha, err, 2)
+        return 2
 
 
 if __name__ == "__main__":

@@ -711,12 +711,12 @@ def test_bilinear_fold_is_left_to_the_quintic_newton(monkeypatch):
         band.append((pot.x[i], pot.x[i + 19]))
         return pot
     starts, evaluations = [], []
-    at = GridSplines.at
+    points = GridSplines.points
     monkeypatch.setattr(calabi, "integrate_potential", folded)
     monkeypatch.setattr(calabi, "_bilinear_inverse", lambda *args: (
         starts.append(args) or bilinear(*args)))
-    monkeypatch.setattr(GridSplines, "at", lambda self, *args: (
-        evaluations.append(args) or at(self, *args)))
+    monkeypatch.setattr(GridSplines, "points", lambda self, *args: (
+        evaluations.append(args) or points(self, *args)))
     with pytest.raises(NumericalError) as err:
         to_lorentz(reaper_patch(0.02), LIN1)
     assert str(err.value) == ("gradient map folds over during resampling "
@@ -729,3 +729,59 @@ def test_bilinear_fold_is_left_to_the_quintic_newton(monkeypatch):
     py = rng.uniform(patch.y[0], patch.y[-1], tx.size)
     qx, qy = bilinear(patch, gfx, gfy, tx, ty, px, py)
     assert qx.tobytes() == px.tobytes() and qy.tobytes() == py.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the work of the resampling Newton
+# ---------------------------------------------------------------------------
+
+def test_transform_builds_each_basis_and_table_once(monkeypatch):
+    # the 201x201 bowl resamples to 179x179 = 32,041 target nodes, 8 blocks
+    # of at most 4096 points, in two quintic evaluations: each is one pass
+    # that builds every block's two bases once and forms each coefficient
+    # table it uses once; the first evaluates the base change and its
+    # Jacobian, the converged one the base change and the heights with
+    # their five derivatives, and no Jacobian
+    patch = bowl_patch_201()
+    bases, fills, tables = [], [], []
+    basis, fill, table = calabi._basis, GridSplines.fill, GridSplines._table
+    monkeypatch.setattr(calabi, "_basis", lambda *args: (
+        bases.append(args[2].size) or basis(*args)))
+    monkeypatch.setattr(GridSplines, "fill", lambda self, b, wanted, out: (
+        fills.append(tuple(wanted)) or fill(self, b, wanted, out)))
+    monkeypatch.setattr(GridSplines, "_table", lambda self, *key: (
+        tables.append(key) or table(self, *key)))
+    dst, _ = to_lorentz(patch, LIN1)
+    assert dst.u.shape == (179, 179) and dst.meta["newton_iters"] == 2
+    values = ((0, 0, 0), (1, 0, 0))
+    jacobian = ((0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+    heights = ((2, 0, 0), (2, 1, 0), (2, 0, 1), (2, 2, 0), (2, 0, 2),
+               (2, 1, 1))
+    assert len(bases) == 2 * 8 * 2
+    assert sum(bases) == 2 * 2 * 32041
+    assert fills == [values, jacobian] * 8 + [values, heights] * 8
+    assert tables == [*values, *jacobian, *values, *heights]
+
+
+def test_blocks_that_converge_unevenly_keep_every_bit(monkeypatch):
+    # blocks of 64 points converge at different evaluations: a block that
+    # evaluated the heights when the whole grid had not converged builds
+    # its basis again for the Jacobian, and nothing moves by a bit
+    def round_trips():
+        out = []
+        for patch in (bowl_patch(LIN1, 0.02), reaper_patch(0.02)):
+            dst, dual = to_lorentz(patch, LIN1)
+            out += [dst, from_lorentz(dst, dual)[0]]
+        return out
+    reference = round_trips()
+    rebuilt = []
+    at = GridSplines.at
+    monkeypatch.setattr(calabi, "_BLOCK", 64)
+    monkeypatch.setattr(GridSplines, "at", lambda self, *args: (
+        rebuilt.append(args[2]) or at(self, *args)))
+    for want, got in zip(reference, round_trips()):
+        for name in ("x", "y", "u"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+        assert got.meta["newton_iters"] == want.meta["newton_iters"]
+    assert rebuilt and all(fields == calabi._JACOBIAN for fields in rebuilt)

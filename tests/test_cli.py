@@ -25,6 +25,7 @@ from phimin.cli import (
     profile_from_spec,
     profile_to_spec,
 )
+from phimin.errors import NumericalError
 from phimin.profiles import ProfileError
 from phimin.surfaces import grid_rows, write_table
 
@@ -222,6 +223,19 @@ def test_arithmetic_error_exit_two(tmp_path):
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["type"] == "OverflowError"
     assert doc["error"]["exit_code"] == 2
+
+
+def test_an_internal_fault_exits_two_with_error_json(tmp_path,
+                                                    monkeypatch):
+    # an exception outside the mapped families still keeps the contract
+    def fault(cfg):
+        raise IndexError("index 7 is out of bounds for axis 0 with size 7")
+    monkeypatch.setitem(cli._HANDLERS, "profile", fault)
+    assert main(["profile", "--out", str(tmp_path)]) == 2
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["error"] == {
+        "type": "IndexError", "exit_code": 2,
+        "message": "index 7 is out of bounds for axis 0 with size 7"}
 
 
 def test_custom_weight_dual_header(tmp_path):
@@ -718,6 +732,22 @@ def test_benchmark_tracer_installs():
 
 # -- exit-code contract under hostile configurations --------------------------
 
+# the exception families cli.main maps to each failing exit code; any other
+# type in error.json is an internal fault, which exits 2 too but fails here
+_MAPPED = {1: (ValueError, OSError),
+           2: (NumericalError, ArithmeticError, np.linalg.LinAlgError)}
+
+
+def _mapped_types(code):
+    """Names of the exception types of code ``code``'s families."""
+    names, families = set(), list(_MAPPED[code])
+    while families:
+        family = families.pop()
+        names.add(family.__name__)
+        families += family.__subclasses__()
+    return names
+
+
 # allowed sizes stay small, so every drawn run is quick and light
 _SMALL = {"profile": {"n_samples": "41"},
           "bowl": {"n_samples": "41", "n_theta": "8"},
@@ -784,6 +814,7 @@ def test_hostile_configurations_keep_the_exit_code_contract(run):
         if code:
             doc = json.loads((Path(tmp) / "error.json").read_text())
             assert doc["error"]["exit_code"] == code
+            assert doc["error"]["type"] in _mapped_types(code)
 
 
 # -- exit-code contract under hostile file contents ---------------------------
@@ -901,6 +932,7 @@ def test_hostile_file_contents_keep_the_exit_code_contract(command, data):
         elif code:
             doc = json.loads((out / "error.json").read_text())
             assert doc["error"]["exit_code"] == code
+            assert doc["error"]["type"] in _mapped_types(code)
 
 
 def test_cauchy_data_above_their_bounds_exit_one(tmp_path):
