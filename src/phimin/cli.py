@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -710,13 +710,12 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
         raise ValueError(f"patch must be reaper or bowl, got {patch_kind!r}")
 
     spec = profile_to_spec(prof)
-    artifacts = [_write_patch_csv(cfg, patch, "source.csv", spec)]
     lor, dual = to_lorentz(patch, prof)
     profile_line, pin = _dual_header(dual, spec, lor.meta["theta_base"])
     origin = "origin_hint = " + " ".join(map(_fmt, lor.meta["origin_hint"]))
-    artifacts.append(_write_patch_csv(
-        cfg, lor, "lorentz.csv", profile_line,
-        [f"source_profile = {spec}", *pin, origin]))
+    artifacts = [_write_patch_csv(cfg, patch, "source.csv", spec),
+                 _write_patch_csv(cfg, lor, "lorentz.csv", profile_line,
+                                  [f"source_profile = {spec}", *pin, origin])]
     report = {"patch": patch_kind,
               "dual_kind": dual.kind,
               "source_shape": [len(patch.x), len(patch.y)],
@@ -740,9 +739,6 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     back, back_weight = from_lorentz(patch, weight)
     profile_line, pin = _dual_header(back_weight, meta["profile"],
                                      back.meta["theta_base"])
-    origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
-    artifacts = [_write_patch_csv(cfg, back, "roundtrip.csv",
-                                  profile_line, [*pin, origin])]
     report = {"recovered_kind": back_weight.kind,
               "recovered_shape": [len(back.x), len(back.y)],
               **{key: _jsonable(back.meta[key]) for key in _TRANSFORM_REPORT}}
@@ -759,7 +755,9 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
     else:
         report["roundtrip_sup_difference"] = ("unavailable "
                                               "(no source artifact found)")
-    _finish(cfg, artifacts, report)
+    origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
+    _finish(cfg, [_write_patch_csv(cfg, back, "roundtrip.csv", profile_line,
+                                   [*pin, origin])], report)
     return 0
 
 
@@ -808,12 +806,12 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
             n_u=n_u, v_halfwidth=cfg.float_("v_half", positive=True),
             n_v=n_v)
 
-    residual = np.nanmax(np.abs(gauss_pde_residual(field)))
+    residual = gauss_pde_residual(field)
     if not input_text:
         # k and the weight are separate keys that must agree (k = 1 for a
         # linear weight, alpha = 2/(k - 1) for log): refuse a built field
         # that verify would reject before writing or integrating it
-        threshold = _VERIFY_DEFAULT_THRESHOLD["gauss_field"]
+        threshold = _VERIFIED["u,v,re_g,im_g"].bound
         if not residual <= threshold:
             raise NumericalError(
                 f"the rotational field with k = {cfg.text('k')} does not "
@@ -833,9 +831,7 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
     report = {"k": _fmt(field.k_param),
               "field_shape": list(field.shape),
               "pde_residual_max": _fmt(residual),
-              "identity_residuals": {
-                  key: _fmt(np.nanmax(np.abs(val)))
-                  for key, val in sorted(identities.items())},
+              "identity_residuals": _jsonable(identities),
               **{key: _jsonable(mesh.meta[key]) for key in _MESH_REPORT}}
     _finish(cfg, artifacts, report)
     return 0
@@ -848,6 +844,8 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
     reconstruct = cfg.flag("reconstruct")
     field = solve_bjorling(data, k, cfg.float_("halfwidth", positive=True),
                            n_u=n_u, n_v=n_v)
+    # integrate first: a failed reconstruction leaves no field on disk
+    mesh = integrate_representation(field) if reconstruct else None
     save_gauss_field(field, cfg.out_dir / "field.csv",
                      comments=_artifact_comments(cfg, "gauss_field"))
     artifacts = ["field.csv"]
@@ -857,8 +855,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
               "certificate": _fmt(field.meta["certificate"]),
               "branch": field.meta["branch"],
               "branch_disagreement": _fmt(field.meta["branch_disagreement"])}
-    if reconstruct:
-        mesh = integrate_representation(field)
+    if mesh is not None:
         artifacts += _write_mesh(cfg, mesh, "surface",
                                  [f"k = {_fmt(k)}"])
         report.update((key, _jsonable(mesh.meta[key]))
@@ -870,13 +867,6 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_VERIFY_DEFAULT_THRESHOLD = {"profile_curve": 1e-3, "graph_patch": 5e-2,
-                             "gauss_field": FIELD_RESIDUAL_BOUND}
-# the artifact kind verify checks, by the column line of its table
-_VERIFIED_COLUMNS = {"s,x,z,theta": "profile_curve", "x,y,u": "graph_patch",
-                     "u,v,re_g,im_g": "gauss_field"}
-
 
 def _rotational_ode_residual(curve: ProfileCurve,
                              profile: WeightProfile) -> float:
@@ -905,7 +895,7 @@ def _gate_curves(profile: WeightProfile,
     it is written: a curve the solver accepts can still fail it (a catenoid
     branch whose axis term is lost in the steps of a neck far wider than
     s_max, a bowl whose series launch is invalid for a steep weight)."""
-    threshold = _VERIFY_DEFAULT_THRESHOLD["profile_curve"]
+    threshold = _VERIFIED["s,x,z,theta"].bound
     for name, curve in curves:
         residual = _rotational_ode_residual(curve, profile)
         if not residual <= threshold:
@@ -914,8 +904,9 @@ def _gate_curves(profile: WeightProfile,
                 f"above the verify threshold {_fmt(threshold)}")
 
 
-def _verify_curve(meta: Dict[str, str], data: np.ndarray,
-                  path: Path) -> Dict[str, float]:
+def _verify_curve(path: Path, meta: Dict[str, str], colnames: str,
+                  body: Callable[[], np.ndarray]) -> Dict[str, float]:
+    data = body()
     kind = meta.get("curve_kind", "")
     if not kind:
         raise ValueError(f"{path} lacks the curve_kind header")
@@ -928,40 +919,46 @@ def _verify_curve(meta: Dict[str, str], data: np.ndarray,
     return {"ode_residual": _rotational_ode_residual(curve, profile)}
 
 
-def _verify_patch(table: Tuple[Dict[str, str], str, np.ndarray],
-                  path: Path) -> Dict[str, float]:
-    patch, meta = _patch_from_csv(path, table)
+def _verify_patch(path: Path, meta: Dict[str, str], colnames: str,
+                  body: Callable[[], np.ndarray]) -> Dict[str, float]:
+    patch, _ = _patch_from_csv(path, (meta, colnames, body()))
     weight, _ = _patch_weight_from_header(meta, path)
     residual = (lfe_residual if patch.signature == LORENTZIAN
                 else fe_residual)(patch, weight)
     return {"graph_equation_residual": float(np.nanmax(np.abs(residual)))}
 
 
+def _verify_field(path: Path, meta: Dict[str, str], colnames: str,
+                  body: Callable[[], np.ndarray]) -> Dict[str, float]:
+    # the table dies once the field holds its values, before the oracle runs
+    field = gauss_field_from_table(path, (meta, colnames, body()))
+    return {"gauss_pde_residual": gauss_pde_residual(field)}
+
+
+# the artifact kinds verify judges, by the column line of their table: the
+# kind, its check (which parses the body itself and calls its oracle by the
+# module's name for it) and the default bound the pre-write gates apply too
+_Kind = NamedTuple("_Kind", [("kind", str), ("check", Callable),
+                             ("bound", float)])
+_VERIFIED = {"s,x,z,theta": _Kind("profile_curve", _verify_curve, 1e-3),
+             "x,y,u": _Kind("graph_patch", _verify_patch, 5e-2),
+             "u,v,re_g,im_g": _Kind("gauss_field", _verify_field,
+                                    FIELD_RESIDUAL_BOUND)}
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     path = cfg.input_path("input", "artifact CSV")
     # the column line decides the kind before the body is parsed
     meta, colnames, body = open_table(path)
-    kind = _VERIFIED_COLUMNS.get(colnames)
-    if kind is None:
+    if colnames not in _VERIFIED:
         if colnames in ("x,y,z,nx,ny,nz", "i,j,k"):
             raise ValueError(f"{path} is a mesh export; the residual "
                              "oracles work on curve, patch, and field "
                              "artifacts")
         raise ValueError(f"{path} has unrecognized columns {colnames!r}")
-    data = body()
-    if kind == "profile_curve":
-        checks = _verify_curve(meta, data, path)
-    elif kind == "graph_patch":
-        checks = _verify_patch((meta, colnames, data), path)
-    else:
-        field = gauss_field_from_table(path, (meta, colnames, data))
-        del data  # the table dies once the field holds its values
-        checks = {"gauss_pde_residual":
-                  float(np.nanmax(np.abs(gauss_pde_residual(field))))}
-
-    threshold = cfg.maybe_float("tol", positive=True)
-    if threshold is None:
-        threshold = _VERIFY_DEFAULT_THRESHOLD[kind]
+    kind, check, bound = _VERIFIED[colnames]
+    checks = check(path, meta, colnames, body)
+    threshold = cfg.maybe_float("tol", positive=True) or bound
     max_residual = max(checks.values())
     passed = bool(max_residual <= threshold)
     doc = {"command": cfg.command,

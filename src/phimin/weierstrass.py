@@ -150,8 +150,8 @@ def wirtinger_derivatives(field: GaussField) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (gu - 1j * gv), 0.5 * (gu + 1j * gv)
 
 
-def gauss_pde_residual(field: GaussField) -> np.ndarray:
-    """Pointwise defect of the field equation, NaN on the border.
+def gauss_pde_residual(field: GaussField) -> float:
+    """Sup over the interior nodes of the field equation's defect.
 
     A field describes a weighted-minimal surface exactly when
 
@@ -163,8 +163,8 @@ def gauss_pde_residual(field: GaussField) -> np.ndarray:
     reconstruction and the Cauchy solver are both checked against.
     """
     G, k = field.G, field.k_param
-    out = np.full_like(G, np.nan + 1j * np.nan)
-    for _, _, a, b in _row_blocks(*G.shape):
+    sups = []
+    for _, _, a, b, _ in _row_blocks(*G.shape):
         c, gu, gv, guu, gvv, _ = _interior_derivatives(G[a:b], field.hu,
                                                        field.hv)
         D = 1.0 - np.abs(c) ** 4
@@ -172,33 +172,36 @@ def gauss_pde_residual(field: GaussField) -> np.ndarray:
             raise NumericalError("|G| = 1 at a stencil node")
         gz = 0.5 * (gu - 1j * gv)
         gzb = 0.5 * (gu + 1j * gv)
-        out[a + 1:b - 1, 1:-1] = (
+        sups.append(np.abs(
             0.25 * (guu + gvv)
             + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
-            + 2.0 * k * np.abs(gzb) ** 2 / D * c)
-    return out
+            + 2.0 * k * np.abs(gzb) ** 2 / D * c).max())
+    # np.max, not max: a NaN in any block is the maximum, as over the grid
+    return float(np.max(sups))
 
 
 def _row_blocks(n: int, m: int):
     """The row blocks of an (n, m) grid that the field checks run over:
-    (lo, hi, a, b) for rows lo:hi, about ``_BLOCK_NODES`` nodes and never
-    fewer than 3 rows, and the slab a:b that adds the row on each side
-    where the grid has one.  Differences of the slab, sliced back to
-    lo:hi, are bit for bit those of the whole grid: interior rows see the
-    same neighbours, and rows 0 and n - 1 the same one-sided formula."""
+    (lo, hi, a, b, inner) for rows lo:hi, about ``_BLOCK_NODES`` nodes and
+    never fewer than 3 rows, the slab a:b that adds the row on each side
+    where the grid has one, and the slice of rows lo:hi that is interior
+    to the grid.  Differences of the slab, sliced back to lo:hi, are bit
+    for bit those of the whole grid: interior rows see the same
+    neighbours, and rows 0 and n - 1 the same one-sided formula."""
     step = max(3, _BLOCK_NODES // m)
     lo = 0
     while lo < n:
         hi = n if n - lo < step + 3 else lo + step
-        yield lo, hi, max(lo - 1, 0), min(hi + 1, n)
+        yield (lo, hi, max(lo - 1, 0), min(hi + 1, n),
+               (slice(max(lo, 1) - lo, min(hi, n - 1) - lo), slice(1, -1)))
         lo = hi
 
 
-def _gradients(f: np.ndarray, block: Tuple[int, int, int, int], hu: float,
+def _gradients(f: np.ndarray, block: tuple, hu: float,
                hv: float) -> Tuple[np.ndarray, np.ndarray]:
     """Rows lo:hi of ``np.gradient(f, h, axis, edge_order=2)`` along u and
-    along v, from the slab of the row block ``(lo, hi, a, b)``."""
-    lo, hi, a, b = block
+    along v, from the slab of the row block ``(lo, hi, a, b, inner)``."""
+    lo, hi, a, b, _ = block
     return (np.gradient(f[a:b], hu, axis=0, edge_order=2)[lo - a:hi - a],
             np.gradient(f[lo:hi], hv, axis=1, edge_order=2))
 
@@ -407,12 +410,10 @@ def _first_order_defects(points: np.ndarray, field: GaussField
                          ) -> Dict[str, float]:
     """``conformal_defect`` and ``gauss_map_defect`` of the (nu, nv, 3)
     points against the field, as maxima over row blocks."""
-    n = len(field.u)
     conformal, gauss_map = [], []
     for block in _row_blocks(*field.shape):
-        lo, hi = block[:2]
+        lo, hi, _, _, inner = block
         pu, pv = _gradients(points, block, field.hu, field.hv)
-        inner = slice(max(lo, 1) - lo, min(hi, n - 1) - lo), slice(1, -1)
         ee = np.einsum("ijk,ijk->ij", pu, pu)[inner]
         gg = np.einsum("ijk,ijk->ij", pv, pv)[inner]
         ff = np.einsum("ijk,ijk->ij", pu, pv)[inner]
@@ -433,12 +434,12 @@ def _first_order_defects(points: np.ndarray, field: GaussField
 
 
 def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
-                             ) -> Dict[str, np.ndarray]:
+                             ) -> Dict[str, float]:
     """Discrete defects of the first-order representation identities.
 
     Takes a mesh produced by ``integrate_representation`` and the field it
-    was built from, and returns, on the (nu, nv) grid with NaN border, the
-    residuals of the identities tying ``psi_zeta`` to the field:
+    was built from, and returns the sup over the interior nodes of each
+    residual of the identities tying ``psi_zeta`` to the field:
 
     * ``null_defect``: psi1_z^2 + psi2_z^2 + psi3_z^2 (isotropy of the
       conformal immersion);
@@ -454,34 +455,35 @@ def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
     """
     k = field.k_param
     points = mesh.vertices.reshape(*field.shape, 3)
-    out = {key: np.empty(field.shape, dtype=complex)
-           for key in ("null_defect", "pairing_defect", "split_defect_x",
-                       "split_defect_y", "gradient_defect")}
+    sups = {key: [] for key in ("null_defect", "pairing_defect",
+                                "split_defect_x", "split_defect_y",
+                                "gradient_defect")}
     for block in _row_blocks(*field.shape):
-        rows = slice(*block[:2])
+        lo, hi, _, _, inner = block
         pu, pv = _gradients(points, block, field.hu, field.hv)
-        psi_z = 0.5 * (pu - 1j * pv)
+        psi_z = 0.5 * (pu[inner] - 1j * pv[inner])
         del pu, pv
         p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
         fh = p1 - 1j * p2
 
         gu, gv = _gradients(field.G, block, field.hu, field.hv)
-        gzb = 0.5 * (gu + 1j * gv)
+        gzb = 0.5 * (gu[inner] + 1j * gv[inner])
         del gu, gv
-        G = field.G[rows]
+        G = field.G[lo:hi][inner]
         D = 1.0 - np.abs(G) ** 4
-        z = points[rows, :, 2]
+        z = points[lo:hi, :, 2][inner]
         dphi = np.ones_like(z) if k == 1.0 else (2.0 / (k - 1.0)) / z
 
-        out["null_defect"][rows] = p1 ** 2 + p2 ** 2 + p3 ** 2
-        out["pairing_defect"][rows] = p3 - G * fh
-        out["split_defect_x"][rows] = p1 - 0.5 * fh * (1.0 - G ** 2)
-        out["split_defect_y"][rows] = p2 - 0.5j * fh * (1.0 + G ** 2)
-        out["gradient_defect"][rows] = 4.0 * gzb - dphi * np.conj(fh) * D
-    for arr in out.values():
-        arr[0, :] = arr[-1, :] = np.nan
-        arr[:, 0] = arr[:, -1] = np.nan
-    return out
+        sups["null_defect"].append(np.abs(p1 ** 2 + p2 ** 2 + p3 ** 2).max())
+        sups["pairing_defect"].append(np.abs(p3 - G * fh).max())
+        sups["split_defect_x"].append(
+            np.abs(p1 - 0.5 * fh * (1.0 - G ** 2)).max())
+        sups["split_defect_y"].append(
+            np.abs(p2 - 0.5j * fh * (1.0 + G ** 2)).max())
+        sups["gradient_defect"].append(
+            np.abs(4.0 * gzb - dphi * np.conj(fh) * D).max())
+    # np.max, not max: a NaN in any block is the maximum, as over the grid
+    return {key: float(np.max(vals)) for key, vals in sups.items()}
 
 
 def rotational_gauss_field(curve: ProfileCurve, k_param: float,
@@ -967,7 +969,7 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
         raise NumericalError(
             f"series field leaves the admissible region: {exc}") from exc
 
-    cert = float(np.nanmax(np.abs(gauss_pde_residual(fieldout))))
+    cert = gauss_pde_residual(fieldout)
     fieldout.meta["certificate"] = cert
     if not math.isfinite(cert) or cert > FIELD_RESIDUAL_BOUND:
         raise NumericalError(

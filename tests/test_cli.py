@@ -657,6 +657,14 @@ def test_bjorling_command(tmp_path):
     assert main(wide + ["--param", "reconstruct=false", "--tol", "1",
                         "--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    # a field the certificate accepts but whose reconstruction fails its
+    # path check is integrated before it is written, so it leaves no file
+    out = tmp_path / "coarse"
+    assert main(["bjorling", str(data_path), "--grid", "21x5", "--param",
+                 "halfwidth=0.2", "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "path dependence" in message
 
 
 def test_keys_are_validated_before_any_artifact_is_written(tmp_path):
@@ -681,6 +689,60 @@ def test_weierstrass_refused_base_leaves_only_the_error(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     message = json.loads((out / "error.json").read_text())["error"]["message"]
     assert "outside the sampled rectangle" in message
+
+
+def test_a_failing_calabi_to_l3_leaves_only_the_error(tmp_path):
+    # the source patch is written with the transformed one, after the
+    # transform: a fold-over leaves no source.csv behind
+    out = tmp_path / "l3"
+    assert main(["calabi-to-l3", "--preset", "lorentz-soliton-pair",
+                 "--grid", "9x9", "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "folds over" in message
+
+
+def test_a_failing_calabi_to_r3_leaves_only_the_error(reaper_run, tmp_path):
+    # the round trip is written after its comparison with the source: a
+    # source that is no graph patch leaves no roundtrip.csv behind
+    fwd = tmp_path / "fwd"
+    assert main(["calabi-to-l3", "--grid", "31x31", "--param", "half_x=1.0",
+                 "--param", "half_y=1.0", "--param", "x_max=1.2",
+                 "--out", str(fwd)]) == 0
+    out = tmp_path / "r3"
+    assert main(["calabi-to-r3", str(fwd / "lorentz.csv"), "--param",
+                 f"source={reaper_run / 'curve.csv'}", "--out",
+                 str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "not a graph patch artifact" in message
+
+
+@pytest.mark.parametrize("columns, argv, artifact", [
+    ("s,x,z,theta", ["bowl", "--param", "s_max=1", "--param", "n_theta=9"],
+     "curve.csv"),
+    ("u,v,re_g,im_g", ["weierstrass", "--grid", "41x31", "--format", "csv"],
+     "field.csv")], ids=["curve", "field"])
+def test_each_gate_applies_the_bound_verify_applies(tmp_path, monkeypatch,
+                                                    columns, argv, artifact):
+    # a command's pre-write gate and verify read one bound per kind: below
+    # the artifact's residual, it refuses both the file and the write
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    path = str(tmp_path / "ok" / artifact)
+    assert main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+    doc = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert float(doc["threshold"]) == cli._VERIFIED[columns].bound
+    bound = 0.5 * float(doc["max_residual"])
+    monkeypatch.setitem(cli._VERIFIED, columns,
+                        cli._VERIFIED[columns]._replace(bound=bound))
+    assert main(["verify", path, "--out", str(tmp_path / "v2")]) == 2
+    doc = json.loads((tmp_path / "v2" / "verify.json").read_text())
+    assert doc["threshold"] == cli._fmt(bound)
+    out = tmp_path / "refused"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert f"verify threshold {cli._fmt(bound)}" in message
 
 
 def test_domain_errors_print_plain_floats(tmp_path):
