@@ -419,10 +419,12 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
     The corner weights, and each corner's term, are formed over blocks of
     ``_CHUNK_ROWS`` faces: the weights, a third of each face area (until
     the vertex areas are summed) and one reused buffer of terms are the
-    only arrays as long as the faces.  Sums keep the order of ``np.cross`` and
-    ``norm`` on rows, and each coordinate is scattered by 1-D ``ufunc.at``
-    in corner order (the three accumulators are independent, so one
-    coordinate's three corners run before the next coordinate's)."""
+    only arrays as long as the faces, and the weights and the buffer go
+    before the vertex sums are divided in place.  Sums keep the order of
+    ``np.cross`` and ``norm`` on rows, and each coordinate is scattered by
+    1-D ``ufunc.at`` in corner order (the three accumulators are
+    independent, so one coordinate's three corners run before the next
+    coordinate's)."""
     f = mesh.faces.T  # a view: every index row is read in place
     v = mesh.vertices.T
     blocks = [slice(lo, lo + _CHUNK_ROWS)
@@ -446,7 +448,9 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
                             out=t[block])  # E_{c+1}
             np.subtract.at(acc, j, t)
             np.add.at(acc, k, t)
-    return (vec / area).T
+    del half, t
+    vec /= area
+    return vec.T
 
 
 def _corner_weights(v: np.ndarray, f: np.ndarray, half: np.ndarray,
@@ -478,10 +482,10 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     """
     if mesh.signature != EUCLIDEAN:
         raise ValueError("discrete curvature residual is Euclidean-only")
-    hvec = _cotangent_curvature(mesh)
-    h = (hvec * mesh.normals).sum(axis=1)
+    # the curvature vectors die here, before boundary_mask's edge keys
+    res = (_cotangent_curvature(mesh) * mesh.normals).sum(axis=1)
     z = mesh.vertices[:, 2]
-    res = h - np.asarray(profile.dphi(z), dtype=float) * mesh.normals[:, 2]
+    res -= np.asarray(profile.dphi(z), dtype=float) * mesh.normals[:, 2]
     res[mesh.boundary_mask()] = math.nan
     if mesh.meta.get("has_apex"):
         res[-1] = math.nan  # the fan vertex area is uneven; skip it

@@ -180,11 +180,12 @@ def traced_peak(fn, *args):
 
 
 def test_reconstruction_peak_memory():
-    # the mesh oracle with the mesh it judges: about 215 B a node, against
-    # 256 while the first-order defects spanned the grid and 790 while
-    # every intermediate lived to the end
+    # the mesh oracle with the mesh it judges: about 198 B a node (mesh 96,
+    # oracle 102), against 215 while the oracle held its corner weights
+    # through the vertex division, 256 while the first-order defects
+    # spanned the grid and 790 while every intermediate lived to the end
     f = reaper_field(201, 151)
-    assert traced_peak(integrate_representation, f) <= 240 * f.G.size
+    assert traced_peak(integrate_representation, f) <= 210 * f.G.size
 
 
 def test_field_check_peak_memory():
@@ -255,12 +256,27 @@ def test_field_axes_do_not_pin_the_table(tmp_path):
 
 
 def test_cotangent_oracle_peak_memory():
-    # the corner weights, one buffer of corner terms and the vertex sums:
-    # about 60 B a face, against 92 with an int64 copy of the faces and
-    # whole-mesh terms, and 192 with all nine edge columns held at once
+    # the corner weights (24 B a face), one buffer of corner terms (8), the
+    # vertex sums (12) and areas (4), with the weights and the buffer gone
+    # before the sums are divided in place: about 51.5 B a face on this
+    # small mesh (48 plus block temporaries), against 60 with the weights,
+    # the buffer and a divided copy alive together, 92 with an int64 copy
+    # of the faces and whole-mesh terms, and 192 with all nine edge
+    # columns held at once
     mesh = integrate_representation(reaper_field(201, 151))
     assert traced_peak(surfaces._cotangent_curvature, mesh) \
-        <= 70 * len(mesh.faces)
+        <= 56 * len(mesh.faces)
+
+
+def test_mean_curvature_residual_peak_memory():
+    # the curvature vectors die before boundary_mask builds its edge keys,
+    # so the oracle's 48.8 B a face is the peak on a 441x331 grid, against
+    # 52 with the vectors alive through boundary_mask and 60 with the
+    # oracle's weights alive through its division
+    x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
+    mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
+    assert traced_peak(surfaces.mean_curvature_residual, mesh, LIN1) \
+        <= 50 * len(mesh.faces)
 
 
 def test_boundary_mask_peak_memory():
