@@ -24,7 +24,6 @@ from .profiles import (
     DomainError,
     make_builtin,
     make_custom,
-    lambda_of_z,
     curly_g,
 )
 from .weierstrass import (
@@ -46,7 +45,6 @@ __all__ = [
     "NumericalError",
     "make_builtin",
     "make_custom",
-    "lambda_of_z",
     "curly_g",
     "ThetaPrimitive",
     "PotentialPatch",

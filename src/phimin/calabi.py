@@ -80,7 +80,7 @@ class ThetaPrimitive:
             out = np.asarray(self.inverse_value(t), dtype=float)
             return out if out.shape else float(out)
         return _invert_monotone(self.value, t, self.domain, self.reach,
-                                self.derivative, error=NumericalError)
+                                self.derivative)
 
     def image(self, lo: float, hi: float) -> Tuple[float, float]:
         """Open interval the primitive maps (lo, hi) onto, by monotonicity.
@@ -265,7 +265,7 @@ def _hessian_fields(patch: GraphPatch, profile: WeightProfile):
         hxx = weight * (1.0 - ux ** 2) / w
         hxy = -weight * ux * uy / w
         hyy = weight * (1.0 - uy ** 2) / w
-    return hxx, hxy, hyy, ux, uy, w, weight
+    return hxx, hxy, hyy
 
 
 def integrate_potential(patch: GraphPatch,
@@ -279,9 +279,12 @@ def integrate_potential(patch: GraphPatch,
     equation.  Disagreement beyond ``25 (hx^2 + hy^2) max|Hess| max(1,
     extent)`` (recorded as ``meta["tol"]``) raises NumericalError: the
     bound scales with the grid spacing squared, so refining a genuine
-    solution keeps passing while a non-solution keeps failing.
+    solution keeps passing while a non-solution keeps failing.  A Hessian
+    that degenerates anywhere raises too; otherwise the largest stretching
+    rates of the gradient map along x and y, the maxima of its diagonal,
+    are recorded as ``meta["stretching"]``.
     """
-    hxx, hxy, hyy, *_ = _hessian_fields(patch, profile)
+    hxx, hxy, hyy = _hessian_fields(patch, profile)
     ax, bx = staircase(hxx, hxy, patch.hx, patch.hy)
     ay, by = staircase(hxy, hyy, patch.hx, patch.hy)
     phi_x, phi_y = 0.5 * (ax + bx), 0.5 * (ay + by)
@@ -297,10 +300,16 @@ def integrate_potential(patch: GraphPatch,
             f"potential system is not integrable on this patch "
             f"(path disagreement {disagreement:.3e} > {tol:.3e}); "
             f"the heights do not solve the graph equation")
-    return PotentialPatch(x=patch.x, y=patch.y, phi_x=phi_x, phi_y=phi_y,
-                          meta={"path_disagreement": disagreement,
-                                "tol": tol,
-                                "signature": patch.signature})
+    pot = PotentialPatch(x=patch.x, y=patch.y, phi_x=phi_x, phi_y=phi_y,
+                         meta={"path_disagreement": disagreement, "tol": tol,
+                               "signature": patch.signature})
+    det = hxx * hyy - hxy ** 2
+    if np.any(det <= 0.0) or np.any(hxx <= 0.0):
+        raise NumericalError("gradient map folds over (degenerate Hessian); "
+                             "the patch reaches the singular locus of the "
+                             "correspondence")
+    pot.meta["stretching"] = (float(np.max(hxx)), float(np.max(hyy)))
+    return pot
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +490,6 @@ def from_lorentz(patch: GraphPatch, profile: WeightProfile
     return _transform(patch, profile)
 
 
-def _stretching(patch: GraphPatch, profile: WeightProfile
-                ) -> Tuple[float, float]:
-    """The largest stretching rates of the gradient map along x and y, its
-    Hessian's diagonal; a Hessian that degenerates anywhere raises."""
-    hxx, hxy, hyy = _hessian_fields(patch, profile)[:3]
-    det = hxx * hyy - hxy ** 2
-    if np.any(det <= 0.0) or np.any(hxx <= 0.0):
-        raise NumericalError("gradient map folds over (degenerate Hessian); "
-                             "the patch reaches the singular locus of the "
-                             "correspondence")
-    return float(np.max(hxx)), float(np.max(hyy))
-
-
 # Newton steps on the bilinear interpolant: the mid-line guess of a bowl
 # sits up to about seven cells from the root, and four steps reach the
 # bilinear root to rounding (moves of 7, 0.5, 4e-3 and 1e-7 cells)
@@ -554,7 +550,7 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     if not isinstance(theta, ThetaPrimitive):
         theta = natural_theta(profile, float(np.min(patch.u)))
     dual, dual_theta = dual_profile(profile, theta)
-    rate_x, rate_y = _stretching(patch, profile)
+    rate_x, rate_y = pot.meta["stretching"]
 
     # the free linear polynomial of the potential translates the new base
     # coordinates; a patch produced by the opposite transform remembers
@@ -641,7 +637,7 @@ def _resample(patch: GraphPatch, gfx, gfy, xg, yg):
     nx, ny = len(xg), len(yg)
     tx, ty = np.meshgrid(xg, yg, indexing="ij")
     tx, ty = tx.ravel(), ty.ravel()
-    jm, im = ny // 2, nx // 2
+    jm, im = len(patch.y) // 2, len(patch.x) // 2
     px = np.repeat(np.interp(xg, gfx[:, jm], patch.x), ny)
     py = np.tile(np.interp(yg, gfy[im, :], patch.y), nx)
     px, py = _bilinear_inverse(patch, gfx, gfy, tx, ty, px, py)

@@ -158,21 +158,19 @@ def profile_to_spec(profile: WeightProfile) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {"format": "obj", "seed": "0"}
-
 _DEFAULTS: Dict[str, Dict[str, str]] = {
     "profile": {"profile": "linear slope=1", "u0": "0", "x_max": "1",
                 "tol": "1e-10", "n_samples": "801"},
     "lambda": {"profile": "linear slope=1", "u0": "0"},
     "bowl": {"profile": "linear slope=1", "z0": "0", "s_max": "4",
              "tol": "1e-10", "n_samples": "1201", "n_theta": "129",
-             "r_window": ""},
+             "r_window": "", "format": "obj"},
     "catenoid": {"profile": "linear slope=1", "x0": "1", "z0": "1",
                  "s_max": "4", "tol": "1e-10", "n_samples": "1201",
-                 "n_theta": "129"},
+                 "n_theta": "129", "format": "obj"},
     "tilt": {"profile": "linear slope=1", "u0": "0", "x_max": "1",
              "angle": "0.7853981633974483", "y_half": "1", "tol": "1e-10",
-             "n_samples": "801", "n_rulings": "41"},
+             "n_samples": "801", "n_rulings": "41", "format": "obj"},
     "calabi-to-l3": {"profile": "linear slope=1", "patch": "reaper",
                      "u0": "0", "x_max": "1.3", "half_x": "1.2",
                      "half_y": "1.2", "z0": "0.5", "s_max": "6",
@@ -180,9 +178,10 @@ _DEFAULTS: Dict[str, Dict[str, str]] = {
     "calabi-to-r3": {"input": "", "source": ""},
     "weierstrass": {"profile": "linear slope=1", "k": "1", "z0": "0.5",
                     "s_max": "6", "s_lo": "1", "s_hi": "4", "v_half": "1",
-                    "grid": "161x121", "input": "", "base": "", "anchor": ""},
+                    "grid": "161x121", "input": "", "base": "", "anchor": "",
+                    "format": "obj"},
     "bjorling": {"data": "", "halfwidth": "0.5", "grid": "201x201",
-                 "reconstruct": "true"},
+                 "reconstruct": "true", "format": "obj"},
     "verify": {"input": "", "tol": ""},
 }
 
@@ -345,8 +344,7 @@ _POSITIONAL_KEY = {"verify": "input", "calabi-to-r3": "input",
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    values = dict(_COMMON_DEFAULTS)
-    values.update(_DEFAULTS[command])
+    values = dict(_DEFAULTS[command])
     out: Optional[str] = None
 
     if args.preset:
@@ -383,12 +381,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         values["tol"] = args.tol
     if args.grid:
         values["grid"] = args.grid
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
     if args.out:
         out = args.out
 
-    allowed = set(_COMMON_DEFAULTS) | set(_DEFAULTS[command])
+    allowed = set(_DEFAULTS[command])
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ValueError(f"unknown config keys for {command}: "
@@ -396,10 +392,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                          f"{', '.join(sorted(allowed))})")
 
     cfg = RunConfig(command, values, Path(out or "out"))
-    if cfg.values["format"] not in _FORMATS:
+    if cfg.values.get("format", "obj") not in _FORMATS:
         raise ValueError(f"format must be one of {', '.join(_FORMATS)}, "
                          f"got {cfg.values['format']!r}")
-    cfg.int_("seed", minimum=-(10 ** 18))
     if cfg.values.get("tol", "") and \
             not math.isfinite(cfg.float_("tol", positive=True)):
         # an infinite tolerance stalls the ODE step control
@@ -1037,12 +1032,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override one config key (repeatable)")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--format", choices=_FORMATS,
-                       help="mesh format (default: obj)")
+                       help="mesh format of the commands that write a "
+                            "mesh (default: obj)")
         p.add_argument("--tol", help="tolerance / residual threshold")
         p.add_argument("--grid", help="grid as NxM where the command "
                                       "samples a rectangle")
-        p.add_argument("--seed", type=int, help="recorded in the config "
-                                                "hash for reproducibility")
     return parser
 
 

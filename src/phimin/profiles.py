@@ -101,16 +101,6 @@ class WeightProfile:
                 f"{what} {bad!r} outside profile domain ({lo}, {hi})"
             )
 
-    def phi_range(self) -> Tuple[float, float]:
-        """Image of the open domain under phi (ordered)."""
-        a = _limit(self.phi, self.domain[0], 1.0, self.reach, self.increasing)
-        return (a, self.sup_phi) if a < self.sup_phi else (self.sup_phi, a)
-
-    def inverse_phi(self, w):
-        """Solve phi(z) = w on the domain (phi strictly monotone)."""
-        return _invert_monotone(self.phi, w, self.domain, self.reach,
-                                self.dphi)
-
     # -- validation --------------------------------------------------------
 
     def _check_monotone(self) -> None:
@@ -436,24 +426,24 @@ def _limit(f: Callable, end: float, inward: float,
 
 
 def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
-                     reach: Tuple[float, float],
-                     df: Optional[Callable] = None, error=DomainError):
-    """Solve f(z) = t elementwise for f strictly monotone on the open domain.
+                     reach: Tuple[float, float], df: Callable):
+    """Solve f(z) = t elementwise for f strictly increasing on the open
+    domain, with derivative ``df``.
 
     One bracket serves the whole array.  It stays inside the reach, where
     f evaluates, or inside the run of a panel primitive (``f.run``), past
     which f holds its tail limit and attains no value in between.  It holds
     finite domain ends 1e-9 (relative) inside; infinite domain ends are
     pushed out by doubling steps up to the reach or the run.
-    A sample table narrows it to one cell per value; safeguarded Newton
-    steps follow when the derivative ``df`` is known, bisection otherwise.
-    A value the bracket cannot reach raises ``error``.
+    A sample table narrows it to one cell per value, and safeguarded
+    Newton steps follow.  A value the bracket cannot reach raises
+    NumericalError.
     """
     t = np.asarray(t, dtype=float)
     if not t.size:
         return t
     if not np.isfinite(t).all():
-        raise error("cannot invert a non-finite value")
+        raise NumericalError("cannot invert a non-finite value")
     lo, hi = domain
     span = getattr(f, "run", reach)
     a_end = max(_inset(lo, 1.0), span[0])
@@ -461,9 +451,8 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
     a = a_end if math.isfinite(lo) else max(min(-1.0, b_end - 1.0), a_end)
     b = b_end if math.isfinite(hi) else min(max(1.0, a + 1.0), b_end)
 
-    sign = 1.0 if float(f(b)) >= float(f(a)) else -1.0
-    g = lambda z: sign * np.asarray(f(z), dtype=float)
-    flat = sign * t.ravel()
+    g = lambda z: np.asarray(f(z), dtype=float)
+    flat = t.ravel()
     step = 1.0
     for _ in range(110):
         below = not float(g(a)) <= flat.min()
@@ -474,7 +463,7 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
         a, b = max(a - step * below, a_end), min(b + step * above, b_end)
         step *= 2.0
     if below or above:
-        raise error("value outside the attainable range")
+        raise NumericalError("value outside the attainable range")
 
     zs = np.linspace(a, b, 129)
     vs = g(zs)
@@ -489,12 +478,10 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
         r = g(zi) - flat[idx]
         za[idx] = np.where(r < 0, zi, za[idx])
         zb[idx] = np.where(r < 0, zb[idx], zi)
-        new = 0.5 * (za[idx] + zb[idx])
-        if df is not None:
-            with np.errstate(all="ignore"):
-                newton = zi - r / (sign * np.asarray(df(zi), dtype=float))
-            new = np.where((newton > za[idx]) & (newton < zb[idx]),
-                           newton, new)
+        with np.errstate(all="ignore"):
+            newton = zi - r / np.asarray(df(zi), dtype=float)
+        new = np.where((newton > za[idx]) & (newton < zb[idx]), newton,
+                       0.5 * (za[idx] + zb[idx]))
         z[idx] = np.where(r == 0, zi, new)
         idx = idx[(r != 0) & (np.abs(new - zi)
                               > 4e-16 * np.maximum(1.0, np.abs(zi)))]
@@ -504,26 +491,6 @@ def _invert_monotone(f: Callable, t, domain: Tuple[float, float],
 # ---------------------------------------------------------------------------
 # derived scalar functions
 # ---------------------------------------------------------------------------
-
-def lambda_of_z(profile: WeightProfile, z) -> np.ndarray:
-    """dphi written as a function of w = phi(height): lambda(w) = dphi(phi^{-1}(w)).
-
-    For the linear kind this is the constant slope; for the log kind it has
-    the closed form a * exp(-w/a).
-    """
-    z = np.asarray(z, dtype=float)
-    w_lo, w_hi = profile.phi_range()
-    if np.any(z <= w_lo) or np.any(z >= w_hi):
-        raise DomainError(f"value outside phi image ({w_lo}, {w_hi})")
-    if profile.kind == "linear":
-        m = profile.params["slope"]
-        return np.full_like(z, m)
-    if profile.kind == "log":
-        a = profile.params["alpha"]
-        return a * np.exp(-z / a)
-    out = np.asarray(profile.dphi(profile.inverse_phi(z)), dtype=float)
-    return out if out.shape else float(out)
-
 
 def curly_g(profile: WeightProfile, u0: float, u) -> np.ndarray:
     """Integral of 1/dphi from u0 to u (strictly increasing in u).

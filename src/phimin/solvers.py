@@ -71,12 +71,6 @@ class ProfileCurve:
             raise ValueError(f"{self.curve_kind} is not a graph over the x-axis")
         return self.x, self.z
 
-    def second_differences(self) -> np.ndarray:
-        """Discrete u'' sign probe: divided second differences of z over x."""
-        x, z = self.x, self.z
-        dzdx = np.diff(z) / np.diff(x)
-        return 2.0 * np.diff(dzdx) / (x[2:] - x[:-2])
-
 
 @dataclass
 class AsymptoteReport:

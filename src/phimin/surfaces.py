@@ -733,31 +733,30 @@ def _int_text(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _row_plan(line: str, rows: np.ndarray):
-    """The template ``line`` as literal pieces and conversions, or None
-    where array code does not write ``rows`` with it: a conversion other
-    than %.16e and %d, a dtype that does not suit them, a literal that is
-    not plain ASCII, or a count of conversions other than the columns."""
+    """The template ``line`` as literal pieces and conversions.  Raises
+    ValueError where array code does not write ``rows`` with it: a
+    conversion other than %.16e and %d, a dtype that does not suit them,
+    a literal that is not plain ASCII, or a count of conversions other
+    than the columns."""
     pieces = _CONVERSION.split(line)
     literals, cells = pieces[0::2], pieces[1::2]
     dtype = rows.dtype
     if rows.ndim != 2 or len(cells) != rows.shape[1] or not cells or any(
             "%" in lit or not lit.isascii() or "\0" in lit or "\x01" in lit
             for lit in literals):
-        return None
-    if FLOAT in cells and not (dtype.kind == "f" and dtype.itemsize <= 8):
-        return None
-    if "%d" in cells and not (dtype.kind in "iu"
-                              and np.can_cast(dtype, np.int64)):
-        return None
+        raise ValueError(f"row template {line!r} does not fit rows of "
+                         f"shape {rows.shape}")
+    if FLOAT in cells and not (dtype.kind == "f" and dtype.itemsize <= 8) \
+            or "%d" in cells and not (dtype.kind in "iu"
+                                      and np.can_cast(dtype, np.int64)):
+        raise ValueError(f"row template {line!r} does not write {dtype} "
+                         "values")
     return [lit.encode("ascii") for lit in literals], cells
 
 
-def _block_text(line: str, plan, chunk: np.ndarray) -> str:
-    """The text of ``chunk`` under ``line``: array code where ``plan``
-    allows, ``%`` for each value it leaves (each row without a plan)."""
-    if plan is None:
-        return "".join(line % tuple(row)
-                       for row in chunk.reshape(len(chunk), -1).tolist())
+def _block_text(plan, chunk: np.ndarray) -> str:
+    """The text of ``chunk`` under the row template's ``plan``: array code,
+    and ``%`` for each value it leaves."""
     literals, cells = plan
     values = [chunk[:, j].astype(np.float64 if c == FLOAT else np.int64)
               for j, c in enumerate(cells)]
@@ -831,13 +830,14 @@ def write_rows(fh, rows, sep: str = ",", prefix: str = "",
     joined by ``sep``, each cell formatted by ``cell`` (which may take
     several consecutive values).  Blocks of rows are written by array code
     with the bytes of ``%`` over the row template; a value the array code
-    does not print is formatted by ``%`` itself."""
+    does not print is formatted by ``%`` itself, and a template or dtype
+    it does not write raises ValueError."""
     rows = np.atleast_2d(rows)
     line = prefix + sep.join([cell] * (rows.shape[1] // cell.count("%")))
     line += "\n"
     plan = _row_plan(line, rows)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        fh.write(_block_text(line, plan, rows[start:start + _CHUNK_ROWS]))
+        fh.write(_block_text(plan, rows[start:start + _CHUNK_ROWS]))
 
 
 def write_table(path, comments: Sequence[str], header: str,

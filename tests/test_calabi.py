@@ -31,6 +31,7 @@ from phimin.surfaces import (
     GraphPatch,
     graph_mean_curvature,
     lfe_residual,
+    rotational_patch,
 )
 
 LIN1 = make_builtin("linear", 1.0)
@@ -602,8 +603,8 @@ def traced_peak(fn, *args):
 
 def test_transform_peak_memory():
     # splines evaluated over blocks of points, the Hessian fields gone
-    # after the stretching rates: about 300 and 330 B a source node, where
-    # FITPACK's pointwise calls peaked at 370 and 394
+    # with the potential's integration: about 300 and 330 B a source node,
+    # where FITPACK's pointwise calls peaked at 370 and 394
     patch = bowl_patch_201()
     dst, dual = to_lorentz(patch, LIN1)
     assert traced_peak(to_lorentz, patch, LIN1) <= 370 * patch.u.size
@@ -635,7 +636,7 @@ def reference_resampling(patch, profile):
     gfx, gfy = pot.phi_x + shift[0], pot.phi_y + shift[1]
     theta = patch.meta.get("theta_hint") or natural_theta(
         profile, float(np.min(patch.u)))
-    rates = np.array(calabi._stretching(patch, profile))
+    rates = np.array(pot.meta["stretching"])
     lo = np.array([gfx[0].max(), gfy[:, 0].max()]) + 1e-9
     hi = np.array([gfx[-1].min(), gfy[:, -1].min()]) - 1e-9
     pad = 2e-3 * (hi - lo)
@@ -648,8 +649,8 @@ def reference_resampling(patch, profile):
     kx, ky = min(5, len(patch.x) - 1), min(5, len(patch.y) - 1)
     fx, fy, fu = (RectBivariateSpline(patch.x, patch.y, f, kx=kx, ky=ky)
                   for f in (gfx, gfy, patch.u))
-    px = np.repeat(np.interp(xg, gfx[:, ny // 2], patch.x), ny)
-    py = np.tile(np.interp(yg, gfy[nx // 2], patch.y), nx)
+    px = np.repeat(np.interp(xg, gfx[:, len(patch.y) // 2], patch.x), ny)
+    py = np.tile(np.interp(yg, gfy[len(patch.x) // 2], patch.y), nx)
     tol = 1e-11 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
     for _ in range(60):
         rx, ry = fx(px, py, grid=False) - tx, fy(px, py, grid=False) - ty
@@ -665,6 +666,26 @@ def reference_resampling(patch, profile):
     else:
         raise AssertionError("reference Newton did not converge")
     return xg, yg, theta(fu(px, py, grid=False)).reshape(nx, ny)
+
+
+def test_mid_line_guess_reads_the_source_grid():
+    # a 50x50 target over a 21x21 source: the mid-line guess reads the
+    # source's middle row and column, whatever the target's node counts
+    patch = rotational_patch(solve_bowl(LIN1, 0.5, 6.0), 1.0, 21, 21)
+    pot = integrate_potential(patch, LIN1)
+    gfx, gfy = pot.phi_x, pot.phi_y
+    lo = np.array([gfx[0].max(), gfy[:, 0].max()])
+    hi = np.array([gfx[-1].min(), gfy[:, -1].min()])
+    pad = 2e-3 * (hi - lo)
+    xg, yg = (np.linspace(a, b, 50) for a, b in zip(lo + pad, hi - pad))
+    origin, rows, iters = calabi._resample(patch, gfx, gfy, xg, yg)
+    assert iters <= 3
+    fx, fy = (RectBivariateSpline(patch.x, patch.y, f, kx=5, ky=5)
+              for f in (gfx, gfy))
+    assert abs(fx(*origin, grid=False) - xg[0]) < 1e-12
+    assert abs(fy(*origin, grid=False) - yg[0]) < 1e-12
+    heights = rows[0].reshape(50, 50)
+    np.testing.assert_allclose(heights, heights.T, rtol=0, atol=1e-12)
 
 
 def test_bowl_transforms_take_three_quintic_evaluations():

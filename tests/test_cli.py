@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driver (in-process)."""
 
 import builtins
+import inspect
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import phimin
 from phimin import cli
 from phimin.cli import (
     _DEFAULTS,
@@ -192,6 +194,38 @@ def test_validation_failures_exit_one(tmp_path):
     assert main(["profile", "--no-such-flag"]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1
+
+
+_MESH_COMMANDS = ("bowl", "catenoid", "tilt", "weierstrass", "bjorling")
+
+
+def test_idle_keys_are_refused(tmp_path):
+    # a config key exists only where it changes a result: no command takes
+    # a seed, and only the commands that write a mesh take a format
+    for command in sorted(_DEFAULTS):
+        idle = [("seed", ["--param", "seed=1"])]
+        if command not in _MESH_COMMANDS:
+            idle.append(("format", ["--format", "csv"]))
+        for key, argv in idle:
+            out = tmp_path / command / key
+            assert main([command, *argv, "--out", str(out)]) == 1, key
+            message = json.loads((out / "error.json").read_text()
+                                 )["error"]["message"]
+            assert message.startswith(
+                f"unknown config keys for {command}: {key} "), message
+    circle = str(_circle_data(tmp_path))
+    small = {"bowl": ["--param", "n_samples=41", "--param", "n_theta=8"],
+             "catenoid": ["--param", "n_samples=201", "--param", "n_theta=8"],
+             "tilt": ["--param", "n_samples=41", "--param", "n_rulings=3"],
+             "weierstrass": ["--grid", "41x31"],
+             "bjorling": [circle, "--param", "halfwidth=0.1",
+                          "--grid", "101x21"]}
+    for command in _MESH_COMMANDS:
+        out = tmp_path / command / "csv"
+        assert main([command, *small[command], "--format", "csv",
+                     "--out", str(out)]) == 0, command
+        assert read_report(out)["config"]["format"] == "csv"
+        assert any(p.name.endswith("_faces.csv") for p in out.iterdir())
 
 
 def test_sizes_above_their_limits_exit_one(tmp_path):
@@ -778,6 +812,40 @@ def test_profile_spec_round_trip():
         profile_from_spec("quintic a=1")
     with pytest.raises(ProfileError):
         profile_from_spec("custom domain=0,inf")
+
+
+def test_every_public_function_is_reached_by_a_command(tmp_path):
+    # a library function no command reaches goes (the classes' methods are
+    # reached through them)
+    public = {getattr(phimin, name) for name in phimin.__all__}
+    wanted = {fn.__code__: fn.__name__ for fn in public
+              if inspect.isfunction(fn)}
+    circle = str(_circle_data(tmp_path))
+    l3 = tmp_path / "2"  # where the third run writes
+    runs = (["lambda"],
+            ["bowl", "--param", "profile=custom dphi=exp(-1/z) "
+             "domain=0.01,inf growth_alpha=0 asymptote=0,1", "--param", "z0=1",
+             "--param", "s_max=8", "--param", "n_samples=201",
+             "--param", "n_theta=8", "--param", "r_window=2,5"],
+            ["calabi-to-l3", "--param", "profile=series L=1 b=0.5",
+             "--param", "patch=bowl", "--grid", "21x21"],
+            ["calabi-to-r3", str(l3 / "lorentz.csv")],
+            ["weierstrass", "--grid", "41x31"],
+            ["bjorling", circle, "--param", "halfwidth=0.1",
+             "--grid", "101x21"])
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    sys.setprofile(hook)
+    try:
+        codes = [main(argv + ["--out", str(tmp_path / str(k))])
+                 for k, argv in enumerate(runs)]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    assert sorted(wanted[c] for c in wanted.keys() - entered) == []
 
 
 def test_benchmark_tracer_installs():

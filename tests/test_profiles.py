@@ -10,7 +10,6 @@ from phimin import (
     ProfileError,
     WeightProfile,
     curly_g,
-    lambda_of_z,
     make_builtin,
     make_custom,
 )
@@ -77,29 +76,6 @@ def test_monotonicity_flag_is_checked():
                                            np.nan), domain=(0.0, 1.0))
 
 
-def test_lambda_of_z_linear_is_constant():
-    p = make_builtin("linear", 3.0)
-    w = np.linspace(-5, 5, 11)
-    assert np.allclose(lambda_of_z(p, w), 3.0)
-
-
-def test_decreasing_linear_weight_maps_onto_the_whole_line():
-    p = make_builtin("linear", -1.0)
-    assert p.phi_range() == (-math.inf, math.inf)
-    assert lambda_of_z(p, 0.5) == -1.0
-
-
-def test_lambda_of_z_of_a_quadrature_weight_stops_at_its_reach():
-    # phi = e^z - 1 by quadrature: its reach ends near z = 560 above, far
-    # short of a probe at z = 1e12, and phi converges to -1 below
-    p = make_custom(lambda z: np.exp(np.asarray(z, dtype=float)))
-    assert p.reach[0] == -math.inf and p.reach[1] < 600.0
-    assert p.phi_range()[1] == math.inf
-    assert p.phi_range()[0] == pytest.approx(-1.0, rel=1e-15)
-    assert lambda_of_z(p, 1.0) == float(p.dphi(p.inverse_phi(1.0)))
-    assert lambda_of_z(p, 1.0) == pytest.approx(2.0, rel=1e-14)
-
-
 def test_sup_phi_is_finite_only_where_phi_converges():
     # log z grows without bound, however slowly; 1/2 - 1/z converges
     slow = make_custom(lambda z: 1.0 / np.asarray(z, dtype=float),
@@ -133,21 +109,6 @@ def test_tail_rule_on_dyadic_blocks():
     assert _tail(np.log1p, 0.0, 0.5) == math.inf  # not one whole block
 
 
-def test_lambda_of_z_log_closed_form():
-    a = 2.0
-    p = make_builtin("log", a)
-    w = np.array([-1.0, 0.0, 1.0, 4.0])
-    assert np.allclose(lambda_of_z(p, w), a * np.exp(-w / a))
-
-
-def test_lambda_of_z_matches_direct_composition():
-    # generic route (root finding) against the definition
-    p = make_builtin("series", 1.0, 0.5, [0.25], domain=(0.25, math.inf))
-    z0 = 2.0
-    w = float(p.phi(z0))
-    assert lambda_of_z(p, w) == pytest.approx(float(p.dphi(z0)), rel=1e-10)
-
-
 def test_curly_g_frozen_value():
     # dphi(u) = 2u: integral of 1/(2u) from 1 to e is exactly 1/2
     p = make_builtin("series", 2.0, 0.0, domain=(0.1, math.inf))
@@ -178,30 +139,6 @@ def test_custom_profile_recovers_phi_by_quadrature():
     assert np.allclose(p.phi(z), np.sin(z), rtol=0.0, atol=1e-13)
 
 
-def test_inverse_phi_vectorized_and_out_of_range():
-    # decreasing weight: phi = -2 log z on (0, inf)
-    p = make_builtin("log", -2.0)
-    z = np.array([0.25, 1.0, 7.5])
-    np.testing.assert_allclose(p.inverse_phi(p.phi(z)), z, rtol=1e-14)
-    bounded = make_custom(lambda z: np.cos(np.asarray(z, dtype=float)),
-                          domain=(-1.0, 1.0), anchor=0.0)
-    with pytest.raises(DomainError):
-        bounded.inverse_phi(2.0)
-
-
-def test_inverse_phi_refuses_values_between_the_run_and_the_limit():
-    # phi of z^-1.2 is 4.33285 where its run stops, 1e12 from the anchor,
-    # and holds its limit 4.35275 beyond; phi = 4.34 is reached near 9e12,
-    # where phi is not represented, so it is out of range, not the jump
-    p = make_custom(lambda z: np.asarray(z, dtype=float) ** -1.2,
-                    domain=(1.0, math.inf))
-    assert p.phi(1e12) < 4.34 < p.sup_phi
-    with pytest.raises(DomainError, match="outside the attainable range"):
-        p.inverse_phi(4.34)
-    z = p.inverse_phi(4.33)
-    assert z < 1e12 and p.phi(z) == pytest.approx(4.33, rel=1e-14)
-
-
 def test_custom_profile_fd_second_derivative():
     p = make_custom(
         dphi=lambda z: np.exp(np.asarray(z, dtype=float)),
@@ -226,14 +163,6 @@ def test_expression_callable_rejects_unknown_names():
     assert float(f(0.0)) == pytest.approx(2.0)
 
 
-@settings(derandomize=True)
-@given(m=st.floats(min_value=0.1, max_value=10.0), z=st.floats(-20, 20))
-def test_linear_inverse_phi_roundtrip(m, z):
-    p = make_builtin("linear", m)
-    w = float(p.phi(z))
-    assert p.inverse_phi(w) == pytest.approx(z, abs=1e-8)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     L=st.floats(min_value=0.2, max_value=4.0),
@@ -246,11 +175,3 @@ def test_series_phi_consistent_with_dphi(L, b, z):
     h = 1e-4
     fd = (float(p.phi(z + h)) - float(p.phi(z - h))) / (2 * h)
     assert fd == pytest.approx(float(p.dphi(z)), rel=1e-6)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(a=st.floats(min_value=0.5, max_value=3.0), w=st.floats(-3.0, 3.0))
-def test_lambda_of_z_log_property(a, w):
-    p = make_builtin("log", a)
-    z = math.exp(w / a)  # the height with phi(z) = w
-    assert float(lambda_of_z(p, w)) == pytest.approx(float(p.dphi(z)), rel=1e-9)

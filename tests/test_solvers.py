@@ -21,6 +21,12 @@ from phimin.solvers import (
 LIN1 = make_builtin("linear", 1.0)
 
 
+def second_differences(curve):
+    """Divided second differences of z over x, a discrete u'' sign probe."""
+    x, z = curve.x, curve.z
+    return 2.0 * np.diff(np.diff(z) / np.diff(x)) / (x[2:] - x[:-2])
+
+
 @pytest.fixture(scope="module")
 def reaper():
     return solve_catenary(LIN1, 0.0, 1.45, tol=1e-12)
@@ -73,7 +79,7 @@ def test_catenary_blow_up_reports_half_width():
     assert lam.finite
     assert curve.meta["lambda_estimate"] == pytest.approx(lam.lambda_u0, abs=5e-2)
     # convex graph all the way out
-    assert np.min(curve.second_differences()) > -1e-6
+    assert np.min(second_differences(curve)) > -1e-6
 
 
 def test_catenary_decreasing_profile_exits_domain():
@@ -165,7 +171,7 @@ def test_bowl_launch_slope():
 
 def test_bowl_is_convex_graph(soliton_bowl):
     assert np.all(np.diff(soliton_bowl.x) > 0)
-    assert np.min(soliton_bowl.second_differences()) > -1e-8
+    assert np.min(second_differences(soliton_bowl)) > -1e-8
     th = soliton_bowl.theta
     assert np.all(th[1:] > 0) and np.all(th < math.pi / 2)
 

@@ -680,6 +680,16 @@ def test_write_rows_matches_percent_on_integers():
             == _percent(pairs, sep=" ", prefix="f ", cell="%d//%d")
 
 
+def test_write_rows_refuses_what_array_code_does_not_write():
+    # no writer passes such rows; there is no per-row % path to fall back on
+    with pytest.raises(ValueError, match="does not fit"):
+        _written(np.zeros((2, 3)), cell="%s")
+    with pytest.raises(ValueError, match="does not write int64"):
+        _written(np.arange(6).reshape(2, 3))
+    with pytest.raises(ValueError, match="does not write uint64"):
+        _written(np.zeros((2, 3), dtype=np.uint64), cell="%d")
+
+
 def test_write_rows_repeats_only_a_bitwise_equal_column():
     # 0.0 and -0.0 compare equal but print differently
     rows = np.array([[0.0, -0.0, -0.0], [1.5, 1.5, 1.5]])
