@@ -27,9 +27,9 @@ from .errors import NumericalError
 from .profiles import (WeightProfile, make_builtin, make_custom,
                        _antiderivative, _invert_monotone, _limit)
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
-                       lfe_residual, _graph_curvatures,
-                       curvature_from_derivatives, staircase,
-                       uniform_spacing)
+                       lfe_residual, _interior_derivatives,
+                       _interior_gradient, curvature_from_derivatives,
+                       staircase, uniform_spacing)
 
 __all__ = [
     "ThetaPrimitive", "PotentialPatch", "make_theta", "natural_theta",
@@ -233,13 +233,10 @@ class PotentialPatch:
             raise ValueError("gradient fields must be (len(x), len(y))")
         hx = uniform_spacing(self.x, "x")
         hy = uniform_spacing(self.y, "y")
-        mixed = (np.gradient(self.phi_x, hy, axis=1, edge_order=2)
-                 - np.gradient(self.phi_y, hx, axis=0, edge_order=2))
+        _, hxx, hxy = _interior_gradient(self.phi_x, hx, hy)
+        _, hyx, hyy = _interior_gradient(self.phi_y, hx, hy)
         self.meta.setdefault("mixed_partial_defect",
-                             float(np.max(np.abs(mixed[1:-1, 1:-1]))))
-        hxx = np.gradient(self.phi_x, hx, axis=0, edge_order=2)[1:-1, 1:-1]
-        hyy = np.gradient(self.phi_y, hy, axis=1, edge_order=2)[1:-1, 1:-1]
-        hxy = np.gradient(self.phi_x, hy, axis=1, edge_order=2)[1:-1, 1:-1]
+                             float(np.max(np.abs(hxy - hyx))))
         det = hxx * hyy - hxy ** 2
         scale = float(np.max(np.abs(hxx)) + np.max(np.abs(hyy))) or 1.0
         if np.any(hxx < -1e-8 * scale) or np.any(det < -1e-8 * scale ** 2):
@@ -688,7 +685,8 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     the source side evaluates the same curvature formulas on the spline
     derivatives ``du`` (x, y, xx, yy, xy) of the input heights at the
     matched points, which are off-grid.  Both are independent of how the
-    transform produced the patch.
+    transform produced the patch.  The relations are read on the interior
+    nodes, where the destination's stencil is defined.
     """
     nx, ny = len(out.x), len(out.y)
     residual = (lfe_residual if out.signature == LORENTZIAN
@@ -696,35 +694,34 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     out.meta["residual_max"] = float(np.nanmax(np.abs(residual)))
 
     # slope pairing: dual gradient = source gradient / source area factor
-    gx, gy = out.gradients()
-    sux, suy, suxx, suyy, suxy = (d.reshape(nx, ny) for d in du)
+    _, gx, gy, uxx, uyy, uxy = _interior_derivatives(out.u, out.hx, out.hy)
+    sux, suy, suxx, suyy, suxy = (d.reshape(nx, ny)[1:-1, 1:-1] for d in du)
     if src.signature == EUCLIDEAN:
         w_src = np.sqrt(1.0 + sux ** 2 + suy ** 2)
     else:
         w_src = np.sqrt(np.maximum(1.0 - sux ** 2 - suy ** 2, 1e-300))
-    pair = np.hypot(gx - sux / w_src, gy - suy / w_src)[1:-1, 1:-1]
+    pair = np.hypot(gx - sux / w_src, gy - suy / w_src)
     out.meta["gradient_pairing_max"] = float(np.max(pair))
 
     # curvature relations at matched points: the factors e^{-phi} W^2 and
-    # e^{-2 phi} W^4 are evaluated on the source side
-    h_dst, k_dst = _graph_curvatures(out)
+    # e^{-2 phi} W^4 are evaluated on the source side; the residual above
+    # has refused a Lorentzian patch that is not spacelike on the stencil
+    h_dst, k_dst = curvature_from_derivatives(out.signature, gx, gy, uxx,
+                                              uyy, uxy)
     h_match, k_match = curvature_from_derivatives(
         src.signature, sux, suy, suxx, suyy, suxy)
-    uu = u_src.reshape(nx, ny)
-    inside = np.zeros((nx, ny), dtype=bool)
-    inside[1:-1, 1:-1] = True
+    uu = u_src.reshape(nx, ny)[1:-1, 1:-1]
     e_phi = np.exp(-np.asarray(profile.phi(uu), dtype=float))
     hh = h_dst + e_phi * w_src ** 2 * h_match
     kk = k_dst + e_phi ** 2 * w_src ** 4 * k_match
     hh_rel = np.abs(hh) / np.maximum(np.abs(h_dst), 1e-12)
     # the relative statistic excludes near-null regions, where both sides
     # of the relation blow up and the quotient is meaningless
-    well = inside.copy()
     if out.signature == LORENTZIAN:
-        well &= (1.0 - gx ** 2 - gy ** 2) > 0.15 ** 2
+        well = (1.0 - gx ** 2 - gy ** 2) > 0.15 ** 2
     else:
-        well &= w_src ** 2 > 0.15 ** 2
-    out.meta["hh_abs_max"] = float(np.max(np.abs(hh[inside])))
+        well = w_src ** 2 > 0.15 ** 2
+    out.meta["hh_abs_max"] = float(np.max(np.abs(hh)))
     out.meta["hh_rel_max"] = (float(np.max(hh_rel[well]))
                               if np.any(well) else math.nan)
-    out.meta["kk_abs_max"] = float(np.max(np.abs(kk[inside])))
+    out.meta["kk_abs_max"] = float(np.max(np.abs(kk)))

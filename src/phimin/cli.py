@@ -48,8 +48,8 @@ from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
 from .weierstrass import (FIELD_RESIDUAL_BOUND, bjorling_from_json,
                           gauss_field_from_table, gauss_pde_residual,
                           integrate_representation, load_gauss_field,
-                          reconstruction_residuals, rotational_gauss_field,
-                          save_gauss_field, solve_bjorling)
+                          rotational_gauss_field, save_gauss_field,
+                          solve_bjorling)
 
 _FORMATS = ("obj", "ply", "csv")
 
@@ -779,7 +779,7 @@ def _patch_sup_difference(a: GraphPatch, b: GraphPatch) -> float:
 
 # the verification report of a reconstructed surface
 _MESH_REPORT = ("path_disagreement", "conformal_defect", "gauss_map_defect",
-                "mean_curvature_residual")
+                "identity_residuals", "mean_curvature_residual")
 
 
 def _cmd_weierstrass(cfg: RunConfig) -> int:
@@ -822,11 +822,9 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
         artifacts.append("field.csv")
     artifacts += _write_mesh(cfg, mesh, "surface",
                              [f"k = {_fmt(field.k_param)}"])
-    identities = reconstruction_residuals(mesh, field)
     report = {"k": _fmt(field.k_param),
               "field_shape": list(field.shape),
               "pde_residual_max": _fmt(residual),
-              "identity_residuals": _jsonable(identities),
               **{key: _jsonable(mesh.meta[key]) for key in _MESH_REPORT}}
     _finish(cfg, artifacts, report)
     return 0

@@ -124,9 +124,8 @@ class GraphPatch:
         if self.signature not in (EUCLIDEAN, LORENTZIAN):
             raise ValueError(f"unknown signature {self.signature!r}")
         if self.signature == LORENTZIAN:
-            ux, uy = self.gradients()
-            speed = ux[1:-1, 1:-1] ** 2 + uy[1:-1, 1:-1] ** 2
-            if np.any(speed >= 1.0):
+            _, ux, uy = _interior_gradient(self.u, self.hx, self.hy)
+            if np.any(ux ** 2 + uy ** 2 >= 1.0):
                 raise ValueError("Lorentzian patch is not spacelike "
                                  "(|grad u| >= 1 at an interior node)")
 
@@ -308,12 +307,21 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
 # graph-equation residuals (independent finite-difference oracles)
 # ---------------------------------------------------------------------------
 
-def _interior_derivatives(u: np.ndarray, hx: float, hy: float):
-    """Node values and second-order central differences (u_x, u_y, u_xx,
-    u_yy, u_xy) of ``u`` on the interior nodes of its grid."""
+def _interior_gradient(u: np.ndarray, hx: float, hy: float):
+    """Node values and second-order central differences (u_x, u_y) of
+    ``u`` on the interior nodes of its grid (the first two axes; a
+    trailing axis is carried along).  These are, bit for bit, the interior
+    rows of numpy's ``gradient`` with ``edge_order=2``."""
     c = u[1:-1, 1:-1]
     ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2 * hx)
     uy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2 * hy)
+    return c, ux, uy
+
+
+def _interior_derivatives(u: np.ndarray, hx: float, hy: float):
+    """Node values and second-order central differences (u_x, u_y, u_xx,
+    u_yy, u_xy) of ``u`` on the interior nodes of its grid."""
+    c, ux, uy = _interior_gradient(u, hx, hy)
     uxx = (u[2:, 1:-1] - 2 * c + u[:-2, 1:-1]) / hx ** 2
     uyy = (u[1:-1, 2:] - 2 * c + u[1:-1, :-2]) / hy ** 2
     uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * hx * hy)

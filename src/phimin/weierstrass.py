@@ -48,7 +48,8 @@ from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
 from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
-                       _interior_derivatives, grid_from_table, grid_rows,
+                       _interior_derivatives, _interior_gradient,
+                       grid_from_table, grid_rows,
                        mean_curvature_residual, read_table, staircase,
                        uniform_spacing, write_table)
 
@@ -72,15 +73,19 @@ _SINGULAR_LOCUS_TOL = 1e-8
 # The largest field PDE residual a Gauss field may have: the bound of
 # solve_bjorling's certificate and of verify's check of a field artifact.
 FIELD_RESIDUAL_BOUND = 1e-3
-# Nodes in one row block of the field checks (gauss_pde_residual, the
-# first-order defects, reconstruction_residuals), whose temporaries span a
-# block, not the grid.  Blocks of 8192 or 32768 nodes were not faster on
-# all three checks at 441 x 331.
+# Nodes in one slab of the field checks (gauss_pde_residual,
+# reconstruction_residuals), whose temporaries span a slab, not the grid.
+# Slabs of 8192 or 32768 nodes were not faster on all the checks at
+# 441 x 331.
 _BLOCK_NODES = 16384
 # Upper bounds on Cauchy data, checked before any series work, whose cost
 # grows steeply with the truncation degree and the coefficients per row.
 MAX_DEGREE = 32
 MAX_TERMS = 64
+# The sups reconstruction_residuals returns, in this order.
+_RECONSTRUCTION_KEYS = ("conformal_defect", "gauss_map_defect",
+                        "null_defect", "pairing_defect", "split_defect_x",
+                        "split_defect_y", "gradient_defect")
 
 
 @dataclass
@@ -164,9 +169,9 @@ def gauss_pde_residual(field: GaussField) -> float:
     """
     G, k = field.G, field.k_param
     sups = []
-    for _, _, a, b, _ in _row_blocks(*G.shape):
-        c, gu, gv, guu, gvv, _ = _interior_derivatives(G[a:b], field.hu,
-                                                       field.hv)
+    for a, b in _row_blocks(*G.shape):
+        c, gu, gv, guu, gvv = _interior_derivatives(G[a:b], field.hu,
+                                                    field.hv)[:5]
         D = 1.0 - np.abs(c) ** 4
         if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
             raise NumericalError("|G| = 1 at a stencil node")
@@ -181,29 +186,14 @@ def gauss_pde_residual(field: GaussField) -> float:
 
 
 def _row_blocks(n: int, m: int):
-    """The row blocks of an (n, m) grid that the field checks run over:
-    (lo, hi, a, b, inner) for rows lo:hi, about ``_BLOCK_NODES`` nodes and
-    never fewer than 3 rows, the slab a:b that adds the row on each side
-    where the grid has one, and the slice of rows lo:hi that is interior
-    to the grid.  Differences of the slab, sliced back to lo:hi, are bit
-    for bit those of the whole grid: interior rows see the same
-    neighbours, and rows 0 and n - 1 the same one-sided formula."""
-    step = max(3, _BLOCK_NODES // m)
-    lo = 0
-    while lo < n:
-        hi = n if n - lo < step + 3 else lo + step
-        yield (lo, hi, max(lo - 1, 0), min(hi + 1, n),
-               (slice(max(lo, 1) - lo, min(hi, n - 1) - lo), slice(1, -1)))
-        lo = hi
-
-
-def _gradients(f: np.ndarray, block: tuple, hu: float,
-               hv: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows lo:hi of ``np.gradient(f, h, axis, edge_order=2)`` along u and
-    along v, from the slab of the row block ``(lo, hi, a, b, inner)``."""
-    lo, hi, a, b, _ = block
-    return (np.gradient(f[a:b], hu, axis=0, edge_order=2)[lo - a:hi - a],
-            np.gradient(f[lo:hi], hv, axis=1, edge_order=2))
+    """The slabs a:b of an (n, m) grid that the field checks run over:
+    their interior rows a + 1 .. b - 2 tile the grid's interior rows
+    1 .. n - 2 once, about ``_BLOCK_NODES`` nodes a slab.  A slab has at
+    least 3 rows, and its interior stencil is bit for bit that of the
+    whole grid: every interior row sees the same neighbours."""
+    step = max(1, _BLOCK_NODES // m - 2)
+    for lo in range(1, n - 1, step):
+        yield lo - 1, min(lo + step, n - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +262,11 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     ``rotational_gauss_field`` and ``solve_bjorling`` do), those are used
     at their own node.
 
-    The returned mesh stores verification metrics in ``meta``:
-    ``conformal_defect`` (relative anisotropy of the induced metric),
-    ``gauss_map_defect`` (sup distance between G and the stereographic
-    image of the discrete normal) and ``mean_curvature_residual`` (sup of
-    the cotangent-formula curvature defect against the matching weight).
+    The returned mesh stores verification metrics in ``meta``: the sups
+    of ``reconstruction_residuals``, ``conformal_defect`` and
+    ``gauss_map_defect`` at the top level and the five others as the dict
+    ``identity_residuals``, and ``mean_curvature_residual`` (sup of the
+    cotangent-formula curvature defect against the matching weight).
     """
     nu, nv = field.shape
     points, pinned = _immersion(field, base, anchor)
@@ -286,7 +276,10 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
                        signature=EUCLIDEAN,
                        meta={"kind": "weierstrass-representation",
                              **pinned})
-    mesh.meta.update(_first_order_defects(points, field))
+    sups = reconstruction_residuals(mesh, field)
+    mesh.meta.update(conformal_defect=sups.pop("conformal_defect"),
+                     gauss_map_defect=sups.pop("gauss_map_defect"),
+                     identity_residuals=sups)
     prof = _weight_profile_for(field.k_param, points[..., 2])
     if prof is not None:
         res = mean_curvature_residual(mesh, prof)
@@ -406,41 +399,18 @@ def _path_integrals(field: GaussField, base: Optional[complex]
     return ib, jb, psi, max(gaps)
 
 
-def _first_order_defects(points: np.ndarray, field: GaussField
-                         ) -> Dict[str, float]:
-    """``conformal_defect`` and ``gauss_map_defect`` of the (nu, nv, 3)
-    points against the field, as maxima over row blocks."""
-    conformal, gauss_map = [], []
-    for block in _row_blocks(*field.shape):
-        lo, hi, _, _, inner = block
-        pu, pv = _gradients(points, block, field.hu, field.hv)
-        ee = np.einsum("ijk,ijk->ij", pu, pu)[inner]
-        gg = np.einsum("ijk,ijk->ij", pv, pv)[inner]
-        ff = np.einsum("ijk,ijk->ij", pu, pv)[inner]
-        lam2 = 0.5 * (ee + gg)
-        conformal.append(
-            (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff)) / lam2).max())
-
-        nrm = np.cross(pv, pu)[inner]
-        nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-        ok = 1.0 + nrm[..., 2] > 1e-6
-        G = field.G[lo:hi][inner]
-        grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
-                        / np.where(ok, 1.0 + nrm[..., 2], 1.0), G)
-        gauss_map.append(np.abs(grec - G).max())
-    # np.max, not max: a NaN in any block is the maximum, as over the grid
-    return {"conformal_defect": float(np.max(conformal)),
-            "gauss_map_defect": float(np.max(gauss_map))}
-
-
 def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
                              ) -> Dict[str, float]:
     """Discrete defects of the first-order representation identities.
 
-    Takes a mesh produced by ``integrate_representation`` and the field it
-    was built from, and returns the sup over the interior nodes of each
-    residual of the identities tying ``psi_zeta`` to the field:
+    Takes a mesh produced by ``integrate_representation`` (which runs this
+    check once into its ``meta``) and the field it was built from, and
+    returns the sup over the interior nodes of each defect:
 
+    * ``conformal_defect``: max(|E - G|, 2 |F|) / ((E + G)/2), the relative
+      anisotropy of the induced metric;
+    * ``gauss_map_defect``: G against the stereographic image of the
+      discrete normal;
     * ``null_defect``: psi1_z^2 + psi2_z^2 + psi3_z^2 (isotropy of the
       conformal immersion);
     * ``pairing_defect``: psi3_z - G * (psi1_z - i psi2_z);
@@ -449,41 +419,60 @@ def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField
     * ``gradient_defect``: 4 G_zetabar - dphi(psi3) * conj(psi1_z - i
       psi2_z) * (1 - |G|^4), the equation that propagates the field.
 
-    All five vanish at discretization order on an exact reconstruction and
-    are invariant under the free constants (translation for k = 1,
-    homothety and horizontal translation otherwise).
+    All seven vanish at discretization order on an exact reconstruction
+    and are invariant under the free constants (translation for k = 1,
+    homothety and horizontal translation otherwise).  One pass over the
+    row blocks differentiates each slab of the points and of the field
+    once.
     """
-    k = field.k_param
     points = mesh.vertices.reshape(*field.shape, 3)
-    sups = {key: [] for key in ("null_defect", "pairing_defect",
-                                "split_defect_x", "split_defect_y",
-                                "gradient_defect")}
-    for block in _row_blocks(*field.shape):
-        lo, hi, _, _, inner = block
-        pu, pv = _gradients(points, block, field.hu, field.hv)
-        psi_z = 0.5 * (pu[inner] - 1j * pv[inner])
-        del pu, pv
-        p1, p2, p3 = psi_z[..., 0], psi_z[..., 1], psi_z[..., 2]
-        fh = p1 - 1j * p2
-
-        gu, gv = _gradients(field.G, block, field.hu, field.hv)
-        gzb = 0.5 * (gu[inner] + 1j * gv[inner])
-        del gu, gv
-        G = field.G[lo:hi][inner]
-        D = 1.0 - np.abs(G) ** 4
-        z = points[lo:hi, :, 2][inner]
-        dphi = np.ones_like(z) if k == 1.0 else (2.0 / (k - 1.0)) / z
-
-        sups["null_defect"].append(np.abs(p1 ** 2 + p2 ** 2 + p3 ** 2).max())
-        sups["pairing_defect"].append(np.abs(p3 - G * fh).max())
-        sups["split_defect_x"].append(
-            np.abs(p1 - 0.5 * fh * (1.0 - G ** 2)).max())
-        sups["split_defect_y"].append(
-            np.abs(p2 - 0.5j * fh * (1.0 + G ** 2)).max())
-        sups["gradient_defect"].append(
-            np.abs(4.0 * gzb - dphi * np.conj(fh) * D).max())
+    blocks = [_block_residuals(points[a:b], field.G[a:b], field.hu, field.hv,
+                               field.k_param)
+              for a, b in _row_blocks(*field.shape)]
     # np.max, not max: a NaN in any block is the maximum, as over the grid
-    return {key: float(np.max(vals)) for key, vals in sups.items()}
+    return {key: float(np.max(sups))
+            for key, sups in zip(_RECONSTRUCTION_KEYS, zip(*blocks))}
+
+
+def _block_residuals(points: np.ndarray, G: np.ndarray, hu: float,
+                     hv: float, k: float) -> Tuple[float, ...]:
+    """The sups of ``reconstruction_residuals``, in the order of
+    ``_RECONSTRUCTION_KEYS``, over the interior nodes of one slab of the
+    points and of the field.  Each temporary is freed once read, and all
+    die on return, before the next slab is differentiated."""
+    c, pu, pv = _interior_gradient(points, hu, hv)
+    ee = np.einsum("ijk,ijk->ij", pu, pu)
+    gg = np.einsum("ijk,ijk->ij", pv, pv)
+    ff = np.einsum("ijk,ijk->ij", pu, pv)
+    lam2 = 0.5 * (ee + gg)
+    conformal = (np.maximum(np.abs(ee - gg), 2.0 * np.abs(ff)) / lam2).max()
+    del ee, gg, ff, lam2
+
+    g = G[1:-1, 1:-1]
+    nrm = np.cross(pv, pu)
+    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
+    ok = 1.0 + nrm[..., 2] > 1e-6
+    grec = np.where(ok, -(nrm[..., 0] + 1j * nrm[..., 1])
+                    / np.where(ok, 1.0 + nrm[..., 2], 1.0), g)
+    gauss_map = np.abs(grec - g).max()
+    del nrm, ok, grec
+
+    # psi_zeta one coordinate at a time
+    p1, p2, p3 = (0.5 * (pu[..., i] - 1j * pv[..., i]) for i in range(3))
+    del pu, pv
+    fh = p1 - 1j * p2
+    _, gu, gv = _interior_gradient(G, hu, hv)
+    gzb = 0.5 * (gu + 1j * gv)
+    del gu, gv
+    z = c[..., 2]
+    dphi = np.ones_like(z) if k == 1.0 else (2.0 / (k - 1.0)) / z
+    return (conformal, gauss_map,
+            np.abs(p1 ** 2 + p2 ** 2 + p3 ** 2).max(),
+            np.abs(p3 - g * fh).max(),
+            np.abs(p1 - 0.5 * fh * (1.0 - g ** 2)).max(),
+            np.abs(p2 - 0.5j * fh * (1.0 + g ** 2)).max(),
+            np.abs(4.0 * gzb - dphi * np.conj(fh) * (1.0 - np.abs(g) ** 4))
+            .max())
 
 
 def rotational_gauss_field(curve: ProfileCurve, k_param: float,

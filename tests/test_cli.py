@@ -921,7 +921,7 @@ def _values(key):
 def _hostile_runs(draw):
     command = draw(st.sampled_from(sorted(_DEFAULTS)))
     params = dict(_SMALL.get(command, {}))
-    keys = sorted(set(_DEFAULTS[command]) | {"tol", "format", "seed"})
+    keys = sorted(_DEFAULTS[command])
     for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                              unique=True)):
         params[key] = draw(_values(key))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import ConvexHull
 
 from phimin import make_builtin, surfaces
@@ -63,6 +64,32 @@ def round_cylinder_mesh(radius=1.0, n_s=40, nt=60):
 
 
 # -- patches and finite-difference oracles ----------------------------------
+
+
+# every node drawn on its own (no repeated fill), mostly of moderate size
+_NODE = {np.float64: st.floats(-1e3, 1e3) | st.floats(),
+         np.complex128: st.complex_numbers(max_magnitude=1e3)
+         | st.complex_numbers()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=st.tuples(st.sampled_from(sorted(_NODE, key=str)),
+                   st.integers(3, 9), st.integers(3, 9),
+                   st.sampled_from([(), (3,)])).flatmap(
+           lambda d: hnp.arrays(d[0], d[1:3] + d[3], elements=_NODE[d[0]],
+                                fill=st.nothing())),
+       hx=st.floats(1e-6, 1e6), hy=st.floats(1e-6, 1e6))
+def test_interior_gradient_is_the_interior_of_np_gradient(u, hx, hy):
+    # the one interior stencil is, bit for bit, the rows np.gradient keeps
+    # between its one-sided border rows, on grids and on stacked points
+    with np.errstate(all="ignore"):
+        c, ux, uy = surfaces._interior_gradient(u, hx, hy)
+        gx = np.gradient(u, hx, axis=0, edge_order=2)[1:-1, 1:-1]
+        gy = np.gradient(u, hy, axis=1, edge_order=2)[1:-1, 1:-1]
+    assert c.tobytes() == u[1:-1, 1:-1].tobytes()
+    assert ux.dtype == uy.dtype == u.dtype
+    assert ux.tobytes() == gx.tobytes()
+    assert uy.tobytes() == gy.tobytes()
 
 
 def test_fe_residual_on_closed_form():

@@ -190,18 +190,16 @@ def test_reconstruction_peak_memory():
 
 def test_field_check_peak_memory():
     # one integrand and its routes at a time, and the field checks over
-    # row blocks: 158, 103 and 118 B a node, against 238, 160 and 181
-    # over the whole grid; returning sups, not grids, the PDE residual
-    # and the identities hold 102 and 121 B a node, against 118 and 203
+    # row blocks, returning sups: about 158 B a node for the path
+    # integrals, 102 for the PDE residual and 79 for the one pass of the
+    # seven reconstruction sups, whose slab temporaries die before the
+    # next slab is differentiated
     f = reaper_field(201, 151)
     mesh = integrate_representation(f)
-    points = mesh.vertices.reshape(*f.shape, 3)
     assert traced_peak(weierstrass._path_integrals, f, None) \
         <= 175 * f.G.size
-    assert traced_peak(weierstrass._first_order_defects, points, f) \
-        <= 115 * f.G.size
     assert traced_peak(gauss_pde_residual, f) <= 110 * f.G.size
-    assert traced_peak(reconstruction_residuals, mesh, f) <= 130 * f.G.size
+    assert traced_peak(reconstruction_residuals, mesh, f) <= 85 * f.G.size
 
 
 def test_grid_faces_peak_memory():
@@ -391,8 +389,8 @@ def whole_grid_checks(f, mesh):
 @pytest.mark.parametrize("family", ["reaper", "log"])
 def test_row_blocks_match_the_whole_grid_bit_for_bit(rows, family,
                                                      log1_roof, monkeypatch):
-    # 41 and 82 rows in blocks of 3 or 4 leave a remainder of 1 or 2
-    # rows, which joins the last block
+    # slabs of 3 or 4 rows hold 1 or 2 interior rows; the 39 interior rows
+    # of the 41-row grid leave a last slab of 3 rows
     if family == "reaper":
         f = reaper_field(41, 31)
     else:
@@ -402,26 +400,30 @@ def test_row_blocks_match_the_whole_grid_bit_for_bit(rows, family,
     pde, defects, identities, psi, disagreement = whole_grid_checks(f, mesh)
     monkeypatch.setattr(weierstrass, "_BLOCK_NODES", rows * f.shape[1])
     blocks = list(weierstrass._row_blocks(*f.shape))
-    assert len(blocks) == f.shape[0] // rows
-    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-    assert blocks[0][0] == 0 and blocks[-1][1] == f.shape[0]
-    assert min(hi - lo for lo, hi, *_ in blocks) >= 3
+    # the slab interiors tile rows 1 .. n - 2 exactly once
+    assert [i for a, b in blocks for i in range(a + 1, b - 1)] \
+        == list(range(1, f.shape[0] - 1))
+    assert min(b - a for a, b in blocks) >= 3
+    assert len(blocks) == -(-(f.shape[0] - 2) // (rows - 2))
 
     def sup(arr):
         return np.max(np.abs(arr[1:-1, 1:-1]))
 
+    want = {**defects, **{key: float(sup(arr))
+                          for key, arr in identities.items()}}
     assert np.float64(gauss_pde_residual(f)).tobytes() == sup(pde).tobytes()
-    assert weierstrass._first_order_defects(
-        mesh.vertices.reshape(*f.shape, 3), f) == defects
     got = reconstruction_residuals(mesh, f)
-    assert got.keys() == identities.keys()
-    for key, arr in identities.items():
-        assert np.float64(got[key]).tobytes() == sup(arr).tobytes(), key
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert np.float64(got[key]).tobytes() \
+            == np.float64(value).tobytes(), key
     _, _, got_psi, got_disagreement = weierstrass._path_integrals(f, None)
     assert [p.tobytes() for p in got_psi] == [p.tobytes() for p in psi]
     assert got_disagreement == disagreement
-    for key in defects:
-        assert mesh.meta[key] == defects[key]
+    # the mesh's meta holds the same seven sups, from the default slabs
+    assert {key: mesh.meta[key] for key in defects} == defects
+    assert mesh.meta["identity_residuals"] == {key: want[key]
+                                               for key in identities}
 
 
 def test_unit_modulus_in_a_later_block_is_refused(monkeypatch):
@@ -484,12 +486,13 @@ def test_representation_identities_vanish_at_discretization_order():
         f = reaper_field(n_u=n_u, n_v=n_v)
         mesh = integrate_representation(f, anchor=(0.0, 0.0, 0.0))
         sups.append(reconstruction_residuals(mesh, f))
-        assert set(sups[-1]) == {"null_defect", "pairing_defect",
+        assert set(sups[-1]) == {"conformal_defect", "gauss_map_defect",
+                                 "null_defect", "pairing_defect",
                                  "split_defect_x", "split_defect_y",
                                  "gradient_defect"}
         inner.append({k: float(np.abs(a[2:-2, 2:-2]).max())
                       for k, a in whole_grid_checks(f, mesh)[2].items()})
-    for key in sups[1]:
+    for key in inner[1]:
         assert sups[1][key] < 5e-4, key
         assert inner[0][key] / inner[1][key] > 3.0, key
 
