@@ -2,20 +2,20 @@
 
 Every subcommand reads a flat ``key = value`` configuration (file via
 ``--config``, inline overrides via ``--param key=value``, dedicated flags for
-the common knobs), resolves it against per-command defaults, and writes its
-artifacts plus a ``report.json`` into the output directory.  Artifacts are
-self-describing: CSV files carry comment headers with the artifact kind, the
-generating command, the weight profile, and the sha256 of the fully resolved
-configuration, so ``verify`` can re-run the matching residual oracle on them
-without any side channel.  All numeric text uses 17 significant digits in
-lowercase scientific notation and no artifact embeds timestamps, so identical
-configurations produce byte-identical files.
+the common knobs), parses each key by the type its record in ``COMMANDS``
+declares, and writes its artifacts plus a ``report.json`` into the output
+directory.  Artifacts are self-describing: CSV files carry comment headers
+with the artifact kind, the generating command, the weight profile, and the
+sha256 of the fully resolved configuration, so ``verify`` can re-run the
+matching residual oracle on them without any side channel.  All numeric text
+uses 17 significant digits in lowercase scientific notation and no artifact
+embeds timestamps, so identical configurations produce byte-identical files.
 
 Exit protocol: 0 on success, 1 for validation errors (bad flags, malformed
 configs, inputs outside scope), 2 for numerical failures (divergence, residual
 above threshold, singular transforms, arithmetic and linear-algebra errors).
-Both failure paths leave a machine readable ``error.json`` next to the other
-outputs when the directory is writable.
+Both failure paths, usage errors included, leave a machine readable
+``error.json`` next to the other outputs when the directory is writable.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ from .weierstrass import (FIELD_RESIDUAL_BOUND, bjorling_from_json,
                           integrate_representation, load_gauss_field,
                           rotational_gauss_field, save_gauss_field,
                           solve_bjorling)
-
-_FORMATS = ("obj", "ply", "csv")
-
 
 def _fmt(x) -> str:
     """Canonical numeric text: 17 significant digits, lowercase scientific."""
@@ -114,12 +111,10 @@ def profile_from_spec(text: str) -> WeightProfile:
         domain_text = kv.get("domain", "-inf,inf")
         params = {"dphi": expr, "domain_spec": domain_text}
         extra = {}
-        if "anchor" in kv:
-            extra["anchor"] = float(kv["anchor"])
-            params["anchor_spec"] = kv["anchor"]
-        if "growth_alpha" in kv:
-            extra["growth_alpha"] = float(kv["growth_alpha"])
-            params["growth_alpha_spec"] = kv["growth_alpha"]
+        for key in ("anchor", "growth_alpha"):
+            if key in kv:
+                extra[key] = float(kv[key])
+                params[f"{key}_spec"] = kv[key]
         if "asymptote" in kv:
             extra["asymptote"] = _parse_float_pair(kv["asymptote"],
                                                    "asymptote")
@@ -158,167 +153,137 @@ def profile_to_spec(profile: WeightProfile) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: Dict[str, Dict[str, str]] = {
-    "profile": {"profile": "linear slope=1", "u0": "0", "x_max": "1",
-                "tol": "1e-10", "n_samples": "801"},
-    "lambda": {"profile": "linear slope=1", "u0": "0"},
-    "bowl": {"profile": "linear slope=1", "z0": "0", "s_max": "4",
-             "tol": "1e-10", "n_samples": "1201", "n_theta": "129",
-             "r_window": "", "format": "obj"},
-    "catenoid": {"profile": "linear slope=1", "x0": "1", "z0": "1",
-                 "s_max": "4", "tol": "1e-10", "n_samples": "1201",
-                 "n_theta": "129", "format": "obj"},
-    "tilt": {"profile": "linear slope=1", "u0": "0", "x_max": "1",
-             "angle": "0.7853981633974483", "y_half": "1", "tol": "1e-10",
-             "n_samples": "801", "n_rulings": "41", "format": "obj"},
-    "calabi-to-l3": {"profile": "linear slope=1", "patch": "reaper",
-                     "u0": "0", "x_max": "1.3", "half_x": "1.2",
-                     "half_y": "1.2", "z0": "0.5", "s_max": "6",
-                     "halfwidth": "1.0", "tol": "1e-10", "grid": "121x121"},
-    "calabi-to-r3": {"input": "", "source": ""},
-    "weierstrass": {"profile": "linear slope=1", "k": "1", "z0": "0.5",
-                    "s_max": "6", "s_lo": "1", "s_hi": "4", "v_half": "1",
-                    "grid": "161x121", "input": "", "base": "", "anchor": "",
-                    "format": "obj"},
-    "bjorling": {"data": "", "halfwidth": "0.5", "grid": "201x201",
-                 "reconstruct": "true", "format": "obj"},
-    "verify": {"input": "", "tol": ""},
-}
+class Key(NamedTuple):
+    """One config key of a command: the canonical string it takes when
+    nothing sets it (``config_sha256`` hashes the strings), its type (a
+    key of ``_PARSERS``) and its domain.  A key whose default is empty is
+    optional, and empty text reads as None."""
+    default: str
+    type: str
+    positive: bool = False          # number: above zero
+    finite: bool = False            # number: not infinite
+    minimum: int = 1                # integer: the least value
+    limit: Optional[int] = None     # integer: the largest; grid: most nodes
+    arity: int = 0                  # tuple: how many numbers
+    choices: Tuple[str, ...] = ()   # choice: the words it takes
 
-# Upper bounds on sizes, checked before anything is allocated.
-SIZE_LIMITS = {"n_samples": 20_000, "n_theta": 2_048, "n_rulings": 2_048}
-GRID_NODES = 1_000_000
+    def parse(self, key: str, text: str):
+        """The typed value of ``text``, checked against the domain."""
+        if not text and not self.default:
+            return None
+        return _PARSERS[self.type](key, self, text)
 
-# Gallery presets: complete parameter sets for the stock examples.  Each
-# belongs to one subcommand; ``--preset`` refuses to cross-apply them.
-PRESETS: Dict[str, Tuple[str, Dict[str, str]]] = {
-    "grim-reaper-cylinder": ("tilt", {
-        "profile": "linear slope=1", "angle": "0", "x_max": "1.45",
-        "y_half": "2", "n_rulings": "41"}),
-    "tilted-grim-reaper": ("tilt", {
-        "profile": "linear slope=1", "angle": "0.7853981633974483",
-        "x_max": "1.45", "y_half": "2", "n_rulings": "41"}),
-    "bowl-exp-weight": ("bowl", {
-        "profile": "custom dphi=exp(-1/z) domain=0.01,inf growth_alpha=0 "
-                   "asymptote=0,1",
-        "z0": "1", "s_max": "8"}),
-    "bowl-quadratic-weight": ("bowl", {
-        "profile": "custom dphi=z**2 domain=0,inf growth_alpha=2",
-        "z0": "1", "s_max": "8"}),
-    "catenoid-exp-weight": ("catenoid", {
-        "profile": "custom dphi=exp(-1/z) domain=0.01,inf growth_alpha=0 "
-                   "asymptote=0,1",
-        "x0": "1", "z0": "2", "s_max": "6"}),
-    "lorentz-soliton-pair": ("calabi-to-l3", {
-        "profile": "linear slope=1", "patch": "reaper", "x_max": "1.3",
-        "half_x": "1.2", "half_y": "1.2", "grid": "121x121"}),
-    "lorentz-winglike-pair": ("calabi-to-l3", {
-        "profile": "linear slope=1", "patch": "bowl", "z0": "0.5",
-        "s_max": "6", "halfwidth": "1.0", "grid": "121x121"}),
-}
+
+def _convert(convert: Callable, key: str, text: str, what: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} needs {what}, got "
+                         f"{text!r}") from exc
+
+
+def _parse_number(key: str, spec: Key, text: str) -> float:
+    val = _convert(float, key, text, "a number")
+    if spec.positive and not val > 0:
+        raise ValueError(f"config key {key!r} must be positive, got {val}")
+    if spec.finite and not math.isfinite(val):
+        # an infinite tolerance stalls the ODE step control
+        raise ValueError(f"config key {key!r} must be finite")
+    return val
+
+
+def _parse_integer(key: str, spec: Key, text: str) -> int:
+    val = _convert(int, key, text, "an integer")
+    if val < spec.minimum:
+        raise ValueError(f"config key {key!r} must be >= {spec.minimum}, "
+                         f"got {val}")
+    if val > spec.limit:
+        raise ValueError(f"config key {key!r} must be <= {spec.limit}, "
+                         f"got {val}")
+    return val
+
+
+def _parse_grid(key: str, spec: Key, text: str) -> Tuple[int, int]:
+    parts = text.lower().split("x")
+    if len(parts) != 2:
+        raise ValueError(f"grid must look like NxM, got {text!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"grid must hold integers, got {text!r}") from exc
+    if n < 3 or m < 3:
+        raise ValueError(f"grid needs at least 3 nodes per axis, "
+                         f"got {n}x{m}")
+    if n * m > spec.limit:
+        raise ValueError(f"grid may have at most {spec.limit} nodes, "
+                         f"got {n}x{m}")
+    return n, m
+
+
+def _parse_flag(key: str, spec: Key, text: str) -> bool:
+    text = text.lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"config key {key!r} needs a boolean, got {text!r}")
+
+
+def _parse_tuple(key: str, spec: Key, text: str) -> Tuple[float, ...]:
+    parts = text.split(",")
+    if len(parts) != spec.arity:
+        raise ValueError(f"config key {key!r} needs {spec.arity} comma "
+                         f"separated numbers, got {text!r}")
+    return tuple(float(p) for p in parts)
+
+
+def _parse_choice(key: str, spec: Key, text: str) -> str:
+    if text not in spec.choices:
+        raise ValueError(f"{key} must be one of {', '.join(spec.choices)}, "
+                         f"got {text!r}")
+    return text
+
+
+_PARSERS: Dict[str, Callable[[str, Key, str], object]] = {
+    "number": _parse_number, "integer": _parse_integer, "grid": _parse_grid,
+    "weight": lambda key, spec, text: profile_from_spec(text),
+    "flag": _parse_flag, "path": lambda key, spec, text: Path(text),
+    "tuple": _parse_tuple, "choice": _parse_choice}
 
 
 class RunConfig:
     """Fully resolved run configuration.
 
-    ``values`` maps every key to its canonical string form; the output
-    directory is deliberately excluded from the hash so rerunning the same
-    configuration into a different directory yields byte-identical artifacts.
+    ``values`` maps every key to its canonical string form, and
+    ``cfg[key]`` reads the value its type parsed; the output directory is
+    deliberately excluded from the hash so rerunning the same
+    configuration into a different directory yields byte-identical
+    artifacts.
     """
 
-    def __init__(self, command: str, values: Dict[str, str], out_dir: Path):
+    def __init__(self, command: str, values: Dict[str, str], out_dir: Path,
+                 typed: Optional[Dict[str, object]] = None):
         self.command = command
         self.values = dict(values)
         self.out_dir = Path(out_dir)
+        self.typed = dict(typed or {})
+
+    def __getitem__(self, key: str):
+        return self.typed[key]
 
     def sha256(self) -> str:
         lines = [f"command={self.command}"]
         lines += [f"{k}={v}" for k, v in sorted(self.values.items())]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
-    # -- typed getters -----------------------------------------------------
-
-    def text(self, key: str) -> str:
-        return self.values.get(key, "")
-
-    def float_(self, key: str, positive: bool = False) -> float:
-        try:
-            val = float(self.values[key])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"config key {key!r} needs a number, got "
-                             f"{self.values.get(key)!r}") from exc
-        if positive and not val > 0:
-            raise ValueError(f"config key {key!r} must be positive, "
-                             f"got {val}")
-        return val
-
-    def maybe_float(self, key: str, positive: bool = False
-                    ) -> Optional[float]:
-        if not self.values.get(key, ""):
-            return None
-        return self.float_(key, positive=positive)
-
-    def int_(self, key: str, minimum: int = 1) -> int:
-        try:
-            val = int(self.values[key])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"config key {key!r} needs an integer, got "
-                             f"{self.values.get(key)!r}") from exc
-        if val < minimum:
-            raise ValueError(f"config key {key!r} must be >= {minimum}, "
-                             f"got {val}")
-        if val > SIZE_LIMITS.get(key, val):
-            raise ValueError(f"config key {key!r} must be <= "
-                             f"{SIZE_LIMITS[key]}, got {val}")
-        return val
-
-    def grid(self) -> Tuple[int, int]:
-        text = self.values.get("grid", "")
-        parts = text.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"grid must look like NxM, got {text!r}")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"grid must hold integers, got {text!r}") from exc
-        if n < 3 or m < 3:
-            raise ValueError(f"grid needs at least 3 nodes per axis, "
-                             f"got {n}x{m}")
-        if n * m > GRID_NODES:
-            raise ValueError(f"grid may have at most {GRID_NODES} nodes, "
-                             f"got {n}x{m}")
-        return n, m
-
-    def tuple_(self, key: str, n: int) -> Optional[Tuple[float, ...]]:
-        text = self.values.get(key, "")
-        if not text:
-            return None
-        parts = text.split(",")
-        if len(parts) != n:
-            raise ValueError(f"config key {key!r} needs {n} comma separated "
-                             f"numbers, got {text!r}")
-        return tuple(float(p) for p in parts)
-
-    def flag(self, key: str) -> bool:
-        text = self.values.get(key, "").lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r} needs a boolean, got {text!r}")
-
     def input_path(self, key: str, what: str) -> Path:
-        text = self.values.get(key, "")
-        if not text:
+        path = self[key]
+        if path is None:
             raise ValueError(f"{self.command} needs {key}=<path to {what}> "
                              "(positional argument, config key, or --param)")
-        path = Path(text)
         if not path.exists():
             raise ValueError(f"{key} path {path} does not exist")
         return path
-
-    def profile(self) -> WeightProfile:
-        return profile_from_spec(self.values["profile"])
 
 
 def _parse_config_file(path: Path) -> Dict[str, str]:
@@ -338,24 +303,20 @@ def _parse_config_file(path: Path) -> Dict[str, str]:
     return out
 
 
-_POSITIONAL_KEY = {"verify": "input", "calabi-to-r3": "input",
-                   "weierstrass": "input", "bjorling": "data"}
+# the keys a command may own that have a flag of their own
+_KEY_FLAGS = {"format": "mesh format", "tol": "tolerance / residual threshold",
+              "grid": "grid as NxM where the command samples a rectangle"}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    values = dict(_DEFAULTS[command])
+    """Defaults, then preset, config file, ``--param``, positional argument
+    and flags; every key is parsed by its type before any work is done."""
+    command = COMMANDS[args.command]
+    values = {key: spec.default for key, spec in command.keys.items()}
     out: Optional[str] = None
 
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}; available: "
-                             + ", ".join(sorted(PRESETS)))
-        preset_command, preset_values = PRESETS[args.preset]
-        if preset_command != command:
-            raise ValueError(f"preset {args.preset!r} belongs to the "
-                             f"{preset_command} command")
-        values.update(preset_values)
+    if getattr(args, "preset", None):
+        values.update(command.presets[args.preset])
 
     if args.config:
         file_values = _parse_config_file(Path(args.config))
@@ -371,41 +332,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         else:
             values[key] = val
 
-    positional = getattr(args, "input", None)
-    if positional:
-        values[_POSITIONAL_KEY[command]] = positional
-
-    if args.format:
-        values["format"] = args.format
-    if args.tol is not None:
-        values["tol"] = args.tol
-    if args.grid:
-        values["grid"] = args.grid
+    if getattr(args, "input", ""):
+        values[command.positional] = args.input
+    for key in _KEY_FLAGS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     if args.out:
         out = args.out
 
-    allowed = set(_DEFAULTS[command])
-    unknown = sorted(set(values) - allowed)
+    unknown = sorted(set(values) - set(command.keys))
     if unknown:
-        raise ValueError(f"unknown config keys for {command}: "
+        raise ValueError(f"unknown config keys for {args.command}: "
                          f"{', '.join(unknown)} (allowed: "
-                         f"{', '.join(sorted(allowed))})")
-
-    cfg = RunConfig(command, values, Path(out or "out"))
-    if cfg.values.get("format", "obj") not in _FORMATS:
-        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, "
-                         f"got {cfg.values['format']!r}")
-    if cfg.values.get("tol", "") and \
-            not math.isfinite(cfg.float_("tol", positive=True)):
-        # an infinite tolerance stalls the ODE step control
-        raise ValueError("config key 'tol' must be finite")
-    if "grid" in _DEFAULTS[command]:
-        cfg.grid()
-    for key in sorted(SIZE_LIMITS.keys() & values.keys()):
-        cfg.int_(key)
-    if "profile" in values:
-        cfg.profile()
-    return cfg
+                         f"{', '.join(sorted(command.keys))})")
+    typed = {key: spec.parse(key, values[key])
+             for key, spec in command.keys.items()}
+    return RunConfig(args.command, values, Path(out or "out"), typed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +356,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _artifact_comments(cfg: RunConfig, kind: str,
                        extra: Sequence[str] = ()) -> list:
-    lines = [f"artifact = {kind}",
-             f"config_sha256 = {cfg.sha256()}",
-             f"command = {cfg.command}"]
-    lines.extend(extra)
-    return lines
+    return [f"artifact = {kind}", f"config_sha256 = {cfg.sha256()}",
+            f"command = {cfg.command}", *extra]
 
 
 def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
@@ -464,13 +403,11 @@ def _patch_from_csv(path: Path, table: Tuple[Dict[str, str], str, np.ndarray]
 def _write_mesh(cfg: RunConfig, mesh: SurfaceMesh, stem: str,
                 extra: Sequence[str] = ()) -> list:
     comments = _artifact_comments(cfg, "mesh", extra)
-    fmt = cfg.values["format"]
-    if fmt == "obj":
-        save_obj(mesh, cfg.out_dir / f"{stem}.obj", comments=comments)
-        return [f"{stem}.obj"]
-    if fmt == "ply":
-        save_ply(mesh, cfg.out_dir / f"{stem}.ply", comments=comments)
-        return [f"{stem}.ply"]
+    fmt = cfg["format"]
+    if fmt != "csv":
+        save = save_obj if fmt == "obj" else save_ply
+        save(mesh, cfg.out_dir / f"{stem}.{fmt}", comments=comments)
+        return [f"{stem}.{fmt}"]
     write_table(cfg.out_dir / f"{stem}.csv",
                 comments + [f"signature = {mesh.signature}"],
                 "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))
@@ -487,14 +424,12 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _jsonable(value):
     """Reports hold canonical strings for floats and drop exotic objects."""
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, np.ndarray):
         if value.size <= 16:
             return [_jsonable(v) for v in value.reshape(-1)]
@@ -509,12 +444,8 @@ def _jsonable(value):
 
 
 def _meta_report(meta: dict) -> dict:
-    out = {}
-    for key, value in meta.items():
-        converted = _jsonable(value)
-        if converted is not None:
-            out[key] = converted
-    return out
+    converted = {key: _jsonable(value) for key, value in meta.items()}
+    return {k: v for k, v in converted.items() if v is not None}
 
 
 def _finish(cfg: RunConfig, artifacts: list, report: dict) -> None:
@@ -570,11 +501,9 @@ def _dual_header(dual: WeightProfile, weight_line: str,
 # ---------------------------------------------------------------------------
 
 def _cmd_profile(cfg: RunConfig) -> int:
-    prof = cfg.profile()
-    curve = solve_catenary(prof, cfg.float_("u0"),
-                           cfg.float_("x_max", positive=True),
-                           tol=cfg.float_("tol", positive=True),
-                           n_samples=cfg.int_("n_samples", minimum=3))
+    prof = cfg["profile"]
+    curve = solve_catenary(prof, cfg["u0"], cfg["x_max"], tol=cfg["tol"],
+                           n_samples=cfg["n_samples"])
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
     report = {"curve_kind": curve.curve_kind,
               "n_samples": curve.n_samples,
@@ -587,7 +516,7 @@ def _cmd_profile(cfg: RunConfig) -> int:
 
 
 def _cmd_lambda(cfg: RunConfig) -> int:
-    rep = compute_lambda(cfg.profile(), cfg.float_("u0"))
+    rep = compute_lambda(cfg["profile"], cfg["u0"])
     report = {"lambda": _fmt(rep.lambda_u0),
               "finite": rep.finite,
               "fitted_constants": _meta_report(rep.fitted_constants),
@@ -597,15 +526,12 @@ def _cmd_lambda(cfg: RunConfig) -> int:
 
 
 def _cmd_bowl(cfg: RunConfig) -> int:
-    prof = cfg.profile()
-    z0 = cfg.float_("z0")
-    window = cfg.tuple_("r_window", 2)
-    curve = solve_bowl(prof, z0, cfg.float_("s_max", positive=True),
-                       tol=cfg.float_("tol", positive=True),
-                       n_samples=cfg.int_("n_samples", minimum=3))
+    prof, z0, window = cfg["profile"], cfg["z0"], cfg["r_window"]
+    curve = solve_bowl(prof, z0, cfg["s_max"], tol=cfg["tol"],
+                       n_samples=cfg["n_samples"])
     _gate_curves(prof, ("curve", curve))
     fit = None if window is None else fit_asymptotics(curve, prof, window)
-    mesh = revolve(curve, cfg.int_("n_theta", minimum=3))
+    mesh = revolve(curve, cfg["n_theta"])
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
     artifacts += _write_mesh(cfg, mesh, "bowl",
                              [f"profile = {profile_to_spec(prof)}"])
@@ -630,21 +556,16 @@ def _cmd_bowl(cfg: RunConfig) -> int:
 
 
 def _cmd_catenoid(cfg: RunConfig) -> int:
-    prof = cfg.profile()
-    right, left = solve_catenoid(prof, cfg.float_("x0", positive=True),
-                                 cfg.float_("z0"),
-                                 cfg.float_("s_max", positive=True),
-                                 tol=cfg.float_("tol", positive=True),
-                                 n_samples=cfg.int_("n_samples", minimum=3))
+    prof = cfg["profile"]
+    right, left = solve_catenoid(prof, cfg["x0"], cfg["z0"], cfg["s_max"],
+                                 tol=cfg["tol"], n_samples=cfg["n_samples"])
     _gate_curves(prof, ("right branch", right), ("left branch", left))
-    n_theta = cfg.int_("n_theta", minimum=3)
     artifacts = [_write_curve_csv(cfg, right, "curve_right.csv"),
                  _write_curve_csv(cfg, left, "curve_left.csv")]
     spec_line = [f"profile = {profile_to_spec(prof)}"]
-    artifacts += _write_mesh(cfg, revolve(right, n_theta), "catenoid_right",
-                             spec_line)
-    artifacts += _write_mesh(cfg, revolve(left, n_theta), "catenoid_left",
-                             spec_line)
+    for curve, stem in ((right, "catenoid_right"), (left, "catenoid_left")):
+        artifacts += _write_mesh(cfg, revolve(curve, cfg["n_theta"]), stem,
+                                 spec_line)
     points = np.column_stack([
         np.concatenate([left.x[::-1], right.x]),
         np.concatenate([left.z[::-1], right.z])])
@@ -657,14 +578,10 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
 
 
 def _cmd_tilt(cfg: RunConfig) -> int:
-    prof = cfg.profile()
-    curve = solve_catenary(prof, cfg.float_("u0"),
-                           cfg.float_("x_max", positive=True),
-                           tol=cfg.float_("tol", positive=True),
-                           n_samples=cfg.int_("n_samples", minimum=3))
-    angle = cfg.float_("angle")
-    y_half = cfg.float_("y_half", positive=True)
-    ny = cfg.int_("n_rulings", minimum=2)
+    prof = cfg["profile"]
+    curve = solve_catenary(prof, cfg["u0"], cfg["x_max"], tol=cfg["tol"],
+                           n_samples=cfg["n_samples"])
+    angle, y_half, ny = cfg["angle"], cfg["y_half"], cfg["n_rulings"]
     mesh = tilt_cylinder(curve, angle, y_range=(-y_half, y_half), ny=ny)
     flat = tilt_cylinder(curve, 0.0, y_range=(-y_half, y_half), ny=ny)
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
@@ -687,22 +604,13 @@ _TRANSFORM_REPORT = ("residual_max", "gradient_pairing_max", "hh_abs_max",
 
 
 def _cmd_calabi_l3(cfg: RunConfig) -> int:
-    prof = cfg.profile()
-    nx, ny = cfg.grid()
-    tol = cfg.float_("tol", positive=True)
-    patch_kind = cfg.text("patch")
+    prof, (nx, ny), patch_kind = cfg["profile"], cfg["grid"], cfg["patch"]
     if patch_kind == "reaper":
-        curve = solve_catenary(prof, cfg.float_("u0"),
-                               cfg.float_("x_max", positive=True), tol=tol)
-        patch = cylinder_patch(curve, cfg.float_("half_x", positive=True),
-                               cfg.float_("half_y", positive=True), nx, ny)
-    elif patch_kind == "bowl":
-        curve = solve_bowl(prof, cfg.float_("z0"),
-                           cfg.float_("s_max", positive=True), tol=tol)
-        patch = rotational_patch(curve, cfg.float_("halfwidth",
-                                                   positive=True), nx, ny)
+        curve = solve_catenary(prof, cfg["u0"], cfg["x_max"], tol=cfg["tol"])
+        patch = cylinder_patch(curve, cfg["half_x"], cfg["half_y"], nx, ny)
     else:
-        raise ValueError(f"patch must be reaper or bowl, got {patch_kind!r}")
+        curve = solve_bowl(prof, cfg["z0"], cfg["s_max"], tol=cfg["tol"])
+        patch = rotational_patch(curve, cfg["halfwidth"], nx, ny)
 
     spec = profile_to_spec(prof)
     lor, dual = to_lorentz(patch, prof)
@@ -738,9 +646,7 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
               "recovered_shape": [len(back.x), len(back.y)],
               **{key: _jsonable(back.meta[key]) for key in _TRANSFORM_REPORT}}
 
-    source_text = cfg.text("source")
-    source_path = (Path(source_text) if source_text
-                   else in_path.parent / "source.csv")
+    source_path = cfg["source"] or in_path.parent / "source.csv"
     if source_path.exists():
         source_patch, _ = _patch_from_csv(source_path,
                                           read_table(source_path))
@@ -784,39 +690,33 @@ _MESH_REPORT = ("path_disagreement", "conformal_defect", "gauss_map_defect",
 
 def _cmd_weierstrass(cfg: RunConfig) -> int:
     artifacts = []
-    base = cfg.tuple_("base", 2)
-    base = None if base is None else complex(*base)
-    anchor = cfg.tuple_("anchor", 3)
-    input_text = cfg.text("input")
-    if input_text:
+    base = None if cfg["base"] is None else complex(*cfg["base"])
+    from_file = cfg["input"] is not None
+    if from_file:
         field = load_gauss_field(cfg.input_path("input", "field CSV"))
     else:
-        prof = cfg.profile()
-        curve = solve_bowl(prof, cfg.float_("z0"),
-                           cfg.float_("s_max", positive=True))
-        n_u, n_v = cfg.grid()
+        curve = solve_bowl(cfg["profile"], cfg["z0"], cfg["s_max"])
+        n_u, n_v = cfg["grid"]
         field = rotational_gauss_field(
-            curve, cfg.float_("k"),
-            (cfg.float_("s_lo"), cfg.float_("s_hi")),
-            n_u=n_u, v_halfwidth=cfg.float_("v_half", positive=True),
-            n_v=n_v)
+            curve, cfg["k"], (cfg["s_lo"], cfg["s_hi"]), n_u=n_u,
+            v_halfwidth=cfg["v_half"], n_v=n_v)
 
     residual = gauss_pde_residual(field)
-    if not input_text:
+    if not from_file:
         # k and the weight are separate keys that must agree (k = 1 for a
         # linear weight, alpha = 2/(k - 1) for log): refuse a built field
         # that verify would reject before writing or integrating it
         threshold = _VERIFIED["u,v,re_g,im_g"].bound
         if not residual <= threshold:
             raise NumericalError(
-                f"the rotational field with k = {cfg.text('k')} does not "
-                f"solve the field equation of the weight "
-                f"'{cfg.text('profile')}': gauss_pde_residual "
+                f"the rotational field with k = {cfg.values['k']} does "
+                f"not solve the field equation of the weight "
+                f"'{cfg.values['profile']}': gauss_pde_residual "
                 f"{_fmt(residual)} above the verify threshold "
                 f"{_fmt(threshold)}; k must belong to the weight")
     # integrate first: a refused base or path check leaves no field on disk
-    mesh = integrate_representation(field, base=base, anchor=anchor)
-    if not input_text:
+    mesh = integrate_representation(field, base=base, anchor=cfg["anchor"])
+    if not from_file:
         save_gauss_field(field, cfg.out_dir / "field.csv",
                          comments=_artifact_comments(cfg, "gauss_field"))
         artifacts.append("field.csv")
@@ -833,12 +733,10 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
 def _cmd_bjorling(cfg: RunConfig) -> int:
     data_path = cfg.input_path("data", "strip data JSON")
     data, k = bjorling_from_json(data_path.read_text(encoding="utf-8"))
-    n_u, n_v = cfg.grid()
-    reconstruct = cfg.flag("reconstruct")
-    field = solve_bjorling(data, k, cfg.float_("halfwidth", positive=True),
-                           n_u=n_u, n_v=n_v)
+    n_u, n_v = cfg["grid"]
+    field = solve_bjorling(data, k, cfg["halfwidth"], n_u=n_u, n_v=n_v)
     # integrate first: a failed reconstruction leaves no field on disk
-    mesh = integrate_representation(field) if reconstruct else None
+    mesh = integrate_representation(field) if cfg["reconstruct"] else None
     save_gauss_field(field, cfg.out_dir / "field.csv",
                      comments=_artifact_comments(cfg, "gauss_field"))
     artifacts = ["field.csv"]
@@ -849,8 +747,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
               "branch": field.meta["branch"],
               "branch_disagreement": _fmt(field.meta["branch_disagreement"])}
     if mesh is not None:
-        artifacts += _write_mesh(cfg, mesh, "surface",
-                                 [f"k = {_fmt(k)}"])
+        artifacts += _write_mesh(cfg, mesh, "surface", [f"k = {_fmt(k)}"])
         report.update((key, _jsonable(mesh.meta[key]))
                       for key in _MESH_REPORT)
     _finish(cfg, artifacts, report)
@@ -951,17 +848,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
         raise ValueError(f"{path} has unrecognized columns {colnames!r}")
     kind, check, bound = _VERIFIED[colnames]
     checks = check(path, meta, colnames, body)
-    threshold = cfg.maybe_float("tol", positive=True) or bound
+    threshold = cfg["tol"] or bound
     max_residual = max(checks.values())
     passed = bool(max_residual <= threshold)
-    doc = {"command": cfg.command,
-           "config_sha256": cfg.sha256(),
-           "input": str(path),
-           "kind": kind,
+    doc = {"command": cfg.command, "config_sha256": cfg.sha256(),
+           "input": str(path), "kind": kind,
            "checks": {k: _fmt(v) for k, v in sorted(checks.items())},
            "max_residual": _fmt(max_residual),
-           "threshold": _fmt(threshold),
-           "passed": passed}
+           "threshold": _fmt(threshold), "passed": passed}
     _write_json(cfg.out_dir / "verify.json", doc)
     status = "PASS" if passed else "FAIL"
     print(f"verify: {status} (max residual {_fmt(max_residual)} vs "
@@ -969,17 +863,123 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if passed else 2
 
 
-_HANDLERS = {
-    "profile": _cmd_profile,
-    "lambda": _cmd_lambda,
-    "bowl": _cmd_bowl,
-    "catenoid": _cmd_catenoid,
-    "tilt": _cmd_tilt,
-    "calabi-to-l3": _cmd_calabi_l3,
-    "calabi-to-r3": _cmd_calabi_r3,
-    "weierstrass": _cmd_weierstrass,
-    "bjorling": _cmd_bjorling,
-    "verify": _cmd_verify,
+# ---------------------------------------------------------------------------
+# the commands
+# ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    """Everything the driver knows of one command: the parser reads the
+    description, the positional key, the flags the keys own and the
+    presets; ``_resolve_config`` the keys; ``main`` the handler."""
+    description: str
+    handler: Callable[[RunConfig], int]
+    keys: Dict[str, Key]
+    positional: Optional[str] = None  # the key a positional argument sets
+    presets: Dict[str, Dict[str, str]] = {}  # name -> values over defaults
+
+
+def _number(default: str) -> Key:
+    return Key(default, "number")
+
+
+def _positive(default: str) -> Key:
+    return Key(default, "number", positive=True)
+
+
+_WEIGHT = Key("linear slope=1", "weight")
+_TOL = Key("1e-10", "number", positive=True, finite=True)
+_FORMAT = Key("obj", "choice", choices=("obj", "ply", "csv"))
+_PATH = Key("", "path")
+_GRID = Key("121x121", "grid", limit=1_000_000)
+_N_SAMPLES = Key("801", "integer", minimum=3, limit=20_000)
+_N_THETA = Key("129", "integer", minimum=3, limit=2_048)
+_EXP_WEIGHT = ("custom dphi=exp(-1/z) domain=0.01,inf growth_alpha=0 "
+               "asymptote=0,1")
+
+# Gallery presets are complete parameter sets for the stock examples; each
+# belongs to the one command whose record holds it.
+COMMANDS: Dict[str, Command] = {
+    "profile": Command(
+        "solve a planar generating curve and export it as CSV", _cmd_profile,
+        {"profile": _WEIGHT, "u0": _number("0"), "x_max": _positive("1"),
+         "tol": _TOL, "n_samples": _N_SAMPLES}),
+    "lambda": Command(
+        "half-width of the maximal catenary interval", _cmd_lambda,
+        {"profile": _WEIGHT, "u0": _number("0")}),
+    "bowl": Command(
+        "rotational graph through the axis, exported as a mesh", _cmd_bowl,
+        {"profile": _WEIGHT, "z0": _number("0"), "s_max": _positive("4"),
+         "tol": _TOL, "n_samples": _N_SAMPLES._replace(default="1201"),
+         "n_theta": _N_THETA, "r_window": Key("", "tuple", arity=2),
+         "format": _FORMAT},
+        presets={
+            "bowl-exp-weight": {"profile": _EXP_WEIGHT, "z0": "1",
+                                "s_max": "8"},
+            "bowl-quadratic-weight": {
+                "profile": "custom dphi=z**2 domain=0,inf growth_alpha=2",
+                "z0": "1", "s_max": "8"}}),
+    "catenoid": Command(
+        "rotational neck solution, both branches", _cmd_catenoid,
+        {"profile": _WEIGHT, "x0": _positive("1"), "z0": _number("1"),
+         "s_max": _positive("4"), "tol": _TOL,
+         "n_samples": _N_SAMPLES._replace(default="1201"),
+         "n_theta": _N_THETA, "format": _FORMAT},
+        presets={"catenoid-exp-weight": {"profile": _EXP_WEIGHT, "x0": "1",
+                                         "z0": "2", "s_max": "6"}}),
+    "tilt": Command(
+        "tilt an extruded catenary cylinder", _cmd_tilt,
+        {"profile": _WEIGHT, "u0": _number("0"), "x_max": _positive("1"),
+         "angle": _number("0.7853981633974483"), "y_half": _positive("1"),
+         "tol": _TOL, "n_samples": _N_SAMPLES,
+         "n_rulings": Key("41", "integer", minimum=2, limit=2_048),
+         "format": _FORMAT},
+        presets={
+            "grim-reaper-cylinder": {
+                "profile": "linear slope=1", "angle": "0", "x_max": "1.45",
+                "y_half": "2", "n_rulings": "41"},
+            "tilted-grim-reaper": {
+                "profile": "linear slope=1", "angle": "0.7853981633974483",
+                "x_max": "1.45", "y_half": "2", "n_rulings": "41"}}),
+    "calabi-to-l3": Command(
+        "transform a Euclidean graph patch to its spacelike dual",
+        _cmd_calabi_l3,
+        {"profile": _WEIGHT,
+         "patch": Key("reaper", "choice", choices=("reaper", "bowl")),
+         "u0": _number("0"), "x_max": _positive("1.3"),
+         "half_x": _positive("1.2"), "half_y": _positive("1.2"),
+         "z0": _number("0.5"), "s_max": _positive("6"),
+         "halfwidth": _positive("1.0"), "tol": _TOL, "grid": _GRID},
+        presets={
+            "lorentz-soliton-pair": {
+                "profile": "linear slope=1", "patch": "reaper",
+                "x_max": "1.3", "half_x": "1.2", "half_y": "1.2",
+                "grid": "121x121"},
+            "lorentz-winglike-pair": {
+                "profile": "linear slope=1", "patch": "bowl", "z0": "0.5",
+                "s_max": "6", "halfwidth": "1.0", "grid": "121x121"}}),
+    "calabi-to-r3": Command(
+        "transform a spacelike patch back to the Euclidean side",
+        _cmd_calabi_r3, {"input": _PATH, "source": _PATH},
+        positional="input"),
+    "weierstrass": Command(
+        "integrate a surface from a unit-disk valued field",
+        _cmd_weierstrass,
+        {"profile": _WEIGHT, "k": _number("1"), "z0": _number("0.5"),
+         "s_max": _positive("6"), "s_lo": _number("1"), "s_hi": _number("4"),
+         "v_half": _positive("1"), "grid": _GRID._replace(default="161x121"),
+         "input": _PATH, "base": Key("", "tuple", arity=2),
+         "anchor": Key("", "tuple", arity=3), "format": _FORMAT},
+        positional="input"),
+    "bjorling": Command(
+        "solve the strip problem from curve and normal data", _cmd_bjorling,
+        {"data": _PATH, "halfwidth": _positive("0.5"),
+         "grid": _GRID._replace(default="201x201"),
+         "reconstruct": Key("true", "flag"), "format": _FORMAT},
+        positional="data"),
+    "verify": Command(
+        "re-run the residual oracle on a saved artifact", _cmd_verify,
+        {"input": _PATH, "tol": _TOL._replace(default="")},
+        positional="input"),
 }
 
 
@@ -1004,38 +1004,38 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Rendering, remote execution, and result caching are out of "
                "scope.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "profile": "solve a planar generating curve and export it as CSV",
-        "lambda": "half-width of the maximal catenary interval",
-        "bowl": "rotational graph through the axis, exported as a mesh",
-        "catenoid": "rotational neck solution, both branches",
-        "tilt": "tilt an extruded catenary cylinder",
-        "calabi-to-l3": "transform a Euclidean graph patch to its spacelike "
-                        "dual",
-        "calabi-to-r3": "transform a spacelike patch back to the Euclidean "
-                        "side",
-        "weierstrass": "integrate a surface from a unit-disk valued field",
-        "bjorling": "solve the strip problem from curve and normal data",
-        "verify": "re-run the residual oracle on a saved artifact",
-    }
-    for name, text in descriptions.items():
-        p = sub.add_parser(name, help=text, description=text)
-        if name in _POSITIONAL_KEY:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.description,
+                           description=command.description)
+        if command.positional:
             p.add_argument("input", nargs="?", default="",
                            help=f"path stored under the "
-                                f"{_POSITIONAL_KEY[name]!r} config key")
+                                f"{command.positional!r} config key")
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--preset", help="named parameter set; see README")
+        if command.presets:
+            p.add_argument("--preset", choices=sorted(command.presets),
+                           help="named parameter set; see README")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--format", choices=_FORMATS,
-                       help="mesh format of the commands that write a "
-                            "mesh (default: obj)")
-        p.add_argument("--tol", help="tolerance / residual threshold")
-        p.add_argument("--grid", help="grid as NxM where the command "
-                                      "samples a rectangle")
+        for key, text in _KEY_FLAGS.items():
+            if key in command.keys:
+                spec = command.keys[key]
+                p.add_argument(f"--{key}", choices=spec.choices or None,
+                               help=f"{text} (default: "
+                                    f"{spec.default or 'unset'})")
     return parser
+
+
+def _argv_out(argv: Sequence[str]) -> Path:
+    """The ``--out`` directory of ``argv``, read as the command's parser
+    reads it, even where that parser refuses the rest; ``out`` without."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--out")
+    try:
+        return Path(parser.parse_known_args(argv)[0].out or "out")
+    except ValueError:
+        return Path("out")
 
 
 def _emit_error(out_dir: Path, command: str, sha: str, err: Exception,
@@ -1054,21 +1054,16 @@ def _emit_error(out_dir: Path, command: str, sha: str, err: Exception,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # read from argv first, so that a usage error keeps the contract too
+    command = argv[0] if argv and argv[0] in COMMANDS else ""
+    out_guess, sha = _argv_out(argv), ""
     try:
-        args = parser.parse_args(argv)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    out_guess = Path(getattr(args, "out", None) or "out")
-    command = getattr(args, "command", "") or ""
-    sha = ""
-    try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(_build_parser().parse_args(argv))
         out_guess = cfg.out_dir
         sha = cfg.sha256()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[cfg.command](cfg)
+        return COMMANDS[cfg.command].handler(cfg)
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as err:
         # ArithmeticError covers overflow, zero division and floating point
         # errors; LinAlgError must map here before its ValueError base does

@@ -167,22 +167,26 @@ def gauss_pde_residual(field: GaussField) -> float:
     smooth exact solution decays like O(h^2).  This is the one oracle the
     reconstruction and the Cauchy solver are both checked against.
     """
-    G, k = field.G, field.k_param
-    sups = []
-    for a, b in _row_blocks(*G.shape):
-        c, gu, gv, guu, gvv = _interior_derivatives(G[a:b], field.hu,
-                                                    field.hv)[:5]
-        D = 1.0 - np.abs(c) ** 4
-        if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
-            raise NumericalError("|G| = 1 at a stencil node")
-        gz = 0.5 * (gu - 1j * gv)
-        gzb = 0.5 * (gu + 1j * gv)
-        sups.append(np.abs(
-            0.25 * (guu + gvv)
-            + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
-            + 2.0 * k * np.abs(gzb) ** 2 / D * c).max())
+    sups = [_block_pde_residual(field.G[a:b], field.hu, field.hv,
+                                field.k_param)
+            for a, b in _row_blocks(*field.shape)]
     # np.max, not max: a NaN in any block is the maximum, as over the grid
     return float(np.max(sups))
+
+
+def _block_pde_residual(G: np.ndarray, hu: float, hv: float,
+                        k: float) -> float:
+    """``gauss_pde_residual`` over the interior nodes of one slab; its
+    temporaries die on return, before the next slab is differentiated."""
+    c, gu, gv, guu, gvv = _interior_derivatives(G, hu, hv)[:5]
+    D = 1.0 - np.abs(c) ** 4
+    if np.any(np.abs(D) < _UNIT_CIRCLE_TOL):
+        raise NumericalError("|G| = 1 at a stencil node")
+    gz = 0.5 * (gu - 1j * gv)
+    gzb = 0.5 * (gu + 1j * gv)
+    return np.abs(0.25 * (guu + gvv)
+                  + 2.0 * np.abs(c) ** 2 / D * np.conj(c) * gz * gzb
+                  + 2.0 * k * np.abs(gzb) ** 2 / D * c).max()
 
 
 def _row_blocks(n: int, m: int):

@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 import phimin
 from phimin import cli
 from phimin.cli import (
-    _DEFAULTS,
-    GRID_NODES,
-    SIZE_LIMITS,
+    COMMANDS,
     main,
     profile_from_spec,
     profile_to_spec,
@@ -191,7 +189,7 @@ def test_validation_failures_exit_one(tmp_path):
                          ("calabi-to-r3", "path_tol"), ("bjorling", "tol"),
                          ("lambda", "tol")):
         assert main([command, "--param", f"{key}=1", "--out", out]) == 1
-    assert main(["profile", "--no-such-flag"]) == 1
+    assert main(["profile", "--no-such-flag", "--out", out]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"]["exit_code"] == 1
 
@@ -201,18 +199,23 @@ _MESH_COMMANDS = ("bowl", "catenoid", "tilt", "weierstrass", "bjorling")
 
 def test_idle_keys_are_refused(tmp_path):
     # a config key exists only where it changes a result: no command takes
-    # a seed, and only the commands that write a mesh take a format
-    for command in sorted(_DEFAULTS):
-        idle = [("seed", ["--param", "seed=1"])]
+    # a seed, and only the commands that write a mesh take a format, so
+    # the others offer no --format flag
+    for command in sorted(COMMANDS):
+        assert ("format" in COMMANDS[command].keys) == \
+            (command in _MESH_COMMANDS), command
+        idle = [("seed", ["--param", "seed=1"],
+                 f"unknown config keys for {command}: seed ")]
         if command not in _MESH_COMMANDS:
-            idle.append(("format", ["--format", "csv"]))
-        for key, argv in idle:
+            # (a command with a positional argument takes csv as its path)
+            idle.append(("format", ["--format", "csv"],
+                         "unrecognized arguments: --format"))
+        for key, argv, says in idle:
             out = tmp_path / command / key
             assert main([command, *argv, "--out", str(out)]) == 1, key
             message = json.loads((out / "error.json").read_text()
                                  )["error"]["message"]
-            assert message.startswith(
-                f"unknown config keys for {command}: {key} "), message
+            assert message.startswith(says), message
     circle = str(_circle_data(tmp_path))
     small = {"bowl": ["--param", "n_samples=41", "--param", "n_theta=8"],
              "catenoid": ["--param", "n_samples=201", "--param", "n_theta=8"],
@@ -226,6 +229,73 @@ def test_idle_keys_are_refused(tmp_path):
                      "--out", str(out)]) == 0, command
         assert read_report(out)["config"]["format"] == "csv"
         assert any(p.name.endswith("_faces.csv") for p in out.iterdir())
+
+
+def test_help_offers_exactly_the_flags_a_command_owns(capsys):
+    # --format, --tol and --grid set the keys of the same names, and
+    # --preset picks one of the command's own presets
+    for command, record in COMMANDS.items():
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        options = set(re.findall(r"^  (?:-h, )?(--[a-z]+)", text, re.M))
+        owned = {f"--{key}" for key in ("format", "tol", "grid")
+                 if key in record.keys}
+        if record.presets:
+            owned.add("--preset")
+            assert "{" + ",".join(sorted(record.presets)) + "}" in text
+        assert options == {"--help", "--config", "--param", "--out",
+                           *owned}, command
+
+
+def test_usage_errors_write_error_json(tmp_path):
+    # argparse refusals keep the contract: exit 1 and error.json in the
+    # --out directory, with the command when argv names one
+    for name, argv, command, says in (
+            ("bogus", ["profile", "--bogus", "1"], "profile",
+             "unrecognized arguments: --bogus 1"),
+            ("format", ["calabi-to-l3", "--format", "ply"], "calabi-to-l3",
+             "unrecognized arguments: --format ply"),
+            ("grid", ["verify", "--grid", "5x5"], "verify",
+             "unrecognized arguments: --grid"),  # 5x5 reads as the input
+            ("tol", ["lambda", "--tol", "1e-3"], "lambda",
+             "unrecognized arguments: --tol 1e-3"),
+            ("preset", ["tilt", "--preset", "bowl-exp-weight"], "tilt",
+             "argument --preset: invalid choice: 'bowl-exp-weight'"),
+            ("command", ["no-such-command"], "",
+             "argument command: invalid choice: 'no-such-command'")):
+        out = tmp_path / name
+        for flag in (["--out", str(out)], [f"--out={out}"]):
+            assert main(argv + flag) == 1, name
+            doc = json.loads((out / "error.json").read_text())
+            assert doc["command"] == command
+            assert doc["config_sha256"] == ""
+            assert doc["error"]["type"] == "ValueError"
+            assert doc["error"]["exit_code"] == 1
+            assert doc["error"]["message"].startswith(says), name
+            shutil.rmtree(out)
+
+
+def test_keys_a_branch_does_not_read_are_checked(tmp_path):
+    # every key is parsed by its type before any work, whichever branch of
+    # the handler runs: the reaper patch reads no halfwidth, and a field
+    # read from a file no s_lo
+    from phimin.weierstrass import rotational_gauss_field, save_gauss_field
+    curve = cli.solve_bowl(profile_from_spec("linear slope=1"), 0.5, 4.0)
+    field = tmp_path / "field.csv"
+    save_gauss_field(rotational_gauss_field(curve, 1.0, (1.0, 3.0), n_u=9,
+                                            v_halfwidth=1.0, n_v=9), field)
+    for name, argv, key in (
+            ("l3", ["calabi-to-l3", "--grid", "41x41", "--param",
+                    "halfwidth=x"], "halfwidth"),
+            ("w", ["weierstrass", str(field), "--param", "s_lo=x"], "s_lo")):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 1, name
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"]["message"] == \
+            f"config key {key!r} needs a number, got 'x'"
 
 
 def test_sizes_above_their_limits_exit_one(tmp_path):
@@ -264,7 +334,8 @@ def test_an_internal_fault_exits_two_with_error_json(tmp_path,
     # an exception outside the mapped families still keeps the contract
     def fault(cfg):
         raise IndexError("index 7 is out of bounds for axis 0 with size 7")
-    monkeypatch.setitem(cli._HANDLERS, "profile", fault)
+    monkeypatch.setitem(cli.COMMANDS, "profile",
+                        cli.COMMANDS["profile"]._replace(handler=fault))
     assert main(["profile", "--out", str(tmp_path)]) == 2
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["error"] == {
@@ -899,32 +970,33 @@ _PROFILES = st.sampled_from([
     "quintic a=1", ""])
 
 
-def _values(key):
-    if key in SIZE_LIMITS:
+def _values(spec):
+    """Hostile text for a key of the table, by its type and domain."""
+    if spec.type == "integer":
         # above the limit, rejected before anything is allocated, or small
-        return st.sampled_from([str(SIZE_LIMITS[key] + 1), "10" * 20,
+        return st.sampled_from([str(spec.limit + 1), "10" * 20,
                                 "3", "0", "-1", "nan", "1e308"])
-    if key == "grid":
-        return st.sampled_from([f"{GRID_NODES + 1}x1", f"3x{GRID_NODES}",
+    if spec.type == "grid":
+        return st.sampled_from([f"{spec.limit + 1}x1", f"3x{spec.limit}",
                                 "100000x100000", "3x3", "2x9", "nanxinf",
                                 "9"])
-    if key == "profile":
+    if spec.type == "weight":
         return _PROFILES
-    if key in ("input", "source", "data"):
+    if spec.type == "path":
         return _PATHS
-    if key in ("r_window", "base", "anchor"):
+    if spec.type == "tuple":
         return st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join)
     return _NUMBERS
 
 
 @st.composite
 def _hostile_runs(draw):
-    command = draw(st.sampled_from(sorted(_DEFAULTS)))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
     params = dict(_SMALL.get(command, {}))
-    keys = sorted(_DEFAULTS[command])
-    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
-                             unique=True)):
-        params[key] = draw(_values(key))
+    keys = COMMANDS[command].keys
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), min_size=1,
+                             max_size=3, unique=True)):
+        params[key] = draw(_values(keys[key]))
     return command, params
 
 
