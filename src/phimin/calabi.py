@@ -26,10 +26,10 @@ from scipy.interpolate import RectBivariateSpline
 from .errors import NumericalError
 from .profiles import (WeightProfile, make_builtin, make_custom,
                        _antiderivative, _invert_monotone, _limit)
-from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, fe_residual,
-                       lfe_residual, _interior_derivatives,
+from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, ambient_sign,
+                       fe_residual, lfe_residual, _interior_derivatives,
                        _interior_gradient, curvature_from_derivatives,
-                       staircase, uniform_spacing)
+                       metric_factor, staircase, uniform_spacing)
 
 __all__ = [
     "ThetaPrimitive", "PotentialPatch", "make_theta", "natural_theta",
@@ -245,23 +245,20 @@ class PotentialPatch:
 
 
 def _hessian_fields(patch: GraphPatch, profile: WeightProfile):
-    """Prescribed second derivatives of the potential, per signature."""
+    """Prescribed second derivatives of the potential: e^phi (I + s du du^T)
+    / W in the ambient form of sign s."""
     profile.require_inside(patch.u, "patch heights")
     ux, uy = patch.gradients()
     weight = np.exp(np.asarray(profile.phi(patch.u), dtype=float))
-    if patch.signature == EUCLIDEAN:
-        w = np.sqrt(1.0 + ux ** 2 + uy ** 2)
-        hxx = weight * (1.0 + ux ** 2) / w
-        hxy = weight * ux * uy / w
-        hyy = weight * (1.0 + uy ** 2) / w
-    else:
-        w2 = 1.0 - ux ** 2 - uy ** 2
-        if np.any(w2 <= 0.0):
-            raise ValueError("patch is not spacelike up to the border")
-        w = np.sqrt(w2)
-        hxx = weight * (1.0 - ux ** 2) / w
-        hxy = -weight * ux * uy / w
-        hyy = weight * (1.0 - uy ** 2) / w
+    s = ambient_sign(patch.signature)
+    # GraphPatch checks the interior slopes only, not the one-sided border
+    w2 = metric_factor(s, ux, uy)
+    if np.any(w2 <= 0.0):
+        raise ValueError("patch is not spacelike up to the border")
+    w = np.sqrt(w2)
+    hxx = weight * (1.0 + s * ux ** 2) / w
+    hxy = s * weight * ux * uy / w
+    hyy = weight * (1.0 + s * uy ** 2) / w
     return hxx, hxy, hyy
 
 
@@ -696,10 +693,9 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     # slope pairing: dual gradient = source gradient / source area factor
     _, gx, gy, uxx, uyy, uxy = _interior_derivatives(out.u, out.hx, out.hy)
     sux, suy, suxx, suyy, suxy = (d.reshape(nx, ny)[1:-1, 1:-1] for d in du)
-    if src.signature == EUCLIDEAN:
-        w_src = np.sqrt(1.0 + sux ** 2 + suy ** 2)
-    else:
-        w_src = np.sqrt(np.maximum(1.0 - sux ** 2 - suy ** 2, 1e-300))
+    # the clamp is a no-op on a Euclidean source, whose W^2 >= 1
+    w_src = np.sqrt(np.maximum(
+        metric_factor(ambient_sign(src.signature), sux, suy), 1e-300))
     pair = np.hypot(gx - sux / w_src, gy - suy / w_src)
     out.meta["gradient_pairing_max"] = float(np.max(pair))
 
@@ -718,7 +714,7 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     # the relative statistic excludes near-null regions, where both sides
     # of the relation blow up and the quotient is meaningless
     if out.signature == LORENTZIAN:
-        well = (1.0 - gx ** 2 - gy ** 2) > 0.15 ** 2
+        well = metric_factor(-1.0, gx, gy) > 0.15 ** 2
     else:
         well = w_src ** 2 > 0.15 ** 2
     out.meta["hh_abs_max"] = float(np.max(np.abs(hh)))

@@ -161,7 +161,7 @@ class Key(NamedTuple):
     default: str
     type: str
     positive: bool = False          # number: above zero
-    finite: bool = False            # number: not infinite
+    finite: bool = False            # number, tuple: no NaN or infinity
     minimum: int = 1                # integer: the least value
     limit: Optional[int] = None     # integer: the largest; grid: most nodes
     arity: int = 0                  # tuple: how many numbers
@@ -187,7 +187,7 @@ def _parse_number(key: str, spec: Key, text: str) -> float:
     if spec.positive and not val > 0:
         raise ValueError(f"config key {key!r} must be positive, got {val}")
     if spec.finite and not math.isfinite(val):
-        # an infinite tolerance stalls the ODE step control
+        # infinite tol stalls the ODE steps; NaN anchor makes every vertex NaN
         raise ValueError(f"config key {key!r} must be finite")
     return val
 
@@ -234,7 +234,7 @@ def _parse_tuple(key: str, spec: Key, text: str) -> Tuple[float, ...]:
     if len(parts) != spec.arity:
         raise ValueError(f"config key {key!r} needs {spec.arity} comma "
                          f"separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_number(key, spec, p) for p in parts)
 
 
 def _parse_choice(key: str, spec: Key, text: str) -> str:
@@ -529,7 +529,8 @@ def _cmd_bowl(cfg: RunConfig) -> int:
     prof, z0, window = cfg["profile"], cfg["z0"], cfg["r_window"]
     curve = solve_bowl(prof, z0, cfg["s_max"], tol=cfg["tol"],
                        n_samples=cfg["n_samples"])
-    _gate_curves(prof, ("curve", curve))
+    _gate("s,x,z,theta", "curve has profile ODE residual",
+          _rotational_ode_residual(curve, prof))
     fit = None if window is None else fit_asymptotics(curve, prof, window)
     mesh = revolve(curve, cfg["n_theta"])
     artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
@@ -559,7 +560,9 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
     prof = cfg["profile"]
     right, left = solve_catenoid(prof, cfg["x0"], cfg["z0"], cfg["s_max"],
                                  tol=cfg["tol"], n_samples=cfg["n_samples"])
-    _gate_curves(prof, ("right branch", right), ("left branch", left))
+    for name, curve in (("right branch", right), ("left branch", left)):
+        _gate("s,x,z,theta", f"{name} has profile ODE residual",
+              _rotational_ode_residual(curve, prof))
     artifacts = [_write_curve_csv(cfg, right, "curve_right.csv"),
                  _write_curve_csv(cfg, left, "curve_left.csv")]
     spec_line = [f"profile = {profile_to_spec(prof)}"]
@@ -706,14 +709,11 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
         # k and the weight are separate keys that must agree (k = 1 for a
         # linear weight, alpha = 2/(k - 1) for log): refuse a built field
         # that verify would reject before writing or integrating it
-        threshold = _VERIFIED["u,v,re_g,im_g"].bound
-        if not residual <= threshold:
-            raise NumericalError(
-                f"the rotational field with k = {cfg.values['k']} does "
-                f"not solve the field equation of the weight "
-                f"'{cfg.values['profile']}': gauss_pde_residual "
-                f"{_fmt(residual)} above the verify threshold "
-                f"{_fmt(threshold)}; k must belong to the weight")
+        _gate("u,v,re_g,im_g",
+              f"the rotational field with k = {cfg.values['k']} does not "
+              f"solve the field equation of the weight "
+              f"'{cfg.values['profile']}' (k must belong to the weight): "
+              f"gauss_pde_residual", residual)
     # integrate first: a refused base or path check leaves no field on disk
     mesh = integrate_representation(field, base=base, anchor=cfg["anchor"])
     if not from_file:
@@ -779,19 +779,16 @@ def _rotational_ode_residual(curve: ProfileCurve,
                      np.max(np.abs(r3)) if r3.size else 0.0))
 
 
-def _gate_curves(profile: WeightProfile,
-                 *curves: Tuple[str, ProfileCurve]) -> None:
-    """The check ``verify`` makes of each rotational curve, applied before
-    it is written: a curve the solver accepts can still fail it (a catenoid
-    branch whose axis term is lost in the steps of a neck far wider than
-    s_max, a bowl whose series launch is invalid for a steep weight)."""
-    threshold = _VERIFIED["s,x,z,theta"].bound
-    for name, curve in curves:
-        residual = _rotational_ode_residual(curve, profile)
-        if not residual <= threshold:
-            raise NumericalError(
-                f"{name} has profile ODE residual {_fmt(residual)} "
-                f"above the verify threshold {_fmt(threshold)}")
+def _gate(columns: str, what: str, residual: float) -> None:
+    """The bound ``verify`` applies to the artifact kind ``columns``,
+    applied before the artifact is written: what a solver accepts can
+    still fail it (a catenoid branch whose axis term is lost in the steps
+    of a neck far wider than s_max, a bowl whose series launch is invalid
+    for a steep weight, a field whose k belongs to another weight)."""
+    bound = _VERIFIED[columns].bound
+    if not residual <= bound:
+        raise NumericalError(f"{what} {_fmt(residual)} above the verify "
+                             f"threshold {_fmt(bound)}")
 
 
 def _verify_curve(path: Path, meta: Dict[str, str], colnames: str,
@@ -967,8 +964,8 @@ COMMANDS: Dict[str, Command] = {
         {"profile": _WEIGHT, "k": _number("1"), "z0": _number("0.5"),
          "s_max": _positive("6"), "s_lo": _number("1"), "s_hi": _number("4"),
          "v_half": _positive("1"), "grid": _GRID._replace(default="161x121"),
-         "input": _PATH, "base": Key("", "tuple", arity=2),
-         "anchor": Key("", "tuple", arity=3), "format": _FORMAT},
+         "input": _PATH, "base": Key("", "tuple", finite=True, arity=2),
+         "anchor": Key("", "tuple", finite=True, arity=3), "format": _FORMAT},
         positional="input"),
     "bjorling": Command(
         "solve the strip problem from curve and normal data", _cmd_bjorling,

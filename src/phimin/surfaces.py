@@ -29,6 +29,19 @@ EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
 
 
+def ambient_sign(signature: str) -> float:
+    """s of the ambient form dx^2 + dy^2 + s dz^2: 1.0 Euclidean, -1.0
+    Lorentzian.  Products with s are exact, so a formula in s keeps bits."""
+    if signature not in (EUCLIDEAN, LORENTZIAN):
+        raise ValueError(f"unknown signature {signature!r}")
+    return 1.0 if signature == EUCLIDEAN else -1.0
+
+
+def metric_factor(s: float, ux, uy):
+    """W^2 of a graph with slopes (ux, uy); spacelike where positive."""
+    return 1.0 + s * ux ** 2 + s * uy ** 2
+
+
 @dataclass
 class SurfaceMesh:
     """Triangulated surface with per-vertex unit normals.
@@ -52,13 +65,10 @@ class SurfaceMesh:
             raise ValueError("face indices out of range")
         if self.normals.shape != self.vertices.shape:
             raise ValueError("need one normal per vertex")
-        if self.signature not in (EUCLIDEAN, LORENTZIAN):
-            raise ValueError(f"unknown signature {self.signature!r}")
-        nrm2 = (self.normals ** 2).sum(axis=1) if self.signature == EUCLIDEAN \
-            else (self.normals[:, 0] ** 2 + self.normals[:, 1] ** 2
-                  - self.normals[:, 2] ** 2)
-        target = 1.0 if self.signature == EUCLIDEAN else -1.0
-        if not np.allclose(nrm2, target, atol=1e-8):
+        s = ambient_sign(self.signature)
+        nrm2 = (self.normals[:, 0] ** 2 + self.normals[:, 1] ** 2
+                + s * self.normals[:, 2] ** 2)
+        if not np.allclose(nrm2, s, atol=1e-8):
             raise ValueError("normals are not unit for the declared signature")
 
     @property
@@ -121,11 +131,10 @@ class GraphPatch:
         self.hy = uniform_spacing(self.y, "y")
         if self.u.shape != (len(self.x), len(self.y)):
             raise ValueError("u must have shape (len(x), len(y))")
-        if self.signature not in (EUCLIDEAN, LORENTZIAN):
-            raise ValueError(f"unknown signature {self.signature!r}")
-        if self.signature == LORENTZIAN:
+        s = ambient_sign(self.signature)
+        if s < 0.0:
             _, ux, uy = _interior_gradient(self.u, self.hx, self.hy)
-            if np.any(ux ** 2 + uy ** 2 >= 1.0):
+            if np.any(metric_factor(s, ux, uy) <= 0.0):
                 raise ValueError("Lorentzian patch is not spacelike "
                                  "(|grad u| >= 1 at an interior node)")
 
@@ -143,12 +152,9 @@ class GraphPatch:
         verts = np.column_stack([X.ravel(), Y.ravel(), self.u.ravel()])
         ux, uy = self.gradients()
         gx, gy = ux.ravel(), uy.ravel()
-        if self.signature == EUCLIDEAN:
-            w = np.sqrt(1.0 + gx ** 2 + gy ** 2)
-            normals = np.column_stack([gx / w, gy / w, -1.0 / w])
-        else:
-            w = np.sqrt(1.0 - gx ** 2 - gy ** 2)
-            normals = np.column_stack([gx / w, gy / w, 1.0 / w])
+        s = ambient_sign(self.signature)
+        w = np.sqrt(metric_factor(s, gx, gy))
+        normals = np.column_stack([gx / w, gy / w, -s / w])
         faces = _grid_faces(len(self.x), len(self.y))
         return SurfaceMesh(verts, faces, normals, signature=self.signature,
                            meta={"grid": (len(self.x), len(self.y))})
@@ -352,7 +358,7 @@ def _graph_residual(patch: GraphPatch, profile: WeightProfile,
     (1 Euclidean, -1 Lorentzian); multiplying by s = +-1 is exact."""
     c, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch.u, patch.hx,
                                                      patch.hy)
-    w2 = 1.0 + s * ux ** 2 + s * uy ** 2
+    w2 = metric_factor(s, ux, uy)
     if np.any(w2 <= 0.0):
         raise ValueError("patch is not spacelike on the residual stencil")
     out = np.full_like(patch.u, math.nan)
@@ -374,24 +380,17 @@ def curvature_from_derivatives(signature: str, ux, uy, uxx, uyy, uxy
     Spacelike graphs get the intrinsic Gauss curvature -det(Hess u)/W^4 of
     the induced metric; the caller guarantees spacelike slopes.
     """
+    s = ambient_sign(signature)
     det = uxx * uyy - uxy ** 2
-    if signature == EUCLIDEAN:
-        w2 = 1.0 + ux ** 2 + uy ** 2
-        num = (1.0 + uy ** 2) * uxx + (1.0 + ux ** 2) * uyy \
-            - 2.0 * ux * uy * uxy
-        return -num / w2 ** 1.5, det / w2 ** 2
-    w2 = 1.0 - ux ** 2 - uy ** 2
-    num = (1.0 - uy ** 2) * uxx + (1.0 - ux ** 2) * uyy \
-        + 2.0 * ux * uy * uxy
-    return num / w2 ** 1.5, -det / w2 ** 2
+    w2 = metric_factor(s, ux, uy)
+    num = (1.0 + s * uy ** 2) * uxx + (1.0 + s * ux ** 2) * uyy \
+        - 2.0 * s * ux * uy * uxy
+    return -s * num / w2 ** 1.5, s * det / w2 ** 2
 
 
 def _graph_curvatures(patch: GraphPatch) -> Tuple[np.ndarray, np.ndarray]:
     _, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch.u, patch.hx,
                                                      patch.hy)
-    if patch.signature == LORENTZIAN and np.any(
-            1.0 - ux ** 2 - uy ** 2 <= 0.0):
-        raise ValueError("patch is not spacelike on the stencil")
     h, k = curvature_from_derivatives(patch.signature, ux, uy, uxx, uyy, uxy)
     hh = np.full_like(patch.u, math.nan)
     kk = np.full_like(patch.u, math.nan)

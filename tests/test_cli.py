@@ -697,6 +697,7 @@ def test_weierstrass_refuses_a_field_whose_k_belongs_to_no_weight(tmp_path):
     message = json.loads((out / "error.json").read_text())["error"]["message"]
     assert "k = 3" in message and "'linear slope=1'" in message
     assert "gauss_pde_residual" in message
+    assert "k must belong to the weight" in message
     # log alpha = 2/(k - 1) is the weight of k = 3
     ok = tmp_path / "ok"
     assert main(["weierstrass", "--grid", "81x61", "--param", "k=3",
@@ -783,6 +784,24 @@ def test_keys_are_validated_before_any_artifact_is_written(tmp_path):
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 1, name
         assert sorted(p.name for p in out.iterdir()) == ["error.json"], name
+
+
+@pytest.mark.parametrize("key, arity, slot", [
+    ("base", 2, 0), ("base", 2, 1),
+    ("anchor", 3, 0), ("anchor", 3, 1), ("anchor", 3, 2)])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_base_and_anchor_take_finite_numbers(tmp_path, key, arity, slot,
+                                             value):
+    # a NaN anchor filled surface.csv with nan, and a NaN base was
+    # reported as a path dependence; each is refused as the key it is
+    parts = ["0.5"] * arity
+    parts[slot] = value
+    out = tmp_path / "w"
+    assert main(["weierstrass", "--grid", "41x31", "--param",
+                 f"{key}={','.join(parts)}", "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    doc = json.loads((out / "error.json").read_text())["error"]
+    assert doc["exit_code"] == 1 and f"config key {key!r}" in doc["message"]
 
 
 def test_weierstrass_refused_base_leaves_only_the_error(tmp_path):

@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import ConvexHull
 
-from phimin import make_builtin, surfaces
+from phimin import calabi, make_builtin, surfaces
 from phimin.calabi import PotentialPatch
 from phimin.solvers import ProfileCurve, solve_bowl, solve_catenary, solve_catenoid
 from phimin.surfaces import (
@@ -19,6 +19,7 @@ from phimin.surfaces import (
     LORENTZIAN,
     GraphPatch,
     SurfaceMesh,
+    curvature_from_derivatives,
     cylinder_patch,
     extrude_cylinder,
     fe_residual,
@@ -135,6 +136,178 @@ def test_lfe_rejects_non_spacelike():
     patch.signature = LORENTZIAN  # sneak past construction-time validation
     with pytest.raises(ValueError):
         lfe_residual(patch, LIN1)
+
+
+def reference_curvature_from_derivatives(signature, ux, uy, uxx, uyy, uxy):
+    """The graph curvatures with each signature's formula written apart."""
+    det = uxx * uyy - uxy ** 2
+    if signature == EUCLIDEAN:
+        w2 = 1.0 + ux ** 2 + uy ** 2
+        num = (1.0 + uy ** 2) * uxx + (1.0 + ux ** 2) * uyy \
+            - 2.0 * ux * uy * uxy
+        return -num / w2 ** 1.5, det / w2 ** 2
+    w2 = 1.0 - ux ** 2 - uy ** 2
+    num = (1.0 - uy ** 2) * uxx + (1.0 - ux ** 2) * uyy \
+        + 2.0 * ux * uy * uxy
+    return num / w2 ** 1.5, -det / w2 ** 2
+
+
+def reference_graph_normals(patch):
+    """GraphPatch.to_mesh's unit normals, each signature written apart."""
+    ux, uy = patch.gradients()
+    gx, gy = ux.ravel(), uy.ravel()
+    if patch.signature == EUCLIDEAN:
+        w = np.sqrt(1.0 + gx ** 2 + gy ** 2)
+        return np.column_stack([gx / w, gy / w, -1.0 / w])
+    w = np.sqrt(1.0 - gx ** 2 - gy ** 2)
+    return np.column_stack([gx / w, gy / w, 1.0 / w])
+
+
+def _ulps(value, k):
+    """``value`` moved by k units in the last place."""
+    for _ in range(abs(k)):
+        value = np.nextafter(value, math.copysign(math.inf, k))
+    return float(value)
+
+
+# finite values below 1e100 overflow no product of the formulas: a NaN from
+# inf - inf would take its sign bit from a negation in one form and keep it
+# under a product by -1.0 in the other (no artifact prints that bit)
+_VALUE = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])
+# slope pairs within a few ulps of |grad u| = 1
+_NEAR_NULL = st.builds(
+    lambda t, i, j, sx, sy: (sx * _ulps(math.cos(t), i),
+                             sy * _ulps(math.sin(t), j)),
+    st.floats(0.0, math.pi / 2), st.integers(-4, 4), st.integers(-4, 4),
+    st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(slopes=st.lists(st.tuples(_VALUE, _VALUE) | _NEAR_NULL, min_size=1,
+                      max_size=20), data=st.data())
+def test_curvatures_keep_each_signatures_bits(slopes, data):
+    # the formula in s is, bit for bit, the two formulas it replaced
+    ux, uy = np.array(slopes).T
+    second = data.draw(hnp.arrays(np.float64, (3, len(slopes)),
+                                  elements=_VALUE))
+    for signature in (EUCLIDEAN, LORENTZIAN):
+        with np.errstate(all="ignore"):
+            got = curvature_from_derivatives(signature, ux, uy, *second)
+            want = reference_curvature_from_derivatives(signature, ux, uy,
+                                                        *second)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@st.composite
+def _plane_heights(draw):
+    """Unit-grid heights of a plane, its slopes up to 4 or near |grad u|
+    = 1, plus a drawn (possibly zero) perturbation."""
+    n, m = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    sx, sy = draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)) | _NEAR_NULL)
+    scale = draw(st.sampled_from([0.0, 1e-12, 0.3]))
+    noise = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1, 1)))
+    return (sx * np.arange(n)[:, None] + sy * np.arange(m)[None, :]
+            + scale * noise)
+
+
+def _unit_grid(u):
+    return np.arange(u.shape[0], dtype=float), np.arange(u.shape[1],
+                                                         dtype=float)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=_plane_heights())
+def test_mesh_normals_keep_each_signatures_bits(u):
+    x, y = _unit_grid(u)
+    for signature, target in ((EUCLIDEAN, 1.0), (LORENTZIAN, -1.0)):
+        try:
+            patch = GraphPatch(x, y, u, signature=signature)
+        except ValueError:
+            continue  # not spacelike inside
+        with np.errstate(all="ignore"):
+            want = reference_graph_normals(patch)
+            try:
+                got = patch.to_mesh().normals
+            except ValueError:
+                # a border slope leaves the spacelike cone: the normals
+                # the two branches made were not unit either
+                nrm2 = want[:, 0] ** 2 + want[:, 1] ** 2 \
+                    - want[:, 2] ** 2
+                assert not np.allclose(nrm2, target, atol=1e-8)
+                continue
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_hessian_fields(patch, profile):
+    """The potential's Hessian fields (calabi) with each signature's
+    formula written apart."""
+    profile.require_inside(patch.u, "patch heights")
+    ux, uy = patch.gradients()
+    weight = np.exp(np.asarray(profile.phi(patch.u), dtype=float))
+    if patch.signature == EUCLIDEAN:
+        w = np.sqrt(1.0 + ux ** 2 + uy ** 2)
+        return (weight * (1.0 + ux ** 2) / w, weight * ux * uy / w,
+                weight * (1.0 + uy ** 2) / w)
+    w2 = 1.0 - ux ** 2 - uy ** 2
+    if np.any(w2 <= 0.0):
+        raise ValueError("patch is not spacelike up to the border")
+    w = np.sqrt(w2)
+    return (weight * (1.0 - ux ** 2) / w, -weight * ux * uy / w,
+            weight * (1.0 - uy ** 2) / w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=_plane_heights(), slope=st.sampled_from([1.0, -3.0]))
+def test_hessian_fields_keep_each_signatures_bits(u, slope):
+    x, y = _unit_grid(u)
+    profile = make_builtin("linear", slope)
+    for signature in (EUCLIDEAN, LORENTZIAN):
+        try:
+            patch = GraphPatch(x, y, u, signature=signature)
+        except ValueError:
+            continue  # not spacelike inside
+        try:
+            want = reference_hessian_fields(patch, profile)
+        except ValueError:
+            with pytest.raises(ValueError, match="up to the border"):
+                calabi._hessian_fields(patch, profile)
+            continue
+        got = calabi._hessian_fields(patch, profile)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+# |grad u|^2 rounds to 1 while 1 - u_x^2 - u_y^2 stays positive: the parent
+# refused these slopes at construction, and lfe_residual accepted them
+_DISAGREEING = [(0.5950051226484425, 0.8037219071433301),
+                (0.9301406485194196, 0.36720345038122065)]
+
+
+def _stencil(ux, uy):
+    """3x3 unit-grid heights whose one interior stencil reads (ux, uy)."""
+    u = np.zeros((3, 3))
+    u[2, 1], u[1, 2] = 2.0 * ux, 2.0 * uy
+    return u
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=_plane_heights())
+@example(u=_stencil(*_DISAGREEING[0]))
+@example(u=_stencil(*_DISAGREEING[1]))
+def test_lorentzian_patch_is_refused_where_its_residual_refuses(u):
+    # one spacelike expression: construction refuses exactly the heights
+    # whose Lorentzian residual refuses them on a Euclidean-signed patch
+    x, y = _unit_grid(u)
+    try:
+        GraphPatch(x, y, u, signature=LORENTZIAN)
+        refused = False
+    except ValueError:
+        refused = True
+    euclidean = GraphPatch(x, y, u)
+    if refused:
+        with pytest.raises(ValueError, match="spacelike"):
+            lfe_residual(euclidean, LIN1)
+    else:
+        lfe_residual(euclidean, LIN1)
 
 
 def _grid_owners(axis):
