@@ -36,20 +36,19 @@ from .errors import NumericalError
 from .profiles import (ProfileError, WeightProfile, expression_callable,
                        make_builtin, make_custom)
 from .solvers import (CATENARY_GRAPH, ProfileCurve, compute_lambda,
-                      count_self_intersections, first_integral_drift,
-                      fit_asymptotics, solve_bowl, solve_catenary,
-                      solve_catenoid)
+                      first_integral_drift, fit_asymptotics, solve_bowl,
+                      solve_catenary, solve_catenoid)
 from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
-                       SurfaceMesh, cylinder_patch, fe_residual,
-                       grid_from_table, grid_rows, lfe_residual,
+                       SurfaceMesh, cylinder_patch, extrude_cylinder,
+                       fe_residual, grid_from_table, grid_rows, lfe_residual,
                        mean_curvature_residual, open_table, read_table,
                        revolve, rotational_patch, save_obj, save_ply,
                        tilt_cylinder, write_table)
-from .weierstrass import (FIELD_RESIDUAL_BOUND, bjorling_from_json,
-                          gauss_field_from_table, gauss_pde_residual,
-                          integrate_representation, load_gauss_field,
-                          rotational_gauss_field, save_gauss_field,
-                          solve_bjorling)
+from .weierstrass import (FIELD_RESIDUAL_BOUND, GaussField,
+                          bjorling_from_json, gauss_field_from_table,
+                          gauss_pde_residual, integrate_representation,
+                          load_gauss_field, rotational_gauss_field,
+                          save_gauss_field, solve_bjorling)
 
 def _fmt(x) -> str:
     """Canonical numeric text: 17 significant digits, lowercase scientific."""
@@ -351,16 +350,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact writing and reading
+# artifacts: a handler returns each file as (name, kind, write); its header
+# lines are built with the entry, its rows only when ``_finish`` calls
+# ``write(path, head)`` with the artifact header every file starts with
 # ---------------------------------------------------------------------------
 
-def _artifact_comments(cfg: RunConfig, kind: str,
-                       extra: Sequence[str] = ()) -> list:
-    return [f"artifact = {kind}", f"config_sha256 = {cfg.sha256()}",
-            f"command = {cfg.command}", *extra]
+File = Tuple[str, str, Callable[[Path, list], None]]
 
 
-def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
+def _curve_file(curve: ProfileCurve, name: str) -> File:
     initial = " ".join(f"{k}={_fmt(v)}"
                        for k, v in sorted(curve.initial_data.items())
                        if isinstance(v, (int, float)))
@@ -368,22 +366,37 @@ def _write_curve_csv(cfg: RunConfig, curve: ProfileCurve, name: str) -> str:
              f"profile = {profile_to_spec(curve.profile)}"]
     if initial:
         extra.append(f"initial = {initial}")
-    data = np.column_stack([curve.s, curve.x, curve.z, curve.theta])
-    write_table(cfg.out_dir / name,
-                _artifact_comments(cfg, "profile_curve", extra),
-                "s,x,z,theta", data)
-    return name
+    return name, "profile_curve", lambda path, head: write_table(
+        path, head + extra, "s,x,z,theta",
+        np.column_stack([curve.s, curve.x, curve.z, curve.theta]))
 
 
-def _write_patch_csv(cfg: RunConfig, patch: GraphPatch, name: str,
-                     profile_line: str, extra: Sequence[str] = ()) -> str:
-    shape, rows = grid_rows(patch.x, patch.y, patch.u)
-    comments = [f"signature = {patch.signature}",
-                f"profile = {profile_line}", shape, *extra]
-    write_table(cfg.out_dir / name,
-                _artifact_comments(cfg, "graph_patch", comments), "x,y,u",
-                rows)
-    return name
+def _patch_file(patch: GraphPatch, name: str, profile_line: str,
+                extra: Sequence[str] = ()) -> File:
+    def write(path: Path, head: list) -> None:
+        shape, rows = grid_rows(patch.x, patch.y, patch.u)
+        write_table(path, [*head, f"signature = {patch.signature}",
+                           f"profile = {profile_line}", shape, *extra],
+                    "x,y,u", rows)
+    return name, "graph_patch", write
+
+
+def _mesh_files(fmt: str, mesh: SurfaceMesh, stem: str,
+                extra: Sequence[str]) -> list:
+    if fmt != "csv":
+        save = save_obj if fmt == "obj" else save_ply
+        return [(f"{stem}.{fmt}", "mesh", lambda path, head: save(
+            mesh, path, comments=[*head, *extra]))]
+    return [(f"{stem}.csv", "mesh", lambda path, head: write_table(
+                path, [*head, *extra, f"signature = {mesh.signature}"],
+                "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))),
+            (f"{stem}_faces.csv", "mesh_faces", lambda path, head: write_table(
+                path, [*head, *extra], "i,j,k", mesh.faces, cell="%d"))]
+
+
+def _field_file(field: GaussField) -> File:
+    return "field.csv", "gauss_field", lambda path, head: save_gauss_field(
+        field, path, comments=head)
 
 
 def _patch_from_csv(path: Path, table: Tuple[Dict[str, str], str, np.ndarray]
@@ -400,30 +413,13 @@ def _patch_from_csv(path: Path, table: Tuple[Dict[str, str], str, np.ndarray]
     return GraphPatch(x, y, u, signature=signature), meta
 
 
-def _write_mesh(cfg: RunConfig, mesh: SurfaceMesh, stem: str,
-                extra: Sequence[str] = ()) -> list:
-    comments = _artifact_comments(cfg, "mesh", extra)
-    fmt = cfg["format"]
-    if fmt != "csv":
-        save = save_obj if fmt == "obj" else save_ply
-        save(mesh, cfg.out_dir / f"{stem}.{fmt}", comments=comments)
-        return [f"{stem}.{fmt}"]
-    write_table(cfg.out_dir / f"{stem}.csv",
-                comments + [f"signature = {mesh.signature}"],
-                "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))
-    write_table(cfg.out_dir / f"{stem}_faces.csv",
-                _artifact_comments(cfg, "mesh_faces", extra), "i,j,k",
-                mesh.faces, cell="%d")
-    return [f"{stem}.csv", f"{stem}_faces.csv"]
-
-
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
 def _jsonable(value):
-    """Reports hold canonical strings for floats and drop exotic objects."""
+    """Canonical strings for floats; exotic objects drop out of dicts."""
     if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
@@ -437,26 +433,28 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+        pairs = ((str(k), _jsonable(v)) for k, v in sorted(value.items()))
+        return {k: v for k, v in pairs if v is not None}
     if isinstance(value, complex):
         return {"re": _fmt(value.real), "im": _fmt(value.imag)}
     return None
 
 
-def _meta_report(meta: dict) -> dict:
-    converted = {key: _jsonable(value) for key, value in meta.items()}
-    return {k: v for k, v in converted.items() if v is not None}
-
-
-def _finish(cfg: RunConfig, artifacts: list, report: dict) -> None:
-    doc = {"command": cfg.command,
-           "config_sha256": cfg.sha256(),
-           "config": dict(sorted(cfg.values.items())),
-           "artifacts": sorted(artifacts),
-           "report": report}
-    _write_json(cfg.out_dir / "report.json", doc)
-    artifacts = sorted(artifacts) + ["report.json"]
-    print(f"{cfg.command}: wrote {', '.join(artifacts)} to {cfg.out_dir}")
+def _finish(cfg: RunConfig, files: Sequence[File], report: dict) -> int:
+    """The exit path of every command that writes a report, entered after
+    the handler's last check: each file under its artifact header, then
+    ``report.json`` with every number in canonical text."""
+    head = [f"config_sha256 = {cfg.sha256()}", f"command = {cfg.command}"]
+    for name, kind, write in files:
+        write(cfg.out_dir / name, [f"artifact = {kind}", *head])
+    names = sorted(name for name, _, _ in files)
+    _write_json(cfg.out_dir / "report.json",
+                {"command": cfg.command, "config_sha256": cfg.sha256(),
+                 "config": dict(sorted(cfg.values.items())),
+                 "artifacts": names, "report": _jsonable(report)})
+    print(f"{cfg.command}: wrote {', '.join(names + ['report.json'])} to "
+          f"{cfg.out_dir}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +502,18 @@ def _cmd_profile(cfg: RunConfig) -> int:
     prof = cfg["profile"]
     curve = solve_catenary(prof, cfg["u0"], cfg["x_max"], tol=cfg["tol"],
                            n_samples=cfg["n_samples"])
-    artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
-    report = {"curve_kind": curve.curve_kind,
-              "n_samples": curve.n_samples,
-              "x_end": _fmt(curve.x[-1]),
-              "u_end": _fmt(curve.z[-1]),
-              "first_integral_drift": _fmt(first_integral_drift(curve, prof)),
-              "meta": _meta_report(curve.meta)}
-    _finish(cfg, artifacts, report)
-    return 0
+    report = {"curve_kind": curve.curve_kind, "n_samples": curve.n_samples,
+              "x_end": curve.x[-1], "u_end": curve.z[-1],
+              "first_integral_drift": first_integral_drift(curve, prof),
+              "meta": curve.meta}
+    return _finish(cfg, [_curve_file(curve, "curve.csv")], report)
 
 
 def _cmd_lambda(cfg: RunConfig) -> int:
     rep = compute_lambda(cfg["profile"], cfg["u0"])
-    report = {"lambda": _fmt(rep.lambda_u0),
-              "finite": rep.finite,
-              "fitted_constants": _meta_report(rep.fitted_constants),
-              "residual_decay_rate": _fmt(rep.residual_decay_rate)}
-    _finish(cfg, [], report)
-    return 0
+    return _finish(cfg, [], {"lambda": rep.lambda_u0, "finite": rep.finite,
+                             "fitted_constants": rep.fitted_constants,
+                             "residual_decay_rate": rep.residual_decay_rate})
 
 
 def _cmd_bowl(cfg: RunConfig) -> int:
@@ -533,51 +524,45 @@ def _cmd_bowl(cfg: RunConfig) -> int:
           _rotational_ode_residual(curve, prof))
     fit = None if window is None else fit_asymptotics(curve, prof, window)
     mesh = revolve(curve, cfg["n_theta"])
-    artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
-    artifacts += _write_mesh(cfg, mesh, "bowl",
-                             [f"profile = {profile_to_spec(prof)}"])
     launch = float((curve.theta[1] - curve.theta[0])
                    / (curve.s[1] - curve.s[0]))
     report = {"curve_kind": curve.curve_kind,
-              "r_end": _fmt(curve.x[-1]),
-              "u_end": _fmt(curve.z[-1]),
-              "launch_slope": _fmt(launch),
-              "launch_slope_predicted": _fmt(float(prof.dphi(z0)) / 2.0),
-              "mesh_mean_curvature_residual": _fmt(
-                  np.nanmax(np.abs(mean_curvature_residual(mesh, prof)))),
-              "meta": _meta_report(curve.meta)}
+              "r_end": curve.x[-1], "u_end": curve.z[-1],
+              "launch_slope": launch,
+              "launch_slope_predicted": float(prof.dphi(z0)) / 2.0,
+              "mesh_mean_curvature_residual": np.nanmax(
+                  np.abs(mean_curvature_residual(mesh, prof))),
+              "meta": curve.meta}
     if fit is not None:
         report["far_field"] = {
-            "omega_plus": _fmt(fit.lambda_u0),
+            "omega_plus": fit.lambda_u0,
             "finite": fit.finite,
-            "fitted_constants": _meta_report(fit.fitted_constants),
-            "residual_decay_rate": _fmt(fit.residual_decay_rate)}
-    _finish(cfg, artifacts, report)
-    return 0
+            "fitted_constants": fit.fitted_constants,
+            "residual_decay_rate": fit.residual_decay_rate}
+    return _finish(cfg, [_curve_file(curve, "curve.csv"),
+                         *_mesh_files(cfg["format"], mesh, "bowl",
+                                      [f"profile = {profile_to_spec(prof)}"])],
+                   report)
 
 
 def _cmd_catenoid(cfg: RunConfig) -> int:
     prof = cfg["profile"]
     right, left = solve_catenoid(prof, cfg["x0"], cfg["z0"], cfg["s_max"],
                                  tol=cfg["tol"], n_samples=cfg["n_samples"])
-    for name, curve in (("right branch", right), ("left branch", left)):
-        _gate("s,x,z,theta", f"{name} has profile ODE residual",
+    files = []
+    for side, curve in (("right", right), ("left", left)):
+        _gate("s,x,z,theta", f"{side} branch has profile ODE residual",
               _rotational_ode_residual(curve, prof))
-    artifacts = [_write_curve_csv(cfg, right, "curve_right.csv"),
-                 _write_curve_csv(cfg, left, "curve_left.csv")]
-    spec_line = [f"profile = {profile_to_spec(prof)}"]
-    for curve, stem in ((right, "catenoid_right"), (left, "catenoid_left")):
-        artifacts += _write_mesh(cfg, revolve(curve, cfg["n_theta"]), stem,
-                                 spec_line)
-    points = np.column_stack([
-        np.concatenate([left.x[::-1], right.x]),
-        np.concatenate([left.z[::-1], right.z])])
-    report = {"min_axis_distance": _fmt(min(right.x.min(), left.x.min())),
-              "self_intersections": count_self_intersections(points),
-              "right_meta": _meta_report(right.meta),
-              "left_meta": _meta_report(left.meta)}
-    _finish(cfg, artifacts, report)
-    return 0
+        files.append(_curve_file(curve, f"curve_{side}.csv"))
+    for side, curve in (("right", right), ("left", left)):
+        files += _mesh_files(cfg["format"], revolve(curve, cfg["n_theta"]),
+                             f"catenoid_{side}",
+                             [f"profile = {profile_to_spec(prof)}"])
+    # solve_catenoid refuses any crossing of the two branches
+    report = {"min_axis_distance": min(right.x.min(), left.x.min()),
+              "self_intersections": right.meta["self_intersections"],
+              "right_meta": right.meta, "left_meta": left.meta}
+    return _finish(cfg, files, report)
 
 
 def _cmd_tilt(cfg: RunConfig) -> int:
@@ -586,18 +571,16 @@ def _cmd_tilt(cfg: RunConfig) -> int:
                            n_samples=cfg["n_samples"])
     angle, y_half, ny = cfg["angle"], cfg["y_half"], cfg["n_rulings"]
     mesh = tilt_cylinder(curve, angle, y_range=(-y_half, y_half), ny=ny)
-    flat = tilt_cylinder(curve, 0.0, y_range=(-y_half, y_half), ny=ny)
-    artifacts = [_write_curve_csv(cfg, curve, "curve.csv")]
-    artifacts += _write_mesh(cfg, mesh, "tilted",
-                             [f"profile = {profile_to_spec(prof)}",
-                              f"angle = {_fmt(angle)}"])
-    report = {"angle": _fmt(angle),
-              "residual_tilted": _fmt(
-                  np.nanmax(np.abs(mean_curvature_residual(mesh, prof)))),
-              "residual_flat": _fmt(
-                  np.nanmax(np.abs(mean_curvature_residual(flat, prof))))}
-    _finish(cfg, artifacts, report)
-    return 0
+    flat = extrude_cylinder(curve, (-y_half, y_half), ny)
+    report = {"angle": angle,
+              "residual_tilted": np.nanmax(
+                  np.abs(mean_curvature_residual(mesh, prof))),
+              "residual_flat": np.nanmax(
+                  np.abs(mean_curvature_residual(flat, prof)))}
+    return _finish(cfg, [_curve_file(curve, "curve.csv"),
+                         *_mesh_files(cfg["format"], mesh, "tilted",
+                                      [f"profile = {profile_to_spec(prof)}",
+                                       f"angle = {_fmt(angle)}"])], report)
 
 
 # the verification report of a transform, as both calabi commands give it
@@ -619,16 +602,15 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
     lor, dual = to_lorentz(patch, prof)
     profile_line, pin = _dual_header(dual, spec, lor.meta["theta_base"])
     origin = "origin_hint = " + " ".join(map(_fmt, lor.meta["origin_hint"]))
-    artifacts = [_write_patch_csv(cfg, patch, "source.csv", spec),
-                 _write_patch_csv(cfg, lor, "lorentz.csv", profile_line,
-                                  [f"source_profile = {spec}", *pin, origin])]
     report = {"patch": patch_kind,
               "dual_kind": dual.kind,
               "source_shape": [len(patch.x), len(patch.y)],
               "lorentz_shape": [len(lor.x), len(lor.y)],
-              **{key: _jsonable(lor.meta[key]) for key in _TRANSFORM_REPORT}}
-    _finish(cfg, artifacts, report)
-    return 0
+              **{key: lor.meta[key] for key in _TRANSFORM_REPORT}}
+    return _finish(cfg, [_patch_file(patch, "source.csv", spec),
+                         _patch_file(lor, "lorentz.csv", profile_line,
+                                     [f"source_profile = {spec}", *pin,
+                                      origin])], report)
 
 
 def _cmd_calabi_r3(cfg: RunConfig) -> int:
@@ -647,22 +629,21 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
                                      back.meta["theta_base"])
     report = {"recovered_kind": back_weight.kind,
               "recovered_shape": [len(back.x), len(back.y)],
-              **{key: _jsonable(back.meta[key]) for key in _TRANSFORM_REPORT}}
+              **{key: back.meta[key] for key in _TRANSFORM_REPORT}}
 
     source_path = cfg["source"] or in_path.parent / "source.csv"
     if source_path.exists():
         source_patch, _ = _patch_from_csv(source_path,
                                           read_table(source_path))
         report["source"] = str(source_path)
-        report["roundtrip_sup_difference"] = _fmt(
-            _patch_sup_difference(back, source_patch))
+        report["roundtrip_sup_difference"] = _patch_sup_difference(
+            back, source_patch)
     else:
         report["roundtrip_sup_difference"] = ("unavailable "
                                               "(no source artifact found)")
     origin = "origin_hint = " + " ".join(map(_fmt, back.meta["origin_hint"]))
-    _finish(cfg, [_write_patch_csv(cfg, back, "roundtrip.csv", profile_line,
-                                   [*pin, origin])], report)
-    return 0
+    return _finish(cfg, [_patch_file(back, "roundtrip.csv", profile_line,
+                                     [*pin, origin])], report)
 
 
 def _patch_sup_difference(a: GraphPatch, b: GraphPatch) -> float:
@@ -692,7 +673,6 @@ _MESH_REPORT = ("path_disagreement", "conformal_defect", "gauss_map_defect",
 
 
 def _cmd_weierstrass(cfg: RunConfig) -> int:
-    artifacts = []
     base = None if cfg["base"] is None else complex(*cfg["base"])
     from_file = cfg["input"] is not None
     if from_file:
@@ -708,26 +688,21 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
     if not from_file:
         # k and the weight are separate keys that must agree (k = 1 for a
         # linear weight, alpha = 2/(k - 1) for log): refuse a built field
-        # that verify would reject before writing or integrating it
+        # that verify would reject before integrating it
         _gate("u,v,re_g,im_g",
               f"the rotational field with k = {cfg.values['k']} does not "
               f"solve the field equation of the weight "
               f"'{cfg.values['profile']}' (k must belong to the weight): "
               f"gauss_pde_residual", residual)
-    # integrate first: a refused base or path check leaves no field on disk
     mesh = integrate_representation(field, base=base, anchor=cfg["anchor"])
-    if not from_file:
-        save_gauss_field(field, cfg.out_dir / "field.csv",
-                         comments=_artifact_comments(cfg, "gauss_field"))
-        artifacts.append("field.csv")
-    artifacts += _write_mesh(cfg, mesh, "surface",
-                             [f"k = {_fmt(field.k_param)}"])
-    report = {"k": _fmt(field.k_param),
+    files = [] if from_file else [_field_file(field)]
+    report = {"k": field.k_param,
               "field_shape": list(field.shape),
-              "pde_residual_max": _fmt(residual),
-              **{key: _jsonable(mesh.meta[key]) for key in _MESH_REPORT}}
-    _finish(cfg, artifacts, report)
-    return 0
+              "pde_residual_max": residual,
+              **{key: mesh.meta[key] for key in _MESH_REPORT}}
+    return _finish(cfg, files + _mesh_files(
+        cfg["format"], mesh, "surface", [f"k = {_fmt(field.k_param)}"]),
+        report)
 
 
 def _cmd_bjorling(cfg: RunConfig) -> int:
@@ -735,23 +710,19 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
     data, k = bjorling_from_json(data_path.read_text(encoding="utf-8"))
     n_u, n_v = cfg["grid"]
     field = solve_bjorling(data, k, cfg["halfwidth"], n_u=n_u, n_v=n_v)
-    # integrate first: a failed reconstruction leaves no field on disk
-    mesh = integrate_representation(field) if cfg["reconstruct"] else None
-    save_gauss_field(field, cfg.out_dir / "field.csv",
-                     comments=_artifact_comments(cfg, "gauss_field"))
-    artifacts = ["field.csv"]
-    report = {"k": _fmt(k),
+    files = [_field_file(field)]
+    report = {"k": k,
               "curve_kind": data.curve_kind,
               "degree": data.degree,
-              "certificate": _fmt(field.meta["certificate"]),
+              "certificate": field.meta["certificate"],
               "branch": field.meta["branch"],
-              "branch_disagreement": _fmt(field.meta["branch_disagreement"])}
-    if mesh is not None:
-        artifacts += _write_mesh(cfg, mesh, "surface", [f"k = {_fmt(k)}"])
-        report.update((key, _jsonable(mesh.meta[key]))
-                      for key in _MESH_REPORT)
-    _finish(cfg, artifacts, report)
-    return 0
+              "branch_disagreement": field.meta["branch_disagreement"]}
+    if cfg["reconstruct"]:
+        mesh = integrate_representation(field)
+        files += _mesh_files(cfg["format"], mesh, "surface",
+                             [f"k = {_fmt(k)}"])
+        report.update((key, mesh.meta[key]) for key in _MESH_REPORT)
+    return _finish(cfg, files, report)
 
 
 # ---------------------------------------------------------------------------
@@ -849,11 +820,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     max_residual = max(checks.values())
     passed = bool(max_residual <= threshold)
     doc = {"command": cfg.command, "config_sha256": cfg.sha256(),
-           "input": str(path), "kind": kind,
-           "checks": {k: _fmt(v) for k, v in sorted(checks.items())},
-           "max_residual": _fmt(max_residual),
-           "threshold": _fmt(threshold), "passed": passed}
-    _write_json(cfg.out_dir / "verify.json", doc)
+           "input": str(path), "kind": kind, "checks": checks,
+           "max_residual": max_residual, "threshold": threshold,
+           "passed": passed}
+    _write_json(cfg.out_dir / "verify.json", _jsonable(doc))
     status = "PASS" if passed else "FAIL"
     print(f"verify: {status} (max residual {_fmt(max_residual)} vs "
           f"threshold {_fmt(threshold)})")

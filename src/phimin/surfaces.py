@@ -282,15 +282,19 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     (x, y, z) -> (x/cos th, y - tan(th) z, tan(th) y + z), the homothety of
     ratio 1/cos(theta) composed with the rotation by theta about the x-axis.
 
-    The transformed surface solves the same weighted equation when dphi is
-    constant (the map rescales heights along the rulings otherwise); its
-    normals are the rotated originals and its mean curvature is cos(theta)
-    times the original at matched vertices.
+    The transformed surface solves the same weighted equation only when
+    dphi is constant (the map rescales heights along the rulings
+    otherwise), so a positive angle is refused unless dphi takes one value
+    along the curve; its normals are the rotated originals and its mean
+    curvature is cos(theta) times the original at matched vertices.
     """
     if not 0.0 <= theta < math.pi / 2:
         raise ValueError("tilt angle must lie in [0, pi/2)")
     if curve.curve_kind != CATENARY_GRAPH:
         raise ValueError("tilting is defined for catenary graph curves")
+    if theta > 0.0 and not np.ptp(curve.profile.dphi(curve.z)) == 0.0:
+        raise ValueError("a tilt maps solutions to solutions only where "
+                         "dphi is constant, and dphi varies along the curve")
     if ny <= 0:
         ny = max(2, curve.n_samples // 2)
     base = extrude_cylinder(curve, y_range, ny)

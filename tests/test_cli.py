@@ -842,6 +842,68 @@ def test_a_failing_calabi_to_r3_leaves_only_the_error(reaper_run, tmp_path):
     assert "not a graph patch artifact" in message
 
 
+_FORWARD = ["calabi-to-l3", "--grid", "31x31", "--param", "half_x=1.0",
+            "--param", "half_y=1.0", "--param", "x_max=1.2"]
+
+
+@pytest.mark.parametrize("fault, argv", [
+    ("first_integral_drift", ["profile", "--param", "n_samples=101"]),
+    ("mean_curvature_residual", ["bowl", "--param", "s_max=1",
+                                 "--param", "n_theta=9"]),
+    ("mean_curvature_residual", ["tilt", "--param", "n_samples=101",
+                                 "--param", "n_rulings=5"]),
+    ("revolve", ["catenoid", "--param", "n_theta=9"]),
+    ("to_lorentz", ["calabi-to-l3", "--grid", "21x21"]),
+    ("_patch_sup_difference", ["calabi-to-r3", "{forward}/lorentz.csv"]),
+    ("integrate_representation", ["weierstrass", "--grid", "41x31"]),
+    ("integrate_representation", ["bjorling", "{circle}", "--param",
+                                  "halfwidth=0.1", "--grid", "101x21"]),
+], ids=["profile", "bowl", "tilt", "catenoid", "calabi-to-l3",
+        "calabi-to-r3", "weierstrass", "bjorling"])
+def test_a_failing_command_leaves_only_the_error(tmp_path, monkeypatch,
+                                                 fault, argv):
+    # every writing command fails at a computation it runs once its files
+    # are ready to write: the files are written after the last check, so
+    # the run leaves error.json alone
+    forward = tmp_path / "forward"
+    if argv[0] == "calabi-to-r3":
+        assert main(_FORWARD + ["--out", str(forward)]) == 0
+    argv = [a.format(forward=forward, circle=_circle_data(tmp_path))
+            for a in argv]
+
+    def injected(*args, **kwargs):
+        raise NumericalError(f"injected fault in {fault}")
+    monkeypatch.setattr(cli, fault, injected)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message == f"injected fault in {fault}"
+
+
+@pytest.mark.parametrize("weight, u0, code", [
+    ("log alpha=1", "1", 1), ("series L=1 b=1", "0.5", 1),
+    ("linear slope=2", "0", 0)])
+def test_tilt_refuses_a_weight_whose_dphi_varies(tmp_path, weight, u0, code):
+    # the tilt maps solutions to solutions only for a constant dphi: these
+    # log and series tilts exited 0 with residual_tilted 1.3e+01 and 6.7e-01
+    out = tmp_path / "tilt"
+    assert main(["tilt", "--param", f"profile={weight}", "--param",
+                 f"u0={u0}", "--param", "x_max=0.5", "--out", str(out)]) \
+        == code
+    if code:
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        message = json.loads(
+            (out / "error.json").read_text())["error"]["message"]
+        assert "dphi is constant" in message
+    else:
+        assert float(read_report(out)["report"]["residual_tilted"]) < 1e-5
+    # the identity tilt of the same catenary is the extruded cylinder
+    assert main(["tilt", "--param", f"profile={weight}", "--param",
+                 f"u0={u0}", "--param", "x_max=0.5", "--param", "angle=0",
+                 "--out", str(tmp_path / "flat")]) == 0
+
+
 @pytest.mark.parametrize("columns, argv, artifact", [
     ("s,x,z,theta", ["bowl", "--param", "s_max=1", "--param", "n_theta=9"],
      "curve.csv"),

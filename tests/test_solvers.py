@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phimin import make_builtin, make_custom, solvers
-from phimin.cli import RunConfig, _write_curve_csv, profile_from_spec
+from phimin.cli import RunConfig, _curve_file, _finish, profile_from_spec
 from phimin.errors import NumericalError
 from phimin.solvers import (
     AsymptoteReport,
@@ -329,8 +329,9 @@ def test_fit_asymptotics_dichotomy():
 
 
 def test_profile_curve_csv_roundtrip(tmp_path, reaper):
-    # curves are written by the CLI's curve artifact writer
-    _write_curve_csv(RunConfig("profile", {}, tmp_path), reaper, "curve.csv")
+    # curves are written by the CLI's curve artifact entry
+    _finish(RunConfig("profile", {}, tmp_path),
+            [_curve_file(reaper, "curve.csv")], {})
     path = tmp_path / "curve.csv"
     text = path.read_text().splitlines()
     n_head = next(i for i, line in enumerate(text) if not line.startswith("#"))

@@ -651,6 +651,13 @@ def test_tilt_rejects_bad_angle():
     curve = solve_catenary(LIN1, 0.0, 0.5, tol=1e-9, n_samples=41)
     with pytest.raises(ValueError):
         tilt_cylinder(curve, math.pi / 2)
+    # a positive angle maps solutions to solutions only for a constant
+    # dphi; the identity tilt takes any weight
+    curve = solve_catenary(make_builtin("log", 1.0), 1.0, 0.5, tol=1e-9,
+                           n_samples=41)
+    with pytest.raises(ValueError, match="dphi is constant"):
+        tilt_cylinder(curve, math.pi / 4)
+    tilt_cylinder(curve, 0.0)
 
 
 # -- mesh validation and export ----------------------------------------------
