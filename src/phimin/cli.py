@@ -391,7 +391,8 @@ def _mesh_files(fmt: str, mesh: SurfaceMesh, stem: str,
                 path, [*head, *extra, f"signature = {mesh.signature}"],
                 "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))),
             (f"{stem}_faces.csv", "mesh_faces", lambda path, head: write_table(
-                path, [*head, *extra], "i,j,k", mesh.faces, cell="%d"))]
+                path, [*head, *extra], "i,j,k", mesh.face_blocks(),
+                cell="%d"))]
 
 
 def _field_file(field: GaussField) -> File:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -93,6 +93,13 @@ class AsymptoteReport:
             raise ValueError("finite flag inconsistent with lambda_u0")
 
 
+def _event(fn: Callable, direction: int, terminal: bool = True) -> Callable:
+    """``fn`` as a ``solve_ivp`` event: a zero crossed in ``direction``
+    (either way for 0), stopping the integration when ``terminal``."""
+    fn.terminal, fn.direction = terminal, direction
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # catenary cylinders
 # ---------------------------------------------------------------------------
@@ -123,29 +130,15 @@ def solve_catenary(profile: WeightProfile, u0: float, x_max: float,
         x, u, th = y
         return [math.cos(th), math.sin(th), dphi(u) * math.cos(th)]
 
-    def at_x_max(s, y):
-        return y[0] - x_max
-    at_x_max.terminal = True
-    at_x_max.direction = 1
-
-    def vertical(s, y):
-        return abs(y[2]) - theta_cap
-    vertical.terminal = True
-    vertical.direction = 1
-
-    events = [at_x_max, vertical]
+    # x_max, the vertical asymptote, and a domain end
+    events = [_event(lambda s, y: y[0] - x_max, 1),
+              _event(lambda s, y: abs(y[2]) - theta_cap, 1)]
     if math.isfinite(lo):
-        def exit_lo(s, y, _lo=lo):
-            return y[1] - (_lo + 1e-9 * max(1.0, abs(_lo)))
-        exit_lo.terminal = True
-        exit_lo.direction = -1
-        events.append(exit_lo)
+        events.append(_event(
+            lambda s, y: y[1] - (lo + 1e-9 * max(1.0, abs(lo))), -1))
     if math.isfinite(hi):
-        def exit_hi(s, y, _hi=hi):
-            return y[1] - (_hi - 1e-9 * max(1.0, abs(_hi)))
-        exit_hi.terminal = True
-        exit_hi.direction = 1
-        events.append(exit_hi)
+        events.append(_event(
+            lambda s, y: y[1] - (hi - 1e-9 * max(1.0, abs(hi))), 1))
 
     s_budget = 50.0 * x_max + 20.0
     sol = solve_ivp(rhs, (0.0, s_budget), [0.0, u0, 0.0], method="DOP853",
@@ -364,10 +357,8 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
     lo, hi = profile.domain
     events = []
     if math.isfinite(hi):
-        def exit_hi(s, y, _hi=hi):
-            return y[1] - (_hi - 1e-12 * max(1.0, abs(_hi)))
-        exit_hi.terminal = True
-        events.append(exit_hi)
+        events.append(_event(
+            lambda s, y: y[1] - (hi - 1e-12 * max(1.0, abs(hi))), 0))
 
     method = _pick_method(profile, z0, s_max)
     sol = solve_ivp(_rot_rhs(profile), (launch, s_max),
@@ -445,26 +436,15 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
         dx, dz, dth = rhs(t, y)
         return [-dx, -dz, -dth]
 
-    def hit_pi(t, y):
-        return y[2] - math.pi
-    hit_pi.terminal = True
-    hit_pi.direction = 1
-
-    def exit_lo(t, y, _lo=profile.domain[0]):
-        return y[1] - (_lo + 1e-12 * max(1.0, abs(_lo)))
-    exit_lo.terminal = True
-    exit_lo.direction = -1
-
-    # past pi/2 the backward inclination of an increasing weight can only
-    # fall; a neck too wide to bend (huge x0) falls flat and would run on
-    # down the whole span
-    def fell_flat(t, y):
-        return y[2]
-    fell_flat.terminal = True
-    fell_flat.direction = -1
-
-    events_a = [hit_pi, fell_flat] + (
-        [exit_lo] if math.isfinite(profile.domain[0]) else [])
+    # the tangent turning horizontal, falling flat (past pi/2 the backward
+    # inclination of an increasing weight can only fall; a neck too wide to
+    # bend, huge x0, would run on down the whole span), the domain floor
+    lo = profile.domain[0]
+    events_a = [_event(lambda t, y: y[2] - math.pi, 1),
+                _event(lambda t, y: y[2], -1)]
+    if math.isfinite(lo):
+        events_a.append(_event(
+            lambda t, y: y[1] - (lo + 1e-12 * max(1.0, abs(lo))), -1))
     span = 10.0 * (x0 + abs(z0) + 10.0)
     sol_a = solve_ivp(back_rhs, (0.0, span), [x0, z0, math.pi / 2],
                       method="DOP853", rtol=tol, atol=tol, events=events_a,
@@ -492,30 +472,18 @@ def solve_catenoid(profile: WeightProfile, x0: float, z0: float, s_max: float,
                                "method": method})
 
     # left branch: from the foot with inclination pi, through the neck
-    s0_rec, s1_rec = [], []
-
-    def at_neck(t, y):
-        return y[2] - math.pi / 2
-    at_neck.direction = -1
-
-    def theta_min(t, y):
-        return rhs(t, y)[2]
-    theta_min.direction = 1
-
+    at_neck = _event(lambda t, y: y[2] - math.pi / 2, -1, terminal=False)
+    theta_min = _event(lambda t, y: rhs(t, y)[2], 1, terminal=False)
     span_l = t_foot + s_max
     sol_l = solve_ivp(rhs, (0.0, span_l), [x_f, z_f, math.pi],
                       method=method, rtol=tol, atol=tol,
                       events=[at_neck, theta_min], dense_output=True)
     if sol_l.status == -1:
         raise NumericalError(f"left branch failed: {sol_l.message}")
-    if len(sol_l.t_events[0]):
-        s0_rec = [float(sol_l.t_events[0][0])]
-    if len(sol_l.t_events[1]):
-        s1_rec = [float(t) for t in sol_l.t_events[1]]
-    if not s0_rec:
+    if not len(sol_l.t_events[0]):
         raise NumericalError("left branch never crossed the neck inclination")
-    s0 = s0_rec[0]
-    s1 = next((t for t in s1_rec if t > s0), None)
+    s0 = float(sol_l.t_events[0][0])
+    s1 = next((float(t) for t in sol_l.t_events[1] if t > s0), None)
     if s1 is None:
         raise NumericalError("left branch inclination never turned back up; "
                              "extend s_max")

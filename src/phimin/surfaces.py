@@ -42,27 +42,45 @@ def metric_factor(s: float, ux, uy):
     return 1.0 + s * ux ** 2 + s * uy ** 2
 
 
+# Corner offsets (row, column) of each kind of triangle in a cell: on a
+# grid (v00, v10, v11) and (v00, v11, v01); on a periodic grid, whose
+# columns are a revolve's angles, (a, b, d) = (v00, v01, v11) and (a, d, c)
+# = (v00, v11, v10), then the apex fan (apex, node (0, j + 1), node (0, j)).
+_TRIANGLES = {False: (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))),
+              True: (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)),
+                     (None, (0, 1), (0, 0)))}
+
+
 @dataclass
 class SurfaceMesh:
-    """Triangulated surface with per-vertex unit normals.
+    """Triangulated surface with per-vertex unit normals on an (n, m) node
+    grid: node (i, j) is vertex i * m + j, and each cell holds two
+    triangles (``_TRIANGLES``).  A ``periodic`` grid closes its rows (the
+    seam of ``revolve``), and an ``apex`` is one more vertex, the last,
+    fanned to row 0.
 
     For Lorentzian (spacelike) meshes the normals are unit timelike for the
     bilinear form dx^2 + dy^2 - dz^2, i.e. N1^2 + N2^2 - N3^2 = -1.
     """
 
     vertices: np.ndarray
-    faces: np.ndarray
     normals: np.ndarray
+    grid: Tuple[int, int]
+    periodic: bool = False
+    apex: bool = False
     signature: str = EUCLIDEAN
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.faces = np.asarray(self.faces, dtype=np.int64)
         self.normals = np.asarray(self.normals, dtype=float)
-        n = len(self.vertices)
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= n):
-            raise ValueError("face indices out of range")
+        n, m = self.grid = tuple(int(k) for k in self.grid)
+        if m < 2 + self.periodic or n < 2 - self.apex \
+                or self.apex > self.periodic \
+                or len(self.vertices) != n * m + self.apex:
+            raise ValueError(f"{len(self.vertices)} vertices do not make a "
+                             f"{n} x {m} grid of triangles"
+                             + " with an apex" * self.apex)
         if self.normals.shape != self.vertices.shape:
             raise ValueError("need one normal per vertex")
         s = ambient_sign(self.signature)
@@ -75,27 +93,68 @@ class SurfaceMesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def boundary_mask(self) -> np.ndarray:
-        """True for vertices on an edge owned by a single face.
+    @property
+    def n_faces(self) -> int:
+        n, m = self.grid
+        return 2 * (n - 1) * (m - (not self.periodic)) + m * self.apex
 
-        Each edge is counted under one int64 key ``i * n + j`` (i < j),
-        written column by column into one array that is sorted in place."""
-        n = self.n_vertices
-        keys = np.empty(self.faces.shape, dtype=np.int64)
-        for c, col in enumerate(keys.T):
-            a, b = self.faces[:, c], self.faces[:, (c + 1) % 3]
-            np.minimum(a, b, out=col)
-            col *= n
-            col += np.maximum(a, b)
-        keys = keys.ravel()
-        keys.sort()
-        new = np.ones(len(keys) + 1, dtype=bool)  # keys[i] != keys[i - 1]
-        np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
-        lone = keys[new[:-1] & new[1:]]  # a key equal to neither neighbour
-        mask = np.zeros(n, dtype=bool)
-        mask[lone // n] = True
-        mask[lone % n] = True
+    @property
+    def faces(self) -> np.ndarray:
+        """The (faces, 3) vertex indices, all at once (``face_blocks``)."""
+        return np.concatenate(list(self.face_blocks()))
+
+    def face_blocks(self):
+        """The faces a block at a time, in order: a grid's first triangles,
+        then its second ones; a periodic grid's cells row by row, each
+        row's first triangles before its second ones; then the apex fan."""
+        pending = []
+        for kind, _, corners in _corners(self):
+            pending.append(np.stack(np.broadcast_arrays(*corners), axis=-1))
+            if not (self.periodic and kind == 0):
+                yield np.stack(pending, axis=1).reshape(-1, 3)
+                pending = []
+
+    def boundary_mask(self) -> np.ndarray:
+        """True for vertices on an edge owned by a single face: the first
+        and last node rows (an apex closes the first), and the first and
+        last columns unless the grid is periodic."""
+        n, m = self.grid
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        nodes = mask[:n * m].reshape(n, m)
+        nodes[0] = not self.apex
+        nodes[-1] = True
+        if not self.periodic:
+            nodes[:, [0, -1]] = True
         return mask
+
+
+def _corners(mesh: SurfaceMesh, values: np.ndarray = None):
+    """(kind, rows, corners) for blocks of about ``_CHUNK_ROWS`` faces, in
+    the order of ``face_blocks``: ``values`` (one per vertex along the last
+    axis; the vertex indices when None) at the corners of the triangles of
+    ``kind`` in the cell rows ``rows``, as slices of the block's node rows
+    (on a periodic grid a copy with column 0 repeated after the last)."""
+    n, m = mesh.grid
+    cols = m - (not mesh.periodic)
+    step = max(1, _CHUNK_ROWS // ((1 + mesh.periodic) * cols))
+    blocks = [slice(lo, min(lo + step, n - 1)) for lo in range(0, n - 1, step)]
+    plan = [(rows, (0, 1)) for rows in blocks] if mesh.periodic \
+        else [(rows, (kind,)) for kind in (0, 1) for rows in blocks]
+    plan += [(slice(0, 1), (2,))] * mesh.apex
+    apex = np.full((1, 1), mesh.n_vertices - 1) if values is None \
+        else values[..., -1:, None]
+    for rows, kinds in plan:
+        lo, hi, r = rows.start, min(rows.stop + 1, n), rows.stop - rows.start
+        nodes = np.arange(lo * m, hi * m) if values is None \
+            else values[..., lo * m:hi * m]
+        nodes = nodes.reshape(nodes.shape[:-1] + (-1, m))
+        if mesh.periodic:
+            nodes = np.concatenate([nodes, nodes[..., :1]], axis=-1)
+        for kind in kinds:
+            yield kind, rows, [
+                apex if at is None
+                else nodes[..., at[0]:at[0] + r, at[1]:at[1] + cols]
+                for at in _TRIANGLES[mesh.periodic][kind]]
 
 
 def uniform_spacing(axis, name: str) -> float:
@@ -148,31 +207,14 @@ class GraphPatch:
     def to_mesh(self) -> "SurfaceMesh":
         """Triangulated graph with downward (Euclidean) or future-pointing
         timelike (Lorentzian) unit normals."""
-        X, Y = np.meshgrid(self.x, self.y, indexing="ij")
-        verts = np.column_stack([X.ravel(), Y.ravel(), self.u.ravel()])
+        verts = grid_rows(self.x, self.y, self.u)[1]
         ux, uy = self.gradients()
         gx, gy = ux.ravel(), uy.ravel()
         s = ambient_sign(self.signature)
         w = np.sqrt(metric_factor(s, gx, gy))
         normals = np.column_stack([gx / w, gy / w, -s / w])
-        faces = _grid_faces(len(self.x), len(self.y))
-        return SurfaceMesh(verts, faces, normals, signature=self.signature,
-                           meta={"grid": (len(self.x), len(self.y))})
-
-
-def _grid_faces(nx: int, ny: int) -> np.ndarray:
-    """Two triangles per cell on an (nx, ny) node grid, row-major indices:
-    (v00, v10, v11) for every cell, then (v00, v11, v01), written into one
-    array."""
-    faces = np.empty((2, nx - 1, ny - 1, 3), dtype=np.int64)
-    v00 = np.add.outer(np.arange(nx - 1) * ny, np.arange(ny - 1),
-                       out=faces[0, ..., 0])
-    np.add(v00, ny, out=faces[0, ..., 1])
-    np.add(v00, ny + 1, out=faces[0, ..., 2])
-    faces[1, ..., 0] = v00
-    faces[1, ..., 1] = faces[0, ..., 2]
-    np.add(v00, 1, out=faces[1, ..., 2])
-    return faces.reshape(-1, 3)
+        return SurfaceMesh(verts, normals, self.u.shape,
+                           signature=self.signature)
 
 
 def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
@@ -209,16 +251,11 @@ def extrude_cylinder(curve: ProfileCurve, y_range: Sequence[float],
         raise ValueError("need at least two samples across the rulings")
     y = np.linspace(y0, y1, ny)
     nx = len(x)
-    X = np.repeat(x, ny)
-    Y = np.tile(y, nx)
-    Z = np.repeat(u, ny)
-    verts = np.column_stack([X, Y, Z])
+    verts = grid_rows(x, y, np.repeat(u[:, None], ny, axis=1))[1]
     nrm = np.column_stack([np.sin(curve.theta), np.zeros(nx),
                            -np.cos(curve.theta)])
     normals = np.repeat(nrm, ny, axis=0)
-    mesh = SurfaceMesh(verts, _grid_faces(nx, ny), normals,
-                       meta={"kind": "cylinder", "grid": (nx, ny)})
-    return mesh
+    return SurfaceMesh(verts, normals, (nx, ny), meta={"kind": "cylinder"})
 
 
 def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
@@ -233,45 +270,23 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
     x, z, th = curve.x, curve.z, curve.theta
     if np.any(x < -1e-12):
         raise ValueError("negative radius along the generating curve")
-    has_apex = x[0] < 1e-12
-    i0 = 1 if has_apex else 0
+    i0 = has_apex = bool(x[0] < 1e-12)
     t = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-    ct, st = np.cos(t), np.sin(t)
-
-    rings_x = x[i0:]
-    rings = len(rings_x)
-    verts = np.empty((rings * nt + (1 if has_apex else 0), 3))
+    cs = np.column_stack([np.cos(t), np.sin(t)])
+    rings = len(x) - i0
+    verts = np.empty((rings * nt + has_apex, 3))
     normals = np.empty_like(verts)
-    V = verts[: rings * nt].reshape(rings, nt, 3)
-    N = normals[: rings * nt].reshape(rings, nt, 3)
-    V[:, :, 0] = rings_x[:, None] * ct[None, :]
-    V[:, :, 1] = rings_x[:, None] * st[None, :]
-    V[:, :, 2] = z[i0:, None]
-    sin_th = np.sin(th[i0:])[:, None]
-    cos_th = np.cos(th[i0:])[:, None]
-    N[:, :, 0] = -sin_th * ct[None, :]
-    N[:, :, 1] = -sin_th * st[None, :]
-    N[:, :, 2] = np.broadcast_to(cos_th, (rings, nt))
-
-    idx = np.arange(nt)
-    nxt = (idx + 1) % nt
-    # the first ring's quads (a, b, c, d) = (t, t+1, nt+t, nt+t+1) give
-    # the triangles (a, b, d), then (a, d, c); each ring is an offset of it
-    ring = np.concatenate([np.column_stack([idx, nxt, nxt + nt]),
-                           np.column_stack([idx, nxt + nt, idx + nt])])
-    body = (rings - 1) * 2 * nt  # the faces between rings, then the fan
-    faces = np.empty((body + (nt if has_apex else 0), 3), dtype=np.int64)
-    np.add(np.arange(rings - 1)[:, None, None] * nt, ring,
-           out=faces[:body].reshape(rings - 1, 2 * nt, 3))
+    # points and normals turn alike: (r cos t, r sin t, a) per ring
+    for out, r, a in ((verts, x[i0:], z[i0:]),
+                      (normals, -np.sin(th[i0:]), np.cos(th[i0:]))):
+        nodes = out[:rings * nt].reshape(rings, nt, 3)
+        nodes[:, :, :2] = r[:, None, None] * cs
+        nodes[:, :, 2] = a[:, None]
     if has_apex:
-        apex = rings * nt
-        verts[apex] = (0.0, 0.0, z[0])
-        normals[apex] = (0.0, 0.0, 1.0)
-        faces[-nt:] = np.column_stack([np.full(nt, apex), nxt, idx])
-    mesh = SurfaceMesh(verts, faces, normals,
-                       meta={"kind": "revolved", "nt": nt,
-                             "has_apex": has_apex, "rings": rings})
-    return mesh
+        verts[-1] = (0.0, 0.0, z[0])
+        normals[-1] = (0.0, 0.0, 1.0)
+    return SurfaceMesh(verts, normals, (rings, nt), periodic=True,
+                       apex=has_apex, meta={"kind": "revolved"})
 
 
 def tilt_cylinder(curve: ProfileCurve, theta: float,
@@ -308,9 +323,8 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     normals = np.column_stack([n[:, 0],
                                c * n[:, 1] - s * n[:, 2],
                                s * n[:, 1] + c * n[:, 2]])
-    return SurfaceMesh(verts, base.faces, normals,
-                       meta={"kind": "tilted_cylinder", "theta": theta,
-                             "grid": base.meta["grid"]})
+    return SurfaceMesh(verts, normals, base.grid,
+                       meta={"kind": "tilted_cylinder", "theta": theta})
 
 
 # ---------------------------------------------------------------------------
@@ -427,54 +441,68 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
 
     It runs on coordinate columns: corner c of a face with the edges
     E_c = p_{c+1} - p_c (mod 3) spans E_c and -E_{c+2} and weights E_{c+1}.
-    The corner weights, and each corner's term, are formed over blocks of
-    ``_CHUNK_ROWS`` faces: the weights, a third of each face area (until
-    the vertex areas are summed) and one reused buffer of terms are the
-    only arrays as long as the faces, and the weights and the buffer go
-    before the vertex sums are divided in place.  Sums keep the order of
-    ``np.cross`` and ``norm`` on rows, and each coordinate is scattered by
-    1-D ``ufunc.at`` in corner order (the three accumulators are
-    independent, so one coordinate's three corners run before the next
-    coordinate's)."""
-    f = mesh.faces.T  # a view: every index row is read in place
-    v = mesh.vertices.T
-    blocks = [slice(lo, lo + _CHUNK_ROWS)
-              for lo in range(0, f.shape[1], _CHUNK_ROWS)]
-    half = np.empty(f.shape)  # minus half the cotangent at each corner
-    third = np.empty(f.shape[1])  # a third of the face area
-    for block in blocks:
-        _corner_weights(v, f[:, block], half[:, block], third[block])
+    The corner weights and terms are formed from slices of the node grid
+    over blocks of cell rows (``_corners``); the weights, a third of each
+    face area (until the vertex areas are summed) and the terms are the
+    only arrays as long as the faces.  Sums keep the order of ``np.cross``
+    and ``norm`` on rows, and each vertex sum takes its terms in the order
+    of 1-D ``ufunc.at`` over the face list (``_scatter``)."""
+    n, m = mesh.grid
+    shapes = [(n - 1, m - (not mesh.periodic))] * 2 + [(1, m)] * mesh.apex
+    half = [np.empty((3,) + s) for s in shapes]  # minus half the cotangent
+    third = [np.empty(s) for s in shapes]  # a third of the face area
+    for kind, rows, corners in _corners(mesh, mesh.vertices.T):
+        _corner_weights(corners, half[kind][:, rows], third[kind][rows])
     area = np.zeros(mesh.n_vertices)
-    for corners in f:
-        np.add.at(area, corners, third)
+    for c in range(3):
+        _scatter(mesh, area, third, c, np.add)
     del third
     area[area < 1e-300] = 1e-300
     vec = np.zeros((3, mesh.n_vertices))
-    t = np.empty(f.shape[1])
-    for acc, q in zip(vec, v):
+    t = [np.empty(s) for s in shapes]
+    for acc, q in zip(vec, mesh.vertices.T):
         for c in range(3):
-            j, k = f[(c + 1) % 3], f[(c + 2) % 3]
-            for block in blocks:
-                np.multiply(half[c, block], q[k[block]] - q[j[block]],
-                            out=t[block])  # E_{c+1}
-            np.subtract.at(acc, j, t)
-            np.add.at(acc, k, t)
+            for kind, rows, p in _corners(mesh, q):
+                np.multiply(half[kind][c, rows], p[(c + 2) % 3]
+                            - p[(c + 1) % 3], out=t[kind][rows])  # E_{c+1}
+            _scatter(mesh, acc, t, (c + 1) % 3, np.subtract)
+            _scatter(mesh, acc, t, (c + 2) % 3, np.add)
     del half, t
     vec /= area
     return vec.T
 
 
-def _corner_weights(v: np.ndarray, f: np.ndarray, half: np.ndarray,
-                    third: np.ndarray) -> None:
-    """Minus half the cotangent at each corner of the faces ``f`` (3, B)
-    into ``half`` (3, B), and a third of their areas into ``third``, from
-    the coordinate rows ``v``."""
-    edge = np.empty((3, 3, f.shape[1]))  # edge[coordinate, c] = E_c
-    for q, e in zip(v, edge):
-        corner = q[f]
-        np.subtract(corner[[1, 2, 0]], corner, out=e)
+def _scatter(mesh: SurfaceMesh, acc: np.ndarray, terms: list, corner: int,
+             ufunc: np.ufunc) -> None:
+    """``acc[v] = ufunc(acc[v], term)`` for the term of each triangle
+    (``terms[kind]``, one per cell) at its ``corner`` v, by slices of the
+    node grid in the order of ``ufunc.at`` over the face list: a vertex
+    takes the triangle of the lower cell row first, then the cell's first
+    triangle, and the fan last (the apex, on every fan, by ``ufunc.at``)."""
+    n, m = mesh.grid
+    nodes = acc[:n * m].reshape(n, m)
+    tris = _TRIANGLES[mesh.periodic]
+    for kind in sorted((0, 1), key=lambda k: -tris[k][corner][0]) \
+            + [2] * mesh.apex:
+        t, at = terms[kind], tris[kind][corner]
+        if at is None:
+            ufunc.at(acc, np.full(t.size, len(acc) - 1), t.ravel())
+            continue
+        (di, dj), (r, cols) = at, t.shape
+        wrap = max(0, dj + cols - m)  # the seam's cells reach column 0
+        for view, part in ((nodes[di:di + r, dj:dj + cols - wrap],
+                            t[:, :cols - wrap]),
+                           (nodes[di:di + r, :wrap], t[:, cols - wrap:])):
+            ufunc(view, part, out=view)
+
+
+def _corner_weights(p: list, half: np.ndarray, third: np.ndarray) -> None:
+    """Minus half the cotangent at each corner of the triangles whose
+    corners have the coordinates ``p[c]`` (3, ...) into ``half`` (3, ...),
+    and a third of their areas into ``third``."""
+    edge = [p[(c + 1) % 3] - p[c] for c in range(3)]  # E_c by coordinate
     for c in range(3):
-        (ax, ay, az), (bx, by, bz) = edge[:, c], edge[:, (c + 2) % 3]
+        (ax, ay, az), (bx, by, bz) = edge[c], edge[(c + 2) % 3]
         # |E_{c+2} x E_c| is |E_c x -E_{c+2}| bit for bit
         denom = np.sqrt((by * az - bz * ay) ** 2 + (bz * ax - bx * az) ** 2
                         + (bx * ay - by * ax) ** 2)
@@ -493,12 +521,11 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     """
     if mesh.signature != EUCLIDEAN:
         raise ValueError("discrete curvature residual is Euclidean-only")
-    # the curvature vectors die here, before boundary_mask's edge keys
     res = (_cotangent_curvature(mesh) * mesh.normals).sum(axis=1)
     z = mesh.vertices[:, 2]
     res -= np.asarray(profile.dphi(z), dtype=float) * mesh.normals[:, 2]
     res[mesh.boundary_mask()] = math.nan
-    if mesh.meta.get("has_apex"):
+    if mesh.apex:
         res[-1] = math.nan  # the fan vertex area is uneven; skip it
     return res
 
@@ -535,8 +562,9 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
     """
     p, nrm, n = mesh.vertices, mesh.normals, mesh.n_vertices
     # one-ring as CSR: the neighbors of v are nbr[ptr[v]:ptr[v + 1]]
-    f0, f1 = mesh.faces.ravel(), np.roll(mesh.faces, -1, axis=1).ravel()
-    keys = _distinct(np.concatenate([f0 * n + f1, f1 * n + f0]))
+    f0 = mesh.faces
+    f1 = np.roll(f0, -1, axis=1)
+    keys = _distinct(np.concatenate([f0 * n + f1, f1 * n + f0]).ravel())
     nbr = keys % n
     ptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n,
                                                      minlength=n))])
@@ -771,8 +799,9 @@ def _block_text(plan, chunk: np.ndarray) -> str:
     literals, cells = plan
     values = [chunk[:, j].astype(np.float64 if c == FLOAT else np.int64)
               for j, c in enumerate(cells)]
-    widths = [_FLOAT_BYTES if c == FLOAT else len(str(v.max()))
-              for c, v in zip(cells, values)]
+    ints = [v for c, v in zip(cells, values) if c != FLOAT]
+    top = max((v.max() for v in ints), default=-1)
+    widths = [_FLOAT_BYTES if c == FLOAT else len(str(top)) for c in cells]
     row, spans = b"", []
     for lit, width in zip(literals, widths + [0]):
         row += lit
@@ -781,22 +810,24 @@ def _block_text(plan, chunk: np.ndarray) -> str:
     block = np.empty((len(chunk), len(row)), dtype=np.uint8)
     # the literal pieces of every row, copied as one fixed-width item
     _items(block)[:] = np.void(row)
-    bad = np.empty((len(chunk), len(cells)), dtype=bool)
+    bad = np.zeros((len(chunk), len(cells)), dtype=bool)
+    # where the %d values span no more integers than there are values (the
+    # vertex indices of a block of faces), each integer is formatted once
+    lo, table = min((v.min() for v in ints), default=-1), None
+    if lo >= 0 and top - lo < len(chunk) * len(ints):
+        table = np.empty((top - lo + 1, len(str(top))), dtype=np.uint8)
+        _int_text(np.arange(lo, top + 1), table)
     for j, cell in enumerate(cells):
         out = block[:, spans[j]]
-        if j and cell == cells[j - 1] and np.array_equal(
-                values[j].view(np.uint64), values[j - 1].view(np.uint64)):
-            # a column that repeats the one before (an OBJ face's v//vn)
-            # repeats its text
-            _items(out)[:] = _items(block[:, spans[j - 1]])
-            bad[:, j] = bad[:, j - 1]
-        else:
-            write = _float_runs if cell == FLOAT else _int_text
-            bad[:, j] = write(values[j], out)
-            if bad[:, j].any():
-                # a value left to % keeps one \x01 byte, which marks its place
-                out[bad[:, j]] = 0
-                out[bad[:, j], 0] = 1
+        if cell != FLOAT and table is not None:
+            _items(out)[:] = _items(table).take(values[j] - lo, axis=0)
+            continue
+        write = _float_runs if cell == FLOAT else _int_text
+        bad[:, j] = write(values[j], out)
+        if bad[:, j].any():
+            # a value left to % keeps one \x01 byte, which marks its place
+            out[bad[:, j]] = 0
+            out[bad[:, j], 0] = 1
     text = block.tobytes().replace(b"\0", b"").decode("ascii")
     if not bad.any():
         return text
@@ -854,11 +885,13 @@ def write_rows(fh, rows, sep: str = ",", prefix: str = "",
 def write_table(path, comments: Sequence[str], header: str,
                 data: np.ndarray, cell: str = FLOAT) -> None:
     """CSV artifact: ``# key = value`` comment lines, the column line, then
-    one row of ``data`` per line."""
+    one row of ``data`` per line; ``data`` may be an iterable of row
+    blocks."""
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, comments)
         write_header(fh, [header], prefix="")
-        write_rows(fh, data, cell=cell)
+        for rows in [data] if isinstance(data, np.ndarray) else data:
+            write_rows(fh, rows, cell=cell)
 
 
 def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
@@ -1062,11 +1095,9 @@ def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
         write_header(fh, [*comments, f"signature: {mesh.signature}"])
         write_rows(fh, mesh.vertices, sep=" ", prefix="v ")
         write_rows(fh, mesh.normals, sep=" ", prefix="vn ")
-        # the v//vn columns repeated one block of faces at a time, so that
-        # no second face array spans the mesh
-        for lo in range(0, len(mesh.faces), _CHUNK_ROWS):
-            block = mesh.faces[lo:lo + _CHUNK_ROWS] + 1
-            write_rows(fh, np.repeat(block, 2, axis=1), sep=" ",
+        # a block of faces at a time: no face array spans the mesh
+        for block in mesh.face_blocks():
+            write_rows(fh, np.repeat(block + 1, 2, axis=1), sep=" ",
                        prefix="f ", cell="%d//%d")
 
 
@@ -1078,7 +1109,7 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
             f"element vertex {mesh.n_vertices}",
             *(f"property double {name}"
               for name in ("x", "y", "z", "nx", "ny", "nz")),
-            f"element face {len(mesh.faces)}",
+            f"element face {mesh.n_faces}",
             "property list uchar int vertex_indices", "end_header"]
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, head, prefix="")
@@ -1088,4 +1119,5 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
             block = slice(lo, lo + _CHUNK_ROWS)
             write_rows(fh, np.hstack([mesh.vertices[block],
                                       mesh.normals[block]]), sep=" ")
-        write_rows(fh, mesh.faces, sep=" ", prefix="3 ", cell="%d")
+        for block in mesh.face_blocks():
+            write_rows(fh, block, sep=" ", prefix="3 ", cell="%d")

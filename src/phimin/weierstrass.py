@@ -47,7 +47,7 @@ from scipy.interpolate import CubicSpline
 from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
-from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh, _grid_faces,
+from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh,
                        _interior_derivatives, _interior_gradient,
                        grid_from_table, grid_rows,
                        mean_curvature_residual, read_table, staircase,
@@ -275,9 +275,8 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     nu, nv = field.shape
     points, pinned = _immersion(field, base, anchor)
     mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
-                       faces=_grid_faces(nu, nv),
                        normals=field.normals().reshape(-1, 3),
-                       signature=EUCLIDEAN,
+                       grid=(nu, nv), signature=EUCLIDEAN,
                        meta={"kind": "weierstrass-representation",
                              **pinned})
     sups = reconstruction_residuals(mesh, field)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.spatial import ConvexHull
 
 from phimin import calabi, make_builtin, surfaces
 from phimin.calabi import PotentialPatch
@@ -35,7 +34,7 @@ from phimin.surfaces import (
     tilt_cylinder,
     write_rows,
 )
-from phimin.weierstrass import GaussField
+from phimin.weierstrass import GaussField, integrate_representation
 
 LIN1 = make_builtin("linear", 1.0)
 
@@ -47,8 +46,9 @@ def reaper_patch(n=121, half=1.0):
     return GraphPatch(x, y, u)
 
 
-def sphere_mesh(radius=1.0, n_s=60, nt=80):
-    s = np.linspace(0.35, math.pi - 0.35, n_s)
+def sphere_mesh(radius=1.0, n_s=60, nt=80, s0=0.35):
+    # s0 = 0 starts at the north pole, which becomes the apex
+    s = np.linspace(s0, math.pi - 0.35, n_s)
     curve = ProfileCurve(s=s, x=radius * np.sin(s), z=radius * np.cos(s),
                          theta=-s, curve_kind="catenoid_left", profile=LIN1,
                          initial_data={})
@@ -365,7 +365,7 @@ def test_revolved_bowl_residual_and_orthogonality():
     res = mean_curvature_residual(mesh, LIN1)
     assert np.nanmax(np.abs(res)) < 5e-3
     # meridians meet parallels orthogonally: <psi_s, psi_t> ~ 0
-    rings, nt = mesh.meta["rings"], mesh.meta["nt"]
+    rings, nt = mesh.grid
     V = mesh.vertices[: rings * nt].reshape(rings, nt, 3)
     psi_s = V[2:, :, :] - V[:-2, :, :]
     psi_t = np.roll(V[1:-1], -1, axis=1) - np.roll(V[1:-1], 1, axis=1)
@@ -434,14 +434,25 @@ def test_sphere_mean_curvature_control():
 # -- mesh kernels against per-edge and per-vertex references -----------------
 
 
-def closed_sphere_mesh(n=400):
-    # hull of a Fibonacci lattice: a closed triangulated unit sphere
-    k = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * k / n
-    r = np.sqrt(1.0 - z * z)
-    t = math.pi * (3.0 - math.sqrt(5.0)) * k
-    p = np.column_stack([r * np.cos(t), r * np.sin(t), z])
-    return SurfaceMesh(p, ConvexHull(p).simplices, p)
+def reference_faces(mesh):
+    """The face list as the mesh builders wrote it into one array: a
+    grid's (v00, v10, v11) for every cell, then its (v00, v11, v01); a
+    revolve's quads (a, b, c, d) = (t, t+1, nt+t, nt+t+1) ring by ring as
+    (a, b, d), then (a, d, c); then the fan (apex, t+1, t)."""
+    n, m = mesh.grid
+    if not mesh.periodic:
+        v00 = np.add.outer(np.arange(n - 1) * m, np.arange(m - 1)).ravel()
+        return np.concatenate([
+            np.column_stack([v00, v00 + m, v00 + m + 1]),
+            np.column_stack([v00, v00 + m + 1, v00 + 1])])
+    idx = np.arange(m)
+    nxt = (idx + 1) % m
+    ring = np.concatenate([np.column_stack([idx, nxt, nxt + m]),
+                           np.column_stack([idx, nxt + m, idx + m])])
+    faces = [ring + r * m for r in range(n - 1)]
+    if mesh.apex:
+        faces.append(np.column_stack([np.full(m, n * m), nxt, idx]))
+    return np.concatenate(faces)
 
 
 def reference_boundary_mask(mesh):
@@ -513,71 +524,97 @@ def reference_second_fundamental_norm(mesh):
     return out
 
 
-def three_page_book():
-    # edge (0, 1) is shared by three faces; every other edge by one
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0],
-                      [0.5, -1.0, 0.0], [0.5, 0.0, 1.0]])
-    normals = np.repeat([[0.0, 0.0, 1.0]], 5, axis=0)
-    return SurfaceMesh(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
-                       normals)
-
-
 def blocks_bowl_mesh():
-    # 25,472 faces: three whole blocks of _CHUNK_ROWS faces and part of a
-    # fourth, so every block edge of the mesh kernels is crossed
+    # 25,472 faces in 99 rows of cells: three whole blocks of 32 rows
+    # (_CHUNK_ROWS faces each) and part of a fourth, so every block edge
+    # of the mesh kernels is crossed
     mesh = revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=101), 128)
-    assert 3 * surfaces._CHUNK_ROWS < len(mesh.faces) \
-        < 4 * surfaces._CHUNK_ROWS
+    assert 3 * surfaces._CHUNK_ROWS < mesh.n_faces < 4 * surfaces._CHUNK_ROWS
     return mesh
 
 
-def test_boundary_mask_matches_row_unique():
-    sphere = closed_sphere_mesh()
-    doubled = SurfaceMesh(sphere.vertices,
-                          np.concatenate([sphere.faces, sphere.faces[:1]]),
-                          sphere.normals)
-    strip = extrude_cylinder(solve_catenary(LIN1, 0.0, 0.5, n_samples=41),
-                             (0.0, 0.1), 2)
-    n = 31
-    x = np.linspace(-1, 1, n)
-    grid = GraphPatch(x, x[:21], np.outer(x, x[:21]) ** 2).to_mesh()
-    bowl = revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16)
-    assert bowl.meta["has_apex"]
-    big = blocks_bowl_mesh()
-    for mesh in (sphere, doubled, strip, grid, bowl, big, three_page_book()):
-        assert np.array_equal(mesh.boundary_mask(),
-                              reference_boundary_mask(mesh))
-    assert not sphere.boundary_mask().any()
-    # the edges of the doubled face are shared by three faces, not one
-    assert not doubled.boundary_mask().any()
-    assert strip.boundary_mask().all()
-    assert grid.boundary_mask().sum() == 2 * (n + 21) - 4
-    assert bowl.boundary_mask().sum() == 16
-    assert big.boundary_mask().sum() == 128
+def blocks_grid_mesh():
+    # 2,401 x 9 nodes: each kind of triangle in three blocks of rows, the
+    # last one partial
+    mesh = extrude_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=1201),
+                            (-0.5, 0.5), 9)
+    assert 2 < mesh.n_faces / 2 / surfaces._CHUNK_ROWS < 3
+    return mesh
 
 
 def degenerate_mesh():
-    # face 1 repeats a vertex and face 2 is collinear: both have zero area,
-    # so vertex 4 (only on face 2) and vertex 5 (on no face) have zero area
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                      [1.0, 1.0, 0.5], [2.0, 2.0, 1.0], [5.0, 5.0, 5.0]])
-    normals = np.repeat([[0.0, 0.0, 1.0]], 6, axis=0)
-    return SurfaceMesh(verts, np.array([[0, 1, 2], [1, 1, 2], [0, 3, 4],
-                                        [1, 3, 2]]), normals)
+    # a 3 x 4 grid whose corner node (0, 3) coincides with node (0, 2):
+    # the one face on node (0, 3) has zero area, and so has the node
+    x, y = np.meshgrid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], indexing="ij")
+    verts = np.column_stack([x.ravel(), y.ravel(), 0.1 * (x * y).ravel()])
+    verts[3] = verts[2]
+    return SurfaceMesh(verts, np.repeat([[0.0, 0.0, 1.0]], 12, axis=0),
+                       (3, 4))
 
 
-@pytest.mark.parametrize("mesh", [
-    GraphPatch(np.linspace(-1, 1, 31), np.linspace(-0.7, 0.7, 21),
-               np.outer(np.linspace(-1, 1, 31),
-                        np.linspace(-0.7, 0.7, 21)) ** 2).to_mesh(),
-    revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16),
-    tilt_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 5,
-                  (-0.8, 0.8), 21),
-    closed_sphere_mesh(),
-    degenerate_mesh(),
-    blocks_bowl_mesh(),
-], ids=["grid", "apex-fan", "tilted-cylinder", "sphere", "degenerate",
-        "four-blocks"])
+def representation_mesh():
+    # the grim reaper from its Gauss map G = tanh(u / 2)
+    u, v = np.linspace(-1.5, 1.5, 41), np.linspace(-1.0, 1.0, 31)
+    return integrate_representation(GaussField(
+        u=u, v=v, G=np.tanh(u[:, None] / 2.0) + 0.0j * v[None, :],
+        k_param=1.0))
+
+
+# every kind of structure the builders make: grids (a graph, extruded, the
+# two-ruling strip, tilted, several row blocks, the representation, one
+# with coincident nodes) and periodic grids with an apex (bowls, a sphere
+# from its pole, a single ring) and without one (the round cylinder, the
+# sphere band)
+MESHES = {
+    "grid": GraphPatch(np.linspace(-1, 1, 31), np.linspace(-0.7, 0.7, 21),
+                        np.outer(np.linspace(-1, 1, 31),
+                                 np.linspace(-0.7, 0.7, 21)) ** 2).to_mesh(),
+    "extruded": extrude_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61),
+                                 (-0.5, 0.5), 17),
+    "strip": extrude_cylinder(solve_catenary(LIN1, 0.0, 0.5, n_samples=41),
+                              (0.0, 0.1), 2),
+    "tilted-cylinder": tilt_cylinder(
+        solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 5,
+        (-0.8, 0.8), 21),
+    "grid-blocks": blocks_grid_mesh(),
+    "representation": representation_mesh(),
+    "degenerate": degenerate_mesh(),
+    "apex-fan": revolve(solve_bowl(LIN1, 0.0, 2.0, n_samples=41), 16),
+    "four-blocks": blocks_bowl_mesh(),
+    "sphere": sphere_mesh(n_s=20, nt=20, s0=0.0),
+    "one-ring": revolve(solve_bowl(LIN1, 0.0, 0.1, n_samples=2), 5),
+    "round-cylinder": round_cylinder_mesh(),
+    "sphere-band": sphere_mesh(n_s=20, nt=24),
+}
+
+
+@pytest.mark.parametrize("mesh", MESHES.values(), ids=MESHES)
+def test_faces_follow_the_builders_order(mesh):
+    want = reference_faces(mesh)
+    assert mesh.faces.dtype == np.int64 and mesh.n_faces == len(want)
+    assert np.array_equal(mesh.faces, want)
+    blocks = list(mesh.face_blocks())
+    assert max(map(len, blocks)) <= surfaces._CHUNK_ROWS
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_boundary_mask_matches_row_unique():
+    for mesh in MESHES.values():
+        assert np.array_equal(mesh.boundary_mask(),
+                              reference_boundary_mask(mesh))
+    n, m = MESHES["grid"].grid
+    assert MESHES["grid"].boundary_mask().sum() == 2 * (n + m) - 4
+    assert MESHES["strip"].boundary_mask().all()
+    assert MESHES["apex-fan"].apex
+    assert MESHES["apex-fan"].boundary_mask().sum() == 16
+    assert MESHES["four-blocks"].boundary_mask().sum() == 128
+    assert MESHES["round-cylinder"].boundary_mask().sum() == 2 * 60
+    assert MESHES["sphere"].boundary_mask().sum() == 20
+    assert MESHES["one-ring"].grid == (1, 5)
+    assert MESHES["one-ring"].boundary_mask().sum() == 5
+
+
+@pytest.mark.parametrize("mesh", MESHES.values(), ids=MESHES)
 def test_cotangent_curvature_matches_row_scatter(mesh):
     got = surfaces._cotangent_curvature(mesh)
     want = reference_cotangent_curvature(mesh)
@@ -589,22 +626,23 @@ def test_cotangent_curvature_matches_row_scatter(mesh):
 
 def test_degenerate_mesh_hits_both_clamps():
     mesh = degenerate_mesh()
-    cross = np.cross(mesh.vertices[mesh.faces[:, 1]]
-                     - mesh.vertices[mesh.faces[:, 0]],
-                     mesh.vertices[mesh.faces[:, 2]]
-                     - mesh.vertices[mesh.faces[:, 0]])
-    assert (np.linalg.norm(cross, axis=1) == 0.0).sum() == 2
-    assert not np.isin([4, 5], mesh.faces[[0, 1, 3]]).any()
+    f = mesh.faces
+    p = mesh.vertices
+    cross = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
+    flat = np.linalg.norm(cross, axis=1) == 0.0
+    assert flat.sum() == 1
+    # vertex 3 lies on the flat face alone, so its area is zero
+    assert 3 in f[flat] and 3 not in f[~flat]
     # without either clamp a division by zero leaves inf or NaN
     assert np.isfinite(surfaces._cotangent_curvature(mesh)).all()
 
 
 @pytest.mark.parametrize("mesh", [
-    closed_sphere_mesh(),
+    MESHES["sphere"],
     sphere_mesh(radius=2.0, n_s=20, nt=24),
     tilt_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 4,
                   (-0.8, 0.8), 21),
-], ids=["closed-sphere", "sphere-band", "tilted-cylinder"])
+], ids=["polar-sphere", "sphere-band", "tilted-cylinder"])
 def test_batched_fit_matches_per_vertex_lstsq(mesh):
     s_norm, _ = second_fundamental_norm(mesh, LIN1)
     want = reference_second_fundamental_norm(mesh)
@@ -664,21 +702,38 @@ def test_tilt_rejects_bad_angle():
 
 
 def test_mesh_validates_normals():
-    verts = np.zeros((3, 3))
-    faces = np.array([[0, 1, 2]])
+    verts = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        SurfaceMesh(verts, faces, np.full((3, 3), 0.5))
+        SurfaceMesh(verts, np.full((4, 3), 0.5), (2, 2))
 
 
 def test_mesh_validates_lorentz_normals():
-    verts = np.zeros((3, 3))
-    faces = np.array([[0, 1, 2]])
-    n = np.repeat(np.array([[0.6, 0.0, math.sqrt(1.36)]]), 3, axis=0)
-    mesh = SurfaceMesh(verts, faces, n, signature=LORENTZIAN)
+    verts = np.zeros((4, 3))
+    n = np.repeat(np.array([[0.6, 0.0, math.sqrt(1.36)]]), 4, axis=0)
+    mesh = SurfaceMesh(verts, n, (2, 2), signature=LORENTZIAN)
     assert mesh.signature == LORENTZIAN
     with pytest.raises(ValueError):
-        SurfaceMesh(verts, faces, np.repeat([[0.0, 0.0, 1.0]], 3, axis=0),
+        SurfaceMesh(verts, np.repeat([[0.0, 0.0, 1.0]], 4, axis=0), (2, 2),
                     signature="other")
+
+
+def test_mesh_validates_its_grid():
+    def mesh(nodes, grid, **kw):
+        return SurfaceMesh(np.zeros((nodes, 3)),
+                           np.repeat([[0.0, 0.0, 1.0]], nodes, axis=0),
+                           grid, **kw)
+    assert mesh(7, (2, 3), periodic=True, apex=True).n_faces == 9
+    assert mesh(4, (1, 3), periodic=True, apex=True).n_faces == 3
+    for nodes, grid, kw, match in [
+            (5, (2, 2), {}, "5 vertices do not make a 2 x 2 grid"),
+            (7, (2, 3), {"periodic": True}, "7 vertices do not"),
+            (6, (2, 3), {"periodic": True, "apex": True}, "with an apex"),
+            (2, (1, 2), {}, "do not make"),
+            (4, (2, 2), {"periodic": True}, "do not make"),
+            (5, (2, 2), {"apex": True}, "do not make"),
+            (3, (1, 3), {"periodic": True}, "do not make")]:
+        with pytest.raises(ValueError, match=match):
+            mesh(nodes, grid, **kw)
 
 
 _COEF = st.floats(-10.0, 10.0)
@@ -756,10 +811,12 @@ def test_obj_face_rows_across_digit_groups(tmp_path):
     verts = np.column_stack([np.arange(n, dtype=float), np.zeros(n),
                              np.zeros(n)])
     normals = np.repeat([[0.0, 0.0, 1.0]], n, axis=0)
-    # one-based indices 9999, 10000, 10001 and 10002 meet small ones
-    faces = np.array([[9998, 9999, 10000], [10000, 10001, 0], [0, 1, 9998],
-                      [5, 9999, 10001], [9, 99, 999]])
-    save_obj(SurfaceMesh(verts, faces, normals), tmp_path / "m.obj")
+    # a 2 x 5001 grid: one-based indices 9999 to 10002 meet four-digit
+    # ones in a row, and the 10,000 faces cross a block edge
+    mesh = SurfaceMesh(verts, normals, (2, n // 2))
+    faces = mesh.faces
+    assert [4999, 10000, 10001] in (faces + 1).tolist()
+    save_obj(mesh, tmp_path / "m.obj")
     text = (tmp_path / "m.obj").read_text()
     rows = np.repeat(faces + 1, 2, axis=1).tolist()
     assert text[text.index("\nf ") + 1:] == "".join(
@@ -878,7 +935,9 @@ def test_write_rows_matches_percent_on_integers():
     rng = np.random.default_rng(5)
     drawn = rng.integers(0, 2 ** 62, (500, 3)) // rng.integers(
         1, 10 ** 15, (500, 3))
-    for rows in (ints, drawn, ints.astype(np.int32)[[0, 1, 5]]):
+    # every integer 0..11999 once: dense enough to be formatted once each
+    dense = np.arange(12000).reshape(-1, 3)[rng.permutation(4000)]
+    for rows in (ints, drawn, ints.astype(np.int32)[[0, 1, 5]], dense):
         for sep, prefix in ((",", ""), (" ", "3 ")):
             assert _written(rows, sep=sep, prefix=prefix, cell="%d") \
                 == _percent(rows, sep=sep, prefix=prefix, cell="%d")

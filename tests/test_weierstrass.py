@@ -180,12 +180,14 @@ def traced_peak(fn, *args):
 
 
 def test_reconstruction_peak_memory():
-    # the mesh oracle with the mesh it judges: about 198 B a node (mesh 96,
-    # oracle 102), against 215 while the oracle held its corner weights
-    # through the vertex division, 256 while the first-order defects
-    # spanned the grid and 790 while every intermediate lived to the end
+    # the mesh oracle with the mesh it judges: about 158 B a node (mesh 48,
+    # points and normals with no face array; oracle 102), against 198
+    # while the mesh stored its faces, 215 while the oracle held its
+    # corner weights through the vertex division, 256 while the
+    # first-order defects spanned the grid and 790 while every
+    # intermediate lived to the end
     f = reaper_field(201, 151)
-    assert traced_peak(integrate_representation, f) <= 210 * f.G.size
+    assert traced_peak(integrate_representation, f) <= 165 * f.G.size
 
 
 def test_field_check_peak_memory():
@@ -204,10 +206,16 @@ def test_field_check_peak_memory():
 
 
 def test_grid_faces_peak_memory():
-    # written into one array: about 24.5 B a face for a 24 B result,
-    # against 72 through index vectors and stacked columns
-    assert traced_peak(surfaces._grid_faces, 441, 331) \
-        <= 27 * 2 * 440 * 330
+    # the faces derived from the grid one block of about _CHUNK_ROWS
+    # faces at a time: about 0.64 MB whatever the mesh, against 7.0 MB
+    # (24.5 B a face) for the whole list of a 441x331 grid
+    x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
+    mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
+
+    def derive():
+        for _ in mesh.face_blocks():
+            pass
+    assert traced_peak(derive) <= 100 * surfaces._CHUNK_ROWS
 
 
 def test_weierstrass_command_peak_memory(tmp_path):
@@ -255,43 +263,44 @@ def test_field_axes_do_not_pin_the_table(tmp_path):
 
 
 def test_cotangent_oracle_peak_memory():
-    # the corner weights (24 B a face), one buffer of corner terms (8), the
-    # vertex sums (12) and areas (4), with the weights and the buffer gone
-    # before the sums are divided in place: about 51.5 B a face on this
-    # small mesh (48 plus block temporaries), against 60 with the weights,
-    # the buffer and a divided copy alive together, 92 with an int64 copy
-    # of the faces and whole-mesh terms, and 192 with all nine edge
-    # columns held at once
+    # the corner weights (24 B a face, 48 a node), one buffer of corner
+    # terms (8 a face), the vertex sums (24 a node) and areas (8), with
+    # the weights and the buffer gone before the sums are divided in
+    # place: about 101.8 B a node on this small mesh (96 plus block
+    # temporaries), against 119 with the weights, the buffer and a
+    # divided copy alive together, 182 with an int64 copy of the faces
+    # and whole-mesh terms, and 380 with all nine edge columns held at
+    # once
     mesh = integrate_representation(reaper_field(201, 151))
     assert traced_peak(surfaces._cotangent_curvature, mesh) \
-        <= 56 * len(mesh.faces)
+        <= 104 * mesh.n_vertices
 
 
 def test_mean_curvature_residual_peak_memory():
-    # the curvature vectors die before boundary_mask builds its edge keys,
-    # so the oracle's 48.8 B a face is the peak on a 441x331 grid, against
-    # 52 with the vectors alive through boundary_mask and 60 with the
-    # oracle's weights alive through its division
+    # the oracle's 97.0 B a node is the peak on a 441x331 grid, against
+    # 103 while the curvature vectors lived through boundary_mask's edge
+    # keys and 119 with the oracle's weights alive through its division
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
     assert traced_peak(surfaces.mean_curvature_residual, mesh, LIN1) \
-        <= 50 * len(mesh.faces)
+        <= 99 * mesh.n_vertices
 
 
 def test_boundary_mask_peak_memory():
-    # one (faces, 3) array of edge keys sorted in place and one column of
-    # maxima: about 32 B a face, against 72 with five key arrays
+    # the mask alone, read from the grid: about 1.1 B a node, against 63
+    # (32 B a face) while an array of edge keys was sorted
     mesh = integrate_representation(reaper_field(201, 151))
-    assert traced_peak(mesh.boundary_mask) <= 40 * len(mesh.faces)
+    assert traced_peak(mesh.boundary_mask) <= 2 * mesh.n_vertices
 
 
 def test_save_obj_peak_memory(tmp_path):
-    # the v//vn face columns repeated one block at a time: about 9 B a face
-    # on a 441x331 grid, against 72 with them repeated for the whole mesh
+    # faces derived and their v//vn columns repeated one block at a time:
+    # about 9 B a face on a 441x331 grid, against 72 with them repeated
+    # for the whole mesh
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
     assert traced_peak(surfaces.save_obj, mesh, tmp_path / "m.obj") \
-        <= 15 * len(mesh.faces)
+        <= 15 * mesh.n_faces
 
 
 def test_save_ply_peak_memory(tmp_path):
@@ -302,6 +311,16 @@ def test_save_ply_peak_memory(tmp_path):
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
     assert traced_peak(surfaces.save_ply, mesh, tmp_path / "m.ply") \
         <= 45 * mesh.n_vertices
+
+
+def test_catenoid_command_peak_memory(tmp_path):
+    # both revolved branches (1201 x 129 nodes, about 155,000 each) are
+    # held until their OBJ files are written: about 17.8 MB, against 32.6
+    # while each mesh stored its faces (48 B a node)
+    peak = traced_peak(cli.main, ["catenoid", "--preset",
+                                  "catenoid-exp-weight", "--out",
+                                  str(tmp_path / "c")])
+    assert peak <= 19e6
 
 
 def whole_grid_checks(f, mesh):
