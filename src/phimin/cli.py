@@ -389,7 +389,7 @@ def _mesh_files(fmt: str, mesh: SurfaceMesh, stem: str,
             mesh, path, comments=[*head, *extra]))]
     return [(f"{stem}.csv", "mesh", lambda path, head: write_table(
                 path, [*head, *extra, f"signature = {mesh.signature}"],
-                "x,y,z,nx,ny,nz", np.hstack([mesh.vertices, mesh.normals]))),
+                "x,y,z,nx,ny,nz", mesh.vertex_blocks())),
             (f"{stem}_faces.csv", "mesh_faces", lambda path, head: write_table(
                 path, [*head, *extra], "i,j,k", mesh.face_blocks(),
                 cell="%d"))]
@@ -572,11 +572,12 @@ def _cmd_tilt(cfg: RunConfig) -> int:
                            n_samples=cfg["n_samples"])
     angle, y_half, ny = cfg["angle"], cfg["y_half"], cfg["n_rulings"]
     mesh = tilt_cylinder(curve, angle, y_range=(-y_half, y_half), ny=ny)
-    flat = extrude_cylinder(curve, (-y_half, y_half), ny)
-    report = {"angle": angle,
-              "residual_tilted": np.nanmax(
-                  np.abs(mean_curvature_residual(mesh, prof))),
-              "residual_flat": np.nanmax(
+    # at angle 0 the tilt is the identity: its mesh is the extruded one
+    flat = mesh if angle == 0.0 else extrude_cylinder(
+        curve, (-y_half, y_half), ny)
+    tilted = np.nanmax(np.abs(mean_curvature_residual(mesh, prof)))
+    report = {"angle": angle, "residual_tilted": tilted,
+              "residual_flat": tilted if flat is mesh else np.nanmax(
                   np.abs(mean_curvature_residual(flat, prof)))}
     return _finish(cfg, [_curve_file(curve, "curve.csv"),
                          *_mesh_files(cfg["format"], mesh, "tilted",

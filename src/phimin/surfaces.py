@@ -114,6 +114,13 @@ class SurfaceMesh:
                 yield np.stack(pending, axis=1).reshape(-1, 3)
                 pending = []
 
+    def vertex_blocks(self):
+        """Positions beside normals, (rows, 6), ``_CHUNK_ROWS`` vertices at
+        a time: no second vertex array spans the mesh."""
+        for lo in range(0, self.n_vertices, _CHUNK_ROWS):
+            block = slice(lo, lo + _CHUNK_ROWS)
+            yield np.hstack([self.vertices[block], self.normals[block]])
+
     def boundary_mask(self) -> np.ndarray:
         """True for vertices on an edge owned by a single face: the first
         and last node rows (an apex closes the first), and the first and
@@ -530,22 +537,14 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     return res
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values by one sort (plain ``np.unique`` on int64
-    takes a hash path that is an order of magnitude slower)."""
-    keys = np.sort(keys)
-    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-
-
-def _ragged(ptr: np.ndarray, rows: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flattened CSR segments ``ptr[r]:ptr[r + 1]`` of ``rows``: each
-    position, and the index into ``rows`` it came from."""
-    start, count = ptr[rows], ptr[rows + 1] - ptr[rows]
-    owner = np.repeat(np.arange(len(rows)), count)
-    pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start,
-                                             count)
-    return owner, pos
+# A grid node's one-ring on either triangulation of ``_TRIANGLES``, as
+# (row, column) offsets, and its two-ring: the 18 distinct sums of two
+# one-ring offsets other than (0, 0).
+_RING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+_TWO_RING = sorted({(a + c, b + d) for a, b in _RING for c, d in _RING}
+                   - {(0, 0)})
+_FIT_BLOCK = 2048
+_FIT_KAPPA = 1e8
 
 
 def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
@@ -553,66 +552,140 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
     """Per-vertex (|S|, |S|/dphi(z)) with |S| the Frobenius norm of the
     shape operator, estimated by quadric fitting over two neighbor rings.
 
-    Each fit is the minimum-norm least-squares solution with the cutoff of
+    The two-rings come from the node grid (``_two_rings``), about 2048
+    vertices at a time, padded with zero rows.  Each fit is the
+    minimum-norm least-squares solution with the cutoff of
     ``np.linalg.lstsq`` (singular values at most eps * max(rows, 5) of the
-    largest are dropped), solved for 2048 vertices at a time over two-rings
-    padded with zero rows.  Boundary vertices, and vertices with
-    fewer than five two-ring neighbors, get NaN.  This is a diagnostic; no
-    bound is asserted.
+    largest are dropped).  A Householder QR batched over the block gives
+    it wherever the certificate ||R||_F ||R^-1||_F is at most 1e8, far
+    below the cutoff's 1 / (eps * max(rows, 5)), so that no singular value
+    is dropped; every other vertex, a non-finite one included, is fitted
+    by the SVD.  Boundary vertices, and vertices with fewer than five
+    two-ring neighbors, get NaN.  This is a diagnostic; no bound is
+    asserted.
     """
-    p, nrm, n = mesh.vertices, mesh.normals, mesh.n_vertices
-    # one-ring as CSR: the neighbors of v are nbr[ptr[v]:ptr[v + 1]]
-    f0 = mesh.faces
-    f1 = np.roll(f0, -1, axis=1)
-    keys = _distinct(np.concatenate([f0 * n + f1, f1 * n + f0]).ravel())
-    nbr = keys % n
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n,
-                                                     minlength=n))])
-    s_norm = np.full(n, math.nan)
-    interior = np.flatnonzero(~mesh.boundary_mask())
-    for lo in range(0, len(interior), 2048):
-        vs = interior[lo:lo + 2048]
-        # two-ring: the one-ring and the one-rings of its members
-        own1, pos1 = _ragged(ptr, vs)
-        own2, pos2 = _ragged(ptr, nbr[pos1])
-        ring = _distinct(np.concatenate([own1, own1[own2]]) * n
-                         + np.concatenate([nbr[pos1], nbr[pos2]]))
-        own, js = np.divmod(ring, n)
-        keep = js != vs[own]
-        own, js = own[keep], js[keep]
-        count = np.bincount(own, minlength=len(vs))
-        col = np.arange(len(own)) - np.repeat(np.cumsum(count) - count, count)
-        # tangent frames, then offsets in frame coordinates (zero rows pad)
+    p, nrm = mesh.vertices.T.copy(), mesh.normals
+    s_norm = np.full(mesh.n_vertices, math.nan)
+    for vs, ring in _two_rings(mesh):
+        count = (ring != vs).sum(axis=0)
+        # tangent frames, then offsets in frame coordinates, (ring, block)
         nv = nrm[vs]
         t1 = np.cross(nv, [1.0, 0.0, 0.0])
         flat = np.linalg.norm(t1, axis=1) < 1e-6
         t1[flat] = np.cross(nv[flat], [0.0, 1.0, 0.0])
         t1 /= np.linalg.norm(t1, axis=1)[:, None]
         t2 = np.cross(nv, t1)
-        d = np.zeros((len(vs), max(count.max(), 5), 3))
-        d[own, col] = p[js] - p[vs[own]]
-        xi = np.einsum("bkc,bc->bk", d, t1)
-        eta = np.einsum("bkc,bc->bk", d, t2)
-        zeta = np.einsum("bkc,bc->bk", d, nv)
-        A = np.stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi, eta],
-                     axis=-1)
-        u, sv, vt = np.linalg.svd(A, full_matrices=False)
-        cut = np.finfo(float).eps * np.maximum(count, 5) * sv[:, 0]
-        w = np.divide(np.einsum("bki,bk->bi", u, zeta), sv,
-                      out=np.zeros_like(sv), where=sv > cut[:, None])
-        a, b, c, dd, ee = np.einsum("bji,bj->ib", vt, w)
-        # first fundamental form of the fitted graph at the origin
-        I = np.stack([1 + dd * dd, dd * ee, dd * ee, 1 + ee * ee],
-                     axis=-1).reshape(-1, 2, 2)
-        II = (np.stack([a, b, b, c], axis=-1)
-              / np.sqrt(1 + dd * dd + ee * ee)[:, None]).reshape(-1, 2, 2)
-        S = np.linalg.solve(I, II)
-        s_norm[vs] = np.where(count >= 5, np.sqrt((S * S).sum(axis=(1, 2))),
+        d = [q[ring] - q[vs] for q in p]
+        xi, eta, zeta = (d[0] * f[:, 0] + d[1] * f[:, 1] + d[2] * f[:, 2]
+                         for f in (t1, t2, nv))
+        a, b, c, dd, ee = _quadric_fit(xi, eta, zeta, count)
+        # S = I^-1 II, with the first fundamental form I of the fitted
+        # graph at the origin inverted by its adjugate (det I = g)
+        g = 1 + dd * dd + ee * ee
+        S = [(1 + ee * ee) * a - dd * ee * b, (1 + ee * ee) * b - dd * ee * c,
+             (1 + dd * dd) * b - dd * ee * a, (1 + dd * dd) * c - dd * ee * b]
+        s_norm[vs] = np.where(count >= 5,
+                              np.sqrt(sum(x * x for x in S)) / g ** 1.5,
                               math.nan)
     dphi = np.asarray(profile.dphi(mesh.vertices[:, 2]), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_norm / np.abs(dphi)
     return s_norm, ratio
+
+
+def _two_rings(mesh: SurfaceMesh):
+    """Blocks (vs, ring) of the interior vertices ``vs`` and their
+    two-rings, ``ring[k]`` the k-th member of each, padded with the vertex
+    itself.  A node's two-ring is the ``_TWO_RING`` stencil clipped to the
+    grid; a periodic grid wraps its columns, and drops the offsets that
+    alias others (dj = +-2 when m <= 4).  An apex meets all of row 0, so
+    row 0 adds the apex and all of row 0, row 1 adds the apex, and the
+    apex's own two-ring is rows 0 and 1: these rows and the apex make a
+    block of their own."""
+    n, m = mesh.grid
+    off = np.array(_TWO_RING)
+    if mesh.periodic:
+        off = np.unique(np.column_stack([off[:, 0], off[:, 1] % m]), axis=0)
+    first = 1
+    if mesh.apex:
+        # the interior of rows 0 and 1, then the apex: row 0's stencil
+        # members in row 0 give way to the whole row (``fan``)
+        first = min(2, n - 1)
+        v, ring = _stencil_ring(mesh, np.arange(first), off)
+        row0 = v < m
+        fan = np.where(row0, np.arange(m)[:, None], v)
+        ring = np.concatenate([np.where(row0 & (ring < m), v, ring),
+                               np.full((1, len(v)), n * m), fan])
+        vs = np.append(v, n * m)
+        own = np.arange(min(n, 2) * m)
+        block = np.repeat(vs[None], max(len(ring), len(own)), axis=0)
+        block[:len(ring), :-1] = ring
+        block[:len(own), -1] = own
+        yield vs, block
+    step = max(1, _FIT_BLOCK // m)
+    for lo in range(first, n - 1, step):
+        yield _stencil_ring(mesh, np.arange(lo, min(lo + step, n - 1)), off)
+
+
+def _stencil_ring(mesh: SurfaceMesh, rows: np.ndarray, off: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The interior nodes v of the node rows ``rows`` and the nodes at the
+    offsets ``off`` from each, (offsets, nodes), or v where off the grid."""
+    n, m = mesh.grid
+    cols = np.arange(m) if mesh.periodic else np.arange(1, m - 1)
+    v = rows[:, None] * m + cols
+    i = off[:, :1] + rows
+    j = off[:, 1:] + cols
+    if mesh.periodic:
+        j %= m
+    inside = ((i >= 0) & (i < n))[:, :, None] & ((j >= 0) & (j < m))[:, None]
+    ring = np.where(inside, i[:, :, None] * m + j[:, None], v)
+    return v.ravel(), ring.reshape(len(off), -1)
+
+
+def _quadric_fit(xi: np.ndarray, eta: np.ndarray, zeta: np.ndarray,
+                 count: np.ndarray) -> np.ndarray:
+    """The coefficients (5, block) of zeta ~ a xi^2/2 + b xi eta + c eta^2/2
+    + d xi + e eta over the rows of each column, by Householder QR and back
+    substitution vectorized over the block, or by the SVD where the QR's
+    certificate ||R||_F ||R^-1||_F is not at most ``_FIT_KAPPA``."""
+    a = _design(xi, eta, zeta)
+    r = np.zeros((5, 5, a.shape[2]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(5):
+            x = a[k, k:]
+            norm = np.sqrt(np.einsum("kb,kb->b", x, x))
+            alpha = np.where(x[0] > 0, -norm, norm)
+            beta = 1.0 / (norm * (norm + np.abs(x[0])))
+            x[0] -= alpha  # the reflector, ||x||^2 = 2 / beta
+            y = a[k + 1:, k:]
+            y -= x * (beta * np.einsum("kb,jkb->jb", x, y))[:, None]
+            r[k, k], r[k, k + 1:] = alpha, y[:4 - k, 0]
+        # back substitution on [I | Q^T zeta] gives R^-1 and the fit at once
+        rhs = np.zeros((5, 6, a.shape[2]))
+        rhs[range(5), range(5)] = 1.0
+        rhs[:, 5] = a[5, :5]
+        for i in range(4, -1, -1):
+            rhs[i] -= np.einsum("kb,kjb->jb", r[i, i + 1:], rhs[i + 1:])
+            rhs[i] /= r[i, i]
+        inv, w = rhs[:, :5], rhs[:, 5]
+        kappa = np.sqrt(np.einsum("ijb,ijb->b", r, r)
+                        * np.einsum("ijb,ijb->b", inv, inv))
+    svd = ~(kappa <= _FIT_KAPPA)
+    if svd.any():
+        a = _design(xi[:, svd], eta[:, svd], zeta[:, svd]).T
+        u, sv, vt = np.linalg.svd(a[..., :5], full_matrices=False)
+        cut = np.finfo(float).eps * np.maximum(count[svd], 5) * sv[:, 0]
+        z = np.divide(np.einsum("bki,bk->bi", u, a[..., 5]), sv,
+                      out=np.zeros_like(sv), where=sv > cut[:, None])
+        w[:, svd] = np.einsum("bji,bj->ib", vt, z)
+    return w
+
+
+def _design(xi: np.ndarray, eta: np.ndarray, zeta: np.ndarray
+            ) -> np.ndarray:
+    """The quadric's five columns and the right-hand side, (6, rows, block)."""
+    return np.stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi, eta, zeta])
 
 
 # ---------------------------------------------------------------------------
@@ -1113,11 +1186,7 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
             "property list uchar int vertex_indices", "end_header"]
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, head, prefix="")
-        # positions beside normals one block of rows at a time, so that no
-        # second vertex array spans the mesh
-        for lo in range(0, mesh.n_vertices, _CHUNK_ROWS):
-            block = slice(lo, lo + _CHUNK_ROWS)
-            write_rows(fh, np.hstack([mesh.vertices[block],
-                                      mesh.normals[block]]), sep=" ")
+        for block in mesh.vertex_blocks():
+            write_rows(fh, block, sep=" ")
         for block in mesh.face_blocks():
             write_rows(fh, block, sep=" ", prefix="3 ", cell="%d")

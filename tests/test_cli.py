@@ -904,6 +904,23 @@ def test_tilt_refuses_a_weight_whose_dphi_varies(tmp_path, weight, u0, code):
                  "--out", str(tmp_path / "flat")]) == 0
 
 
+def test_tilt_at_angle_zero_builds_no_second_mesh(tmp_path, monkeypatch):
+    # the extruded mesh's residual does not depend on the angle; at angle 0
+    # the tilted mesh is the extruded one, and its residual is reported
+    # for both, bit for bit
+    args = ["tilt", "--preset", "grim-reaper-cylinder", "--out"]
+    assert main(args + [str(tmp_path / "tilted"), "--param", "angle=0.5"]) \
+        == 0
+
+    def refuse(*args):
+        raise AssertionError("a second mesh was built at angle 0")
+    monkeypatch.setattr(cli, "extrude_cylinder", refuse)
+    assert main(args + [str(tmp_path / "flat")]) == 0
+    flat = read_report(tmp_path / "flat")["report"]
+    assert flat["residual_flat"] == flat["residual_tilted"] \
+        == read_report(tmp_path / "tilted")["report"]["residual_flat"]
+
+
 @pytest.mark.parametrize("columns, argv, artifact", [
     ("s,x,z,theta", ["bowl", "--param", "s_max=1", "--param", "n_theta=9"],
      "curve.csv"),

@@ -493,17 +493,21 @@ def reference_cotangent_curvature(mesh):
     return vec / area[:, None]
 
 
-def reference_second_fundamental_norm(mesh):
-    """One np.linalg.lstsq quadric fit per vertex over its two-ring."""
+def reference_two_rings(mesh):
+    """The two-ring of every interior vertex, as sets of the face list."""
     nbr = [set() for _ in range(mesh.n_vertices)]
     for a, b, c in mesh.faces:
         nbr[a].update((b, c))
         nbr[b].update((a, c))
         nbr[c].update((a, b))
-    boundary = reference_boundary_mask(mesh)
+    return {i: set(nbr[i]).union(*(nbr[j] for j in nbr[i])) - {i}
+            for i in np.flatnonzero(~reference_boundary_mask(mesh))}
+
+
+def reference_second_fundamental_norm(mesh):
+    """One np.linalg.lstsq quadric fit per vertex over its two-ring."""
     out = np.full(mesh.n_vertices, math.nan)
-    for i in np.flatnonzero(~boundary):
-        ring = set(nbr[i]).union(*(nbr[j] for j in nbr[i])) - {i}
+    for i, ring in reference_two_rings(mesh).items():
         if len(ring) < 5:
             continue
         nrm = mesh.normals[i]
@@ -649,6 +653,97 @@ def test_batched_fit_matches_per_vertex_lstsq(mesh):
     assert np.array_equal(np.isnan(s_norm), np.isnan(want))
     good = ~np.isnan(want)
     assert good.sum() > 0.8 * mesh.n_vertices
+    assert np.max(np.abs(s_norm[good] - want[good]) / want[good]) < 1e-10
+
+
+# meshes at the edges of the two-ring stencil: periodic grids whose columns
+# dj = +-2 alias others (m = 3, 4), with and without an apex, a grid of
+# three rows, the five-ruling tilt of the benchmark's controls, and an
+# apex with two rings of nodes below it
+STENCIL_EDGES = {
+    "band-m3": sphere_mesh(n_s=8, nt=3),
+    "band-m4": sphere_mesh(n_s=8, nt=4),
+    "polar-m3": sphere_mesh(n_s=8, nt=3, s0=0.0),
+    "polar-m4": sphere_mesh(n_s=8, nt=4, s0=0.0),
+    "three-rows": GraphPatch(np.linspace(-1, 1, 3), np.linspace(-1, 1, 41),
+                             np.outer([1.0, 0.7, 0.2],
+                                      np.linspace(-1, 1, 41)) ** 2
+                             ).to_mesh(),
+    "tilt-five-rulings": tilt_cylinder(
+        solve_catenary(LIN1, 0.0, 1.45, n_samples=201), math.pi / 4,
+        (-2.0, 2.0), 5),
+    "apex-two-rings": sphere_mesh(n_s=3, nt=8, s0=0.0),
+}
+
+
+@pytest.mark.parametrize("mesh", STENCIL_EDGES.values(), ids=STENCIL_EDGES)
+def test_stencil_fit_matches_per_vertex_lstsq_at_its_edges(mesh):
+    s_norm, _ = second_fundamental_norm(mesh, LIN1)
+    want = reference_second_fundamental_norm(mesh)
+    assert np.array_equal(np.isnan(s_norm), np.isnan(want))
+    good = ~np.isnan(want)
+    assert good.any()
+    assert np.max(np.abs(s_norm[good] - want[good]) / want[good]) < 1e-10
+
+
+@pytest.mark.parametrize("mesh", [*MESHES.values(), *STENCIL_EDGES.values()],
+                         ids=[*MESHES, *STENCIL_EDGES])
+def test_stencil_rings_are_the_face_lists_rings(mesh):
+    want = reference_two_rings(mesh)
+    seen = []
+    for vs, ring in surfaces._two_rings(mesh):
+        assert ring.shape[1] == len(vs)
+        for v, members in zip(vs, ring.T):
+            members = members[members != v]
+            # each member once: a repeated row would weigh twice in the fit
+            assert len(set(members)) == len(members)
+            assert set(members) == want[v], v
+        seen.extend(vs)
+    assert sorted(seen) == sorted(want)
+
+
+def test_rank_deficient_fit_takes_the_svd(monkeypatch):
+    # every node row is the same parabola z = y^2 / 2 along y, with normal
+    # e3, so eta = 0 on every two-ring: rank 2, the QR's certificate is not
+    # finite, and the SVD gives lstsq's minimum-norm fit (|S| = 1/(1+y^2)^1.5)
+    n, m = 5, 9
+    y = np.linspace(-1.0, 1.0, m)
+    row = np.column_stack([np.zeros(m), y, 0.5 * y ** 2])
+    mesh = SurfaceMesh(np.tile(row, (n, 1)),
+                       np.tile([0.0, 0.0, 1.0], (n * m, 1)), (n, m))
+    want = reference_second_fundamental_norm(mesh)
+    fits = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: fits.append(len(a)) or svd(a, **kw))
+    s_norm, _ = second_fundamental_norm(mesh, LIN1)
+    interior = ~mesh.boundary_mask()
+    assert sum(fits) == interior.sum() == (n - 2) * (m - 2)
+    assert np.array_equal(np.isnan(s_norm), ~interior)
+    assert np.max(np.abs(s_norm[interior] - want[interior])
+                  / want[interior]) < 1e-10
+    assert s_norm[interior] == pytest.approx(
+        (1 + np.tile(y[1:-1], n - 2) ** 2) ** -1.5, rel=1e-12)
+
+
+def test_non_finite_vertex_still_raises():
+    grid = STENCIL_EDGES["three-rows"]
+    verts = grid.vertices.copy()
+    verts[grid.grid[1] + 7] = math.nan  # node (1, 7), inside the grid
+    mesh = SurfaceMesh(verts, grid.normals, grid.grid)
+    with pytest.raises(np.linalg.LinAlgError):
+        second_fundamental_norm(mesh, LIN1)
+
+
+def test_shape_operator_derives_no_faces(monkeypatch):
+    def refuse(self):
+        raise AssertionError("faces derived")
+    mesh = MESHES["apex-fan"]
+    want = reference_second_fundamental_norm(mesh)
+    monkeypatch.setattr(SurfaceMesh, "face_blocks", refuse)
+    s_norm, _ = second_fundamental_norm(mesh, LIN1)
+    good = ~np.isnan(want)
+    assert np.array_equal(np.isnan(s_norm), ~good)
     assert np.max(np.abs(s_norm[good] - want[good]) / want[good]) < 1e-10
 
 
