@@ -21,6 +21,7 @@ Both failure paths, usage errors included, leave a machine readable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -381,17 +382,27 @@ def _patch_file(patch: GraphPatch, name: str, profile_line: str,
     return name, "graph_patch", write
 
 
-def _mesh_files(fmt: str, mesh: SurfaceMesh, stem: str,
+def _mesh_files(fmt: str, build: Callable[[], SurfaceMesh], stem: str,
                 extra: Sequence[str]) -> list:
+    """The files of the mesh ``build()`` makes, which their writer calls:
+    a mesh that no check needs is made when it is written, so that one
+    such mesh is alive at a time.  A CSV mesh is made for its vertex file
+    and dropped after its face file, the next one ``_finish`` writes."""
     if fmt != "csv":
         save = save_obj if fmt == "obj" else save_ply
         return [(f"{stem}.{fmt}", "mesh", lambda path, head: save(
-            mesh, path, comments=[*head, *extra]))]
-    return [(f"{stem}.csv", "mesh", lambda path, head: write_table(
-                path, [*head, *extra, f"signature = {mesh.signature}"],
-                "x,y,z,nx,ny,nz", mesh.vertex_blocks())),
+            build(), path, comments=[*head, *extra]))]
+    held = []  # the mesh, from its vertex file to its face file
+
+    def vertices(path: Path, head: list) -> None:
+        mesh = build()
+        held.append(mesh)
+        write_table(path, [*head, *extra, f"signature = {mesh.signature}"],
+                    "x,y,z,nx,ny,nz", mesh.vertex_blocks())
+
+    return [(f"{stem}.csv", "mesh", vertices),
             (f"{stem}_faces.csv", "mesh_faces", lambda path, head: write_table(
-                path, [*head, *extra], "i,j,k", mesh.face_blocks(),
+                path, [*head, *extra], "i,j,k", held.pop().face_blocks(),
                 cell="%d"))]
 
 
@@ -444,15 +455,26 @@ def _jsonable(value):
 def _finish(cfg: RunConfig, files: Sequence[File], report: dict) -> int:
     """The exit path of every command that writes a report, entered after
     the handler's last check: each file under its artifact header, then
-    ``report.json`` with every number in canonical text."""
+    ``report.json`` with every number in canonical text.  Where a writer
+    raises, the files written before it, and its own, are removed before
+    the error goes on, so that a failed run leaves ``error.json`` alone."""
     head = [f"config_sha256 = {cfg.sha256()}", f"command = {cfg.command}"]
-    for name, kind, write in files:
-        write(cfg.out_dir / name, [f"artifact = {kind}", *head])
     names = sorted(name for name, _, _ in files)
-    _write_json(cfg.out_dir / "report.json",
-                {"command": cfg.command, "config_sha256": cfg.sha256(),
-                 "config": dict(sorted(cfg.values.items())),
-                 "artifacts": names, "report": _jsonable(report)})
+    written = []
+    try:
+        for name, kind, write in files:
+            written.append(cfg.out_dir / name)
+            write(written[-1], [f"artifact = {kind}", *head])
+        written.append(cfg.out_dir / "report.json")
+        _write_json(written[-1],
+                    {"command": cfg.command, "config_sha256": cfg.sha256(),
+                     "config": dict(sorted(cfg.values.items())),
+                     "artifacts": names, "report": _jsonable(report)})
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
     print(f"{cfg.command}: wrote {', '.join(names + ['report.json'])} to "
           f"{cfg.out_dir}")
     return 0
@@ -541,7 +563,7 @@ def _cmd_bowl(cfg: RunConfig) -> int:
             "fitted_constants": fit.fitted_constants,
             "residual_decay_rate": fit.residual_decay_rate}
     return _finish(cfg, [_curve_file(curve, "curve.csv"),
-                         *_mesh_files(cfg["format"], mesh, "bowl",
+                         *_mesh_files(cfg["format"], lambda: mesh, "bowl",
                                       [f"profile = {profile_to_spec(prof)}"])],
                    report)
 
@@ -556,9 +578,10 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
               _rotational_ode_residual(curve, prof))
         files.append(_curve_file(curve, f"curve_{side}.csv"))
     for side, curve in (("right", right), ("left", left)):
-        files += _mesh_files(cfg["format"], revolve(curve, cfg["n_theta"]),
-                             f"catenoid_{side}",
-                             [f"profile = {profile_to_spec(prof)}"])
+        # no check reads a branch's mesh: its writer revolves it
+        files += _mesh_files(
+            cfg["format"], lambda curve=curve: revolve(curve, cfg["n_theta"]),
+            f"catenoid_{side}", [f"profile = {profile_to_spec(prof)}"])
     # solve_catenoid refuses any crossing of the two branches
     report = {"min_axis_distance": min(right.x.min(), left.x.min()),
               "self_intersections": right.meta["self_intersections"],
@@ -580,7 +603,7 @@ def _cmd_tilt(cfg: RunConfig) -> int:
               "residual_flat": tilted if flat is mesh else np.nanmax(
                   np.abs(mean_curvature_residual(flat, prof)))}
     return _finish(cfg, [_curve_file(curve, "curve.csv"),
-                         *_mesh_files(cfg["format"], mesh, "tilted",
+                         *_mesh_files(cfg["format"], lambda: mesh, "tilted",
                                       [f"profile = {profile_to_spec(prof)}",
                                        f"angle = {_fmt(angle)}"])], report)
 
@@ -703,8 +726,8 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
               "pde_residual_max": residual,
               **{key: mesh.meta[key] for key in _MESH_REPORT}}
     return _finish(cfg, files + _mesh_files(
-        cfg["format"], mesh, "surface", [f"k = {_fmt(field.k_param)}"]),
-        report)
+        cfg["format"], lambda: mesh, "surface",
+        [f"k = {_fmt(field.k_param)}"]), report)
 
 
 def _cmd_bjorling(cfg: RunConfig) -> int:
@@ -721,7 +744,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
               "branch_disagreement": field.meta["branch_disagreement"]}
     if cfg["reconstruct"]:
         mesh = integrate_representation(field)
-        files += _mesh_files(cfg["format"], mesh, "surface",
+        files += _mesh_files(cfg["format"], lambda: mesh, "surface",
                              [f"k = {_fmt(k)}"])
         report.update((key, mesh.meta[key]) for key in _MESH_REPORT)
     return _finish(cfg, files, report)
@@ -963,7 +986,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command_name: str = "") -> argparse.ArgumentParser:
+    """The parser of the command ``command_name`` alone, or of every
+    command where it names none (``phimin --help``, a misspelt command)."""
     parser = _Parser(
         prog="phimin",
         description="Weighted minimal surface toolkit: profile ODE solvers, "
@@ -974,6 +999,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "scope.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
+        if command_name and name != command_name:
+            continue
         p = sub.add_parser(name, help=command.description,
                            description=command.description)
         if command.positional:
@@ -1028,7 +1055,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else ""
     out_guess, sha = _argv_out(argv), ""
     try:
-        cfg = _resolve_config(_build_parser().parse_args(argv))
+        cfg = _resolve_config(_build_parser(command).parse_args(argv))
         out_guess = cfg.out_dir
         sha = cfg.sha256()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

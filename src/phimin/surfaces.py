@@ -12,6 +12,7 @@ curvatures), under which the defining identity reads
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import re
@@ -142,8 +143,7 @@ def _corners(mesh: SurfaceMesh, values: np.ndarray = None):
     ``kind`` in the cell rows ``rows``, as slices of the block's node rows
     (on a periodic grid a copy with column 0 repeated after the last)."""
     n, m = mesh.grid
-    cols = m - (not mesh.periodic)
-    step = max(1, _CHUNK_ROWS // ((1 + mesh.periodic) * cols))
+    cols, step = m - (not mesh.periodic), _block_rows(mesh)
     blocks = [slice(lo, min(lo + step, n - 1)) for lo in range(0, n - 1, step)]
     plan = [(rows, (0, 1)) for rows in blocks] if mesh.periodic \
         else [(rows, (kind,)) for kind in (0, 1) for rows in blocks]
@@ -162,6 +162,12 @@ def _corners(mesh: SurfaceMesh, values: np.ndarray = None):
                 apex if at is None
                 else nodes[..., at[0]:at[0] + r, at[1]:at[1] + cols]
                 for at in _TRIANGLES[mesh.periodic][kind]]
+
+
+def _block_rows(mesh: SurfaceMesh) -> int:
+    """Cell rows in a block of about ``_CHUNK_ROWS`` faces of ``_corners``."""
+    return max(1, _CHUNK_ROWS // ((1 + mesh.periodic)
+                                  * (mesh.grid[1] - (not mesh.periodic))))
 
 
 def uniform_spacing(axis, name: str) -> float:
@@ -468,10 +474,12 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
     vec = np.zeros((3, mesh.n_vertices))
     t = [np.empty(s) for s in shapes]
     for acc, q in zip(vec, mesh.vertices.T):
+        blocks = list(_corners(mesh, q))
         for c in range(3):
-            for kind, rows, p in _corners(mesh, q):
-                np.multiply(half[kind][c, rows], p[(c + 2) % 3]
-                            - p[(c + 1) % 3], out=t[kind][rows])  # E_{c+1}
+            for kind, rows, p in blocks:
+                term = t[kind][rows]
+                np.subtract(p[(c + 2) % 3], p[(c + 1) % 3], out=term)
+                term *= half[kind][c, rows]  # E_{c+1}, weighted
             _scatter(mesh, acc, t, (c + 1) % 3, np.subtract)
             _scatter(mesh, acc, t, (c + 2) % 3, np.add)
     del half, t
@@ -497,10 +505,11 @@ def _scatter(mesh: SurfaceMesh, acc: np.ndarray, terms: list, corner: int,
             continue
         (di, dj), (r, cols) = at, t.shape
         wrap = max(0, dj + cols - m)  # the seam's cells reach column 0
-        for view, part in ((nodes[di:di + r, dj:dj + cols - wrap],
-                            t[:, :cols - wrap]),
-                           (nodes[di:di + r, :wrap], t[:, cols - wrap:])):
-            ufunc(view, part, out=view)
+        view = nodes[di:di + r, dj:dj + cols - wrap]
+        ufunc(view, t[:, :cols - wrap], out=view)
+        if wrap:
+            view = nodes[di:di + r, :wrap]
+            ufunc(view, t[:, cols - wrap:], out=view)
 
 
 def _corner_weights(p: list, half: np.ndarray, third: np.ndarray) -> None:
@@ -519,22 +528,64 @@ def _corner_weights(p: list, half: np.ndarray, third: np.ndarray) -> None:
         half[c] = 0.5 * ((ax * bx + ay * by + az * bz) / denom)
 
 
+# the fewest node rows a window of the mesh oracle keeps: its two halo rows
+# add at most an eighth to the cells it weighs
+_WINDOW_ROWS = 8
+
+
 def mean_curvature_residual(mesh: SurfaceMesh,
                             profile: WeightProfile) -> np.ndarray:
     """Per-vertex residual H - dphi(z) <N, e3> with the discrete cotangent
     mean curvature (trace convention) projected on the stored normals.
 
     Boundary vertices get NaN; so does a fan apex if the mesh has one.
+
+    The curvature runs over windows of node rows (``_row_windows``), so
+    that only the residual spans the mesh.  Every cell of a kept vertex
+    lies in its window, and ``_scatter`` adds its terms in the same order
+    there, so the result is the whole mesh's bit for bit.
     """
     if mesh.signature != EUCLIDEAN:
         raise ValueError("discrete curvature residual is Euclidean-only")
-    res = (_cotangent_curvature(mesh) * mesh.normals).sum(axis=1)
-    z = mesh.vertices[:, 2]
-    res -= np.asarray(profile.dphi(z), dtype=float) * mesh.normals[:, 2]
+    res = np.empty(mesh.n_vertices)
+    for kept, window, own in _row_windows(mesh):
+        nrm = mesh.normals[kept]
+        res[kept] = (_cotangent_curvature(window)[own] * nrm).sum(axis=1)
+        res[kept] -= np.asarray(profile.dphi(mesh.vertices[kept, 2]),
+                                dtype=float) * nrm[:, 2]
     res[mesh.boundary_mask()] = math.nan
     if mesh.apex:
         res[-1] = math.nan  # the fan vertex area is uneven; skip it
     return res
+
+
+def _row_windows(mesh: SurfaceMesh):
+    """(kept, window, own) for windows of node rows [r0, r1) that cover
+    the grid: the vertices ``kept`` of those rows, the mesh ``window`` over
+    them and one more row on each side within the grid, and the vertices
+    ``own`` of the kept rows in the window.  A window keeps as many rows
+    as make its cells whole blocks of ``_corners`` (about ``_CHUNK_ROWS``
+    nodes: one block of each kind on a grid, two of both kinds on a
+    periodic grid), but at least ``_WINDOW_ROWS``, and the last window
+    takes a remainder of fewer.  The window's arrays are views of the
+    mesh's, but for the window of row 0 on a mesh with an apex, which
+    copies its rows to append the apex; no window checks its normals
+    again."""
+    n, m = mesh.grid
+    step = max(_WINDOW_ROWS, (1 + mesh.periodic) * _block_rows(mesh) - 1)
+    r0 = 0
+    while r0 < n:
+        r1 = r0 + step if r0 + step + _WINDOW_ROWS <= n else n
+        w0, w1 = max(r0 - 1, 0), min(r1 + 1, n)
+        window = copy.copy(mesh)
+        window.grid, window.apex = (w1 - w0, m), mesh.apex and w0 == 0
+        rows = slice(w0 * m, w1 * m)
+        window.vertices, window.normals = (
+            np.concatenate([a[rows], a[-1:]]) if window.apex else a[rows]
+            for a in (mesh.vertices, mesh.normals))
+        yield slice(r0 * m, r1 * m), window, slice((r0 - w0) * m,
+                                                   (r1 - w0) * m)
+        r0 = r1
 
 
 # A grid node's one-ring on either triangulation of ``_TRIANGLES``, as

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver (in-process)."""
 
+import argparse
 import builtins
 import inspect
 import io
@@ -879,6 +880,52 @@ def test_a_failing_command_leaves_only_the_error(tmp_path, monkeypatch,
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     message = json.loads((out / "error.json").read_text())["error"]["message"]
     assert message == f"injected fault in {fault}"
+
+
+def test_a_failing_writer_leaves_only_the_error(tmp_path, monkeypatch):
+    # the second mesh file fails to write after the curves and the first
+    # mesh are written: _finish removes them, so the run leaves error.json
+    # alone (it left all three beside it)
+    calls, save_obj = [], cli.save_obj
+
+    def save(mesh, path, comments=()):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise OSError(f"injected fault writing {path.name}")
+        save_obj(mesh, path, comments)
+    monkeypatch.setattr(cli, "save_obj", save)
+    out = tmp_path / "out"
+    assert main(["catenoid", "--param", "n_samples=201", "--param",
+                 "n_theta=8", "--out", str(out)]) == 1
+    assert calls == ["catenoid_right.obj", "catenoid_left.obj"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message == "injected fault writing catenoid_left.obj"
+
+
+def test_a_named_command_builds_its_parser_alone(capsys):
+    # argv[0] names the one subparser to build; the help it prints is the
+    # one the parser of every command prints for it
+    def subcommands(parser):
+        return [name for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+                for name in action.choices]
+    assert subcommands(cli._build_parser()) == list(COMMANDS)
+    for command in COMMANDS:
+        alone = cli._build_parser(command)
+        assert subcommands(alone) == [command]
+        texts = []
+        for parser in (alone, cli._build_parser()):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args([command, "--help"])
+            assert exit_.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1], command
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in COMMANDS)
 
 
 @pytest.mark.parametrize("weight, u0, code", [

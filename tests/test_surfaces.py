@@ -520,7 +520,17 @@ def reference_second_fundamental_norm(mesh):
         xi, eta, zeta = d @ t1, d @ t2, d @ nrm
         A = np.column_stack([0.5 * xi ** 2, xi * eta, 0.5 * eta ** 2, xi,
                              eta])
-        a, b, c, dd, ee = np.linalg.lstsq(A, zeta, rcond=None)[0]
+        # where lstsq keeps every singular value of A, the fit is solved
+        # with A's columns scaled to unit norm, so that a grid of unequal
+        # steps leaves it well conditioned; a rank-deficient A keeps
+        # lstsq's minimum-norm fit of A itself (scaling would lift a
+        # column of rounding noise that the cutoff drops)
+        if np.linalg.matrix_rank(A) == 5:
+            scale = np.linalg.norm(A, axis=0)
+            fit = np.linalg.lstsq(A / scale, zeta, rcond=None)[0] / scale
+        else:
+            fit = np.linalg.lstsq(A, zeta, rcond=None)[0]
+        a, b, c, dd, ee = fit
         I = np.array([[1 + dd * dd, dd * ee], [dd * ee, 1 + ee * ee]])
         II = np.array([[a, b], [b, c]]) / math.sqrt(1 + dd * dd + ee * ee)
         S = np.linalg.solve(I, II)
@@ -745,6 +755,91 @@ def test_shape_operator_derives_no_faces(monkeypatch):
     good = ~np.isnan(want)
     assert np.array_equal(np.isnan(s_norm), ~good)
     assert np.max(np.abs(s_norm[good] - want[good]) / want[good]) < 1e-10
+
+
+def whole_mesh_residual(mesh, profile):
+    """mean_curvature_residual from one _cotangent_curvature call on the
+    whole mesh."""
+    res = (surfaces._cotangent_curvature(mesh) * mesh.normals).sum(axis=1)
+    res -= profile.dphi(mesh.vertices[:, 2]) * mesh.normals[:, 2]
+    res[mesh.boundary_mask()] = math.nan
+    if mesh.apex:
+        res[-1] = math.nan
+    return res
+
+
+def window_chunks(mesh):
+    """{rows: _CHUNK_ROWS}: the least _CHUNK_ROWS at which the first
+    window keeps 1, 2 or 3 node rows, with _WINDOW_ROWS lifted.  A number
+    is missing where whole blocks skip it or its window holds the grid."""
+    chunks, chunk = {}, 0
+    while max(chunks, default=0) < 3:
+        chunk += 1
+        with mock.patch.multiple(surfaces, _CHUNK_ROWS=chunk, _WINDOW_ROWS=1):
+            kept = next(surfaces._row_windows(mesh))[0]
+        if kept.stop == mesh.grid[0] * mesh.grid[1]:
+            break
+        chunks.setdefault(kept.stop // mesh.grid[1], chunk)
+    return chunks
+
+
+# the oracle's windows at their edges: periodic grids with and without an
+# apex, three columns, two and three node rows, and tilts
+WINDOW_EDGES = {
+    "round-cylinder": MESHES["round-cylinder"],
+    "apex-fan": MESHES["apex-fan"],
+    "sphere": MESHES["sphere"],
+    "one-ring": MESHES["one-ring"],
+    "band-m3": STENCIL_EDGES["band-m3"],
+    "polar-m3": STENCIL_EDGES["polar-m3"],
+    "two-rows": SurfaceMesh(
+        np.column_stack([np.repeat([0.0, 1.0], 9), np.tile(np.arange(9.0), 2),
+                         0.1 * np.tile(np.arange(9.0), 2) ** 2]),
+        np.tile([0.0, 0.0, 1.0], (18, 1)), (2, 9)),
+    "apex-two-rings": STENCIL_EDGES["apex-two-rings"],
+    "grid": MESHES["grid"],
+    "three-rows": STENCIL_EDGES["three-rows"],
+    "tilt-three-rulings": tilt_cylinder(
+        solve_catenary(LIN1, 0.0, 1.2, n_samples=61), math.pi / 5,
+        (-0.8, 0.8), 3),
+    "tilted-cylinder": MESHES["tilted-cylinder"],
+    "tilt-five-rulings": STENCIL_EDGES["tilt-five-rulings"],
+}
+
+
+@pytest.mark.parametrize("mesh", WINDOW_EDGES.values(), ids=WINDOW_EDGES)
+def test_windows_keep_the_whole_meshs_bits(mesh):
+    want = whole_mesh_residual(mesh, LIN1)
+    chunks = window_chunks(mesh)
+    # windows of whole blocks keep an odd number of a periodic grid's rows
+    lines = {1, 3} if mesh.periodic else {1, 2, 3}
+    assert set(chunks) == {k for k in lines if k < mesh.grid[0]}
+    for chunk in chunks.values():
+        with mock.patch.multiple(surfaces, _CHUNK_ROWS=chunk, _WINDOW_ROWS=1):
+            got = mean_curvature_residual(mesh, LIN1)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got.tobytes() == want.tobytes()
+    assert mean_curvature_residual(mesh, LIN1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mesh, rows", [
+    (MESHES["grid-blocks"], 1023), (MESHES["four-blocks"], 63),
+    (GraphPatch(np.linspace(-1, 1, 21), np.linspace(-1, 1, 9001),
+                np.outer(np.linspace(1, 0, 21),
+                         np.linspace(-1, 1, 9001)) ** 2).to_mesh(), 8),
+], ids=["grid-blocks", "four-blocks", "wider-than-a-chunk"])
+def test_default_windows_keep_the_whole_meshs_bits(mesh, rows):
+    # 2,401 x 9 and 100 x 128 nodes in windows of whole blocks of _corners
+    # (1,024 cell rows of each kind; 2 x 32 cell rows of both kinds), and
+    # 21 x 9,001 nodes in windows of _WINDOW_ROWS rows
+    windows = list(surfaces._row_windows(mesh))
+    kept = [(k.stop - k.start) // mesh.grid[1] for k, _, _ in windows]
+    assert kept[:-1] == [rows] * (len(kept) - 1) and len(kept) > 1
+    if rows > surfaces._WINDOW_ROWS:
+        assert all(w.n_faces <= 2 * surfaces._CHUNK_ROWS + w.grid[1] * w.apex
+                   for _, w, _ in windows)
+    got = mean_curvature_residual(mesh, LIN1)
+    assert got.tobytes() == whole_mesh_residual(mesh, LIN1).tobytes()
 
 
 # -- tilted cylinders ---------------------------------------------------------

@@ -180,12 +180,13 @@ def traced_peak(fn, *args):
 
 
 def test_reconstruction_peak_memory():
-    # the mesh oracle with the mesh it judges: about 158 B a node (mesh 48,
-    # points and normals with no face array; oracle 102), against 198
-    # while the mesh stored its faces, 215 while the oracle held its
-    # corner weights through the vertex division, 256 while the
-    # first-order defects spanned the grid and 790 while every
-    # intermediate lived to the end
+    # about 158 B a node, held by the path integrals; the mesh oracle with
+    # the mesh it judges held as much (mesh 48, points and normals with no
+    # face array; oracle 102) until the oracle ran over windows of rows
+    # (now about 103 in all), against 198 while the mesh stored its
+    # faces, 215 while the oracle held its corner weights through the
+    # vertex division, 256 while the first-order defects spanned the grid
+    # and 790 while every intermediate lived to the end
     f = reaper_field(201, 151)
     assert traced_peak(integrate_representation, f) <= 165 * f.G.size
 
@@ -263,27 +264,30 @@ def test_field_axes_do_not_pin_the_table(tmp_path):
 
 
 def test_cotangent_oracle_peak_memory():
-    # the corner weights (24 B a face, 48 a node), one buffer of corner
-    # terms (8 a face), the vertex sums (24 a node) and areas (8), with
-    # the weights and the buffer gone before the sums are divided in
-    # place: about 101.8 B a node on this small mesh (96 plus block
-    # temporaries), against 119 with the weights, the buffer and a
-    # divided copy alive together, 182 with an int64 copy of the faces
-    # and whole-mesh terms, and 380 with all nine edge columns held at
-    # once
+    # the kernel over a whole mesh: the corner weights (24 B a face, 48 a
+    # node), one buffer of corner terms (8 a face), the vertex sums (24 a
+    # node) and areas (8), with the weights and the buffer gone before the
+    # sums are divided in place: about 99.8 B a node on this small mesh
+    # (96 plus block temporaries), against 119 with the weights, the
+    # buffer and a divided copy alive together, 182 with an int64 copy of
+    # the faces and whole-mesh terms, and 380 with all nine edge columns
+    # held at once
     mesh = integrate_representation(reaper_field(201, 151))
     assert traced_peak(surfaces._cotangent_curvature, mesh) \
         <= 104 * mesh.n_vertices
 
 
 def test_mean_curvature_residual_peak_memory():
-    # the oracle's 97.0 B a node is the peak on a 441x331 grid, against
-    # 103 while the curvature vectors lived through boundary_mask's edge
-    # keys and 119 with the oracle's weights alive through its division
+    # the residual (8 B a node), the boundary mask (1) and one window of
+    # node rows at a time: about 18 B a node on a 441x331 grid, against
+    # 97.0 with the whole mesh's corner weights, terms, vertex sums and
+    # areas, 103 while the curvature vectors lived through boundary_mask's
+    # edge keys and 119 with the oracle's weights alive through its
+    # division
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
     assert traced_peak(surfaces.mean_curvature_residual, mesh, LIN1) \
-        <= 99 * mesh.n_vertices
+        <= 24 * mesh.n_vertices
 
 
 def test_boundary_mask_peak_memory():
@@ -319,18 +323,34 @@ def test_mesh_csv_peak_memory(tmp_path):
     # against 83.6 with them side by side for the whole mesh
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = surfaces.GraphPatch(x, y, np.outer(x, y) ** 2).to_mesh()
-    (name, _, write), _ = cli._mesh_files("csv", mesh, "m", [])
+    (name, _, write), _ = cli._mesh_files("csv", lambda: mesh, "m", [])
     assert traced_peak(write, tmp_path / name, []) <= 45 * mesh.n_vertices
 
 
 def test_catenoid_command_peak_memory(tmp_path):
-    # both revolved branches (1201 x 129 nodes, about 155,000 each) are
-    # held until their OBJ files are written: about 17.8 MB, against 32.6
-    # while each mesh stored its faces (48 B a node)
+    # each revolved branch (1201 x 129 nodes, about 155,000 each) is made
+    # by the writer of its OBJ file, so one is alive at a time: about 10.3
+    # MB, against 17.8 while both were held until written and 32.6 while
+    # each mesh stored its faces (48 B a node)
     peak = traced_peak(cli.main, ["catenoid", "--preset",
                                   "catenoid-exp-weight", "--out",
                                   str(tmp_path / "c")])
-    assert peak <= 19e6
+    assert peak <= 12e6
+
+
+def test_catenoid_command_holds_one_branch_mesh(tmp_path):
+    # the peak is about 1.4 times the larger branch mesh, against 2.4 while
+    # both branches lived until their files were written
+    argv = ["catenoid", "--preset", "catenoid-exp-weight"]
+    cfg = cli._resolve_config(cli._build_parser("catenoid").parse_args(argv))
+    branches = cli.solve_catenoid(cfg["profile"], cfg["x0"], cfg["z0"],
+                                  cfg["s_max"], tol=cfg["tol"],
+                                  n_samples=cfg["n_samples"])
+    larger = max(mesh.vertices.nbytes + mesh.normals.nbytes
+                 for mesh in (surfaces.revolve(curve, cfg["n_theta"])
+                              for curve in branches))
+    peak = traced_peak(cli.main, argv + ["--out", str(tmp_path / "c")])
+    assert peak <= 1.6 * larger
 
 
 def whole_grid_checks(f, mesh):
