@@ -234,9 +234,7 @@ class PotentialPatch:
         hx = uniform_spacing(self.x, "x")
         hy = uniform_spacing(self.y, "y")
         _, hxx, hxy = _interior_gradient(self.phi_x, hx, hy)
-        _, hyx, hyy = _interior_gradient(self.phi_y, hx, hy)
-        self.meta.setdefault("mixed_partial_defect",
-                             float(np.max(np.abs(hxy - hyx))))
+        hyy = _interior_gradient(self.phi_y, hx, hy)[2]
         det = hxx * hyy - hxy ** 2
         scale = float(np.max(np.abs(hxx)) + np.max(np.abs(hyy))) or 1.0
         if np.any(hxx < -1e-8 * scale) or np.any(det < -1e-8 * scale ** 2):

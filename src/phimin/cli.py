@@ -397,7 +397,7 @@ def _mesh_files(fmt: str, build: Callable[[], SurfaceMesh], stem: str,
     def vertices(path: Path, head: list) -> None:
         mesh = build()
         held.append(mesh)
-        write_table(path, [*head, *extra, f"signature = {mesh.signature}"],
+        write_table(path, [*head, *extra, f"signature = {EUCLIDEAN}"],
                     "x,y,z,nx,ny,nz", mesh.vertex_blocks())
 
     return [(f"{stem}.csv", "mesh", vertices),
@@ -923,7 +923,7 @@ COMMANDS: Dict[str, Command] = {
         {"profile": _WEIGHT, "u0": _number("0"), "x_max": _positive("1"),
          "angle": _number("0.7853981633974483"), "y_half": _positive("1"),
          "tol": _TOL, "n_samples": _N_SAMPLES,
-         "n_rulings": Key("41", "integer", minimum=2, limit=2_048),
+         "n_rulings": Key("41", "integer", minimum=3, limit=2_048),
          "format": _FORMAT},
         presets={
             "grim-reaper-cylinder": {

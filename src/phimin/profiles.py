@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-# unused here; kept so the benchmark tracer can count ODE calls under this name
+# unused here: bench/tracing.py counts ODE calls by this name (ROADMAP item 3)
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import NumericalError

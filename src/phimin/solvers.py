@@ -344,12 +344,15 @@ def solve_bowl(profile: WeightProfile, z0: float, s_max: float,
 
     c1 = float(profile.dphi(z0)) / 2.0
     c3 = c1 * (float(profile.ddphi(z0)) / 2.0 - c1 * c1) / 4.0
+    # every coefficient before any evaluation: an overflow of c1 ** 3
+    # raises here, before a product of the series warns
+    x3, z2, z4 = c1 * c1 / 6.0, c1 / 2.0, (c3 - c1 ** 3 / 6.0) / 4.0
 
     def series(s):
         s = np.asarray(s, dtype=float)
         th = c1 * s + c3 * s ** 3
-        x = s - (c1 * c1 / 6.0) * s ** 3
-        z = z0 + (c1 / 2.0) * s ** 2 + ((c3 - c1 ** 3 / 6.0) / 4.0) * s ** 4
+        x = s - x3 * s ** 3
+        z = z0 + z2 * s ** 2 + z4 * s ** 4
         return x, z, th
 
     launch = _LAUNCH / max(1.0, c1)

@@ -59,9 +59,6 @@ class SurfaceMesh:
     triangles (``_TRIANGLES``).  A ``periodic`` grid closes its rows (the
     seam of ``revolve``), and an ``apex`` is one more vertex, the last,
     fanned to row 0.
-
-    For Lorentzian (spacelike) meshes the normals are unit timelike for the
-    bilinear form dx^2 + dy^2 - dz^2, i.e. N1^2 + N2^2 - N3^2 = -1.
     """
 
     vertices: np.ndarray
@@ -69,7 +66,6 @@ class SurfaceMesh:
     grid: Tuple[int, int]
     periodic: bool = False
     apex: bool = False
-    signature: str = EUCLIDEAN
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,11 +80,10 @@ class SurfaceMesh:
                              + " with an apex" * self.apex)
         if self.normals.shape != self.vertices.shape:
             raise ValueError("need one normal per vertex")
-        s = ambient_sign(self.signature)
         nrm2 = (self.normals[:, 0] ** 2 + self.normals[:, 1] ** 2
-                + s * self.normals[:, 2] ** 2)
-        if not np.allclose(nrm2, s, atol=1e-8):
-            raise ValueError("normals are not unit for the declared signature")
+                + self.normals[:, 2] ** 2)
+        if not np.allclose(nrm2, 1.0, atol=1e-8):
+            raise ValueError("normals are not unit")
 
     @property
     def n_vertices(self) -> int:
@@ -99,6 +94,7 @@ class SurfaceMesh:
         n, m = self.grid
         return 2 * (n - 1) * (m - (not self.periodic)) + m * self.apex
 
+    # read only by the topology digest of bench/tracing.py (ROADMAP item 3)
     @property
     def faces(self) -> np.ndarray:
         """The (faces, 3) vertex indices, all at once (``face_blocks``)."""
@@ -217,18 +213,6 @@ class GraphPatch:
         uy = np.gradient(self.u, self.hy, axis=1, edge_order=2)
         return ux, uy
 
-    def to_mesh(self) -> "SurfaceMesh":
-        """Triangulated graph with downward (Euclidean) or future-pointing
-        timelike (Lorentzian) unit normals."""
-        verts = grid_rows(self.x, self.y, self.u)[1]
-        ux, uy = self.gradients()
-        gx, gy = ux.ravel(), uy.ravel()
-        s = ambient_sign(self.signature)
-        w = np.sqrt(metric_factor(s, gx, gy))
-        normals = np.column_stack([gx / w, gy / w, -s / w])
-        return SurfaceMesh(verts, normals, self.u.shape,
-                           signature=self.signature)
-
 
 def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
               i0: int = 0, j0: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -268,7 +252,7 @@ def extrude_cylinder(curve: ProfileCurve, y_range: Sequence[float],
     nrm = np.column_stack([np.sin(curve.theta), np.zeros(nx),
                            -np.cos(curve.theta)])
     normals = np.repeat(nrm, ny, axis=0)
-    return SurfaceMesh(verts, normals, (nx, ny), meta={"kind": "cylinder"})
+    return SurfaceMesh(verts, normals, (nx, ny))
 
 
 def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
@@ -299,12 +283,11 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
         verts[-1] = (0.0, 0.0, z[0])
         normals[-1] = (0.0, 0.0, 1.0)
     return SurfaceMesh(verts, normals, (rings, nt), periodic=True,
-                       apex=has_apex, meta={"kind": "revolved"})
+                       apex=has_apex)
 
 
 def tilt_cylinder(curve: ProfileCurve, theta: float,
-                  y_range: Sequence[float] = (-1.0, 1.0),
-                  ny: int = 0) -> SurfaceMesh:
+                  y_range: Sequence[float], ny: int) -> SurfaceMesh:
     """Apply psi -> psi + ((1-cos th)/cos th) <psi,e1> e1 + tan(th) e1 x psi
     to an extruded cylinder.  Componentwise that is
     (x, y, z) -> (x/cos th, y - tan(th) z, tan(th) y + z), the homothety of
@@ -323,8 +306,6 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     if theta > 0.0 and not np.ptp(curve.profile.dphi(curve.z)) == 0.0:
         raise ValueError("a tilt maps solutions to solutions only where "
                          "dphi is constant, and dphi varies along the curve")
-    if ny <= 0:
-        ny = max(2, curve.n_samples // 2)
     base = extrude_cylinder(curve, y_range, ny)
     c, s = math.cos(theta), math.sin(theta)
     t = s / c
@@ -336,8 +317,7 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     normals = np.column_stack([n[:, 0],
                                c * n[:, 1] - s * n[:, 2],
                                s * n[:, 1] + c * n[:, 2]])
-    return SurfaceMesh(verts, normals, base.grid,
-                       meta={"kind": "tilted_cylinder", "theta": theta})
+    return SurfaceMesh(verts, normals, base.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +399,7 @@ def curvature_from_derivatives(signature: str, ux, uy, uxx, uyy, uxy
     return -s * num / w2 ** 1.5, s * det / w2 ** 2
 
 
+# this and the two below: only bench/tracing.py names them (ROADMAP item 3)
 def _graph_curvatures(patch: GraphPatch) -> Tuple[np.ndarray, np.ndarray]:
     _, ux, uy, uxx, uyy, uxy = _interior_derivatives(patch.u, patch.hx,
                                                      patch.hy)
@@ -545,8 +526,6 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     lies in its window, and ``_scatter`` adds its terms in the same order
     there, so the result is the whole mesh's bit for bit.
     """
-    if mesh.signature != EUCLIDEAN:
-        raise ValueError("discrete curvature residual is Euclidean-only")
     res = np.empty(mesh.n_vertices)
     for kept, window, own in _row_windows(mesh):
         nrm = mesh.normals[kept]
@@ -598,6 +577,7 @@ _FIT_BLOCK = 2048
 _FIT_KAPPA = 1e8
 
 
+# run only by the gallery's shape-operator diagnostic (ROADMAP item 3)
 def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-vertex (|S|, |S|/dphi(z)) with |S| the Frobenius norm of the
@@ -753,8 +733,7 @@ def cylinder_patch(curve: ProfileCurve, x_halfwidth: float, y_halfwidth: float,
     x = np.linspace(-x_halfwidth, x_halfwidth, nx)
     y = np.linspace(-y_halfwidth, y_halfwidth, ny)
     u = np.repeat(spl(x)[:, None], ny, axis=1)
-    return GraphPatch(x, y, u, signature=EUCLIDEAN,
-                      meta={"source": "cylinder_patch"})
+    return GraphPatch(x, y, u)
 
 
 def rotational_patch(curve: ProfileCurve, halfwidth: float,
@@ -768,8 +747,7 @@ def rotational_patch(curve: ProfileCurve, halfwidth: float,
     x = np.linspace(-halfwidth, halfwidth, nx)
     y = np.linspace(-halfwidth, halfwidth, ny)
     R = np.hypot(x[:, None], y[None, :])
-    return GraphPatch(x, y, spl(R), signature=EUCLIDEAN,
-                      meta={"source": "rotational_patch"})
+    return GraphPatch(x, y, spl(R))
 
 
 # ---------------------------------------------------------------------------
@@ -1216,7 +1194,7 @@ def grid_from_table(path, meta: Dict[str, str], data: np.ndarray
 def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
     """ASCII OBJ with v/vn/f records."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_header(fh, [*comments, f"signature: {mesh.signature}"])
+        write_header(fh, [*comments, f"signature: {EUCLIDEAN}"])
         write_rows(fh, mesh.vertices, sep=" ", prefix="v ")
         write_rows(fh, mesh.normals, sep=" ", prefix="vn ")
         # a block of faces at a time: no face array spans the mesh
@@ -1229,7 +1207,7 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
     """ASCII PLY with float64 vertex positions and normals."""
     head = ["ply", "format ascii 1.0",
             *(f"comment {c}" for c in comments),
-            f"comment signature: {mesh.signature}",
+            f"comment signature: {EUCLIDEAN}",
             f"element vertex {mesh.n_vertices}",
             *(f"property double {name}"
               for name in ("x", "y", "z", "nx", "ny", "nz")),

@@ -47,7 +47,7 @@ from scipy.interpolate import CubicSpline
 from .errors import NumericalError
 from .profiles import WeightProfile, make_builtin, make_custom
 from .solvers import BOWL_GRAPH, ProfileCurve
-from .surfaces import (EUCLIDEAN, FLOAT, SurfaceMesh,
+from .surfaces import (FLOAT, SurfaceMesh,
                        _interior_derivatives, _interior_gradient,
                        grid_from_table, grid_rows,
                        mean_curvature_residual, read_table, staircase,
@@ -58,7 +58,7 @@ __all__ = [
     "wirtinger_derivatives", "integrate_representation",
     "reconstruction_residuals", "rotational_gauss_field", "solve_bjorling",
     "save_gauss_field", "load_gauss_field", "gauss_field_from_table",
-    "bjorling_to_json", "bjorling_from_json",
+    "bjorling_from_json",
 ]
 
 TAYLOR = "taylor"
@@ -276,9 +276,7 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     points, pinned = _immersion(field, base, anchor)
     mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
                        normals=field.normals().reshape(-1, 3),
-                       grid=(nu, nv), signature=EUCLIDEAN,
-                       meta={"kind": "weierstrass-representation",
-                             **pinned})
+                       grid=(nu, nv), meta=pinned)
     sups = reconstruction_residuals(mesh, field)
     mesh.meta.update(conformal_defect=sups.pop("conformal_defect"),
                      gauss_map_defect=sups.pop("gauss_map_defect"),
@@ -494,8 +492,7 @@ def rotational_gauss_field(curve: ProfileCurve, k_param: float,
     ``tan(theta/2) * exp(-i v)``.
 
     The returned field carries ``anchor_point``/``anchor_zeta`` metadata at
-    the grid center and the sampled surface in ``meta["source_points"]``,
-    so a reconstruction can be compared vertex by vertex.
+    the grid center, the surface point there and its conformal parameter.
     """
     if curve.curve_kind != BOWL_GRAPH:
         raise ValueError("rotational fields are built from bowl-type "
@@ -525,19 +522,13 @@ def rotational_gauss_field(curve: ProfileCurve, k_param: float,
     half = np.tan(0.5 * th_of_s(s_u))
     G = half[:, None] * np.exp(-1j * v)[None, :]
 
-    xs, zs = x_of_s(s_u), z_of_s(s_u)
-    points = np.stack([xs[:, None] * np.cos(v)[None, :],
-                       -xs[:, None] * np.sin(v)[None, :],
-                       np.broadcast_to(zs[:, None], (n_u, n_v)).copy()],
-                      axis=-1)
     ic, jc = (n_u - 1) // 2, (n_v - 1) // 2
-    meta = {"source_points": points,
-            "source_s": s_u,
-            "anchor_point": points[ic, jc].copy(),
-            "anchor_zeta": complex(u[ic], v[jc]),
-            "profile_kind": curve.profile.kind,
-            "profile_params": dict(curve.profile.params)}
-    return GaussField(u=u, v=v, G=G, k_param=k_param, meta=meta)
+    # read off the whole grid's evaluations: a one-point call may differ
+    r = x_of_s(s_u)[ic]
+    anchor = np.array([r * np.cos(v)[jc], -r * np.sin(v)[jc], z_of_s(s_u)[ic]])
+    return GaussField(u=u, v=v, G=G, k_param=k_param,
+                      meta={"anchor_point": anchor,
+                            "anchor_zeta": complex(u[ic], v[jc])})
 
 
 # ---------------------------------------------------------------------------
@@ -951,10 +942,7 @@ def solve_bjorling(data: BjorlingData, k: float, halfwidth: float, *,
     meta = {"anchor_point": anchor,
             "anchor_zeta": complex(u[ic], 0.0),
             "branch": branch,
-            "branch_disagreement": branch_disagreement,
-            "tail_norms": tails,
-            "degree": data.degree,
-            "resolution": resolution}
+            "branch_disagreement": branch_disagreement}
     try:
         fieldout = GaussField(u=u, v=v, G=G, k_param=k, meta=meta)
     except ValueError as exc:
@@ -1002,24 +990,7 @@ def gauss_field_from_table(path, table: Tuple[Dict[str, str], str, np.ndarray]
     except (KeyError, ValueError):
         raise ValueError(f"{path} lacks a valid k header") from None
     u, v, (re_g, im_g) = grid_from_table(path, meta, raw)
-    return GaussField(u=u, v=v, G=re_g + 1j * im_g, k_param=k,
-                      meta={"source": str(path)})
-
-
-def bjorling_to_json(data: BjorlingData, k: float) -> str:
-    doc = {
-        "curve_kind": data.curve_kind,
-        "k": float(k),
-        "degree": data.degree,
-        "beta": data.beta.tolist(),
-        "normal": data.normal.tolist(),
-    }
-    if data.curve_kind == TAYLOR:
-        doc["center"] = data.center
-        doc["s_halfwidth"] = data.s_halfwidth
-    else:
-        doc["period"] = data.period
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return GaussField(u=u, v=v, G=re_g + 1j * im_g, k_param=k)
 
 
 def bjorling_from_json(text: str) -> Tuple[BjorlingData, float]:

@@ -36,6 +36,8 @@ from phimin.surfaces import (
 )
 from phimin.weierstrass import GaussField, integrate_representation
 
+from graph_meshes import graph_mesh
+
 LIN1 = make_builtin("linear", 1.0)
 
 
@@ -152,17 +154,6 @@ def reference_curvature_from_derivatives(signature, ux, uy, uxx, uyy, uxy):
     return num / w2 ** 1.5, -det / w2 ** 2
 
 
-def reference_graph_normals(patch):
-    """GraphPatch.to_mesh's unit normals, each signature written apart."""
-    ux, uy = patch.gradients()
-    gx, gy = ux.ravel(), uy.ravel()
-    if patch.signature == EUCLIDEAN:
-        w = np.sqrt(1.0 + gx ** 2 + gy ** 2)
-        return np.column_stack([gx / w, gy / w, -1.0 / w])
-    w = np.sqrt(1.0 - gx ** 2 - gy ** 2)
-    return np.column_stack([gx / w, gy / w, 1.0 / w])
-
-
 def _ulps(value, k):
     """``value`` moved by k units in the last place."""
     for _ in range(abs(k)):
@@ -213,29 +204,6 @@ def _plane_heights(draw):
 def _unit_grid(u):
     return np.arange(u.shape[0], dtype=float), np.arange(u.shape[1],
                                                          dtype=float)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(u=_plane_heights())
-def test_mesh_normals_keep_each_signatures_bits(u):
-    x, y = _unit_grid(u)
-    for signature, target in ((EUCLIDEAN, 1.0), (LORENTZIAN, -1.0)):
-        try:
-            patch = GraphPatch(x, y, u, signature=signature)
-        except ValueError:
-            continue  # not spacelike inside
-        with np.errstate(all="ignore"):
-            want = reference_graph_normals(patch)
-            try:
-                got = patch.to_mesh().normals
-            except ValueError:
-                # a border slope leaves the spacelike cone: the normals
-                # the two branches made were not unit either
-                nrm2 = want[:, 0] ** 2 + want[:, 1] ** 2 \
-                    - want[:, 2] ** 2
-                assert not np.allclose(nrm2, target, atol=1e-8)
-                continue
-        assert got.tobytes() == want.tobytes()
 
 
 def reference_hessian_fields(patch, profile):
@@ -417,8 +385,7 @@ def test_sphere_second_fundamental_norm():
 def test_plane_second_fundamental_norm_vanishes():
     n = 25
     x = y = np.linspace(-1, 1, n)
-    patch = GraphPatch(x, y, 0.3 * np.repeat(x[:, None], n, axis=1) + 0.1)
-    mesh = patch.to_mesh()
+    mesh = graph_mesh(x, y, 0.3 * np.repeat(x[:, None], n, axis=1) + 0.1)
     s_norm, _ = second_fundamental_norm(mesh, LIN1)
     assert np.nanmax(s_norm) < 1e-9
 
@@ -580,9 +547,9 @@ def representation_mesh():
 # from its pole, a single ring) and without one (the round cylinder, the
 # sphere band)
 MESHES = {
-    "grid": GraphPatch(np.linspace(-1, 1, 31), np.linspace(-0.7, 0.7, 21),
-                        np.outer(np.linspace(-1, 1, 31),
-                                 np.linspace(-0.7, 0.7, 21)) ** 2).to_mesh(),
+    "grid": graph_mesh(np.linspace(-1, 1, 31), np.linspace(-0.7, 0.7, 21),
+                       np.outer(np.linspace(-1, 1, 31),
+                                np.linspace(-0.7, 0.7, 21)) ** 2),
     "extruded": extrude_cylinder(solve_catenary(LIN1, 0.0, 1.2, n_samples=61),
                                  (-0.5, 0.5), 17),
     "strip": extrude_cylinder(solve_catenary(LIN1, 0.0, 0.5, n_samples=41),
@@ -675,10 +642,9 @@ STENCIL_EDGES = {
     "band-m4": sphere_mesh(n_s=8, nt=4),
     "polar-m3": sphere_mesh(n_s=8, nt=3, s0=0.0),
     "polar-m4": sphere_mesh(n_s=8, nt=4, s0=0.0),
-    "three-rows": GraphPatch(np.linspace(-1, 1, 3), np.linspace(-1, 1, 41),
+    "three-rows": graph_mesh(np.linspace(-1, 1, 3), np.linspace(-1, 1, 41),
                              np.outer([1.0, 0.7, 0.2],
-                                      np.linspace(-1, 1, 41)) ** 2
-                             ).to_mesh(),
+                                      np.linspace(-1, 1, 41)) ** 2),
     "tilt-five-rulings": tilt_cylinder(
         solve_catenary(LIN1, 0.0, 1.45, n_samples=201), math.pi / 4,
         (-2.0, 2.0), 5),
@@ -824,9 +790,9 @@ def test_windows_keep_the_whole_meshs_bits(mesh):
 
 @pytest.mark.parametrize("mesh, rows", [
     (MESHES["grid-blocks"], 1023), (MESHES["four-blocks"], 63),
-    (GraphPatch(np.linspace(-1, 1, 21), np.linspace(-1, 1, 9001),
+    (graph_mesh(np.linspace(-1, 1, 21), np.linspace(-1, 1, 9001),
                 np.outer(np.linspace(1, 0, 21),
-                         np.linspace(-1, 1, 9001)) ** 2).to_mesh(), 8),
+                         np.linspace(-1, 1, 9001)) ** 2), 8),
 ], ids=["grid-blocks", "four-blocks", "wider-than-a-chunk"])
 def test_default_windows_keep_the_whole_meshs_bits(mesh, rows):
     # 2,401 x 9 and 100 x 128 nodes in windows of whole blocks of _corners
@@ -878,14 +844,14 @@ def test_tilted_reaper_still_solves_equation():
 def test_tilt_rejects_bad_angle():
     curve = solve_catenary(LIN1, 0.0, 0.5, tol=1e-9, n_samples=41)
     with pytest.raises(ValueError):
-        tilt_cylinder(curve, math.pi / 2)
+        tilt_cylinder(curve, math.pi / 2, (-1.0, 1.0), 20)
     # a positive angle maps solutions to solutions only for a constant
     # dphi; the identity tilt takes any weight
     curve = solve_catenary(make_builtin("log", 1.0), 1.0, 0.5, tol=1e-9,
                            n_samples=41)
     with pytest.raises(ValueError, match="dphi is constant"):
-        tilt_cylinder(curve, math.pi / 4)
-    tilt_cylinder(curve, 0.0)
+        tilt_cylinder(curve, math.pi / 4, (-1.0, 1.0), 20)
+    tilt_cylinder(curve, 0.0, (-1.0, 1.0), 20)
 
 
 # -- mesh validation and export ----------------------------------------------
@@ -895,16 +861,6 @@ def test_mesh_validates_normals():
     verts = np.zeros((4, 3))
     with pytest.raises(ValueError):
         SurfaceMesh(verts, np.full((4, 3), 0.5), (2, 2))
-
-
-def test_mesh_validates_lorentz_normals():
-    verts = np.zeros((4, 3))
-    n = np.repeat(np.array([[0.6, 0.0, math.sqrt(1.36)]]), 4, axis=0)
-    mesh = SurfaceMesh(verts, n, (2, 2), signature=LORENTZIAN)
-    assert mesh.signature == LORENTZIAN
-    with pytest.raises(ValueError):
-        SurfaceMesh(verts, np.repeat([[0.0, 0.0, 1.0]], 4, axis=0), (2, 2),
-                    signature="other")
 
 
 def test_mesh_validates_its_grid():
@@ -982,8 +938,7 @@ def test_ply_vertex_blocks_match_the_whole_mesh(tmp_path):
     # a fourth; the flat half repeats its normals, so runs cross the block
     # edges
     x, y = np.linspace(-1.0, 1.0, 181), np.linspace(-1.0, 1.0, 151)
-    mesh = GraphPatch(x, y, np.maximum(x, 0.0)[:, None] ** 3
-                      + 0.0 * y).to_mesh()
+    mesh = graph_mesh(x, y, np.maximum(x, 0.0)[:, None] ** 3 + 0.0 * y)
     assert 3 * surfaces._CHUNK_ROWS < mesh.n_vertices \
         < 4 * surfaces._CHUNK_ROWS
     path = tmp_path / "m.ply"
