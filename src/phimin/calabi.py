@@ -602,7 +602,6 @@ def _transform(patch: GraphPatch, profile: WeightProfile
     out.meta["theta_hint"] = dual_theta
     out.meta["theta_base"] = theta.base
     out.meta["origin_hint"] = origin
-    out.meta["dual_kind"] = dual.kind
     out.meta["path_disagreement"] = pot.meta["path_disagreement"]
     out.meta["newton_iters"] = iters
     return out, dual

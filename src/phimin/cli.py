@@ -832,15 +832,16 @@ _VERIFIED = {"s,x,z,theta": _Kind("profile_curve", _verify_curve, 1e-3),
 def _cmd_verify(cfg: RunConfig) -> int:
     path = cfg.input_path("input", "artifact CSV")
     # the column line decides the kind before the body is parsed
-    meta, colnames, body = open_table(path)
-    if colnames not in _VERIFIED:
-        if colnames in ("x,y,z,nx,ny,nz", "i,j,k"):
-            raise ValueError(f"{path} is a mesh export; the residual "
-                             "oracles work on curve, patch, and field "
-                             "artifacts")
-        raise ValueError(f"{path} has unrecognized columns {colnames!r}")
-    kind, check, bound = _VERIFIED[colnames]
-    checks = check(path, meta, colnames, body)
+    with open_table(path) as (meta, colnames, body):
+        if colnames not in _VERIFIED:
+            if colnames in ("x,y,z,nx,ny,nz", "i,j,k"):
+                raise ValueError(f"{path} is a mesh export; the residual "
+                                 "oracles work on curve, patch, and field "
+                                 "artifacts")
+            raise ValueError(f"{path} has unrecognized columns "
+                             f"{colnames!r}")
+        kind, check, bound = _VERIFIED[colnames]
+        checks = check(path, meta, colnames, body)
     threshold = cfg["tol"] or bound
     max_residual = max(checks.values())
     passed = bool(max_residual <= threshold)

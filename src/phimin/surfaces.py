@@ -12,15 +12,16 @@ curvatures), under which the defining identity reads
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .profiles import WeightProfile
@@ -214,6 +215,22 @@ class GraphPatch:
         return ux, uy
 
 
+def trapezoid_primitive(y: np.ndarray, d, axis: int = 0) -> np.ndarray:
+    """The cumulative trapezoid integral of ``y`` along ``axis`` from its
+    first sample, for the step ``d`` (a number, or the steps shaped to
+    broadcast against the differences along ``axis``).  It is scipy's
+    ``cumulative_trapezoid(..., initial=0)`` bit for bit: the cumulative
+    sum of ``d * (y[1:] + y[:-1]) / 2.0``, written behind the leading zero
+    of the result, so that no copy prepends it."""
+    lead = (slice(None),) * (axis % y.ndim)
+    tail = lead + (slice(1, None),)
+    steps = d * (y[tail] + y[lead + (slice(None, -1),)]) / 2.0
+    out = np.empty(y.shape, steps.dtype)
+    out[lead + (0,)] = 0.0
+    np.cumsum(steps, axis=axis, out=out[tail])
+    return out
+
+
 def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
               i0: int = 0, j0: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Both staircase routes of the trapezoid path integral of
@@ -222,8 +239,8 @@ def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
     Route A runs along x on the row j0 and then along y; route B along y on
     the column i0 and then along x.  The routes agree up to quadrature
     error exactly where the form is closed."""
-    cx = cumulative_trapezoid(p, dx=hx, axis=0, initial=0.0)
-    cy = cumulative_trapezoid(q, dx=hy, axis=1, initial=0.0)
+    cx = trapezoid_primitive(p, hx, axis=0)
+    cy = trapezoid_primitive(q, hy, axis=1)
     a = (cx[:, j0] - cx[i0, j0])[:, None] + (cy - cy[:, j0][:, None])
     b = (cy[i0, :] - cy[i0, j0])[None, :] + (cx - cx[i0, :][None, :])
     return a, b
@@ -999,60 +1016,73 @@ def write_table(path, comments: Sequence[str], header: str,
 def read_table(path) -> Tuple[Dict[str, str], str, np.ndarray]:
     """Header comments (``key = value`` lines), column names and data matrix
     of a CSV artifact, parsed from one open of the file (``open_table``)."""
-    meta, colnames, body = open_table(path)
-    return meta, colnames, body()
+    with open_table(path) as (meta, colnames, body):
+        return meta, colnames, body()
 
 
-def open_table(path) -> Tuple[Dict[str, str], str,
-                              Callable[[], np.ndarray]]:
+@contextlib.contextmanager
+def open_table(path) -> Iterator[Tuple[Dict[str, str], str,
+                                       Callable[[], np.ndarray]]]:
     """Header comments and column names of a CSV artifact, and the parser
     of its data matrix, so that a caller may refuse a table by its column
-    line before the body is parsed.  The file is opened and read once,
-    here, and parsed once: the parser lets go of the file's bytes when it
-    returns.  Every row must hold one value per name on the column line.
+    line before the body is parsed.  The file is opened once and stays
+    open for the ``with`` block alone; the parser reads its body once.
+    Every row must hold one value per name on the column line.
 
-    A body all in the writer's %.16e form is read by array code
-    (``_float_body``); any other body by ``np.loadtxt`` on the text a
-    universal-newline handle sees."""
-    meta: Dict[str, str] = {}
+    A body all in the writer's %.16e form is read by array code a block of
+    rows at a time (``_float_body``); any other body by ``np.loadtxt`` on
+    the text a universal-newline handle sees after the column line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    # the byte offset of the next line, where the file holds no \r (so
-    # that universal newlines change no byte)
-    start = 0
+        # newline="": lines keep their "\r", so that _header sees one
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        meta, colnames, start = _header(text, path)
+        text.detach()
+
+        def parse() -> np.ndarray:
+            data = None
+            if start is not None and _EXACT_SCALING:
+                fh.seek(start)
+                data = _float_body(fh)
+            if data is None:
+                fh.seek(0)
+                text = io.TextIOWrapper(fh, encoding="utf-8")
+                _header(text, path)
+                try:
+                    data = np.loadtxt(text, delimiter=",", ndmin=2)
+                except Exception as exc:
+                    raise ValueError(f"{path} is not a readable CSV table: "
+                                     f"{exc}") from exc
+                finally:
+                    text.detach()
+            if data.size == 0:
+                raise ValueError(f"{path} holds no data rows")
+            width = len(colnames.split(","))
+            if data.shape[1] != width:
+                raise ValueError(f"{path} has rows of {data.shape[1]} "
+                                 f"values under the {width} columns "
+                                 f"{colnames!r}")
+            return data
+        yield meta, colnames, parse
+
+
+def _header(text: io.TextIOBase, path) -> Tuple[Dict[str, str], str,
+                                                  Optional[int]]:
+    """Header comments and column names from the text handle ``text``, and
+    the byte offset of the line after the column line, or None where a line
+    read holds a "\r" (which universal newlines would change)."""
+    meta: Dict[str, str] = {}
+    start: Optional[int] = 0
     for line in text:
-        start += len(line.encode("utf-8"))
+        if start is not None:
+            start = None if "\r" in line else start + len(line.encode())
         stripped = line.strip()
         if not stripped.startswith("#"):
-            colnames = stripped
-            break
+            return meta, stripped, start
         body = stripped.lstrip("#").strip()
         if "=" in body:
             key, val = body.split("=", 1)
             meta[key.strip()] = val.strip()
-    else:
-        raise ValueError(f"{path} holds no data rows")
-
-    def parse() -> np.ndarray:
-        nonlocal raw, text
-        data = _float_body(raw, start)
-        if data is None:
-            try:
-                data = np.loadtxt(text, delimiter=",", ndmin=2)
-            except Exception as exc:
-                raise ValueError(f"{path} is not a readable CSV table: "
-                                 f"{exc}") from exc
-        # the file's bytes and their reader die here, not with the parser
-        raw = text = None
-        if data.size == 0:
-            raise ValueError(f"{path} holds no data rows")
-        width = len(colnames.split(","))
-        if data.shape[1] != width:
-            raise ValueError(f"{path} has rows of {data.shape[1]} values "
-                             f"under the {width} columns {colnames!r}")
-        return data
-    return meta, colnames, parse
+    raise ValueError(f"{path} holds no data rows")
 
 
 # Reading: a %.16e cell is q * 10^k with q its 17 digits, and 10^k with
@@ -1064,33 +1094,47 @@ _EXACT_SCALING = np.finfo(np.longdouble).nmant >= 63
 _POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
 
 
-def _float_body(raw: bytes, start: int):
-    """The rows of ``raw[start:]``, read in blocks of about ``_CHUNK_ROWS``
-    rows, or None unless every row holds the same number of %.16e cells
-    separated by "," and ended by "\n" (the last "\n" may be missing)."""
-    if not _EXACT_SCALING or start >= len(raw) or b"\r" in raw:
+def _float_body(fh: io.BufferedReader):
+    """The rows from the position of the binary handle ``fh`` to its end,
+    read in blocks of about ``_CHUNK_ROWS`` rows, or None unless every row
+    holds the same number of %.16e cells separated by "," and ended by "\n"
+    (the last "\n" may be missing)."""
+    first = fh.readline()
+    if not first:
         return None
-    first = (raw.find(b"\n", start) + 1 or len(raw)) - start
-    ncols = raw.count(b",", start, start + first) + 1
-    nrows = raw.count(b"\n", start) + (raw[-1] != ord("\n"))
-    if 23 * nrows * ncols > len(raw) - start + 1:  # 23 bytes a cell
-        return None
-    out = np.empty(nrows * ncols)
+    ncols = first.count(b",") + 1
+    # a cell and its separator hold at least 23 bytes; the pages of ``out``
+    # past the last cell are never touched, and the resize gives them back
+    size = os.fstat(fh.fileno()).st_size - fh.tell() + len(first)
+    out = np.empty((size + 1) // 23)
+    # the block with the "\n" before it, which ends the line above, and
+    # room for the "\n" the last line may lack
+    block = bytearray(min(len(first) * _CHUNK_ROWS, size + 1) + 2)
+    buf = np.frombuffer(block, np.uint8)
+    buf[0] = ord("\n")
+    have = 1 + len(first)
+    buf[1:have] = np.frombuffer(first, np.uint8)
     filled = 0
-    while start < len(raw):
-        end = raw.rfind(b"\n", start, start + _CHUNK_ROWS * first) + 1 \
-            or len(raw)
-        # the block with the "\n" before it, which ends the line above
-        buf = np.frombuffer(raw, np.uint8, end - start + 1, start - 1)
-        if raw[end - 1] != ord("\n"):
-            buf = np.append(buf, np.uint8(ord("\n")))
-        values = _float_cells(buf, ncols)
+    while True:
+        have += fh.readinto(memoryview(block)[have:-1])
+        if have == 1:  # the end of the file, after a whole line
+            break
+        if have < len(block) - 1 and block[have - 1] != ord("\n"):
+            block[have] = ord("\n")  # the last line, at the end of the file
+            have += 1
+        end = block.rfind(b"\n", 0, have) + 1
+        if end == 1:  # a line longer than the block
+            return None
+        values = _float_cells(buf[:end], ncols)
         if values is None:
             return None
         out[filled:filled + len(values)] = values
         filled += len(values)
-        start = end
-    return out.reshape(nrows, ncols)
+        # the part of a line after the block starts the next one
+        buf[1:1 + have - end] = buf[end:have]
+        have += 1 - end
+    out.resize(filled, refcheck=False)
+    return out.reshape(-1, ncols)
 
 
 def _float_cells(buf: np.ndarray, ncols: int):

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError
@@ -51,7 +50,7 @@ from .surfaces import (FLOAT, SurfaceMesh,
                        _interior_derivatives, _interior_gradient,
                        grid_from_table, grid_rows,
                        mean_curvature_residual, read_table, staircase,
-                       uniform_spacing, write_table)
+                       trapezoid_primitive, uniform_spacing, write_table)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
@@ -252,9 +251,9 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     Every integral is evaluated along two staircase routes; their averaged
     value is used and the worst disagreement is stored as
     ``meta["path_disagreement"]`` (it decays like O(h^2) for a true
-    solution).  Disagreement beyond ``1e-3 * (1 + sup |psi|)`` (recorded as
-    ``meta["path_tol"]``) raises ``NumericalError``, since it means the
-    field does not satisfy the integrability PDE.
+    solution).  Disagreement beyond ``1e-3 * (1 + sup |psi|)`` raises
+    ``NumericalError``, since it means the field does not satisfy the
+    integrability PDE.
 
     ``anchor`` pins the free constants of the representation: for ``k = 1``
     the surface is translated so the base vertex lands on ``anchor``; for
@@ -273,10 +272,11 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
     cotangent-formula curvature defect against the matching weight).
     """
     nu, nv = field.shape
-    points, pinned = _immersion(field, base, anchor)
+    points, disagreement = _immersion(field, base, anchor)
     mesh = SurfaceMesh(vertices=points.reshape(-1, 3),
                        normals=field.normals().reshape(-1, 3),
-                       grid=(nu, nv), meta=pinned)
+                       grid=(nu, nv),
+                       meta={"path_disagreement": disagreement})
     sups = reconstruction_residuals(mesh, field)
     mesh.meta.update(conformal_defect=sups.pop("conformal_defect"),
                      gauss_map_defect=sups.pop("gauss_map_defect"),
@@ -292,10 +292,10 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
 
 def _immersion(field: GaussField, base: Optional[complex],
                anchor: Optional[Sequence[float]]
-               ) -> Tuple[np.ndarray, dict]:
-    """The (nu, nv, 3) points of ``integrate_representation`` and the meta
-    entries that record how they were pinned; the coordinate arrays die
-    on return, once stacked."""
+               ) -> Tuple[np.ndarray, float]:
+    """The (nu, nv, 3) points of ``integrate_representation`` and the worst
+    disagreement of their routes; the coordinate arrays die on return, once
+    stacked."""
     ib, jb, psi, disagreement = _path_integrals(field, base)
     k = field.k_param
     sup_psi = max(float(np.abs(p).max()) for p in psi)
@@ -329,10 +329,7 @@ def _immersion(field: GaussField, base: Optional[complex],
             psi = [c0 * p for p in psi]
             psi[0] += anchor_used[0] - psi[0][ia, ja]
             psi[1] += anchor_used[1] - psi[1][ia, ja]
-    return np.stack(psi, axis=-1), {
-        "base_zeta": complex(field.u[ib], field.v[jb]),
-        "anchor": anchor_used, "path_disagreement": disagreement,
-        "path_tol": tol}
+    return np.stack(psi, axis=-1), disagreement
 
 
 def _path_integrals(field: GaussField, base: Optional[complex]
@@ -370,9 +367,13 @@ def _path_integrals(field: GaussField, base: Optional[complex]
                   lambda: gbz * G / D)
 
     def routes(w):
-        # only the real part of the integral of w dzeta is path independent
-        a, b = staircase(w, 1j * w, hu, hv, ib, jb)
-        return a.real, b.real
+        # only the real part of the integral of w dzeta is path independent:
+        # Re(w dzeta) = p du + q dv with p = Re w and q = Re(i w), which is
+        # formed as numpy forms it, so that signed zeros keep their bits;
+        # w dies here, once p and q hold what the routes read of it
+        p, q = w.real.copy(), 0.0 * w.real - w.imag
+        del w
+        return staircase(p, q, hu, hv, ib, jb)
 
     psi, gaps = [], []
     if k == 1.0:
@@ -509,7 +510,7 @@ def rotational_gauss_field(curve: ProfileCurve, k_param: float,
         raise ValueError(f"s_window must be inside [{s[0]:.6g}, {s[-1]:.6g}] "
                          "and increasing")
 
-    rho = cumulative_trapezoid(1.0 / x, s, initial=0.0)
+    rho = trapezoid_primitive(1.0 / x, np.diff(s))
     rho_of_s = CubicSpline(s, rho)
     s_of_rho = CubicSpline(rho, s)
     th_of_s = CubicSpline(s, th)

@@ -337,7 +337,6 @@ def test_reaper_dual_closed_form():
     assert dst.signature == LORENTZIAN
     assert dual.kind == "log"
     assert dual.params["alpha"] == -1.0
-    assert dst.meta["dual_kind"] == "log"
     # heights e^u = sec x against base coordinate tan x - tan x0
     shift = math.tan(patch.x[0])
     want = np.sqrt(1.0 + (dst.x[:, None] + shift) ** 2)

@@ -466,6 +466,29 @@ def test_verify_refuses_a_mesh_export_by_its_column_line(tmp_path):
         assert "is a mesh export" in message
 
 
+def test_verify_closes_a_mesh_export_it_refuses(tmp_path, monkeypatch):
+    # the table is refused by its column line before its body is parsed,
+    # and its file is closed then, not left to the collector (a handle
+    # left open fails the suite through its ResourceWarning)
+    assert main(["weierstrass", "--out", str(tmp_path / "w"), "--grid",
+                 "61x41", "--param", "s_max=4", "--param", "s_hi=3",
+                 "--format", "csv"]) == 0
+    path = tmp_path / "w" / "surface.csv"
+    handles, real_open = [], builtins.open
+
+    def keeping_open(file, *args, **kwargs):
+        handles.append(real_open(file, *args, **kwargs))
+        return handles[-1]
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", keeping_open)
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 1
+    message = json.loads((tmp_path / "v" / "error.json").read_text())[
+        "error"]["message"]
+    assert "is a mesh export" in message
+    refused = [fh for fh in handles if fh.name == str(path)]
+    assert len(refused) == 1 and refused[0].closed
+
+
 def test_verify_refuses_a_patch_off_its_grid(tmp_path):
     # the x and y columns must be the grid the first rows and columns span
     assert main(["calabi-to-l3", "--preset", "lorentz-soliton-pair",

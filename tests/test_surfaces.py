@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_trapezoid
 
 from phimin import calabi, make_builtin, surfaces
 from phimin.calabi import PotentialPatch
@@ -32,6 +33,7 @@ from phimin.surfaces import (
     second_fundamental_norm,
     staircase,
     tilt_cylinder,
+    trapezoid_primitive,
     write_rows,
 )
 from phimin.weierstrass import GaussField, integrate_representation
@@ -912,6 +914,32 @@ def test_staircase_integrates_an_exact_gradient(coef, nx, ny, hx, hy, x0, y0,
     assert route_a[i0, j0] == route_b[i0, j0] == 0.0
 
 
+_SAMPLE = st.floats(-1e100, 1e100)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       complex_values=st.booleans(), axis=st.sampled_from([0, 1, -1]),
+       dx=st.floats(1e-6, 1e3), data=st.data())
+def test_trapezoid_primitive_is_scipys_bit_for_bit(shape, complex_values,
+                                                   axis, dx, data):
+    y = data.draw(hnp.arrays(np.float64, shape, elements=_SAMPLE))
+    if complex_values:
+        y = y + 1j * data.draw(hnp.arrays(np.float64, shape,
+                                          elements=_SAMPLE))
+    got = trapezoid_primitive(y, dx, axis=axis)
+    want = cumulative_trapezoid(y, dx=dx, axis=axis, initial=0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a non-uniform abscissa, by its steps
+    x = np.cumsum(data.draw(hnp.arrays(np.float64, shape[axis],
+                                       elements=st.floats(1e-6, 1e3))))
+    steps = np.diff(x).reshape([-1 if k == axis % 2 else 1 for k in (0, 1)])
+    got = trapezoid_primitive(y, steps, axis=axis)
+    want = cumulative_trapezoid(y, x, axis=axis, initial=0)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_obj_ply_export(tmp_path):
     curve = solve_catenary(LIN1, 0.0, 0.6, tol=1e-9, n_samples=31)
     mesh = extrude_cylinder(curve, (0.0, 0.5), 11)
@@ -1353,6 +1381,20 @@ def test_read_table_matches_loadtxt_across_blocks(monkeypatch):
             got, want = _read_back(body)
             assert got.tobytes() == want.tobytes() == block.tobytes()
             assert len(calls) > 1 and all(calls)
+
+
+def test_read_table_reads_blocks_that_end_at_a_line_end(monkeypatch):
+    # rows of one width, so that every block ends at the end of a line and
+    # the next one starts empty, with and without the file's last newline
+    rows = np.random.default_rng(5).uniform(
+        1.0, 9.0, (2 * surfaces._CHUNK_ROWS + 3, 3))
+    calls = _cells_read(monkeypatch)
+    text = _written(rows)
+    for body in (text, text[:-1]):
+        calls.clear()
+        got, want = _read_back(body)
+        assert got.tobytes() == want.tobytes() == rows.tobytes()
+        assert len(calls) == 3 and all(calls)
 
 
 _FAST = "1.0000000000000000e+00,-2.5000000000000000e-01\n" * 3

@@ -192,30 +192,48 @@ def traced_peak(fn, *args):
 
 
 def test_reconstruction_peak_memory():
-    # about 158 B a node, held by the path integrals; the mesh oracle with
-    # the mesh it judges held as much (mesh 48, points and normals with no
-    # face array; oracle 102) until the oracle ran over windows of rows
-    # (now about 103 in all), against 198 while the mesh stored its
-    # faces, 215 while the oracle held its corner weights through the
-    # vertex division, 256 while the first-order defects spanned the grid
-    # and 790 while every intermediate lived to the end
+    # about 128 B a node, held by the mesh (48, points and normals with no
+    # face array) with the one pass of the reconstruction sups (79),
+    # against 158 while the path integrals ran their routes on complex
+    # arrays, 198 while the mesh stored its faces, 215 while the oracle
+    # held its corner weights through the vertex division, 256 while the
+    # first-order defects spanned the grid and 790 while every
+    # intermediate lived to the end
     f = reaper_field(201, 151)
-    assert traced_peak(integrate_representation, f) <= 165 * f.G.size
+    assert traced_peak(integrate_representation, f) <= 135 * f.G.size
 
 
 def test_field_check_peak_memory():
     # one integrand and its routes at a time, and the field checks over
-    # row blocks, returning sups: about 158 B a node for the path
-    # integrals, 88 for the PDE residual (102 while a slab's arrays lived
-    # through the next slab's stencil) and 79 for the one pass of the
+    # row blocks, returning sups: about 99 B a node for the path integrals
+    # (158 while both routes ran on complex arrays of which only the real
+    # parts were kept), 88 for the PDE residual (102 while a slab's arrays
+    # lived through the next slab's stencil) and 79 for the one pass of the
     # seven reconstruction sups; each check's slab temporaries die before
     # the next slab is differentiated
     f = reaper_field(201, 151)
     mesh = integrate_representation(f)
     assert traced_peak(weierstrass._path_integrals, f, None) \
-        <= 175 * f.G.size
+        <= 105 * f.G.size
     assert traced_peak(gauss_pde_residual, f) <= 95 * f.G.size
     assert traced_peak(reconstruction_residuals, mesh, f) <= 85 * f.G.size
+
+
+def test_read_table_holds_the_matrix_and_one_block(tmp_path):
+    # the body is parsed from the open file a block of about _CHUNK_ROWS
+    # rows at a time: beside the matrix (with the slack of a row count
+    # bounded by 23 bytes a cell) the reader holds one block of bytes and
+    # the kernel's temporaries, about 730 B a block row on a field table
+    # whatever the file's size, against the whole file beside the matrix
+    # (23.6 MB on the 441x331 table, 13.5 MB of it the file's bytes)
+    for n_u in (441, 221):
+        path = tmp_path / f"field{n_u}.csv"
+        save_gauss_field(reaper_field(n_u, 331), path)
+        held = []
+        peak = traced_peak(lambda: held.append(surfaces.read_table(path)[2]))
+        assert held[0].shape == (n_u * 331, 4)
+        assert peak - held[0].nbytes * 24 / 23 \
+            <= 760 * surfaces._CHUNK_ROWS
 
 
 def test_grid_faces_peak_memory():
@@ -365,6 +383,71 @@ def test_catenoid_command_holds_one_branch_mesh(tmp_path):
     assert peak <= 1.6 * larger
 
 
+def reference_path_integrals(f, ib, jb):
+    """The path integrals' coordinate functions and disagreement from the
+    node (ib, jb), as written while both staircase routes ran on the
+    complex integrand w and on i w, by scipy's cumulative trapezoid, and
+    only the real parts were kept."""
+    G, k, hu, hv = f.G, f.k_param, f.hu, f.hv
+    gbz = np.conj(wirtinger_derivatives(f)[1])
+    D = f.denominator()
+    w1 = gbz * (1.0 - G ** 2) / D
+    w2 = 1j * gbz * (1.0 + G ** 2) / D
+    w3 = gbz * G / D
+
+    def routes(w):
+        cx = cumulative_trapezoid(w, dx=hu, axis=0, initial=0.0)
+        cy = cumulative_trapezoid(1j * w, dx=hv, axis=1, initial=0.0)
+        a = (cx[:, jb] - cx[ib, jb])[:, None] + (cy - cy[:, jb][:, None])
+        b = (cy[ib, :] - cy[ib, jb])[None, :] + (cx - cx[ib, :][None, :])
+        return a.real, b.real
+
+    if k == 1.0:
+        parts = [[s * r for r in routes(w)]
+                 for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0))]
+        psi = [0.5 * (a + b) for a, b in parts]
+        disagreement = max(float(np.abs(a - b).max()) for a, b in parts)
+    else:
+        r3a, r3b = routes(w3)
+        gamma_a = np.exp(4.0 * (k - 1.0) * r3a)
+        gamma_b = np.exp(4.0 * (k - 1.0) * r3b)
+        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
+        vertical = 2.0 * k / (k - 1.0)
+        q1a, q1b = routes(w1 * gamma)
+        q2a, q2b = routes(w2 * gamma)
+        psi = [2.0 * k * (q1a + q1b), 2.0 * k * (q2a + q2b),
+               vertical * gamma]
+        disagreement = max(
+            4.0 * abs(k) * float(np.abs(q1a - q1b).max()),
+            4.0 * abs(k) * float(np.abs(q2a - q2b).max()),
+            abs(vertical) * float(np.abs(gamma_a - gamma_b).max()))
+    return psi, disagreement
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nu=st.integers(5, 30), nv=st.integers(5, 30),
+       k=st.sampled_from([1.0, 3.0, -0.5]), amp=st.floats(0.05, 0.8),
+       slope=st.floats(0.2, 3.0), shift=st.floats(-1.0, 1.0),
+       twist=st.sampled_from([0.0, 0.0, 0.6, -1.7]), data=st.data())
+def test_path_integrals_match_complex_routes(nu, nv, k, amp, slope, shift,
+                                             twist, data):
+    # G = amp tanh(slope u) exp(-i twist v): real-valued at twist 0, where
+    # Im w is a zero of either sign, so the real parts' signed zeros are
+    # exercised as well as the values
+    u = np.linspace(-1.0, 1.0, nu) + shift
+    v = np.linspace(-0.8, 0.8, nv)
+    G = amp * np.tanh(slope * u)[:, None] * np.exp(-1j * twist * v)[None, :]
+    f = GaussField(u=u, v=v, G=G, k_param=k)
+    ib, jb = data.draw(st.integers(0, nu - 1)), data.draw(
+        st.integers(0, nv - 1))
+    got_ib, got_jb, psi, disagreement = weierstrass._path_integrals(
+        f, complex(u[ib], v[jb]))
+    assert (got_ib, got_jb) == (ib, jb)
+    want_psi, want_disagreement = reference_path_integrals(f, ib, jb)
+    assert [p.tobytes() for p in psi] == [p.tobytes() for p in want_psi]
+    assert disagreement == want_disagreement
+
+
 def whole_grid_checks(f, mesh):
     """The field checks over the whole grid at once, as written before
     they ran over row blocks: the PDE residual and the five identity
@@ -414,36 +497,8 @@ def whole_grid_checks(f, mesh):
         arr[0, :] = arr[-1, :] = np.nan
         arr[:, 0] = arr[:, -1] = np.nan
 
-    gbz = np.conj(gzb)
-    D = f.denominator()
-    w1 = gbz * (1.0 - G ** 2) / D
-    w2 = 1j * gbz * (1.0 + G ** 2) / D
-    w3 = gbz * G / D
-    ib, jb = (f.shape[0] - 1) // 2, (f.shape[1] - 1) // 2
-
-    def routes(w):
-        a, b = surfaces.staircase(w, 1j * w, hu, hv, ib, jb)
-        return a.real, b.real
-
-    if k == 1.0:
-        parts = [[s * r for r in routes(w)]
-                 for w, s in ((w1, 4.0), (w2, 4.0), (w3, 8.0))]
-        psi = [0.5 * (a + b) for a, b in parts]
-        disagreement = max(float(np.abs(a - b).max()) for a, b in parts)
-    else:
-        r3a, r3b = routes(w3)
-        gamma_a = np.exp(4.0 * (k - 1.0) * r3a)
-        gamma_b = np.exp(4.0 * (k - 1.0) * r3b)
-        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
-        vertical = 2.0 * k / (k - 1.0)
-        q1a, q1b = routes(w1 * gamma)
-        q2a, q2b = routes(w2 * gamma)
-        psi = [2.0 * k * (q1a + q1b), 2.0 * k * (q2a + q2b),
-               vertical * gamma]
-        disagreement = max(
-            4.0 * abs(k) * float(np.abs(q1a - q1b).max()),
-            4.0 * abs(k) * float(np.abs(q2a - q2b).max()),
-            abs(vertical) * float(np.abs(gamma_a - gamma_b).max()))
+    psi, disagreement = reference_path_integrals(
+        f, (f.shape[0] - 1) // 2, (f.shape[1] - 1) // 2)
     return pde, defects, identities, psi, disagreement
 
 
