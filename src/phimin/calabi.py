@@ -45,9 +45,9 @@ __all__ = [
 class ThetaPrimitive:
     """Strictly increasing map with derivative e^phi, plus its inverse.
 
-    ``value`` is the primitive itself; ``inverse_value`` is a closed-form
-    inverse when one exists (otherwise the primitive is inverted
-    numerically).  ``reach`` is the closed interval where ``value``
+    ``value`` is the primitive itself; ``inverse_value`` its inverse, in
+    closed form where one exists, else the numerical inversion of a
+    quadrature primitive.  ``reach`` is the closed interval where ``value``
     evaluates, the domain unless given: the reach of a quadrature primitive,
     and for the primitive of a dual weight the image of the source
     primitive's reach.  ``image_hint`` is the exact image of the domain,
@@ -58,9 +58,8 @@ class ThetaPrimitive:
     """
 
     value: Callable
-    derivative: Callable
     domain: Tuple[float, float]
-    inverse_value: Optional[Callable] = None
+    inverse_value: Callable
     image_hint: Optional[Tuple[float, float]] = None
     reach: Optional[Tuple[float, float]] = None
     base: Optional[float] = None
@@ -75,12 +74,9 @@ class ThetaPrimitive:
         return out if out.shape else float(out)
 
     def inverse(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.inverse_value is not None:
-            out = np.asarray(self.inverse_value(t), dtype=float)
-            return out if out.shape else float(out)
-        return _invert_monotone(self.value, t, self.domain, self.reach,
-                                self.derivative)
+        out = np.asarray(self.inverse_value(np.asarray(t, dtype=float)),
+                         dtype=float)
+        return out if out.shape else float(out)
 
     def image(self, lo: float, hi: float) -> Tuple[float, float]:
         """Open interval the primitive maps (lo, hi) onto, by monotonicity.
@@ -106,7 +102,6 @@ def make_theta(profile: WeightProfile, base_point: float) -> ThetaPrimitive:
     off = float(nat.value(base_point))
     return ThetaPrimitive(
         value=lambda z, _f=nat.value, _o=off: np.asarray(_f(z)) - _o,
-        derivative=nat.derivative,
         domain=profile.domain,
         inverse_value=lambda t, _g=nat.inverse_value, _o=off: _g(
             np.asarray(t, dtype=float) + _o),
@@ -120,12 +115,11 @@ def natural_theta(profile: WeightProfile, base: Optional[float] = None
     linear and log kinds (so dual weights take their closed forms); for
     other kinds the panel primitive pinned to zero at ``base``, which they
     therefore require."""
-    deriv = lambda z: np.exp(np.asarray(profile.phi(z), dtype=float))
     if profile.kind == "linear":
         m = profile.params["slope"]
         return ThetaPrimitive(
             value=lambda z, m=m: np.exp(m * np.asarray(z, dtype=float)) / m,
-            derivative=deriv, domain=profile.domain,
+            domain=profile.domain,
             inverse_value=lambda t, m=m: np.log(
                 m * np.asarray(t, dtype=float)) / m,
         )
@@ -134,13 +128,13 @@ def natural_theta(profile: WeightProfile, base: Optional[float] = None
         if a == -1.0:
             return ThetaPrimitive(
                 value=lambda z: np.log(np.asarray(z, dtype=float)),
-                derivative=deriv, domain=profile.domain,
+                domain=profile.domain,
                 inverse_value=lambda t: np.exp(np.asarray(t, dtype=float)),
             )
         q = a + 1.0
         return ThetaPrimitive(
             value=lambda z, q=q: np.asarray(z, dtype=float) ** q / q,
-            derivative=deriv, domain=profile.domain,
+            domain=profile.domain,
             inverse_value=lambda t, q=q: (
                 q * np.asarray(t, dtype=float)) ** (1.0 / q),
         )
@@ -149,9 +143,13 @@ def natural_theta(profile: WeightProfile, base: Optional[float] = None
             f"the {profile.kind} weight has no closed-form primitive of "
             "e^phi; its quadrature primitive needs the base height "
             "(theta_base) where it vanishes")
+    deriv = lambda z: np.exp(np.asarray(profile.phi(z), dtype=float))
     value = _antiderivative(deriv, base, profile.domain)
-    return ThetaPrimitive(value=value, derivative=deriv,
-                          domain=profile.domain, reach=value.reach, base=base)
+    return ThetaPrimitive(
+        value=value, domain=profile.domain,
+        inverse_value=lambda t: _invert_monotone(value, t, profile.domain,
+                                                 value.reach, deriv),
+        reach=value.reach, base=base)
 
 
 def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
@@ -170,8 +168,8 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
     # primitive's run, short of the tail limit it holds beyond it
     reach = theta.image(*getattr(theta.value, "run", theta.reach))
 
-    dual_theta = ThetaPrimitive(value=theta.inverse, derivative=None,
-                                domain=(lo, hi), inverse_value=theta.__call__,
+    dual_theta = ThetaPrimitive(value=theta.inverse, domain=(lo, hi),
+                                inverse_value=theta.__call__,
                                 image_hint=tuple(profile.domain), reach=reach,
                                 base=theta.base)
 
@@ -200,11 +198,8 @@ def dual_profile(profile: WeightProfile, theta: ThetaPrimitive
 
         dual = make_custom(d_dphi, phi=d_phi, ddphi=d_ddphi,
                            domain=(lo, hi), reach=reach,
-                           increasing=not profile.increasing,
                            params={"dual_of": profile.kind,
                                    "source_params": dict(profile.params)})
-    dual_theta.derivative = lambda w: np.exp(
-        np.asarray(dual.phi(w), dtype=float))
     return dual, dual_theta
 
 
@@ -269,12 +264,12 @@ def integrate_potential(patch: GraphPatch,
     y-then-x; the two routes agreeing (up to quadrature error) is exactly
     the integrability of the system, i.e. the patch solving its graph
     equation.  Disagreement beyond ``25 (hx^2 + hy^2) max|Hess| max(1,
-    extent)`` (recorded as ``meta["tol"]``) raises NumericalError: the
-    bound scales with the grid spacing squared, so refining a genuine
-    solution keeps passing while a non-solution keeps failing.  A Hessian
-    that degenerates anywhere raises too; otherwise the largest stretching
-    rates of the gradient map along x and y, the maxima of its diagonal,
-    are recorded as ``meta["stretching"]``.
+    extent)`` raises NumericalError: the bound scales with the grid spacing
+    squared, so refining a genuine solution keeps passing while a
+    non-solution keeps failing.  A Hessian that degenerates anywhere raises
+    too; otherwise the largest stretching rates of the gradient map along x
+    and y, the maxima of its diagonal, are recorded as
+    ``meta["stretching"]``.
     """
     hxx, hxy, hyy = _hessian_fields(patch, profile)
     ax, bx = staircase(hxx, hxy, patch.hx, patch.hy)
@@ -293,8 +288,7 @@ def integrate_potential(patch: GraphPatch,
             f"(path disagreement {disagreement:.3e} > {tol:.3e}); "
             f"the heights do not solve the graph equation")
     pot = PotentialPatch(x=patch.x, y=patch.y, phi_x=phi_x, phi_y=phi_y,
-                         meta={"path_disagreement": disagreement, "tol": tol,
-                               "signature": patch.signature})
+                         meta={"path_disagreement": disagreement})
     det = hxx * hyy - hxy ** 2
     if np.any(det <= 0.0) or np.any(hxx <= 0.0):
         raise NumericalError("gradient map folds over (degenerate Hessian); "
@@ -600,7 +594,6 @@ def _transform(patch: GraphPatch, profile: WeightProfile
 
     _verify(out, dual, patch, profile, u_src, du)
     out.meta["theta_hint"] = dual_theta
-    out.meta["theta_base"] = theta.base
     out.meta["origin_hint"] = origin
     out.meta["path_disagreement"] = pot.meta["path_disagreement"]
     out.meta["newton_iters"] = iters

@@ -625,7 +625,7 @@ def _cmd_calabi_l3(cfg: RunConfig) -> int:
 
     spec = profile_to_spec(prof)
     lor, dual = to_lorentz(patch, prof)
-    profile_line, pin = _dual_header(dual, spec, lor.meta["theta_base"])
+    profile_line, pin = _dual_header(dual, spec, lor.meta["theta_hint"].base)
     origin = "origin_hint = " + " ".join(map(_fmt, lor.meta["origin_hint"]))
     report = {"patch": patch_kind,
               "dual_kind": dual.kind,
@@ -651,7 +651,7 @@ def _cmd_calabi_r3(cfg: RunConfig) -> int:
         patch.meta["origin_hint"] = (float(hint[0]), float(hint[1]))
     back, back_weight = from_lorentz(patch, weight)
     profile_line, pin = _dual_header(back_weight, meta["profile"],
-                                     back.meta["theta_base"])
+                                     back.meta["theta_hint"].base)
     report = {"recovered_kind": back_weight.kind,
               "recovered_shape": [len(back.x), len(back.y)],
               **{key: back.meta[key] for key in _TRANSFORM_REPORT}}
@@ -706,19 +706,15 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
         curve = solve_bowl(cfg["profile"], cfg["z0"], cfg["s_max"])
         n_u, n_v = cfg["grid"]
         field = rotational_gauss_field(
-            curve, cfg["k"], (cfg["s_lo"], cfg["s_hi"]), n_u=n_u,
+            curve, (cfg["s_lo"], cfg["s_hi"]), n_u=n_u,
             v_halfwidth=cfg["v_half"], n_v=n_v)
 
     residual = gauss_pde_residual(field)
     if not from_file:
-        # k and the weight are separate keys that must agree (k = 1 for a
-        # linear weight, alpha = 2/(k - 1) for log): refuse a built field
-        # that verify would reject before integrating it
         _gate("u,v,re_g,im_g",
-              f"the rotational field with k = {cfg.values['k']} does not "
-              f"solve the field equation of the weight "
-              f"'{cfg.values['profile']}' (k must belong to the weight): "
-              f"gauss_pde_residual", residual)
+              "the rotational field of the weight "
+              f"'{cfg.values['profile']}' does not solve its field "
+              "equation: gauss_pde_residual", residual)
     mesh = integrate_representation(field, base=base, anchor=cfg["anchor"])
     files = [] if from_file else [_field_file(field)]
     report = {"k": field.k_param,
@@ -780,7 +776,7 @@ def _gate(columns: str, what: str, residual: float) -> None:
     applied before the artifact is written: what a solver accepts can
     still fail it (a catenoid branch whose axis term is lost in the steps
     of a neck far wider than s_max, a bowl whose series launch is invalid
-    for a steep weight, a field whose k belongs to another weight)."""
+    for a steep weight)."""
     bound = _VERIFIED[columns].bound
     if not residual <= bound:
         raise NumericalError(f"{what} {_fmt(residual)} above the verify "
@@ -957,7 +953,7 @@ COMMANDS: Dict[str, Command] = {
     "weierstrass": Command(
         "integrate a surface from a unit-disk valued field",
         _cmd_weierstrass,
-        {"profile": _WEIGHT, "k": _number("1"), "z0": _number("0.5"),
+        {"profile": _WEIGHT, "z0": _number("0.5"),
          "s_max": _positive("6"), "s_lo": _number("1"), "s_hi": _number("4"),
          "v_half": _positive("1"), "grid": _GRID._replace(default="161x121"),
          "input": _PATH, "base": Key("", "tuple", finite=True, arity=2),

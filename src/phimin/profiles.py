@@ -13,8 +13,8 @@ Four kinds are supported:
 * ``custom``   : user-supplied callables (phi optional; it is then recovered
                  from dphi by quadrature against an anchor point).
 
-Profiles may be strictly increasing or strictly decreasing; most of the
-solvers require increasing ones and check the flag themselves.
+Profiles may be strictly increasing or strictly decreasing, by the sign
+of dphi; most of the solvers require increasing ones and check the flag.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class WeightProfile:
     """Bundle of phi, dphi, ddphi on an open interval.
 
     ``kind`` is one of ``linear / log / series / custom`` and ``params`` keeps
-    the defining constants for serialization.  ``increasing`` declares strict
-    monotonicity of phi on the domain (checked by sampling at construction).
+    the defining constants for serialization.  ``increasing`` is the sign
+    of dphi, read off its samples at construction (``_check_monotone``).
     ``reach`` is the closed interval where phi, dphi and ddphi evaluate,
     the domain unless given (``make_custom`` gives the reach of the phi it
     builds by quadrature, ``dual_profile`` theta's image of its own reach).
@@ -69,19 +69,19 @@ class WeightProfile:
     domain: Tuple[float, float]
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    increasing: bool = True
     # (L, b) with dphi(u) -> L*u + b as u -> inf, when that limit is known.
     asymptote: Optional[Tuple[float, float]] = None
     # growth exponent hint: dphi ~ u^alpha for large u (1 for linear kinds)
     growth_alpha: Optional[float] = None
     reach: Optional[Tuple[float, float]] = None
+    increasing: bool = field(init=False)
     sup_phi: float = field(init=False)
 
     def __post_init__(self):
         self.domain = _as_float_pair(self.domain)
         self.reach = self.domain if self.reach is None else \
             (float(self.reach[0]), float(self.reach[1]))
-        self._check_monotone()
+        self.increasing = self._check_monotone()
         self.sup_phi = _limit(self.phi, self.domain[1], -1.0, self.reach,
                               self.increasing)
 
@@ -103,7 +103,8 @@ class WeightProfile:
 
     # -- validation --------------------------------------------------------
 
-    def _check_monotone(self) -> None:
+    def _check_monotone(self) -> bool:
+        """Whether phi increases, by the sign of dphi on the samples."""
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else -50.0
         b = hi if math.isfinite(hi) else max(a + 1.0, 50.0)
@@ -118,14 +119,13 @@ class WeightProfile:
             raise ProfileError(
                 "dphi could not be sampled across enough of the domain "
                 "to check monotonicity")
-        if self.increasing and not np.all(d > 0):
-            raise ProfileError(
-                "profile flagged increasing but dphi <= 0 somewhere on the domain"
-            )
-        if not self.increasing and not np.all(d < 0):
-            raise ProfileError(
-                "profile flagged decreasing but dphi >= 0 somewhere on the domain"
-            )
+        if np.all(d > 0):
+            return True
+        if np.all(d < 0):
+            return False
+        raise ProfileError(
+            "dphi vanishes or changes sign on the domain; a weight must be "
+            "strictly monotone")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,6 @@ def make_builtin(kind: str, *params,
             dphi=lambda z, m=m: np.full_like(np.asarray(z, dtype=float), m),
             ddphi=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             domain=dom, kind="linear", params={"slope": m},
-            increasing=m > 0,
             asymptote=(0.0, m), growth_alpha=0.0,
         )
 
@@ -169,7 +168,6 @@ def make_builtin(kind: str, *params,
             dphi=lambda z, a=a: a / np.asarray(z, dtype=float),
             ddphi=lambda z, a=a: -a / np.asarray(z, dtype=float) ** 2,
             domain=dom, kind="log", params={"alpha": a},
-            increasing=a > 0,
             asymptote=None, growth_alpha=-1.0,
         )
 
@@ -214,7 +212,6 @@ def make_builtin(kind: str, *params,
         prof = WeightProfile(
             phi=p, dphi=dd, ddphi=d2, domain=dom, kind="series",
             params={"L": L, "b": b, "coeffs": coeffs},
-            increasing=True,
             asymptote=(L, b), growth_alpha=1.0 if L > 0 else 0.0,
         )
         return prof
@@ -225,7 +222,6 @@ def make_builtin(kind: str, *params,
 def make_custom(dphi: Callable, phi: Optional[Callable] = None,
                 ddphi: Optional[Callable] = None,
                 domain: Sequence[float] = (-math.inf, math.inf),
-                increasing: bool = True,
                 anchor: Optional[float] = None,
                 growth_alpha: Optional[float] = None,
                 asymptote: Optional[Tuple[float, float]] = None,
@@ -253,7 +249,7 @@ def make_custom(dphi: Callable, phi: Optional[Callable] = None,
             return (np.asarray(_d(z + h)) - np.asarray(_d(z - h))) / (2 * h)
     return WeightProfile(phi=phi, dphi=dphi, ddphi=ddphi, domain=dom,
                          kind="custom", params=params or {},
-                         increasing=increasing, asymptote=asymptote,
+                         asymptote=asymptote,
                          growth_alpha=growth_alpha, reach=reach)
 
 
@@ -519,7 +515,11 @@ def expression_callable(expr: str) -> Callable:
 
     Only the names in a tiny math namespace are visible; no builtins.
     """
-    code = compile(expr, "<profile-expr>", "eval")
+    try:
+        code = compile(expr, "<profile-expr>", "eval")
+    except (SyntaxError, ValueError) as err:
+        raise ProfileError(
+            f"malformed profile expression {expr!r}: {err}") from err
     for name in code.co_names:
         if name not in _EXPR_NS and name != "z":
             raise ProfileError(f"unknown name {name!r} in profile expression")

@@ -78,19 +78,18 @@ class AsymptoteReport:
 
     ``lambda_u0`` holds the half-width for catenaries and the fitted maximal
     radius for rotational graphs (+inf in the unbounded cases); ``finite``
-    mirrors it.  ``fitted_constants`` collects named reals from whichever fit
+    reads it.  ``fitted_constants`` collects named reals from whichever fit
     ran; ``residual_decay_rate`` is the log-log slope of the remainder when a
     far-field law was fitted (NaN otherwise).
     """
 
     lambda_u0: float
-    finite: bool
     fitted_constants: dict = field(default_factory=dict)
     residual_decay_rate: float = math.nan
 
-    def __post_init__(self):
-        if self.finite != (self.lambda_u0 < math.inf):
-            raise ValueError("finite flag inconsistent with lambda_u0")
+    @property
+    def finite(self) -> bool:
+        return self.lambda_u0 < math.inf
 
 
 def _event(fn: Callable, direction: int, terminal: bool = True) -> Callable:
@@ -260,7 +259,7 @@ def compute_lambda(profile: WeightProfile, u0: float) -> AsymptoteReport:
         if l1_finite:
             raise NumericalError(
                 "finiteness tests disagree: bounded phi but integrable tail")
-        return AsymptoteReport(math.inf, False,
+        return AsymptoteReport(math.inf,
                                {"u0": u0, "sup_phi": profile.sup_phi})
 
     half_width = _abscissa(q, w_end).limit
@@ -268,8 +267,7 @@ def compute_lambda(profile: WeightProfile, u0: float) -> AsymptoteReport:
         raise NumericalError(
             "half-width quadrature and exp(-phi) tail test disagree; "
             "check the profile")
-    return AsymptoteReport(half_width if l1_finite else math.inf,
-                           l1_finite, {"u0": u0})
+    return AsymptoteReport(half_width if l1_finite else math.inf, {"u0": u0})
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +596,7 @@ def fit_asymptotics(curve: ProfileCurve, profile: WeightProfile,
     r = np.asarray(curve.x, dtype=float)
     u = np.asarray(curve.z, dtype=float)
 
-    omega, omega_finite = _classify_radius(curve, profile)
+    omega = _classify_radius(curve, profile)
     consts = {"omega_plus": omega}
     decay = math.nan
 
@@ -631,7 +629,7 @@ def fit_asymptotics(curve: ProfileCurve, profile: WeightProfile,
                 consts.update({"alpha": float(slope),
                                "C": float(math.exp(intercept)),
                                "Lambda": float(L)})
-    elif np.count_nonzero(sel) > 0 or (lo > r[-1] and omega_finite):
+    elif np.count_nonzero(sel) > 0 or (lo > r[-1] and omega < math.inf):
         # window beyond the (finite) reach of the curve: radius part only
         pass
     else:
@@ -639,13 +637,11 @@ def fit_asymptotics(curve: ProfileCurve, profile: WeightProfile,
 
     if profile.growth_alpha is not None:
         consts["predicted_radius_finite"] = 1.0 if profile.growth_alpha > 1 else 0.0
-    return AsymptoteReport(lambda_u0=omega, finite=omega_finite,
-                           fitted_constants=consts,
+    return AsymptoteReport(lambda_u0=omega, fitted_constants=consts,
                            residual_decay_rate=decay)
 
 
-def _classify_radius(curve: ProfileCurve, profile: WeightProfile
-                     ) -> Tuple[float, bool]:
+def _classify_radius(curve: ProfileCurve, profile: WeightProfile) -> float:
     """Observed maximal radius: from x x' = cos(th) x ~ 1/dphi(z) far out,
     omega^2 = x_end^2 + 2 * int_{z_end}^inf dz/dphi(z) when that tail
     converges (``profiles._tail``); +inf otherwise."""
@@ -653,5 +649,5 @@ def _classify_radius(curve: ProfileCurve, profile: WeightProfile
     tail = _antiderivative(
         lambda z: 1.0 / np.asarray(profile.dphi(z), dtype=float), z_end,
         (z_end, profile.domain[1])).limit
-    return (math.sqrt(x_end ** 2 + 2.0 * tail), True) \
-        if math.isfinite(tail) else (math.inf, False)
+    return math.sqrt(x_end ** 2 + 2.0 * tail) if math.isfinite(tail) \
+        else math.inf

@@ -217,6 +217,17 @@ def _locate_base(field: GaussField, base: Optional[complex]) -> Tuple[int, int]:
     return ib, jb
 
 
+def _family_index(profile: WeightProfile) -> float:
+    """Family index k of a weight, the inverse of ``_weight_profile_for``:
+    1 for the linear weight, 1 + 2/alpha for alpha log z, no other."""
+    if profile.kind == "linear":
+        return 1.0
+    if profile.kind == "log":
+        return 1.0 + 2.0 / profile.params["alpha"]
+    raise ValueError("the representation covers the linear and log weights, "
+                     f"not a {profile.kind} weight")
+
+
 def _weight_profile_for(k: float, z: np.ndarray) -> Optional[WeightProfile]:
     """Weight profile matching the family index on the height range of z."""
     if k == 1.0:
@@ -477,19 +488,18 @@ def _block_residuals(points: np.ndarray, G: np.ndarray, hu: float,
             .max())
 
 
-def rotational_gauss_field(curve: ProfileCurve, k_param: float,
+def rotational_gauss_field(curve: ProfileCurve,
                            s_window: Tuple[float, float], *,
                            n_u: int = 161, v_halfwidth: float = 1.0,
                            n_v: int = 121) -> GaussField:
     """Gauss field of a surface of revolution in conformal coordinates.
 
     ``curve`` must be a bowl-type generating curve (``solve_bowl`` output)
-    whose weight matches ``k_param``; the caller owns that pairing, a
-    mismatch shows up immediately in ``gauss_pde_residual``.  The conformal
-    parameter is ``u = int ds / x`` along the meridian (restricted to the
-    arc-length window ``s_window``, which must stay off the axis) and ``v``
-    is minus the rotation angle, so the surface point is
-    ``(x cos v, -x sin v, z)`` and the field is
+    of a linear or log weight; the field carries the weight's family index
+    (``_family_index``).  The conformal parameter is ``u = int ds / x``
+    along the meridian (restricted to the arc-length window ``s_window``,
+    which must stay off the axis) and ``v`` is minus the rotation angle, so
+    the surface point is ``(x cos v, -x sin v, z)`` and the field is
     ``tan(theta/2) * exp(-i v)``.
 
     The returned field carries ``anchor_point``/``anchor_zeta`` metadata at
@@ -498,6 +508,7 @@ def rotational_gauss_field(curve: ProfileCurve, k_param: float,
     if curve.curve_kind != BOWL_GRAPH:
         raise ValueError("rotational fields are built from bowl-type "
                          f"curves, not {curve.curve_kind}")
+    k = _family_index(curve.profile)
     if not 0 < v_halfwidth < math.pi:
         raise ValueError("v_halfwidth must lie in (0, pi): one conformal "
                          "strip must stay simply connected")
@@ -527,7 +538,7 @@ def rotational_gauss_field(curve: ProfileCurve, k_param: float,
     # read off the whole grid's evaluations: a one-point call may differ
     r = x_of_s(s_u)[ic]
     anchor = np.array([r * np.cos(v)[jc], -r * np.sin(v)[jc], z_of_s(s_u)[ic]])
-    return GaussField(u=u, v=v, G=G, k_param=k_param,
+    return GaussField(u=u, v=v, G=G, k_param=k,
                       meta={"anchor_point": anchor,
                             "anchor_zeta": complex(u[ic], v[jc])})
 

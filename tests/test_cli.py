@@ -287,7 +287,7 @@ def test_keys_a_branch_does_not_read_are_checked(tmp_path):
     from phimin.weierstrass import rotational_gauss_field, save_gauss_field
     curve = cli.solve_bowl(profile_from_spec("linear slope=1"), 0.5, 4.0)
     field = tmp_path / "field.csv"
-    save_gauss_field(rotational_gauss_field(curve, 1.0, (1.0, 3.0), n_u=9,
+    save_gauss_field(rotational_gauss_field(curve, (1.0, 3.0), n_u=9,
                                             v_halfwidth=1.0, n_v=9), field)
     for name, argv, key in (
             ("l3", ["calabi-to-l3", "--grid", "41x41", "--param",
@@ -626,15 +626,22 @@ def test_too_wide_a_neck_is_named_as_the_cause(tmp_path, x0, cause):
 
 
 def test_numerical_failure_exit_two(tmp_path):
-    # k = 2 contradicts the linear weight behind the rotational field, so
+    # a stored field whose k (3) contradicts its G (the linear bowl's):
     # the two integration routes disagree and the run must fail loudly
-    code = main(["weierstrass", "--out", str(tmp_path), "--param", "k=2",
-                 "--grid", "61x41", "--param", "s_max=4",
-                 "--param", "s_hi=3"])
-    assert code == 2
-    doc = json.loads((tmp_path / "error.json").read_text())
+    from phimin.weierstrass import (GaussField, rotational_gauss_field,
+                                    save_gauss_field)
+    curve = cli.solve_bowl(profile_from_spec("linear slope=1"), 0.5, 4.0)
+    f = rotational_gauss_field(curve, (1.0, 3.0), n_u=61, v_halfwidth=1.0,
+                               n_v=41)
+    path = tmp_path / "field.csv"
+    save_gauss_field(GaussField(f.u, f.v, f.G, k_param=3.0), path)
+    out = tmp_path / "out"
+    assert main(["weierstrass", str(path), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    doc = json.loads((out / "error.json").read_text())
     assert doc["error"]["type"] == "NumericalError"
     assert doc["error"]["exit_code"] == 2
+    assert "path dependence" in doc["error"]["message"]
 
 
 def test_mesh_formats(tmp_path):
@@ -713,37 +720,69 @@ def test_weierstrass_field_artifact_verifies(tmp_path):
 
 
 def test_weierstrass_refuses_a_field_whose_k_belongs_to_no_weight(tmp_path):
-    # k = 3 with the default linear weight: the built field misses the
-    # field equation (residual about 0.5 against verify's 1e-3), so it is
-    # refused before it is written or integrated
+    # k is the weight's family index, and only the linear and log weights
+    # have one: a series or custom weight is a configuration error, refused
+    # before anything is written
+    for name, weight in (("series", "series L=1 b=1"),
+                         ("custom", "custom dphi=1")):
+        out = tmp_path / name
+        assert main(["weierstrass", "--grid", "81x61", "--param",
+                     f"profile={weight}", "--out", str(out)]) == 1, name
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "ValueError" and error["exit_code"] == 1
+        assert "linear and log weights" in error["message"], name
+        assert f"{name} weight" in error["message"], name
+
+
+def test_weierstrass_derives_k_from_a_log_weight(tmp_path):
+    # alpha log z has k = 1 + 2/alpha: log alpha=1 builds the k = 3 field
     out = tmp_path / "w"
-    assert main(["weierstrass", "--grid", "81x61", "--param", "k=3",
-                 "--out", str(out)]) == 2
-    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
-    message = json.loads((out / "error.json").read_text())["error"]["message"]
-    assert "k = 3" in message and "'linear slope=1'" in message
-    assert "gauss_pde_residual" in message
-    assert "k must belong to the weight" in message
-    # log alpha = 2/(k - 1) is the weight of k = 3
-    ok = tmp_path / "ok"
-    assert main(["weierstrass", "--grid", "81x61", "--param", "k=3",
+    assert main(["weierstrass", "--grid", "81x61",
                  "--param", "profile=log alpha=1", "--param", "s_max=4",
                  "--param", "s_hi=3", "--format", "csv",
-                 "--out", str(ok)]) == 0
-    assert float(read_report(ok)["report"]["pde_residual_max"]) < 1e-3
-    # a field read from a file is integrated as before, and fails there
-    from phimin.profiles import make_builtin
-    from phimin.solvers import solve_bowl
-    from phimin.weierstrass import rotational_gauss_field, save_gauss_field
-    curve = solve_bowl(make_builtin("linear", 1.0), 0.5, 4.0)
-    path = tmp_path / "field.csv"
-    save_gauss_field(rotational_gauss_field(curve, 3.0, (1.0, 3.0), n_u=81,
-                                            v_halfwidth=1.0, n_v=61), path)
-    read = tmp_path / "read"
-    assert main(["weierstrass", str(path), "--format", "csv",
-                 "--out", str(read)]) == 2
-    message = json.loads((read / "error.json").read_text())["error"]["message"]
-    assert "path dependence" in message
+                 "--out", str(out)]) == 0
+    doc = read_report(out)
+    assert "k" not in doc["config"]
+    assert float(doc["report"]["k"]) == 3.0
+    assert float(doc["report"]["pde_residual_max"]) < 1e-3
+    meta, _, _ = read_csv(out / "field.csv")
+    assert float(meta["k"]) == 3.0
+    assert main(["verify", str(out / "field.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
+    # k is no key of its own
+    bad = tmp_path / "k"
+    assert main(["weierstrass", "--param", "k=3", "--out", str(bad)]) == 1
+    assert sorted(p.name for p in bad.iterdir()) == ["error.json"]
+    message = json.loads((bad / "error.json").read_text())["error"]["message"]
+    assert message.startswith("unknown config keys for weierstrass: k ")
+
+
+@pytest.mark.parametrize("expr", ["1+", "(z"])
+def test_malformed_weight_expression_exits_one(tmp_path, expr):
+    # a configuration error, not an internal fault
+    out = tmp_path / "bad"
+    assert main(["profile", "--param", f"profile=custom dphi={expr}",
+                 "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["exit_code"] == 1
+    assert "malformed profile expression" in error["message"]
+
+
+def test_decreasing_custom_weight_is_read_off_its_dphi(tmp_path):
+    # dphi = -1 makes a decreasing weight: profile solves and verifies its
+    # catenary, while lambda, which needs an increasing weight, refuses it
+    out = tmp_path / "p"
+    assert main(["profile", "--param", "profile=custom dphi=-1",
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out / "curve.csv"),
+                 "--out", str(tmp_path / "v")]) == 0
+    lam = tmp_path / "lambda"
+    assert main(["lambda", "--param", "profile=custom dphi=-1",
+                 "--out", str(lam)]) == 1
+    message = json.loads((lam / "error.json").read_text())["error"]["message"]
+    assert "strictly increasing" in message
 
 
 def _circle_data(tmp_path) -> Path:

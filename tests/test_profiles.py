@@ -62,13 +62,12 @@ def test_series_needs_positive_leading_data():
 
 
 def test_monotonicity_flag_is_checked():
-    with pytest.raises(ProfileError):
+    with pytest.raises(ProfileError, match="vanishes or changes sign"):
         WeightProfile(
             phi=lambda z: np.asarray(z) ** 3,
-            dphi=lambda z: 3 * np.asarray(z) ** 2,
+            dphi=lambda z: 3 * np.asarray(z) ** 2,  # vanishes at 0
             ddphi=lambda z: 6 * np.asarray(z),
             domain=(-1.0, 1.0),
-            increasing=True,  # dphi vanishes at 0
         )
     # a dphi that is NaN everywhere has no sign to check
     with pytest.raises(ProfileError):
@@ -132,7 +131,6 @@ def test_custom_profile_recovers_phi_by_quadrature():
     p = make_custom(
         dphi=lambda z: np.cos(np.asarray(z, dtype=float)),
         domain=(-1.0, 1.0),
-        increasing=True,
         anchor=0.0,
     )
     z = np.linspace(-0.9, 0.9, 7)
@@ -143,7 +141,6 @@ def test_custom_profile_fd_second_derivative():
     p = make_custom(
         dphi=lambda z: np.exp(np.asarray(z, dtype=float)),
         domain=(-2.0, 2.0),
-        increasing=True,
         anchor=0.0,
     )
     assert float(p.ddphi(0.5)) == pytest.approx(math.exp(0.5), rel=1e-5)
@@ -161,6 +158,42 @@ def test_expression_callable_rejects_unknown_names():
         expression_callable("__import__('os').system('true')")
     f = expression_callable("exp(z) + 1")
     assert float(f(0.0)) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("expr", ["1+", "(z", "z\x00"])
+def test_expression_callable_rejects_malformed_text(expr):
+    # what compile refuses (a syntax error, a null byte) is a profile error
+    with pytest.raises(ProfileError, match="malformed profile expression"):
+        expression_callable(expr)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    slope=st.floats(min_value=-5.0, max_value=5.0).filter(
+        lambda x: abs(x) > 1e-3),
+    L=st.floats(min_value=0.0, max_value=3.0),
+    b=st.floats(min_value=0.1, max_value=3.0),
+    c=st.floats(min_value=0.1, max_value=3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    root=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_increasing_is_the_sign_of_dphi(slope, L, b, c, sign, root):
+    # builtins over their parameters: the sign of slope, of alpha, and the
+    # positive dphi = L u + b + c/u of a series
+    assert make_builtin("linear", slope).increasing == (slope > 0)
+    assert make_builtin("log", slope).increasing == (slope > 0)
+    assert make_builtin("series", L, b, [c]).increasing
+    # a custom dphi = sign (c + z^2) keeps its sign on the whole line
+    custom = make_custom(
+        lambda z: sign * (c + np.asarray(z, dtype=float) ** 2),
+        phi=lambda z: sign * (c * np.asarray(z, dtype=float)
+                              + np.asarray(z, dtype=float) ** 3 / 3.0))
+    assert custom.increasing == (sign > 0)
+    # dphi = z - root changes sign inside the sampled heights
+    with pytest.raises(ProfileError, match="vanishes or changes sign"):
+        make_custom(lambda z: np.asarray(z, dtype=float) - root,
+                    phi=lambda z: 0.5 * (np.asarray(z, dtype=float)
+                                         - root) ** 2)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -7,7 +7,6 @@ from phimin import make_builtin, make_custom, solvers
 from phimin.cli import RunConfig, _curve_file, _finish, profile_from_spec
 from phimin.errors import NumericalError
 from phimin.solvers import (
-    AsymptoteReport,
     ProfileCurve,
     compute_lambda,
     count_self_intersections,
@@ -124,11 +123,6 @@ def test_compute_lambda_log_finiteness_split():
     assert not harmonic.finite and harmonic.lambda_u0 == math.inf
     quadratic = compute_lambda(make_builtin("log", 2.0), 1.0)
     assert quadratic.finite and quadratic.lambda_u0 < math.inf
-
-
-def test_report_flag_consistency_enforced():
-    with pytest.raises(ValueError):
-        AsymptoteReport(lambda_u0=math.inf, finite=True)
 
 
 def test_drift_zero_on_exact_samples():
@@ -312,8 +306,7 @@ def test_fit_asymptotics_dichotomy():
     cubic = make_custom(dphi=lambda z: np.asarray(z, float) ** 3,
                         phi=lambda z: np.asarray(z, float) ** 4 / 4.0,
                         ddphi=lambda z: 3.0 * np.asarray(z, float) ** 2,
-                        domain=(0.0, math.inf), increasing=True,
-                        growth_alpha=3.0)
+                        domain=(0.0, math.inf), growth_alpha=3.0)
     b1 = solve_bowl(lin_growth, 1.0, 30.0, tol=1e-9)
     r1 = fit_asymptotics(b1, lin_growth, (1.0, float(b1.x[-1])))
     assert not r1.finite

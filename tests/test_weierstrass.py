@@ -141,7 +141,7 @@ def test_reaper_field_solves_pde():
 def test_rotational_field_residual_refines_second_order(lin1_bowl):
     sup = []
     for n_u, n_v in ((81, 61), (161, 121)):
-        f = rotational_gauss_field(lin1_bowl, 1.0, (0.7, 2.5), n_u=n_u,
+        f = rotational_gauss_field(lin1_bowl, (0.7, 2.5), n_u=n_u,
                                    v_halfwidth=0.9, n_v=n_v)
         sup.append(gauss_pde_residual(f))
     assert sup[1] < 1e-4
@@ -511,7 +511,7 @@ def test_row_blocks_match_the_whole_grid_bit_for_bit(rows, family,
     if family == "reaper":
         f = reaper_field(41, 31)
     else:
-        f = rotational_gauss_field(log1_roof, 3.0, (0.7, 4.5), n_u=82,
+        f = rotational_gauss_field(log1_roof, (0.7, 4.5), n_u=82,
                                    v_halfwidth=0.9, n_v=41)
     mesh = integrate_representation(f)
     pde, defects, identities, psi, disagreement = whole_grid_checks(f, mesh)
@@ -564,7 +564,7 @@ def test_reconstruction_error_refines(lin1_bowl):
 
 
 def test_k1_bowl_reconstruction_through_meta_anchor(lin1_bowl):
-    f = rotational_gauss_field(lin1_bowl, 1.0, (0.7, 2.5), n_u=161,
+    f = rotational_gauss_field(lin1_bowl, (0.7, 2.5), n_u=161,
                                v_halfwidth=0.9, n_v=121)
     mesh = integrate_representation(f)
     got = mesh.vertices.reshape(*f.shape, 3)
@@ -573,7 +573,7 @@ def test_k1_bowl_reconstruction_through_meta_anchor(lin1_bowl):
 
 def test_hanging_roof_reconstruction_cross_solver(log1_roof):
     # k = 3 means dphi(z) = 1/z, the weight of the Log(1) rotational curve.
-    f = rotational_gauss_field(log1_roof, 3.0, (0.7, 4.5), n_u=201,
+    f = rotational_gauss_field(log1_roof, (0.7, 4.5), n_u=201,
                                v_halfwidth=0.9, n_v=161)
     assert gauss_pde_residual(f) < 1e-5
     mesh = integrate_representation(f)
@@ -585,7 +585,7 @@ def test_hanging_roof_reconstruction_cross_solver(log1_roof):
 def test_log_weight_height_normalization(log1_roof):
     # Without an anchor the height of the base node is exactly 2k/(k-1):
     # the representation fixes the homothety and only that constant.
-    src = rotational_gauss_field(log1_roof, 3.0, (0.7, 4.5), n_u=81,
+    src = rotational_gauss_field(log1_roof, (0.7, 4.5), n_u=81,
                                  v_halfwidth=0.7, n_v=61)
     bare = GaussField(u=src.u, v=src.v, G=src.G, k_param=3.0)
     mesh = integrate_representation(bare)
@@ -663,7 +663,7 @@ def test_base_point_selection():
 
 
 def test_log_weight_anchor_must_stay_in_halfspace(log1_roof):
-    f = rotational_gauss_field(log1_roof, 3.0, (0.7, 4.5), n_u=81,
+    f = rotational_gauss_field(log1_roof, (0.7, 4.5), n_u=81,
                                v_halfwidth=0.7, n_v=61)
     with pytest.raises(ValueError, match="singular plane"):
         integrate_representation(f, anchor=(0.0, 0.0, -2.0))
@@ -671,9 +671,27 @@ def test_log_weight_anchor_must_stay_in_halfspace(log1_roof):
 
 def test_rotational_field_input_guards(lin1_bowl):
     with pytest.raises(ValueError, match="simply connected"):
-        rotational_gauss_field(lin1_bowl, 1.0, (0.7, 2.5), v_halfwidth=3.5)
+        rotational_gauss_field(lin1_bowl, (0.7, 2.5), v_halfwidth=3.5)
     with pytest.raises(ValueError, match="s_window"):
-        rotational_gauss_field(lin1_bowl, 1.0, (0.7, 99.0))
+        rotational_gauss_field(lin1_bowl, (0.7, 99.0))
+    series_bowl = solve_bowl(make_builtin("series", 1.0, 1.0), 1.0, 3.0)
+    with pytest.raises(ValueError, match="linear and log weights"):
+        rotational_gauss_field(series_bowl, (0.7, 2.5))
+
+
+def test_family_index_is_derived_from_the_weight(lin1_bowl, log1_roof):
+    # every linear slope has k = 1; alpha log z has k = 1 + 2/alpha, and
+    # _weight_profile_for maps k back to that weight
+    assert weierstrass._family_index(make_builtin("linear", 2.0)) == 1.0
+    for alpha in (1.0, 0.5, 4.0, -1.0):
+        k = weierstrass._family_index(make_builtin("log", alpha))
+        assert k == pytest.approx(1.0 + 2.0 / alpha, rel=1e-15)
+        back = weierstrass._weight_profile_for(k, np.array([1.0, 2.0]))
+        assert back.kind == "log"
+        assert back.params["alpha"] == pytest.approx(alpha, rel=1e-15)
+    for curve, k in ((lin1_bowl, 1.0), (log1_roof, 3.0)):
+        assert rotational_gauss_field(curve, (0.7, 2.5), n_u=9,
+                                      n_v=9).k_param == k
 
 
 # ---------------------------------------------------------------------------
