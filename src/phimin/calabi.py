@@ -272,8 +272,10 @@ def integrate_potential(patch: GraphPatch,
     ``meta["stretching"]``.
     """
     hxx, hxy, hyy = _hessian_fields(patch, profile)
-    ax, bx = staircase(hxx, hxy, patch.hx, patch.hy)
-    ay, by = staircase(hxy, hyy, patch.hx, patch.hy)
+    # the grid is the one slab: a slab's routes span it
+    (*_, ax, bx), (*_, ay, by) = staircase(
+        lambda a, b: [(hxx[a:b], hxy[a:b]), (hxy[a:b], hyy[a:b])],
+        [(0, len(patch.x))], patch.hx, patch.hy)
     phi_x, phi_y = 0.5 * (ax + bx), 0.5 * (ay + by)
     disagreement = max(float(np.max(np.abs(ax - bx))),
                        float(np.max(np.abs(ay - by))))

@@ -721,9 +721,12 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
               "field_shape": list(field.shape),
               "pde_residual_max": residual,
               **{key: mesh.meta[key] for key in _MESH_REPORT}}
+    # a field read from a file is not written again: it dies here, before
+    # the mesh is written
+    del field
     return _finish(cfg, files + _mesh_files(
         cfg["format"], lambda: mesh, "surface",
-        [f"k = {_fmt(field.k_param)}"]), report)
+        [f"k = {_fmt(report['k'])}"]), report)
 
 
 def _cmd_bjorling(cfg: RunConfig) -> int:

@@ -19,7 +19,8 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -231,19 +232,72 @@ def trapezoid_primitive(y: np.ndarray, d, axis: int = 0) -> np.ndarray:
     return out
 
 
-def staircase(p: np.ndarray, q: np.ndarray, hx: float, hy: float,
-              i0: int = 0, j0: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Both staircase routes of the trapezoid path integral of
-    ``p dx + q dy`` from node (i0, j0) of a uniform grid to every node.
+# the pairs (p, q) of forms p dx + q dy on the rows a:b of a grid
+_Forms = Callable[[int, int], Iterable[Tuple[np.ndarray, np.ndarray]]]
+
+
+def staircase(forms: _Forms, slabs: Sequence[Tuple[int, int]], hx: float,
+              hy: float, i0: int = 0, j0: int = 0
+              ) -> Iterator[Tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """Both staircase routes of the trapezoid path integrals of forms
+    ``p dx + q dy`` from node (i0, j0) of a uniform grid to every node, a
+    slab of rows at a time.
+
+    ``slabs`` are the bounds (a, b) of consecutive slabs of rows from row
+    0 to the last row, the first of them at least 2 rows tall (or the
+    whole grid); ``forms(a, b)`` gives the pairs (p, q) of the forms on
+    the rows a:b, one form at a time.  Yields, slab by slab and form by
+    form, the slab's bounds, the form's index and its two routes there.
 
     Route A runs along x on the row j0 and then along y; route B along y on
     the column i0 and then along x.  The routes agree up to quadrature
-    error exactly where the form is closed."""
-    cx = trapezoid_primitive(p, hx, axis=0)
-    cy = trapezoid_primitive(q, hy, axis=1)
-    a = (cx[:, j0] - cx[i0, j0])[:, None] + (cy - cy[:, j0][:, None])
-    b = (cy[i0, :] - cy[i0, j0])[None, :] + (cx - cx[i0, :][None, :])
-    return a, b
+    error exactly where the form is closed.  They are bit for bit those of
+    the whole grid at once: a first sweep over the rows up to i0 gives the
+    rows of the primitives that the routes read there, and the second
+    forms the routes slab by slab."""
+    at_i0 = {}
+    for _, b, f, q, cx in _primitive_along_x(
+            forms, [(a, min(b, i0 + 1)) for a, b in slabs if a <= i0], hx):
+        if b == i0 + 1:
+            at_i0[f] = cx[-1].copy(), trapezoid_primitive(q[-1], hy)
+        del q, cx
+    for a, b, f, q, cx in _primitive_along_x(forms, slabs, hx):
+        cy = trapezoid_primitive(q, hy, axis=1)
+        del q
+        x0, y0 = at_i0[f]
+        yield (a, b, f,
+               (cx[:, j0] - x0[j0])[:, None] + (cy - cy[:, j0][:, None]),
+               (y0 - y0[j0])[None, :] + (cx - x0[None, :]))
+        del cx, cy
+
+
+def _primitive_along_x(forms: _Forms, slabs: Sequence[Tuple[int, int]],
+                       hx: float
+                       ) -> Iterator[Tuple[int, int, int, np.ndarray,
+                                           np.ndarray]]:
+    """For each slab and each of its forms in turn: the slab's bounds, the
+    form's index, its q and the trapezoid primitive of its p along x from
+    row 0.  A slab past row 0 sets its first step to the previous slab's
+    last row of the primitive plus that step, the addition ``np.cumsum``
+    makes there on the whole grid, which adds row after row.  Row 1 lies
+    in the first slab: the whole grid's primitive takes its step as it
+    is, where a carry of 0.0 would turn a -0.0 step into 0.0."""
+    carry = {}
+    for a, b in slabs:
+        for f, (p, q) in enumerate(forms(a, b)):
+            if a == 0:
+                cx = trapezoid_primitive(p, hx, axis=0)
+            else:
+                last_p, last_cx = carry[f]
+                steps = np.empty(p.shape)
+                steps[0] = last_cx + hx * (p[0] + last_p) / 2.0
+                steps[1:] = hx * (p[1:] + p[:-1]) / 2.0
+                cx = np.cumsum(steps, axis=0)
+                del steps
+            carry[f] = p[-1].copy(), cx[-1].copy()
+            del p
+            yield a, b, f, q, cx
+            del q, cx
 
 
 # ---------------------------------------------------------------------------

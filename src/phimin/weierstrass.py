@@ -108,7 +108,8 @@ class GaussField:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        self.G = np.asarray(self.G, dtype=complex)
+        # rows first in memory, so that a slab of rows is contiguous
+        self.G = np.ascontiguousarray(self.G, dtype=complex)
         self.hu = uniform_spacing(self.u, "u")
         self.hv = uniform_spacing(self.v, "v")
         if self.G.shape != (len(self.u), len(self.v)):
@@ -135,22 +136,37 @@ class GaussField:
     def shape(self) -> Tuple[int, int]:
         return self.G.shape
 
-    def denominator(self) -> np.ndarray:
-        """The array ``1 - |G|^4`` shared by every representation integrand."""
-        return 1.0 - np.abs(self.G) ** 4
+    def denominator(self, rows: slice = slice(None)) -> np.ndarray:
+        """The array ``1 - |G|^4`` shared by every representation integrand,
+        on the rows ``rows`` of the grid (all of them by default)."""
+        return 1.0 - np.abs(self.G[rows]) ** 4
 
     def normals(self) -> np.ndarray:
-        """Unit normal field encoded by G, shape ``(nu, nv, 3)``."""
-        g2 = np.abs(self.G) ** 2
-        w = 1.0 / (1.0 + g2)
-        return np.stack([-2.0 * self.G.real * w, -2.0 * self.G.imag * w,
-                         (1.0 - g2) * w], axis=-1)
+        """Unit normal field encoded by G, shape ``(nu, nv, 3)``, formed a
+        slab of rows at a time."""
+        out = np.empty((*self.shape, 3))
+        for a, b in _row_slabs(*self.shape):
+            g = self.G[a:b]
+            g2 = np.abs(g) ** 2
+            w = 1.0 / (1.0 + g2)
+            out[a:b, :, 0] = -2.0 * g.real * w
+            out[a:b, :, 1] = -2.0 * g.imag * w
+            out[a:b, :, 2] = (1.0 - g2) * w
+        return out
 
 
-def wirtinger_derivatives(field: GaussField) -> Tuple[np.ndarray, np.ndarray]:
-    """(G_zeta, G_zetabar) by central differences, one-sided at the border."""
-    gu = np.gradient(field.G, field.hu, axis=0, edge_order=2)
-    gv = np.gradient(field.G, field.hv, axis=1, edge_order=2)
+def wirtinger_derivatives(field: GaussField, rows: slice = slice(None)
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """(G_zeta, G_zetabar) on the rows ``rows`` of the grid (all of them by
+    default), by central differences, one-sided at the border.  The rows
+    are differentiated with a neighbour row on each side, or two at the
+    border, so a slab of rows gets the whole grid's values bit for bit."""
+    n = field.shape[0]
+    a, b, _ = rows.indices(n)
+    lo, hi = max(0, min(a - 1, n - 3)), min(n, max(b + 1, 3))
+    gu = np.gradient(field.G[lo:hi], field.hu, axis=0,
+                     edge_order=2)[a - lo:b - lo]
+    gv = np.gradient(field.G[a:b], field.hv, axis=1, edge_order=2)
     return 0.5 * (gu - 1j * gv), 0.5 * (gu + 1j * gv)
 
 
@@ -188,6 +204,14 @@ def _block_pde_residual(G: np.ndarray, hu: float, hv: float,
                   + 2.0 * k * np.abs(gzb) ** 2 / D * c).max()
 
 
+def _row_slabs(n: int, m: int) -> List[Tuple[int, int]]:
+    """The consecutive slabs a:b of an (n, m) grid that the path integrals
+    and the normals run over: about ``_BLOCK_NODES`` nodes each, and at
+    least 2 rows but for the last."""
+    step = max(2, _BLOCK_NODES // m)
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _row_blocks(n: int, m: int):
     """The slabs a:b of an (n, m) grid that the field checks run over:
     their interior rows a + 1 .. b - 2 tile the grid's interior rows
@@ -219,8 +243,12 @@ def _locate_base(field: GaussField, base: Optional[complex]) -> Tuple[int, int]:
 
 def _family_index(profile: WeightProfile) -> float:
     """Family index k of a weight, the inverse of ``_weight_profile_for``:
-    1 for the linear weight, 1 + 2/alpha for alpha log z, no other."""
+    1 for the linear weight z, 1 + 2/alpha for alpha log z, no other."""
     if profile.kind == "linear":
+        if profile.params["slope"] != 1.0:
+            raise ValueError("the representation covers the linear weight "
+                             "of slope 1 (k = 1), not the slope "
+                             f"{profile.params['slope']:g}")
         return 1.0
     if profile.kind == "log":
         return 1.0 + 2.0 / profile.params["alpha"]
@@ -305,11 +333,12 @@ def _immersion(field: GaussField, base: Optional[complex],
                anchor: Optional[Sequence[float]]
                ) -> Tuple[np.ndarray, float]:
     """The (nu, nv, 3) points of ``integrate_representation`` and the worst
-    disagreement of their routes; the coordinate arrays die on return, once
-    stacked."""
-    ib, jb, psi, disagreement = _path_integrals(field, base)
+    disagreement of their routes; the free constants are pinned in place."""
+    ib, jb, points, disagreement = _path_integrals(field, base)
     k = field.k_param
-    sup_psi = max(float(np.abs(p).max()) for p in psi)
+    # sup |psi| of each coordinate, read without an |psi| array
+    sup_psi = max(float(max(c.max(), -c.min()))
+                  for c in np.moveaxis(points, -1, 0))
     tol = 1e-3 * (1.0 + sup_psi)
     if disagreement > tol:
         raise NumericalError(
@@ -328,88 +357,133 @@ def _immersion(field: GaussField, base: Optional[complex],
         anchor_used = (ax, ay, az)
     if anchor_used is not None:
         if k == 1.0:
-            for p, a in zip(psi, anchor_used):
-                p += a - p[ia, ja]
+            for c, a in enumerate(anchor_used):
+                points[..., c] += a - points[ia, ja, c]
         else:
-            c0 = anchor_used[2] / psi[2][ia, ja]
+            c0 = anchor_used[2] / points[ia, ja, 2]
             if c0 <= 0:
                 raise ValueError(
                     "anchor height lies on the wrong side of the singular "
                     "plane z = 0; only positive homotheties preserve the "
                     "weight family")
-            psi = [c0 * p for p in psi]
-            psi[0] += anchor_used[0] - psi[0][ia, ja]
-            psi[1] += anchor_used[1] - psi[1][ia, ja]
-    return np.stack(psi, axis=-1), disagreement
+            points *= c0
+            for c in (0, 1):
+                points[..., c] += anchor_used[c] - points[ia, ja, c]
+    return points, disagreement
 
 
 def _path_integrals(field: GaussField, base: Optional[complex]
-                    ) -> Tuple[int, int, List[np.ndarray], float]:
-    """Base node, the three coordinate functions before pinning, and the
-    worst disagreement of their two routes; one integrand and its routes
-    are alive at a time, and each dies once reduced to its coordinate
-    function and its disagreement."""
+                    ) -> Tuple[int, int, np.ndarray, float]:
+    """Base node, the (nu, nv, 3) points before pinning, and the worst
+    disagreement of their two routes.  The integrands, their routes and
+    the coordinates are formed over slabs of about ``_BLOCK_NODES`` nodes
+    and written into the points, so beside them one slab's temporaries are
+    alive at a time."""
     G, k = field.G, field.k_param
-    hu, hv = field.hu, field.hv
+    try:
+        ib, jb = _locate_base(field, base)
+    except ValueError:
+        _refuse_field(field)
+        raise
+    slabs = _row_slabs(*field.shape)
+    points = np.empty((*field.shape, 3))
+    sup_gz, sup_gzb = [], []
 
+    def routes(integrands, gamma=None):
+        """The staircase of the forms (p, q) of the integrands w, times
+        gamma if given, with the field's checks on each slab's rows."""
+        def forms(a, b):
+            gz, gzb = wirtinger_derivatives(field, slice(a, b))
+            sup_gz.append(np.abs(gz).max())
+            sup_gzb.append(np.abs(gzb).max())
+            del gz
+            D = field.denominator(slice(a, b))
+            if np.any(np.abs(D) < _SINGULAR_LOCUS_TOL):
+                _refuse_field(field)
+            # the derivative of conj(G) along zeta
+            g, gbz = G[a:b], np.conj(gzb, out=gzb)
+            for w in integrands:
+                yield _real_parts(w(g, gbz, D) if gamma is None
+                                  else w(g, gbz, D) * gamma[a:b])
+        return staircase(forms, slabs, field.hu, field.hv, ib, jb)
+
+    def holomorphic():
+        # decided once every row has been differentiated
+        return np.max(sup_gzb) <= 1e-13 * (1.0 + np.max(sup_gz))
+
+    if k == 1.0:
+        gaps = [[], [], []]
+        for a, b, f, ra, rb in routes(_INTEGRANDS):
+            s = (4.0, 4.0, 8.0)[f]
+            ra, rb = s * ra, s * rb
+            points[a:b, :, f] = 0.5 * (ra + rb)
+            gaps[f].append(np.abs(ra - rb).max())
+        if holomorphic():
+            _refuse_field(field)
+        return ib, jb, points, max(float(np.max(g)) for g in gaps)
+
+    e = 4.0 * (k - 1.0)
+    vertical = 2.0 * k / (k - 1.0)
+    gap3 = []
+    for a, b, _, ra, rb in routes(_INTEGRANDS[2:]):
+        gap3.append(np.abs(np.exp(e * ra) - np.exp(e * rb)).max())
+        points[a:b, :, 2] = np.exp(e * 0.5 * (ra + rb))
+    if holomorphic():
+        _refuse_field(field)
+    gaps = [[], []]
+    # the horizontal integrands carry gamma, held in the z column
+    for a, b, f, qa, qb in routes(_INTEGRANDS[:2], points[..., 2]):
+        points[a:b, :, f] = 2.0 * k * (qa + qb)
+        gaps[f].append(np.abs(qa - qb).max())
+    points[..., 2] *= vertical
+    return ib, jb, points, max(4.0 * abs(k) * float(np.max(gaps[0])),
+                               4.0 * abs(k) * float(np.max(gaps[1])),
+                               abs(vertical) * float(np.max(gap3)))
+
+
+def _w1(g: np.ndarray, gbz: np.ndarray, D: np.ndarray) -> np.ndarray:
+    # in the order numpy's temporary elision evaluates
+    # gbz * (1.0 - g ** 2) / D on 16,384 nodes or more: the complex
+    # product is not bitwise commutative where it is fused
+    t = 1.0 - g ** 2
+    t *= gbz
+    t /= D
+    return t
+
+
+# the representation integrands w1, w2, w3 of G, conj(G)_zeta and 1 - |G|^4
+_INTEGRANDS = (_w1,
+               lambda g, gbz, D: 1j * gbz * (1.0 + g ** 2) / D,
+               lambda g, gbz, D: gbz * g / D)
+
+
+def _real_parts(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(p, q) of the form Re(w dzeta) = p du + q dv: only the real part of
+    the integral of w dzeta is path independent.  p = Re w and q = Re(i w),
+    formed as numpy forms it, so that signed zeros keep their bits; w dies
+    on return."""
+    return w.real.copy(), 0.0 * w.real - w.imag
+
+
+def _refuse_field(field: GaussField) -> None:
+    """Raise as the representation refuses a field, over the whole grid:
+    data holomorphic to machine precision, then 1 - |G|^4 below
+    ``_SINGULAR_LOCUS_TOL`` at some node.  Run where a slab meets either,
+    or where the base point is refused, so that the field's own fault is
+    named first."""
     gz, gzb = wirtinger_derivatives(field)
-    scale = 1.0 + np.abs(gz).max()
-    del gz
-    if np.abs(gzb).max() <= 1e-13 * scale:
+    if np.abs(gzb).max() <= 1e-13 * (1.0 + np.abs(gz).max()):
         raise ValueError(
             "the field is holomorphic to machine precision, so every "
             "representation integrand vanishes; constant unit-modulus data "
             "describe a vertical plane, other holomorphic data carry no "
             "graph-type reconstruction")
-
-    D = field.denominator()
-    near = np.abs(D) < _SINGULAR_LOCUS_TOL
+    near = np.abs(field.denominator()) < _SINGULAR_LOCUS_TOL
     if np.any(near):
         raise NumericalError(
             f"singular locus: 1 - |G|^4 drops below {_SINGULAR_LOCUS_TOL:g} "
             f"at {int(near.sum())} node(s); the representation integrals "
             "blow up as |G| -> 1")
-
-    ib, jb = _locate_base(field, base)
-    gbz = np.conj(gzb, out=gzb)     # derivative of conj(G) along zeta
-    # the integrands w1, w2, w3, each formed only when its routes are taken
-    integrands = (lambda: gbz * (1.0 - G ** 2) / D,
-                  lambda: 1j * gbz * (1.0 + G ** 2) / D,
-                  lambda: gbz * G / D)
-
-    def routes(w):
-        # only the real part of the integral of w dzeta is path independent:
-        # Re(w dzeta) = p du + q dv with p = Re w and q = Re(i w), which is
-        # formed as numpy forms it, so that signed zeros keep their bits;
-        # w dies here, once p and q hold what the routes read of it
-        p, q = w.real.copy(), 0.0 * w.real - w.imag
-        del w
-        return staircase(p, q, hu, hv, ib, jb)
-
-    psi, gaps = [], []
-    if k == 1.0:
-        for w, s in zip(integrands, (4.0, 4.0, 8.0)):
-            a, b = routes(w())
-            a, b = s * a, s * b
-            psi.append(0.5 * (a + b))
-            gaps.append(float(np.abs(a - b).max()))
-            del a, b
-    else:
-        vertical = 2.0 * k / (k - 1.0)
-        r3a, r3b = routes(integrands[2]())
-        gap3 = abs(vertical) * float(np.abs(np.exp(4.0 * (k - 1.0) * r3a)
-                                            - np.exp(4.0 * (k - 1.0) * r3b)
-                                            ).max())
-        gamma = np.exp(4.0 * (k - 1.0) * 0.5 * (r3a + r3b))
-        del r3a, r3b
-        for w in integrands[:2]:
-            qa, qb = routes(w() * gamma)
-            psi.append(2.0 * k * (qa + qb))
-            gaps.append(4.0 * abs(k) * float(np.abs(qa - qb).max()))
-            del qa, qb
-        psi.append(vertical * gamma)
-        gaps.append(gap3)
-    return ib, jb, psi, max(gaps)
 
 
 def reconstruction_residuals(mesh: SurfaceMesh, field: GaussField

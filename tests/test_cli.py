@@ -735,6 +735,19 @@ def test_weierstrass_refuses_a_field_whose_k_belongs_to_no_weight(tmp_path):
         assert f"{name} weight" in error["message"], name
 
 
+def test_weierstrass_refuses_a_linear_slope_other_than_one(tmp_path):
+    # k = 1 is the index of the weight z alone: the field of a bowl of
+    # slope 2 would be rebuilt as a surface of slope 1 (radii 0.264-3.502
+    # against the sampled 0.875-2.037), so it is refused, not written
+    out = tmp_path / "w"
+    assert main(["weierstrass", "--param", "profile=linear slope=2",
+                 "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ValueError" and error["exit_code"] == 1
+    assert "slope 1 (k = 1), not the slope 2" in error["message"]
+
+
 def test_weierstrass_derives_k_from_a_log_weight(tmp_path):
     # alpha log z has k = 1 + 2/alpha: log alpha=1 builds the k = 3 field
     out = tmp_path / "w"

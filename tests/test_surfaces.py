@@ -887,6 +887,26 @@ def test_mesh_validates_its_grid():
 _COEF = st.floats(-10.0, 10.0)
 
 
+def whole_grid_routes(p, q, hx, hy, i0, j0):
+    """Both staircase routes of p dx + q dy from (i0, j0), as written while
+    the staircase ran on the whole grid at once."""
+    cx = trapezoid_primitive(p, hx, axis=0)
+    cy = trapezoid_primitive(q, hy, axis=1)
+    a = (cx[:, j0] - cx[i0, j0])[:, None] + (cy - cy[:, j0][:, None])
+    b = (cy[i0, :] - cy[i0, j0])[None, :] + (cx - cx[i0, :][None, :])
+    return a, b
+
+
+def slab_routes(p, q, slabs, hx, hy, i0, j0):
+    """The routes ``staircase`` yields over ``slabs``, put together."""
+    route_a, route_b = np.empty(p.shape), np.empty(p.shape)
+    for a, b, f, slab_a, slab_b in staircase(
+            lambda a, b: [(p[a:b], q[a:b])], slabs, hx, hy, i0, j0):
+        assert f == 0
+        route_a[a:b], route_b[a:b] = slab_a, slab_b
+    return route_a, route_b
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(coef=st.tuples(_COEF, _COEF, _COEF, _COEF, _COEF),
        nx=st.integers(2, 12), ny=st.integers(2, 12),
@@ -904,8 +924,16 @@ def test_staircase_integrates_an_exact_gradient(coef, nx, ny, hx, hy, x0, y0,
     f = a * X ** 2 + b * X * Y + c * Y ** 2 + d * X + e * Y
     i0 = data.draw(st.integers(0, nx - 1))
     j0 = data.draw(st.integers(0, ny - 1))
-    route_a, route_b = staircase(2 * a * X + b * Y + d, b * X + 2 * c * Y + e,
-                                 hx, hy, i0, j0)
+    p, q = 2 * a * X + b * Y + d, b * X + 2 * c * Y + e
+    route_a, route_b = slab_routes(p, q, [(0, nx)], hx, hy, i0, j0)
+    # slabs of any height from 2 rows give the whole grid's bits, and so
+    # does the grid as one slab
+    step = data.draw(st.integers(2, nx))
+    slabs = [(lo, min(lo + step, nx)) for lo in range(0, nx, step)]
+    for got in (slab_routes(p, q, slabs, hx, hy, i0, j0),
+                (route_a, route_b)):
+        assert [r.tobytes() for r in got] \
+            == [r.tobytes() for r in whole_grid_routes(p, q, hx, hy, i0, j0)]
     want = f - f[i0, j0]
     atol = 1e-13 * (nx + ny) * (1.0 + np.abs(f).max())
     np.testing.assert_allclose(route_a, route_b, rtol=0, atol=atol)

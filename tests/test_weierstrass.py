@@ -204,19 +204,43 @@ def test_reconstruction_peak_memory():
 
 
 def test_field_check_peak_memory():
-    # one integrand and its routes at a time, and the field checks over
-    # row blocks, returning sups: about 99 B a node for the path integrals
-    # (158 while both routes ran on complex arrays of which only the real
-    # parts were kept), 88 for the PDE residual (102 while a slab's arrays
+    # the path integrals over two slabs, and the field checks over row
+    # blocks, returning sups: about 80 B a node for the path integrals
+    # (99 while they spanned the grid, 158 while both routes ran on
+    # complex arrays of which only the real parts were kept), 88 for the
+    # PDE residual (102 while a slab's arrays
     # lived through the next slab's stencil) and 79 for the one pass of the
     # seven reconstruction sups; each check's slab temporaries die before
     # the next slab is differentiated
     f = reaper_field(201, 151)
     mesh = integrate_representation(f)
     assert traced_peak(weierstrass._path_integrals, f, None) \
-        <= 105 * f.G.size
+        <= 85 * f.G.size
     assert traced_peak(gauss_pde_residual, f) <= 95 * f.G.size
     assert traced_peak(reconstruction_residuals, mesh, f) <= 85 * f.G.size
+
+
+def test_path_integrals_hold_the_points_and_one_slab():
+    # on the 441 x 331 grid of the benchmark's reaper field: the points
+    # (24 B a node) and one slab's integrand, routes and derivatives,
+    # about 36 B a node, against 97.5 while every integrand, both of its
+    # routes and the finished coordinates spanned the whole grid
+    f = reaper_field(441, 331)
+    assert traced_peak(weierstrass._path_integrals, f, None) \
+        <= 45 * f.G.size
+
+
+def test_weierstrass_command_from_a_field_file_peak_memory(tmp_path):
+    # the same field end to end through the PLY writer: about 82 B a node
+    # (the mean-curvature oracle's window beside the mesh and the field),
+    # against 113.7 while the path integrals spanned the grid and the
+    # field read from the file lived through the write
+    f = reaper_field(441, 331)
+    path = tmp_path / "field.csv"
+    save_gauss_field(f, path)
+    peak = traced_peak(cli.main, ["weierstrass", str(path), "--format",
+                                  "ply", "--out", str(tmp_path / "w")])
+    assert peak <= 90 * f.G.size
 
 
 def test_read_table_holds_the_matrix_and_one_block(tmp_path):
@@ -391,7 +415,11 @@ def reference_path_integrals(f, ib, jb):
     G, k, hu, hv = f.G, f.k_param, f.hu, f.hv
     gbz = np.conj(wirtinger_derivatives(f)[1])
     D = f.denominator()
-    w1 = gbz * (1.0 - G ** 2) / D
+    # the order numpy's temporary elision gives gbz * (1 - G^2) / D on
+    # 16,384 nodes or more, written out so that it holds at every size
+    w1 = 1.0 - G ** 2
+    w1 *= gbz
+    w1 /= D
     w2 = 1j * gbz * (1.0 + G ** 2) / D
     w3 = gbz * G / D
 
@@ -424,6 +452,11 @@ def reference_path_integrals(f, ib, jb):
     return psi, disagreement
 
 
+def columns(points):
+    """The bytes of each coordinate function of an (nu, nv, 3) array."""
+    return [points[..., c].tobytes() for c in range(3)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nu=st.integers(5, 30), nv=st.integers(5, 30),
        k=st.sampled_from([1.0, 3.0, -0.5]), amp=st.floats(0.05, 0.8),
@@ -440,12 +473,76 @@ def test_path_integrals_match_complex_routes(nu, nv, k, amp, slope, shift,
     f = GaussField(u=u, v=v, G=G, k_param=k)
     ib, jb = data.draw(st.integers(0, nu - 1)), data.draw(
         st.integers(0, nv - 1))
-    got_ib, got_jb, psi, disagreement = weierstrass._path_integrals(
+    got_ib, got_jb, points, disagreement = weierstrass._path_integrals(
         f, complex(u[ib], v[jb]))
     assert (got_ib, got_jb) == (ib, jb)
     want_psi, want_disagreement = reference_path_integrals(f, ib, jb)
-    assert [p.tobytes() for p in psi] == [p.tobytes() for p in want_psi]
+    assert columns(points) == [p.tobytes() for p in want_psi]
     assert disagreement == want_disagreement
+
+
+def twisted_field(nu, nv, k):
+    """A complex field off the unit circle: its integrands have real and
+    imaginary parts everywhere."""
+    u = np.linspace(-1.0, 1.2, nu)
+    v = np.linspace(-0.8, 0.8, nv)
+    G = 0.6 * np.tanh(1.3 * u)[:, None] * np.exp(-0.7j * v)[None, :]
+    return GaussField(u=u, v=v, G=G + 0.05j, k_param=k)
+
+
+@pytest.mark.parametrize("shape", [(127, 129), (128, 128)])
+def test_path_integrals_keep_one_operand_order_at_every_size(shape):
+    # 16,383 and 16,384 nodes: numpy evaluates gbz * (1 - G^2) / D as
+    # (1 - G^2) * gbz from 16,384 complex nodes on, where its temporary
+    # is elided, and the fused complex product is not bitwise commutative;
+    # w1 is written in that order, so both sizes give the reference's bits
+    f = twisted_field(*shape, 1.0)
+    ib, jb = (shape[0] - 1) // 2, (shape[1] - 1) // 2
+    _, _, points, disagreement = weierstrass._path_integrals(f, None)
+    want_psi, want_disagreement = reference_path_integrals(f, ib, jb)
+    assert columns(points) == [p.tobytes() for p in want_psi]
+    assert disagreement == want_disagreement
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+@pytest.mark.parametrize("k", [1.0, 3.0, -0.5])
+def test_slabs_give_the_whole_grids_bits_at_their_edges(rows, k,
+                                                        monkeypatch):
+    # slabs of 3 or 4 rows over 13 rows leave a last slab of one row; the
+    # base node sits on row 0, on the last row, and on the first and the
+    # last row of an inner slab
+    f = twisted_field(13, 11, k)
+    normals = whole_grid_normals(f)
+    monkeypatch.setattr(weierstrass, "_BLOCK_NODES", rows * 11)
+    slabs = weierstrass._row_slabs(*f.shape)
+    assert slabs[0] == (0, rows) and slabs[-1] == (12, 13)
+    for ib, jb in ((0, 5), (12, 0), (rows, 10), (2 * rows - 1, 3)):
+        got_ib, got_jb, points, disagreement = weierstrass._path_integrals(
+            f, complex(f.u[ib], f.v[jb]))
+        assert (got_ib, got_jb) == (ib, jb)
+        want_psi, want_disagreement = reference_path_integrals(f, ib, jb)
+        assert columns(points) == [p.tobytes() for p in want_psi], (ib, jb)
+        assert disagreement == want_disagreement
+    assert f.normals().tobytes() == normals.tobytes()
+
+
+def whole_grid_normals(f):
+    """``GaussField.normals`` as written while it spanned the whole grid."""
+    g2 = np.abs(f.G) ** 2
+    w = 1.0 / (1.0 + g2)
+    return np.stack([-2.0 * f.G.real * w, -2.0 * f.G.imag * w,
+                     (1.0 - g2) * w], axis=-1)
+
+
+def test_a_fortran_ordered_field_gives_its_c_ordered_copys_bits(
+        monkeypatch):
+    # the field stores G rows first, so that a slab of rows is contiguous
+    monkeypatch.setattr(weierstrass, "_BLOCK_NODES", 3 * 11)
+    f = twisted_field(13, 11, 3.0)
+    g = GaussField(u=f.u, v=f.v, G=np.asfortranarray(f.G), k_param=3.0)
+    assert g.G.flags.c_contiguous
+    assert columns(weierstrass._path_integrals(g, None)[2]) \
+        == columns(weierstrass._path_integrals(f, None)[2])
 
 
 def whole_grid_checks(f, mesh):
@@ -534,8 +631,8 @@ def test_row_blocks_match_the_whole_grid_bit_for_bit(rows, family,
     for key, value in want.items():
         assert np.float64(got[key]).tobytes() \
             == np.float64(value).tobytes(), key
-    _, _, got_psi, got_disagreement = weierstrass._path_integrals(f, None)
-    assert [p.tobytes() for p in got_psi] == [p.tobytes() for p in psi]
+    _, _, points, got_disagreement = weierstrass._path_integrals(f, None)
+    assert columns(points) == [p.tobytes() for p in psi]
     assert got_disagreement == disagreement
     # the mesh's meta holds the same seven sups, from the default slabs
     assert {key: mesh.meta[key] for key in defects} == defects
@@ -649,6 +746,30 @@ def test_singular_locus_guard():
         integrate_representation(f)
 
 
+def test_refusals_keep_their_order_over_slabs(monkeypatch):
+    # the whole grid's order: holomorphic data, then the singular locus
+    # (counted over the whole grid), then a base off the rectangle, each
+    # whichever slab meets it
+    monkeypatch.setattr(weierstrass, "_BLOCK_NODES", 3 * 21)
+    f0 = reaper_field(n_u=81, n_v=21)
+    near_one = (1.0 - 2e-9) / np.abs(f0.G).max()
+    singular = GaussField(u=f0.u, v=f0.v, G=near_one * f0.G, k_param=1.0)
+    count = int((np.abs(singular.denominator()) < 1e-8).sum())
+    u = np.linspace(-1.0, 1.0, 41)
+    z = u[:, None] + 1j * u[None, :]
+    holomorphic = GaussField(u=u, v=u, G=(1.0 - 2e-9) / np.sqrt(2.0) * z,
+                             k_param=1.0)
+    off = complex(10.0, 0.0)
+    for f, base, error, match in (
+            (singular, None, NumericalError, f"at {count} node"),
+            (singular, off, NumericalError, f"at {count} node"),
+            (holomorphic, None, ValueError, "holomorphic"),
+            (holomorphic, off, ValueError, "holomorphic"),
+            (f0, off, ValueError, "outside the sampled rectangle")):
+        with pytest.raises(error, match=match):
+            integrate_representation(f, base=base)
+
+
 def test_base_point_selection():
     f = reaper_field(n_u=81, n_v=61)
     m1 = integrate_representation(f, base=complex(f.u[10], f.v[7]))
@@ -680,9 +801,13 @@ def test_rotational_field_input_guards(lin1_bowl):
 
 
 def test_family_index_is_derived_from_the_weight(lin1_bowl, log1_roof):
-    # every linear slope has k = 1; alpha log z has k = 1 + 2/alpha, and
-    # _weight_profile_for maps k back to that weight
-    assert weierstrass._family_index(make_builtin("linear", 2.0)) == 1.0
+    # the linear weight z has k = 1 and no other slope has an index;
+    # alpha log z has k = 1 + 2/alpha, and _weight_profile_for maps k back
+    # to that weight
+    assert weierstrass._family_index(make_builtin("linear", 1.0)) == 1.0
+    for slope in (2.0, 0.5, -1.0):
+        with pytest.raises(ValueError, match="linear weight of slope 1"):
+            weierstrass._family_index(make_builtin("linear", slope))
     for alpha in (1.0, 0.5, 4.0, -1.0):
         k = weierstrass._family_index(make_builtin("log", alpha))
         assert k == pytest.approx(1.0 + 2.0 / alpha, rel=1e-15)
