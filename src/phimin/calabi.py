@@ -29,7 +29,8 @@ from .profiles import (WeightProfile, make_builtin, make_custom,
 from .surfaces import (EUCLIDEAN, LORENTZIAN, GraphPatch, ambient_sign,
                        fe_residual, lfe_residual, _interior_derivatives,
                        _interior_gradient, curvature_from_derivatives,
-                       metric_factor, staircase, uniform_spacing)
+                       metric_factor, residual_sup, staircase,
+                       uniform_spacing)
 
 __all__ = [
     "ThetaPrimitive", "PotentialPatch", "make_theta", "natural_theta",
@@ -680,7 +681,7 @@ def _verify(out: GraphPatch, dual: WeightProfile, src: GraphPatch,
     nx, ny = len(out.x), len(out.y)
     residual = (lfe_residual if out.signature == LORENTZIAN
                 else fe_residual)(out, dual)
-    out.meta["residual_max"] = float(np.nanmax(np.abs(residual)))
+    out.meta["residual_max"] = residual_sup(residual)
 
     # slope pairing: dual gradient = source gradient / source area factor
     _, gx, gy, uxx, uyy, uxy = _interior_derivatives(out.u, out.hx, out.hy)

@@ -43,8 +43,8 @@ from .surfaces import (EUCLIDEAN, FLOAT, LORENTZIAN, GraphPatch,
                        SurfaceMesh, cylinder_patch, extrude_cylinder,
                        fe_residual, grid_from_table, grid_rows, lfe_residual,
                        mean_curvature_residual, open_table, read_table,
-                       revolve, rotational_patch, save_obj, save_ply,
-                       tilt_cylinder, write_table)
+                       residual_sup, revolve, rotational_patch, save_obj,
+                       save_ply, tilt_cylinder, write_table)
 from .weierstrass import (FIELD_RESIDUAL_BOUND, GaussField,
                           bjorling_from_json, gauss_field_from_table,
                           gauss_pde_residual, integrate_representation,
@@ -382,27 +382,19 @@ def _patch_file(patch: GraphPatch, name: str, profile_line: str,
     return name, "graph_patch", write
 
 
-def _mesh_files(fmt: str, build: Callable[[], SurfaceMesh], stem: str,
+def _mesh_files(fmt: str, mesh: SurfaceMesh, stem: str,
                 extra: Sequence[str]) -> list:
-    """The files of the mesh ``build()`` makes, which their writer calls:
-    a mesh that no check needs is made when it is written, so that one
-    such mesh is alive at a time.  A CSV mesh is made for its vertex file
-    and dropped after its face file, the next one ``_finish`` writes."""
+    """The files of ``mesh`` in the format ``fmt``: an OBJ or PLY file, or
+    a CSV of its vertices and one of its faces."""
     if fmt != "csv":
         save = save_obj if fmt == "obj" else save_ply
         return [(f"{stem}.{fmt}", "mesh", lambda path, head: save(
-            build(), path, comments=[*head, *extra]))]
-    held = []  # the mesh, from its vertex file to its face file
-
-    def vertices(path: Path, head: list) -> None:
-        mesh = build()
-        held.append(mesh)
-        write_table(path, [*head, *extra, f"signature = {EUCLIDEAN}"],
-                    "x,y,z,nx,ny,nz", mesh.vertex_blocks())
-
-    return [(f"{stem}.csv", "mesh", vertices),
+            mesh, path, comments=[*head, *extra]))]
+    return [(f"{stem}.csv", "mesh", lambda path, head: write_table(
+                path, [*head, *extra, f"signature = {EUCLIDEAN}"],
+                "x,y,z,nx,ny,nz", mesh.vertex_blocks(False, True))),
             (f"{stem}_faces.csv", "mesh_faces", lambda path, head: write_table(
-                path, [*head, *extra], "i,j,k", held.pop().face_blocks(),
+                path, [*head, *extra], "i,j,k", mesh.face_blocks(),
                 cell="%d"))]
 
 
@@ -553,8 +545,8 @@ def _cmd_bowl(cfg: RunConfig) -> int:
               "r_end": curve.x[-1], "u_end": curve.z[-1],
               "launch_slope": launch,
               "launch_slope_predicted": float(prof.dphi(z0)) / 2.0,
-              "mesh_mean_curvature_residual": np.nanmax(
-                  np.abs(mean_curvature_residual(mesh, prof))),
+              "mesh_mean_curvature_residual": residual_sup(
+                  mean_curvature_residual(mesh, prof)),
               "meta": curve.meta}
     if fit is not None:
         report["far_field"] = {
@@ -563,7 +555,7 @@ def _cmd_bowl(cfg: RunConfig) -> int:
             "fitted_constants": fit.fitted_constants,
             "residual_decay_rate": fit.residual_decay_rate}
     return _finish(cfg, [_curve_file(curve, "curve.csv"),
-                         *_mesh_files(cfg["format"], lambda: mesh, "bowl",
+                         *_mesh_files(cfg["format"], mesh, "bowl",
                                       [f"profile = {profile_to_spec(prof)}"])],
                    report)
 
@@ -578,10 +570,9 @@ def _cmd_catenoid(cfg: RunConfig) -> int:
               _rotational_ode_residual(curve, prof))
         files.append(_curve_file(curve, f"curve_{side}.csv"))
     for side, curve in (("right", right), ("left", left)):
-        # no check reads a branch's mesh: its writer revolves it
-        files += _mesh_files(
-            cfg["format"], lambda curve=curve: revolve(curve, cfg["n_theta"]),
-            f"catenoid_{side}", [f"profile = {profile_to_spec(prof)}"])
+        files += _mesh_files(cfg["format"], revolve(curve, cfg["n_theta"]),
+                             f"catenoid_{side}",
+                             [f"profile = {profile_to_spec(prof)}"])
     # solve_catenoid refuses any crossing of the two branches
     report = {"min_axis_distance": min(right.x.min(), left.x.min()),
               "self_intersections": right.meta["self_intersections"],
@@ -598,12 +589,12 @@ def _cmd_tilt(cfg: RunConfig) -> int:
     # at angle 0 the tilt is the identity: its mesh is the extruded one
     flat = mesh if angle == 0.0 else extrude_cylinder(
         curve, (-y_half, y_half), ny)
-    tilted = np.nanmax(np.abs(mean_curvature_residual(mesh, prof)))
+    tilted = residual_sup(mean_curvature_residual(mesh, prof))
     report = {"angle": angle, "residual_tilted": tilted,
-              "residual_flat": tilted if flat is mesh else np.nanmax(
-                  np.abs(mean_curvature_residual(flat, prof)))}
+              "residual_flat": tilted if flat is mesh else residual_sup(
+                  mean_curvature_residual(flat, prof))}
     return _finish(cfg, [_curve_file(curve, "curve.csv"),
-                         *_mesh_files(cfg["format"], lambda: mesh, "tilted",
+                         *_mesh_files(cfg["format"], mesh, "tilted",
                                       [f"profile = {profile_to_spec(prof)}",
                                        f"angle = {_fmt(angle)}"])], report)
 
@@ -725,7 +716,7 @@ def _cmd_weierstrass(cfg: RunConfig) -> int:
     # the mesh is written
     del field
     return _finish(cfg, files + _mesh_files(
-        cfg["format"], lambda: mesh, "surface",
+        cfg["format"], mesh, "surface",
         [f"k = {_fmt(report['k'])}"]), report)
 
 
@@ -743,7 +734,7 @@ def _cmd_bjorling(cfg: RunConfig) -> int:
               "branch_disagreement": field.meta["branch_disagreement"]}
     if cfg["reconstruct"]:
         mesh = integrate_representation(field)
-        files += _mesh_files(cfg["format"], lambda: mesh, "surface",
+        files += _mesh_files(cfg["format"], mesh, "surface",
                              [f"k = {_fmt(k)}"])
         report.update((key, mesh.meta[key]) for key in _MESH_REPORT)
     return _finish(cfg, files, report)
@@ -807,7 +798,7 @@ def _verify_patch(path: Path, meta: Dict[str, str], colnames: str,
     weight, _ = _patch_weight_from_header(meta, path)
     residual = (lfe_residual if patch.signature == LORENTZIAN
                 else fe_residual)(patch, weight)
-    return {"graph_equation_residual": float(np.nanmax(np.abs(residual)))}
+    return {"graph_equation_residual": residual_sup(residual)}
 
 
 def _verify_field(path: Path, meta: Dict[str, str], colnames: str,

@@ -13,7 +13,6 @@ curvatures), under which the defining identity reads
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import math
 import os
@@ -45,6 +44,12 @@ def metric_factor(s: float, ux, uy):
     return 1.0 + s * ux ** 2 + s * uy ** 2
 
 
+def residual_sup(residual: np.ndarray) -> float:
+    """The sup of |residual| over its entries that are not NaN, taken in
+    place: ``residual`` holds its absolute values afterwards."""
+    return float(np.nanmax(np.abs(residual, out=residual)))
+
+
 # Corner offsets (row, column) of each kind of triangle in a cell: on a
 # grid (v00, v10, v11) and (v00, v11, v01); on a periodic grid, whose
 # columns are a revolve's angles, (a, b, d) = (v00, v01, v11) and (a, d, c)
@@ -54,42 +59,91 @@ _TRIANGLES = {False: (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))),
                      (None, (0, 1), (0, 0)))}
 
 
-@dataclass
 class SurfaceMesh:
     """Triangulated surface with per-vertex unit normals on an (n, m) node
     grid: node (i, j) is vertex i * m + j, and each cell holds two
     triangles (``_TRIANGLES``).  A ``periodic`` grid closes its rows (the
     seam of ``revolve``), and an ``apex`` is one more vertex, the last,
-    fanned to row 0.
+    fanned to row 0: it makes node row n, one vertex long.
+
+    A mesh gives the positions or the normals of node rows on request
+    (``rows``).  One made of the arrays ``vertices`` and ``normals``, whose
+    normals are checked to be unit, slices them; the constructions below
+    keep their curve's per-row data and compute the rows asked for
+    (``of_rows``), so that no whole mesh is held.  The properties
+    ``vertices`` and ``normals`` give the whole arrays.
     """
 
-    vertices: np.ndarray
-    normals: np.ndarray
-    grid: Tuple[int, int]
-    periodic: bool = False
-    apex: bool = False
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.normals = np.asarray(self.normals, dtype=float)
-        n, m = self.grid = tuple(int(k) for k in self.grid)
-        if m < 2 + self.periodic or n < 2 - self.apex \
-                or self.apex > self.periodic \
-                or len(self.vertices) != n * m + self.apex:
-            raise ValueError(f"{len(self.vertices)} vertices do not make a "
-                             f"{n} x {m} grid of triangles"
-                             + " with an apex" * self.apex)
-        if self.normals.shape != self.vertices.shape:
+    def __init__(self, vertices, normals, grid: Tuple[int, int],
+                 periodic: bool = False, apex: bool = False,
+                 meta: Optional[dict] = None):
+        vertices = np.asarray(vertices, dtype=float)
+        normals = np.asarray(normals, dtype=float)
+        self._topology(grid, periodic, apex, meta, len(vertices))
+        if normals.shape != vertices.shape:
             raise ValueError("need one normal per vertex")
-        nrm2 = (self.normals[:, 0] ** 2 + self.normals[:, 1] ** 2
-                + self.normals[:, 2] ** 2)
+        nrm2 = normals[:, 0] ** 2 + normals[:, 1] ** 2 + normals[:, 2] ** 2
         if not np.allclose(nrm2, 1.0, atol=1e-8):
             raise ValueError("normals are not unit")
 
+        m = self.grid[1]
+
+        def rows(lo, hi, normal, buf):
+            return (normals if normal else vertices)[lo * m:hi * m]
+        self._rows, self._made = rows, False
+
+    @classmethod
+    def of_rows(cls, rows: Callable, grid: Tuple[int, int],
+                periodic: bool = False, apex: bool = False,
+                made: bool = True) -> "SurfaceMesh":
+        """The mesh whose node rows lo..hi are ``rows(lo, hi, normal,
+        buf)``: their positions, or their unit normals if ``normal``, as
+        (vertices, 3), made in ``buf`` unless it is None; where not
+        ``made``, views of arrays held elsewhere."""
+        mesh = cls.__new__(cls)
+        mesh._topology(grid, periodic, apex, None)
+        mesh._rows, mesh._made = rows, made
+        return mesh
+
+    def _topology(self, grid, periodic: bool, apex: bool, meta,
+                  count: Optional[int] = None) -> None:
+        """Sets the grid, checked to make triangles of ``count`` vertices
+        (as many as it has when None)."""
+        n, m = self.grid = tuple(int(k) for k in grid)
+        self.periodic, self.apex = bool(periodic), bool(apex)
+        self.meta = {} if meta is None else meta
+        count = self.n_vertices if count is None else count
+        if m < 2 + periodic or n < 2 - apex or apex > periodic \
+                or count != self.n_vertices:
+            raise ValueError(f"{count} vertices do not make a {n} x {m} "
+                             "grid of triangles" + " with an apex" * apex)
+
+    def rows(self, lo: int, hi: int, normal: bool = False,
+             buf: Optional[np.ndarray] = None) -> np.ndarray:
+        """Positions (normals if ``normal``) of the vertices of node rows
+        lo..hi, (vertices, 3); the apex is row n.  A mesh of rows makes
+        them in ``buf`` if given; a mesh of arrays gives a view of them."""
+        return self._rows(lo, hi, normal, buf)
+
+    def _buffer(self, work: Optional[dict], key, count: int):
+        """A buffer of ``count`` rows for ``rows`` from ``work``
+        (``_scratch``), or None where the mesh gives views or ``work`` is
+        None."""
+        return _scratch(work, key, (count, 3)) \
+            if self._made and work is not None else None
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.rows(0, self.grid[0] + 1)
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self.rows(0, self.grid[0] + 1, True)
+
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        n, m = self.grid
+        return n * m + self.apex
 
     @property
     def n_faces(self) -> int:
@@ -113,12 +167,24 @@ class SurfaceMesh:
                 yield np.stack(pending, axis=1).reshape(-1, 3)
                 pending = []
 
-    def vertex_blocks(self):
-        """Positions beside normals, (rows, 6), ``_CHUNK_ROWS`` vertices at
-        a time: no second vertex array spans the mesh."""
-        for lo in range(0, self.n_vertices, _CHUNK_ROWS):
-            block = slice(lo, lo + _CHUNK_ROWS)
-            yield np.hstack([self.vertices[block], self.normals[block]])
+    def vertex_blocks(self, *normal: bool):
+        """The vertices ``_CHUNK_ROWS`` at a time, as (vertices, 3 per
+        entry of ``normal``): their positions (False) and normals (True)
+        side by side.  Each block is made from the node rows it meets, and
+        is written into one buffer that the next block overwrites."""
+        m, total = self.grid[1], self.n_vertices
+        size = min(_CHUNK_ROWS, total)
+        block = np.empty((size, 3 * len(normal)))
+        # a block meets at most (size - 1) // m + 2 node rows
+        met = np.empty((min(((size - 1) // m + 2) * m, total), 3))
+        for a in range(0, total, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, total)
+            lo, hi = a // m, -(-b // m)
+            buf = met[:min(hi * m, total) - lo * m]
+            for k, flag in enumerate(normal):
+                block[:b - a, 3 * k:3 * k + 3] = self.rows(
+                    lo, hi, flag, buf)[a - lo * m:b - lo * m]
+            yield block[:b - a]
 
     def boundary_mask(self) -> np.ndarray:
         """True for vertices on an edge owned by a single face: the first
@@ -311,6 +377,14 @@ def extrude_cylinder(curve: ProfileCurve, y_range: Sequence[float],
     Vertices (x_i, y_j, u_i); normals are the downward graph normals
     (sin th, 0, -cos th), constant along rulings.
     """
+    return _cylinder(curve, y_range, ny, None)
+
+
+def _cylinder(curve: ProfileCurve, y_range: Sequence[float], ny: int,
+              tilt: Optional[Tuple[float, float, float]]) -> SurfaceMesh:
+    """The extruded cylinder, mapped by ``tilt_cylinder``'s map of (cos,
+    sin, tan) of its angle unless ``tilt`` is None, as a mesh of the
+    curve's rows: node row i is the ruling through curve sample i."""
     x, u = curve.graph()
     y0, y1 = float(y_range[0]), float(y_range[1])
     if not y1 > y0:
@@ -318,12 +392,30 @@ def extrude_cylinder(curve: ProfileCurve, y_range: Sequence[float],
     if ny < 2:
         raise ValueError("need at least two samples across the rulings")
     y = np.linspace(y0, y1, ny)
-    nx = len(x)
-    verts = grid_rows(x, y, np.repeat(u[:, None], ny, axis=1))[1]
-    nrm = np.column_stack([np.sin(curve.theta), np.zeros(nx),
-                           -np.cos(curve.theta)])
-    normals = np.repeat(nrm, ny, axis=0)
-    return SurfaceMesh(verts, normals, (nx, ny))
+    sin, cos = np.sin(curve.theta), np.cos(curve.theta)
+
+    def rows(lo, hi, normal, buf):
+        hi = min(hi, len(x))
+        lo = min(lo, hi)
+        out = np.empty(((hi - lo) * ny, 3)) if buf is None else buf
+        if normal:
+            # per ruling, (rows, 1), as the positions' x and z
+            n0, n1, n2 = sin[lo:hi], np.zeros(hi - lo), -cos[lo:hi]
+            if tilt is not None:
+                c, s, _ = tilt
+                n1, n2 = c * n1 - s * n2, s * n1 + c * n2
+            cols = [v[:, None] for v in (n0, n1, n2)]
+        else:
+            cols = [x[lo:hi, None], y[None, :], u[lo:hi, None]]
+            if tilt is not None:
+                c, _, t = tilt
+                v0, v1, v2 = cols
+                cols = [v0 / c, v1 - t * v2, t * v1 + v2]
+        nodes = out.reshape(hi - lo, ny, 3)
+        for k, col in enumerate(cols):
+            nodes[:, :, k] = col
+        return out
+    return SurfaceMesh.of_rows(rows, (len(x), ny))
 
 
 def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
@@ -331,7 +423,9 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
 
     Normals are the rotated curve normals (-sin th cos t, -sin th sin t,
     cos th).  A leading axis sample (x = 0) becomes a single fan vertex with
-    normal (0, 0, 1).
+    normal (0, 0, 1).  Node row i is the ring of the i-th sample off the
+    axis, made when asked for from the radii and heights of the points and
+    normals and the angles' cosines and sines.
     """
     if nt < 3:
         raise ValueError("need at least 3 angular samples")
@@ -340,21 +434,26 @@ def revolve(curve: ProfileCurve, nt: int) -> SurfaceMesh:
         raise ValueError("negative radius along the generating curve")
     i0 = has_apex = bool(x[0] < 1e-12)
     t = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-    cs = np.column_stack([np.cos(t), np.sin(t)])
-    rings = len(x) - i0
-    verts = np.empty((rings * nt + has_apex, 3))
-    normals = np.empty_like(verts)
+    turn = np.cos(t), np.sin(t)
     # points and normals turn alike: (r cos t, r sin t, a) per ring
-    for out, r, a in ((verts, x[i0:], z[i0:]),
-                      (normals, -np.sin(th[i0:]), np.cos(th[i0:]))):
-        nodes = out[:rings * nt].reshape(rings, nt, 3)
-        nodes[:, :, :2] = r[:, None, None] * cs
-        nodes[:, :, 2] = a[:, None]
-    if has_apex:
-        verts[-1] = (0.0, 0.0, z[0])
-        normals[-1] = (0.0, 0.0, 1.0)
-    return SurfaceMesh(verts, normals, (rings, nt), periodic=True,
-                       apex=has_apex)
+    radial = ((x[i0:], z[i0:]), (-np.sin(th[i0:]), np.cos(th[i0:])))
+    rings = len(x) - i0
+
+    def rows(lo, hi, normal, buf):
+        top = min(hi, rings)
+        lo = min(lo, top)
+        fan = has_apex and hi > rings
+        out = np.empty(((top - lo) * nt + fan, 3)) if buf is None else buf
+        r, a = radial[normal]
+        nodes = out[:(top - lo) * nt].reshape(top - lo, nt, 3)
+        for k in (0, 1):
+            np.multiply(r[lo:top, None], turn[k], out=nodes[:, :, k])
+        nodes[:, :, 2] = a[lo:top, None]
+        if fan:
+            out[-1] = (0.0, 0.0, 1.0) if normal else (0.0, 0.0, z[0])
+        return out
+    return SurfaceMesh.of_rows(rows, (rings, nt), periodic=True,
+                               apex=has_apex)
 
 
 def tilt_cylinder(curve: ProfileCurve, theta: float,
@@ -377,18 +476,8 @@ def tilt_cylinder(curve: ProfileCurve, theta: float,
     if theta > 0.0 and not np.ptp(curve.profile.dphi(curve.z)) == 0.0:
         raise ValueError("a tilt maps solutions to solutions only where "
                          "dphi is constant, and dphi varies along the curve")
-    base = extrude_cylinder(curve, y_range, ny)
     c, s = math.cos(theta), math.sin(theta)
-    t = s / c
-    v = base.vertices
-    verts = np.column_stack([v[:, 0] / c,
-                             v[:, 1] - t * v[:, 2],
-                             t * v[:, 1] + v[:, 2]])
-    n = base.normals
-    normals = np.column_stack([n[:, 0],
-                               c * n[:, 1] - s * n[:, 2],
-                               s * n[:, 1] + c * n[:, 2]])
-    return SurfaceMesh(verts, normals, base.grid)
+    return _cylinder(curve, y_range, ny, (c, s, s / c))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +587,8 @@ def graph_gauss_curvature(patch: GraphPatch) -> np.ndarray:
 # discrete curvature on meshes
 # ---------------------------------------------------------------------------
 
-def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
+def _cotangent_curvature(mesh: SurfaceMesh,
+                         work: Optional[dict] = None) -> np.ndarray:
     """Discrete mean-curvature vector (trace convention) per vertex:
     (1/(2 A_i)) sum_j (cot a_ij + cot b_ij) (p_j - p_i), with barycentric
     vertex areas.  Rows for boundary vertices are unreliable and the caller
@@ -511,21 +601,31 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
     face area (until the vertex areas are summed) and the terms are the
     only arrays as long as the faces.  Sums keep the order of ``np.cross``
     and ``norm`` on rows, and each vertex sum takes its terms in the order
-    of 1-D ``ufunc.at`` over the face list (``_scatter``)."""
+    of 1-D ``ufunc.at`` over the face list (``_scatter``).
+
+    Calls that share ``work`` take these arrays, and the positions of a
+    mesh of rows, from its buffers (``_scratch``); the result is a view of
+    one of them."""
     n, m = mesh.grid
     shapes = [(n - 1, m - (not mesh.periodic))] * 2 + [(1, m)] * mesh.apex
-    half = [np.empty((3,) + s) for s in shapes]  # minus half the cotangent
-    third = [np.empty(s) for s in shapes]  # a third of the face area
-    for kind, rows, corners in _corners(mesh, mesh.vertices.T):
+    # minus half the cotangent, and a third of the face area
+    half = [_scratch(work, ("half", k), (3,) + s)
+            for k, s in enumerate(shapes)]
+    third = [_scratch(work, ("cells", k), s) for k, s in enumerate(shapes)]
+    points = mesh.rows(0, n + 1, buf=mesh._buffer(work, "points",
+                                                  mesh.n_vertices)).T
+    for kind, rows, corners in _corners(mesh, points):
         _corner_weights(corners, half[kind][:, rows], third[kind][rows])
-    area = np.zeros(mesh.n_vertices)
+    area = _scratch(work, "area", (mesh.n_vertices,))
+    area[:] = 0.0
     for c in range(3):
         _scatter(mesh, area, third, c, np.add)
     del third
     area[area < 1e-300] = 1e-300
-    vec = np.zeros((3, mesh.n_vertices))
-    t = [np.empty(s) for s in shapes]
-    for acc, q in zip(vec, mesh.vertices.T):
+    vec = _scratch(work, "vec", (3, mesh.n_vertices))
+    vec[:] = 0.0
+    t = [_scratch(work, ("cells", k), s) for k, s in enumerate(shapes)]
+    for acc, q in zip(vec, points):
         blocks = list(_corners(mesh, q))
         for c in range(3):
             for kind, rows, p in blocks:
@@ -537,6 +637,18 @@ def _cotangent_curvature(mesh: SurfaceMesh) -> np.ndarray:
     del half, t
     vec /= area
     return vec.T
+
+
+def _scratch(work: Optional[dict], key, shape) -> np.ndarray:
+    """An uninitialised float array of ``shape``: a view of the buffer
+    ``work[key]``, made or grown to fit, so that the calls sharing ``work``
+    reuse one allocation; a new array where ``work`` is None."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if key not in work or len(work[key]) < size:
+        work[key] = np.empty(size)
+    return work[key][:size].reshape(shape)
 
 
 def _scatter(mesh: SurfaceMesh, acc: np.ndarray, terms: list, corner: int,
@@ -595,13 +707,27 @@ def mean_curvature_residual(mesh: SurfaceMesh,
     The curvature runs over windows of node rows (``_row_windows``), so
     that only the residual spans the mesh.  Every cell of a kept vertex
     lies in its window, and ``_scatter`` adds its terms in the same order
-    there, so the result is the whole mesh's bit for bit.
+    there, so the result is the whole mesh's bit for bit.  The kept rows'
+    normals and heights are asked of the mesh once more.
+
+    The windows share their buffers (``work``): a window's arrays reach
+    glibc's mmap threshold (128 KiB), and fresh ones would be new pages
+    for each window, faulted in as they are written.
     """
+    m = mesh.grid[1]
     res = np.empty(mesh.n_vertices)
+    work = {}
     for kept, window, own in _row_windows(mesh):
-        nrm = mesh.normals[kept]
-        res[kept] = (_cotangent_curvature(window)[own] * nrm).sum(axis=1)
-        res[kept] -= np.asarray(profile.dphi(mesh.vertices[kept, 2]),
+        r0, r1 = kept.start // m, kept.stop // m
+        count = kept.stop - kept.start
+        nrm = mesh.rows(r0, r1, True, mesh._buffer(work, "normals", count))
+        # the window's positions are spent: their buffer takes the terms,
+        # and then the kept rows' positions
+        terms = np.multiply(_cotangent_curvature(window, work)[own], nrm,
+                            out=_scratch(work, "points", (count, 3)))
+        terms.sum(axis=1, out=res[kept])
+        res[kept] -= np.asarray(profile.dphi(mesh.rows(r0, r1, False,
+                                                       terms)[:, 2]),
                                 dtype=float) * nrm[:, 2]
     res[mesh.boundary_mask()] = math.nan
     if mesh.apex:
@@ -612,30 +738,39 @@ def mean_curvature_residual(mesh: SurfaceMesh,
 def _row_windows(mesh: SurfaceMesh):
     """(kept, window, own) for windows of node rows [r0, r1) that cover
     the grid: the vertices ``kept`` of those rows, the mesh ``window`` over
-    them and one more row on each side within the grid, and the vertices
-    ``own`` of the kept rows in the window.  A window keeps as many rows
-    as make its cells whole blocks of ``_corners`` (about ``_CHUNK_ROWS``
-    nodes: one block of each kind on a grid, two of both kinds on a
-    periodic grid), but at least ``_WINDOW_ROWS``, and the last window
-    takes a remainder of fewer.  The window's arrays are views of the
-    mesh's, but for the window of row 0 on a mesh with an apex, which
-    copies its rows to append the apex; no window checks its normals
-    again."""
+    them and one more row on each side within the grid (``_window``), and
+    the vertices ``own`` of the kept rows in the window.  A window keeps as
+    many rows as make its cells whole blocks of ``_corners`` (about
+    ``_CHUNK_ROWS`` nodes: one block of each kind on a grid, two of both
+    kinds on a periodic grid), but at least ``_WINDOW_ROWS``, and the last
+    window takes a remainder of fewer."""
     n, m = mesh.grid
     step = max(_WINDOW_ROWS, (1 + mesh.periodic) * _block_rows(mesh) - 1)
     r0 = 0
     while r0 < n:
         r1 = r0 + step if r0 + step + _WINDOW_ROWS <= n else n
         w0, w1 = max(r0 - 1, 0), min(r1 + 1, n)
-        window = copy.copy(mesh)
-        window.grid, window.apex = (w1 - w0, m), mesh.apex and w0 == 0
-        rows = slice(w0 * m, w1 * m)
-        window.vertices, window.normals = (
-            np.concatenate([a[rows], a[-1:]]) if window.apex else a[rows]
-            for a in (mesh.vertices, mesh.normals))
-        yield slice(r0 * m, r1 * m), window, slice((r0 - w0) * m,
-                                                   (r1 - w0) * m)
+        yield slice(r0 * m, r1 * m), _window(mesh, w0, w1), slice(
+            (r0 - w0) * m, (r1 - w0) * m)
         r0 = r1
+
+
+def _window(mesh: SurfaceMesh, w0: int, w1: int) -> SurfaceMesh:
+    """The mesh of node rows w0..w1 of ``mesh``, and of its apex if w0 is
+    0, whose rows are the mesh's: views of a mesh of arrays, but for rows
+    with the apex, which copy them to append it.  No normal is checked
+    again."""
+    n, m = mesh.grid
+    apex = mesh.apex and w0 == 0
+
+    def rows(lo, hi, normal, buf):
+        top = min(hi, w1 - w0)
+        if not (apex and hi > top):
+            return mesh.rows(w0 + min(lo, top), w0 + top, normal, buf)
+        return np.concatenate([mesh.rows(w0 + min(lo, top), w0 + top, normal),
+                               mesh.rows(n, n + 1, normal)], out=buf)
+    return SurfaceMesh.of_rows(rows, (w1 - w0, m), mesh.periodic, apex,
+                               made=mesh._made or apex)
 
 
 # A grid node's one-ring on either triangulation of ``_TRIANGLES``, as
@@ -644,7 +779,7 @@ def _row_windows(mesh: SurfaceMesh):
 _RING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
 _TWO_RING = sorted({(a + c, b + d) for a, b in _RING for c, d in _RING}
                    - {(0, 0)})
-_FIT_BLOCK = 2048
+_FIT_BLOCK = 1024
 _FIT_KAPPA = 1e8
 
 
@@ -654,7 +789,7 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
     """Per-vertex (|S|, |S|/dphi(z)) with |S| the Frobenius norm of the
     shape operator, estimated by quadric fitting over two neighbor rings.
 
-    The two-rings come from the node grid (``_two_rings``), about 2048
+    The two-rings come from the node grid (``_two_rings``), about 1024
     vertices at a time, padded with zero rows.  Each fit is the
     minimum-norm least-squares solution with the cutoff of
     ``np.linalg.lstsq`` (singular values at most eps * max(rows, 5) of the
@@ -680,6 +815,7 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
         d = [q[ring] - q[vs] for q in p]
         xi, eta, zeta = (d[0] * f[:, 0] + d[1] * f[:, 1] + d[2] * f[:, 2]
                          for f in (t1, t2, nv))
+        del d, ring
         a, b, c, dd, ee = _quadric_fit(xi, eta, zeta, count)
         # S = I^-1 II, with the first fundamental form I of the fitted
         # graph at the origin inverted by its adjugate (det I = g)
@@ -689,7 +825,7 @@ def second_fundamental_norm(mesh: SurfaceMesh, profile: WeightProfile
         s_norm[vs] = np.where(count >= 5,
                               np.sqrt(sum(x * x for x in S)) / g ** 1.5,
                               math.nan)
-    dphi = np.asarray(profile.dphi(mesh.vertices[:, 2]), dtype=float)
+    dphi = np.asarray(profile.dphi(p[2]), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_norm / np.abs(dphi)
     return s_norm, ratio
@@ -829,6 +965,10 @@ def rotational_patch(curve: ProfileCurve, halfwidth: float,
 
 FLOAT = "%.16e"
 _CHUNK_ROWS = 8192
+# glibc serves a request of 128 KiB or more (its default mmap threshold)
+# with fresh pages, which fault in when first written: a block's text
+# becomes Python objects in pieces of at most half that
+_TEXT_PIECE = 64 * 1024
 
 # Array text.  A block of rows becomes a (rows, bytes) uint8 matrix holding
 # the text with a NUL wherever a byte is optional (the sign of a %.16e value,
@@ -966,9 +1106,10 @@ def _row_plan(line: str, rows: np.ndarray):
     return [lit.encode("ascii") for lit in literals], cells
 
 
-def _block_text(plan, chunk: np.ndarray) -> str:
+def _block_text(plan, chunk: np.ndarray) -> Iterator[str]:
     """The text of ``chunk`` under the row template's ``plan``: array code,
-    and ``%`` for each value it leaves."""
+    and ``%`` for each value it leaves.  It is given as the pieces of about
+    ``_TEXT_PIECE`` bytes of rows each."""
     literals, cells = plan
     values = [chunk[:, j].astype(np.float64 if c == FLOAT else np.int64)
               for j, c in enumerate(cells)]
@@ -1001,16 +1142,19 @@ def _block_text(plan, chunk: np.ndarray) -> str:
             # a value left to % keeps one \x01 byte, which marks its place
             out[bad[:, j]] = 0
             out[bad[:, j], 0] = 1
-    text = block.tobytes().replace(b"\0", b"").decode("ascii")
-    if not bad.any():
-        return text
-    pieces, start = [], 0
-    for i, j in zip(*np.nonzero(bad)):
-        end = text.index("\x01", start)
-        pieces += [text[start:end], cells[j] % chunk[i, j].item()]
-        start = end + 1
-    pieces.append(text[start:])
-    return "".join(pieces)
+    step = max(1, _TEXT_PIECE // block.shape[1])
+    for lo in range(0, len(block), step):
+        text = block[lo:lo + step].tobytes().replace(b"\0", b"").decode(
+            "ascii")
+        if bad[lo:lo + step].any():
+            pieces, start = [], 0
+            for i, j in zip(*np.nonzero(bad[lo:lo + step])):
+                end = text.index("\x01", start)
+                pieces += [text[start:end], cells[j] % chunk[lo + i, j].item()]
+                start = end + 1
+            pieces.append(text[start:])
+            text = "".join(pieces)
+        yield text
 
 
 def _float_runs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -1052,7 +1196,7 @@ def write_rows(fh, rows, sep: str = ",", prefix: str = "",
     line += "\n"
     plan = _row_plan(line, rows)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        fh.write(_block_text(plan, rows[start:start + _CHUNK_ROWS]))
+        fh.writelines(_block_text(plan, rows[start:start + _CHUNK_ROWS]))
 
 
 def write_table(path, comments: Sequence[str], header: str,
@@ -1293,8 +1437,9 @@ def save_obj(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
     """ASCII OBJ with v/vn/f records."""
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, [*comments, f"signature: {EUCLIDEAN}"])
-        write_rows(fh, mesh.vertices, sep=" ", prefix="v ")
-        write_rows(fh, mesh.normals, sep=" ", prefix="vn ")
+        for normal, prefix in ((False, "v "), (True, "vn ")):
+            for block in mesh.vertex_blocks(normal):
+                write_rows(fh, block, sep=" ", prefix=prefix)
         # a block of faces at a time: no face array spans the mesh
         for block in mesh.face_blocks():
             write_rows(fh, np.repeat(block + 1, 2, axis=1), sep=" ",
@@ -1313,7 +1458,7 @@ def save_ply(mesh: SurfaceMesh, path, comments: Sequence[str] = ()) -> None:
             "property list uchar int vertex_indices", "end_header"]
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, head, prefix="")
-        for block in mesh.vertex_blocks():
+        for block in mesh.vertex_blocks(False, True):
             write_rows(fh, block, sep=" ")
         for block in mesh.face_blocks():
             write_rows(fh, block, sep=" ", prefix="3 ", cell="%d")

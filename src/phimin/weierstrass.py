@@ -49,8 +49,9 @@ from .solvers import BOWL_GRAPH, ProfileCurve
 from .surfaces import (FLOAT, SurfaceMesh,
                        _interior_derivatives, _interior_gradient,
                        grid_from_table, grid_rows,
-                       mean_curvature_residual, read_table, staircase,
-                       trapezoid_primitive, uniform_spacing, write_table)
+                       mean_curvature_residual, read_table, residual_sup,
+                       staircase, trapezoid_primitive, uniform_spacing,
+                       write_table)
 
 __all__ = [
     "GaussField", "BjorlingData", "gauss_pde_residual",
@@ -322,8 +323,8 @@ def integrate_representation(field: GaussField, base: Optional[complex] = None,
                      identity_residuals=sups)
     prof = _weight_profile_for(field.k_param, points[..., 2])
     if prof is not None:
-        res = mean_curvature_residual(mesh, prof)
-        mesh.meta["mean_curvature_residual"] = float(np.nanmax(np.abs(res)))
+        mesh.meta["mean_curvature_residual"] = residual_sup(
+            mean_curvature_residual(mesh, prof))
     else:
         mesh.meta["mean_curvature_residual"] = math.nan
     return mesh

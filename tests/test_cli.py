@@ -1128,6 +1128,8 @@ _UNREACHED = {
         "the topology digest of bench/tracing.py (ROADMAP item 3)",
     "surfaces.second_fundamental_norm":
         "the gallery's shape-operator diagnostic (ROADMAP item 3)",
+    "surfaces.SurfaceMesh.normals":
+        "the whole normals, read by that diagnostic; commands ask for rows",
     "calabi.GridSplines.at":
         "the resampling Newton's fallback for a block whose own guess "
         "disagrees with the whole-array rule; no workload seed reaches it",

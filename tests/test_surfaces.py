@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
 
-from phimin import calabi, make_builtin, surfaces
+from phimin import calabi, cli, make_builtin, surfaces
 from phimin.calabi import PotentialPatch
 from phimin.solvers import ProfileCurve, solve_bowl, solve_catenary, solve_catenoid
 from phimin.surfaces import (
@@ -854,6 +854,118 @@ def test_tilt_rejects_bad_angle():
     with pytest.raises(ValueError, match="dphi is constant"):
         tilt_cylinder(curve, math.pi / 4, (-1.0, 1.0), 20)
     tilt_cylinder(curve, 0.0, (-1.0, 1.0), 20)
+
+
+# -- meshes made by rows -----------------------------------------------------
+
+
+def reference_cylinder(curve, y_range, ny, theta=None):
+    """extrude_cylinder's mesh, or tilt_cylinder's for the angle ``theta``,
+    as whole arrays, as written while the builders assembled them."""
+    x, u = curve.graph()
+    y = np.linspace(y_range[0], y_range[1], ny)
+    verts = np.column_stack([np.repeat(x, ny), np.tile(y, len(x)),
+                             np.repeat(u, ny)])
+    normals = np.repeat(np.column_stack([np.sin(curve.theta),
+                                         np.zeros(len(x)),
+                                         -np.cos(curve.theta)]), ny, axis=0)
+    if theta is not None:
+        c, s = math.cos(theta), math.sin(theta)
+        t = s / c
+        v, n = verts, normals
+        verts = np.column_stack([v[:, 0] / c, v[:, 1] - t * v[:, 2],
+                                 t * v[:, 1] + v[:, 2]])
+        normals = np.column_stack([n[:, 0], c * n[:, 1] - s * n[:, 2],
+                                   s * n[:, 1] + c * n[:, 2]])
+    return SurfaceMesh(verts, normals, (len(x), ny))
+
+
+def reference_revolve(curve, nt):
+    """revolve's mesh as whole arrays, as written while it assembled
+    them."""
+    x, z, th = curve.x, curve.z, curve.theta
+    i0 = has_apex = bool(x[0] < 1e-12)
+    t = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
+    cs = np.column_stack([np.cos(t), np.sin(t)])
+    rings = len(x) - i0
+    verts = np.empty((rings * nt + has_apex, 3))
+    normals = np.empty_like(verts)
+    for out, r, a in ((verts, x[i0:], z[i0:]),
+                      (normals, -np.sin(th[i0:]), np.cos(th[i0:]))):
+        nodes = out[:rings * nt].reshape(rings, nt, 3)
+        nodes[:, :, :2] = r[:, None, None] * cs
+        nodes[:, :, 2] = a[:, None]
+    if has_apex:
+        verts[-1] = (0.0, 0.0, z[0])
+        normals[-1] = (0.0, 0.0, 1.0)
+    return SurfaceMesh(verts, normals, (rings, nt), periodic=True,
+                       apex=has_apex)
+
+
+_BOWL = solve_bowl(LIN1, 0.0, 2.0, n_samples=41)  # from the axis: an apex
+_NECK = solve_catenoid(LIN1, 1.0, 0.0, 3.0, tol=1e-9, n_samples=41)[0]
+_REAPER = solve_catenary(LIN1, 0.0, 1.2, n_samples=61)
+# each construction's mesh of rows beside the reference's whole arrays
+ROW_MESHES = {
+    "revolve-apex": (revolve(_BOWL, 16), reference_revolve(_BOWL, 16)),
+    "revolve": (revolve(_NECK, 13), reference_revolve(_NECK, 13)),
+    "extrude": (extrude_cylinder(_REAPER, (-0.5, 0.5), 17),
+                reference_cylinder(_REAPER, (-0.5, 0.5), 17)),
+    "tilt-0": (tilt_cylinder(_REAPER, 0.0, (-0.8, 0.8), 21),
+               reference_cylinder(_REAPER, (-0.8, 0.8), 21, 0.0)),
+    "tilt-pi/4": (tilt_cylinder(_REAPER, math.pi / 4, (-0.8, 0.8), 21),
+                  reference_cylinder(_REAPER, (-0.8, 0.8), 21,
+                                     math.pi / 4)),
+}
+
+
+@pytest.mark.parametrize("mesh, ref", ROW_MESHES.values(), ids=ROW_MESHES)
+def test_row_meshes_are_the_whole_arrays(mesh, ref):
+    assert (mesh.grid, mesh.periodic, mesh.apex) \
+        == (ref.grid, ref.periodic, ref.apex)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.normals.tobytes() == ref.normals.tobytes()
+    n, m = mesh.grid
+    for lo, hi in ((0, 1), (1, 3), (n - 2, n + 1), (n, n + 1), (n - 1, n)):
+        for normal in (False, True):
+            want = ref.rows(lo, hi, normal)
+            out = np.full((len(want), 3), math.nan)
+            assert mesh.rows(lo, hi, normal).tobytes() == want.tobytes()
+            assert mesh.rows(lo, hi, normal, out) is out
+            assert out.tobytes() == want.tobytes()
+    # the rows' normals are unit, as a mesh of arrays checks them
+    nrm = mesh.rows(n // 3, n // 3 + 2, True)
+    assert np.allclose((nrm ** 2).sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mesh, ref", ROW_MESHES.values(), ids=ROW_MESHES)
+def test_row_meshes_write_the_whole_arrays_bytes(mesh, ref, tmp_path):
+    m = mesh.grid[1]
+    # blocks of vertices that split rings, two rings and less than one
+    for chunk in (2 * m + 3, m - 2, surfaces._CHUNK_ROWS):
+        with mock.patch.object(surfaces, "_CHUNK_ROWS", chunk):
+            blocks = [b.copy() for b in mesh.vertex_blocks(False, True)]
+            assert np.concatenate(blocks).tobytes() == np.hstack(
+                [ref.vertices, ref.normals]).tobytes()
+            for made, tag in ((mesh, "rows"), (ref, "ref")):
+                save_obj(made, tmp_path / f"{tag}.obj")
+                save_ply(made, tmp_path / f"{tag}.ply")
+                for name, _, write in cli._mesh_files("csv", made, tag, []):
+                    write(tmp_path / name, [])
+        for name in ("{}.obj", "{}.ply", "{}.csv", "{}_faces.csv"):
+            assert (tmp_path / name.format("rows")).read_bytes() \
+                == (tmp_path / name.format("ref")).read_bytes()
+
+
+@pytest.mark.parametrize("mesh, ref", ROW_MESHES.values(), ids=ROW_MESHES)
+def test_row_meshes_oracle_keeps_the_whole_arrays_bits(mesh, ref):
+    want = whole_mesh_residual(ref, LIN1)
+    chunks = window_chunks(mesh)
+    assert set(chunks) == ({1, 3} if mesh.periodic else {1, 2, 3})
+    for chunk in [*chunks.values(), surfaces._CHUNK_ROWS]:
+        with mock.patch.multiple(surfaces, _CHUNK_ROWS=chunk, _WINDOW_ROWS=1):
+            got = mean_curvature_residual(mesh, LIN1)
+        assert got.tobytes() == want.tobytes()
 
 
 # -- mesh validation and export ----------------------------------------------

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 from phimin import cli, surfaces, weierstrass
 from phimin.errors import NumericalError
 from phimin.profiles import make_builtin
-from phimin.solvers import solve_bowl
+from phimin.solvers import solve_bowl, solve_catenary
 from phimin.weierstrass import (
     BjorlingData,
     GaussField,
@@ -333,7 +333,8 @@ def test_cotangent_oracle_peak_memory():
 
 def test_mean_curvature_residual_peak_memory():
     # the residual (8 B a node), the boundary mask (1) and one window of
-    # node rows at a time: about 18 B a node on a 441x331 grid, against
+    # node rows at a time, in buffers shared by all windows: about 21 B a
+    # node on a 441x331 grid (18 while each window made its own), against
     # 97.0 with the whole mesh's corner weights, terms, vertex sums and
     # areas, 103 while the curvature vectors lived through boundary_mask's
     # edge keys and 119 with the oracle's weights alive through its
@@ -353,7 +354,7 @@ def test_boundary_mask_peak_memory():
 
 def test_save_obj_peak_memory(tmp_path):
     # faces derived and their v//vn columns repeated one block at a time:
-    # about 9 B a face on a 441x331 grid, against 72 with them repeated
+    # about 8 B a face on a 441x331 grid, against 72 with them repeated
     # for the whole mesh
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = graph_mesh(x, y, np.outer(x, y) ** 2)
@@ -362,9 +363,10 @@ def test_save_obj_peak_memory(tmp_path):
 
 
 def test_save_ply_peak_memory(tmp_path):
-    # positions beside normals one block of rows at a time: about 38 B a
-    # vertex on a 441x331 grid, against 84 with them side by side for the
-    # whole mesh
+    # positions beside normals one block of rows at a time, in one reused
+    # buffer: about 23 B a vertex on a 441x331 grid, against 38 with a new
+    # block stacked each time and 84 with them side by side for the whole
+    # mesh
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = graph_mesh(x, y, np.outer(x, y) ** 2)
     assert traced_peak(surfaces.save_ply, mesh, tmp_path / "m.ply") \
@@ -373,38 +375,69 @@ def test_save_ply_peak_memory(tmp_path):
 
 def test_mesh_csv_peak_memory(tmp_path):
     # the mesh CSV takes positions beside normals one block of rows at a
-    # time, as save_ply does: about 38 B a vertex on a 441x331 grid,
+    # time, as save_ply does: about 23 B a vertex on a 441x331 grid,
     # against 83.6 with them side by side for the whole mesh
     x, y = np.linspace(-1.0, 1.0, 441), np.linspace(-1.0, 1.0, 331)
     mesh = graph_mesh(x, y, np.outer(x, y) ** 2)
-    (name, _, write), _ = cli._mesh_files("csv", lambda: mesh, "m", [])
+    (name, _, write), _ = cli._mesh_files("csv", mesh, "m", [])
     assert traced_peak(write, tmp_path / name, []) <= 45 * mesh.n_vertices
 
 
 def test_catenoid_command_peak_memory(tmp_path):
     # each revolved branch (1201 x 129 nodes, about 155,000 each) is made
-    # by the writer of its OBJ file, so one is alive at a time: about 10.3
-    # MB, against 17.8 while both were held until written and 32.6 while
-    # each mesh stored its faces (48 B a node)
+    # from its curve a block of rows at a time by its OBJ writer: about 2.5
+    # MB, against 10.3 while a whole branch mesh was alive at a time, 17.8
+    # while both were held until written and 32.6 while each mesh stored
+    # its faces (48 B a node)
     peak = traced_peak(cli.main, ["catenoid", "--preset",
                                   "catenoid-exp-weight", "--out",
                                   str(tmp_path / "c")])
-    assert peak <= 12e6
+    assert peak <= 4e6
 
 
-def test_catenoid_command_holds_one_branch_mesh(tmp_path):
-    # the peak is about 1.4 times the larger branch mesh, against 2.4 while
-    # both branches lived until their files were written
-    argv = ["catenoid", "--preset", "catenoid-exp-weight"]
-    cfg = cli._resolve_config(cli._build_parser("catenoid").parse_args(argv))
-    branches = cli.solve_catenoid(cfg["profile"], cfg["x0"], cfg["z0"],
-                                  cfg["s_max"], tol=cfg["tol"],
-                                  n_samples=cfg["n_samples"])
-    larger = max(mesh.vertices.nbytes + mesh.normals.nbytes
-                 for mesh in (surfaces.revolve(curve, cfg["n_theta"])
-                              for curve in branches))
-    peak = traced_peak(cli.main, argv + ["--out", str(tmp_path / "c")])
-    assert peak <= 1.6 * larger
+def obj_vertices(path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return sum(line.startswith("v ") for line in fh)
+
+
+def test_catenoid_command_holds_no_branch_mesh(tmp_path):
+    # about 16 B a vertex of the larger branch (the writer's blocks), a
+    # third of a branch mesh's points and normals, against 1.4 of those
+    # meshes (66 B a vertex) while one branch mesh was whole at a time
+    out = tmp_path / "c"
+    peak = traced_peak(cli.main, ["catenoid", "--preset",
+                                  "catenoid-exp-weight", "--out", str(out)])
+    larger = max(obj_vertices(out / f"catenoid_{side}.obj")
+                 for side in ("left", "right"))
+    assert peak <= 24 * larger
+
+
+@pytest.mark.parametrize("argv, name, per_vertex", [
+    (["bowl", "--preset", "bowl-exp-weight"], "bowl.obj", 24),
+    (["tilt", "--preset", "tilted-grim-reaper"], "tilted.obj", 48),
+], ids=["bowl", "tilt"])
+def test_mesh_command_holds_no_mesh(tmp_path, argv, name, per_vertex):
+    # the oracle's windows and the writer's blocks ask the mesh for its
+    # node rows, which it makes from its curve: about 21 B a vertex on the
+    # bowl (154,801 vertices) and 45 on the tilt (65,641), the oracle's
+    # residual beside one window's buffers, against 63 and 133 while the
+    # whole mesh lived from its build to its file
+    out = tmp_path / "m"
+    peak = traced_peak(cli.main, argv + ["--out", str(out)])
+    assert peak <= per_vertex * obj_vertices(out / name)
+
+
+def test_shape_operator_peak_memory():
+    # the benchmark's diagnostic mesh, a tilted reaper cylinder of 16,441
+    # vertices: the whole points and normals and the fits of about
+    # _FIT_BLOCK = 1,024 vertices at a time, about 211 B a vertex, against
+    # 411 with blocks of 2,048 and their offsets alive through the fits
+    lin = make_builtin("linear", 1.0)
+    curve = solve_catenary(lin, 0.0, 1.45, n_samples=201)
+    mesh = surfaces.tilt_cylinder(curve, math.pi / 4, (-2.0, 2.0), 41)
+    assert mesh.n_vertices == 16441
+    assert traced_peak(surfaces.second_fundamental_norm, mesh, lin) \
+        <= 260 * mesh.n_vertices
 
 
 def reference_path_integrals(f, ib, jb):
